@@ -10,8 +10,8 @@ The zoo:
 
 * haar: sgn(x) on [-1, 1]; hat is -2 pi i xi sinc(xi)^2.
 * gm:a: alpha |1-|x||^(alpha-1) sgn(x) on (-1, 1), the profile whose
-  square function is the generalized Marcinkiewicz integral; hat by
-  Gauss-Jacobi quadrature graded at the endpoint singularity.
+  square function is the generalized Marcinkiewicz integral; hat is
+  -2i Im[e^(iw) 1F1(alpha; alpha+1; -iw)], w = 2 pi xi (DLMF 13.4.1).
 * poisson-q[:d]: t-derivative of the Poisson kernel at t=1, with the
   normalization gamma((d+1)/2) / pi^((d+1)/2); hat is -2 pi |xi| e^(-2 pi |xi|).
 * ball (averaging profile): normalized indicator of the unit ball.
@@ -28,11 +28,12 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammaln, hyp1f1, poch
 from scipy.special import j1 as _bessel_j1
 from scipy.special import roots_jacobi, roots_legendre
 
-_GJ_NODE_CAP = 6144
 _MOMENT_TOL = 1e-9
+_SPATIAL_BLOCK = 2048
 
 
 class MomentClassError(ValueError):
@@ -67,31 +68,37 @@ def _legendre_unit_rule(n: int):
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def _oscillation_nodes(eta: float) -> int:
-    """Gauss rule size resolving sin(2 pi eta s) on the unit interval."""
-    return int(min(_GJ_NODE_CAP, math.ceil(2.0 * max(eta, 1.0)) + 32))
+def _blocked_quadrature(weights: np.ndarray, integrand: Callable, points: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] integrand(block)[i, j] over blocks of the 1-D points, bounding temporaries."""
+    out = np.empty(points.shape)
+    for lo in range(0, points.size, _SPATIAL_BLOCK):
+        block = slice(lo, lo + _SPATIAL_BLOCK)
+        out[block] = np.einsum("i,ij->j", weights, integrand(points[block]))
+    return out
 
 
-def _binned_oscillatory_sum(eta, node_rule: Callable, weight_fn: Callable):
-    """sum_i W_i weight_fn(s_i, eta) evaluated with an eta-adaptive rule.
+def _graded_hat(alpha: float, xi) -> np.ndarray:
+    """-2i sgn(xi) Im[e^(ia) 1F1(alpha; alpha+1; -ia)], a = 2 pi |xi| (DLMF 13.4.1).
 
-    eta is any real array; frequencies are grouped by octave of |eta| so
-    each group shares one quadrature rule.  node_rule(n) -> (s, W).
+    scipy's complex hyp1f1 serves 1 <= a < 30 + 2 alpha.  Below, where it can lose
+    the imaginary part, the Maclaurin series does; above, more cheaply, the incomplete
+    gamma expansion of DLMF 8.11.2 (u_k = (alpha-1)...(alpha-k)):
+    Gamma(alpha+1) a^-alpha sin(a - pi alpha / 2) + alpha sum_m (-1)^m u_2m a^-(2m+1).
     """
-    eta = np.asarray(eta, dtype=float)
-    flat = eta.ravel()
-    out = np.zeros(flat.shape, dtype=np.complex128)
-    mag = np.abs(flat)
-    bins = np.ceil(np.log2(np.maximum(mag, 1.0))).astype(int)
-    for b in np.unique(bins):
-        sel = np.nonzero(bins == b)[0]
-        n = _oscillation_nodes(2.0**b)
-        s, W = node_rule(n)
-        chunk = max(1, 8_000_000 // n)
-        for lo in range(0, sel.size, chunk):
-            idx = sel[lo : lo + chunk]
-            out[idx] = np.einsum("i,ij->j", W.astype(complex), weight_fn(s[:, None], flat[idx][None, :]))
-    return out.reshape(eta.shape)
+    xi = np.asarray(xi, dtype=float)
+    a = 2.0 * np.pi * np.abs(xi)
+    out = np.empty(a.shape)
+    small, large = a < 1.0, a >= 30.0 + 2.0 * alpha
+    mid = ~(small | large)
+    out[mid] = np.imag(np.exp(1j * a[mid]) * hyp1f1(alpha, alpha + 1.0, -1j * a[mid]))
+    k = np.arange(16.0)
+    maclaurin = (-1.0) ** k / poch(alpha + 1.0, 2.0 * k + 1.0)
+    out[small] = a[small] * np.polyval(maclaurin[::-1], a[small] ** 2)
+    expansion = (-1.0) ** k * np.cumprod(np.append(1.0, alpha - np.arange(1.0, 31.0)))[::2]
+    a_large = a[large]
+    out[large] = alpha / a_large * np.polyval(expansion[::-1], a_large**-2.0)
+    out[large] += np.exp(gammaln(alpha + 1.0) - alpha * np.log(a_large)) * np.sin(a_large - np.pi * alpha / 2)
+    return -2j * np.sign(xi) * out
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +290,9 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
     """Graded odd profile alpha |1-|x||^(alpha-1) sgn(x) on (-1, 1).
 
     Its square function is the generalized Marcinkiewicz integral of order
-    alpha; alpha = 1 recovers the Haar kernel.  The Fourier evaluator uses
-    Gauss-Jacobi rules that absorb the endpoint weight, with node counts
-    growing linearly in |xi| to resolve the oscillation.
+    alpha; alpha = 1 recovers the Haar kernel.  The hat is in closed form,
+    psihat(xi) = -2i Im[e^(ia) 1F1(alpha; alpha+1; -ia)], a = 2 pi xi, from the
+    Kummer integral of 1F1 (DLMF 13.4.1), evaluated on |xi| since it is odd.
     """
     if alpha <= 0:
         raise ValueError(f"order must be positive, got {alpha}")
@@ -300,19 +307,13 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
         out[inside] = vals * np.sign(x[inside])
         return out
 
-    def fourier(xi):
-        rule = lambda n: _jacobi_unit_rule(alpha, n)
-        return -2j * _binned_oscillatory_sum(
-            xi, rule, lambda s, e: np.sin(2.0 * np.pi * s * e)
-        )
-
     edge = (1.0, alpha - 1.0) if alpha != 1.0 else None
     return Kernel(
         dim=1,
         name=f"gm:{alpha:g}",
         spatial=spatial,
-        fourier=fourier,
-        fourier_mode="quadrature",
+        fourier=lambda xi: _graded_hat(alpha, xi),
+        fourier_mode="closed_form",
         support_radius=1.0,
         cancellation_order=0,
         fourier_tail_exponent=min(alpha, 1.0),
@@ -434,9 +435,9 @@ def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
     w_rad = reach**alpha * w  # absorbs rho^(alpha-1) d rho
     out = np.zeros(r_out.shape)
     if dim == 1:
-        x = pts[0][None, :]
-        vals = np.real(profile.spatial(x + rho[:, None]) + profile.spatial(x - rho[:, None]))
-        out = tau * np.einsum("i,ij->j", w_rad, vals)
+        # every block shares the reach of the whole batch, on which values depend
+        shifted = lambda x: np.real(profile.spatial(x + rho[:, None]) + profile.spatial(x - rho[:, None]))
+        out = tau * _blocked_quadrature(w_rad, shifted, pts[0])
     else:
         n_ang = 96
         theta = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
@@ -521,12 +522,10 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
     s, w = _legendre_unit_rule(256)
 
     def spatial(x):
-        x = np.asarray(x, dtype=float)
-        flat = np.atleast_1d(x).ravel()
-        upper = np.clip(flat, lo, hi)
+        flat = np.asarray(x, dtype=float).ravel()
+        span = np.clip(flat, lo, hi) - lo
         # cdf(x) = integral_lo^x profile
-        nodes = lo + np.outer(s, upper - lo)
-        cdf = np.einsum("i,ij->j", w, np.real(prof_spatial(nodes))) * (upper - lo)
+        cdf = _blocked_quadrature(w, lambda sp: np.real(prof_spatial(lo + np.outer(s, sp))), span) * span
         vals = np.sign(flat) - (2.0 * cdf - 1.0)
         vals[flat > hi] = np.sign(flat[flat > hi]) - 1.0
         vals[flat < lo] = np.sign(flat[flat < lo]) + 1.0

@@ -67,6 +67,20 @@ def gm_hat_quad(alpha: float, xi: float) -> complex:
     return -2j * alpha * (math.sin(w) * c - math.cos(w) * s)
 
 
+def gm_hat_mpmath(alpha: float, xi: float, dps: int = 40) -> complex:
+    """hat of the graded kernel from mpmath's own 1F1 at dps digits.
+
+    -2i Im[e^(ia) 1F1(alpha; alpha+1; -ia)], a = 2 pi xi, by the Kummer
+    integral alpha integral_0^1 u^(alpha-1) e^(zu) du = 1F1(alpha; alpha+1; z).
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = 2 * mpmath.pi * mpmath.mpf(xi)
+        val = mpmath.im(mpmath.exp(1j * a) * mpmath.hyp1f1(alpha, alpha + 1, -1j * a))
+        return complex(0.0, float(-2 * val))
+
+
 def poisson_hat_quad(xi: float) -> complex:
     """hat of the even kernel (1/pi)(x^2-1)/(1+x^2)^2 via a cosine transform."""
     c = 1.0 / math.pi
@@ -210,8 +224,8 @@ def hormander_quad(kernel, x: float, y: float) -> float:
 # ---------------------------------------------------------------------------
 # physical-space scale averages
 
-def _interp_periodic(f: SampledField, positions: np.ndarray) -> np.ndarray:
-    """Periodic cubic-spline interpolation of a 1-D field."""
+def _periodic_spline(f: SampledField):
+    """Periodic cubic-spline interpolant of a 1-D field, as positions -> values."""
     from scipy.interpolate import CubicSpline
 
     g = f.geometry
@@ -220,8 +234,7 @@ def _interp_periodic(f: SampledField, positions: np.ndarray) -> np.ndarray:
     xx = np.append(x, x[0] + period)
     vv = np.append(f.values, f.values[0])
     spline = CubicSpline(xx, vv, bc_type="periodic")
-    wrapped = np.mod(positions - x[0], period) + x[0]
-    return spline(wrapped)
+    return lambda positions: spline(np.mod(positions - x[0], period) + x[0])
 
 
 def sided_average_physical(
@@ -238,10 +251,11 @@ def sided_average_physical(
     s = np.linspace(0.0, 1.0, n_s)
     u = t * (1.0 - s ** (1.0 / alpha))
     h = s[1] - s[0]
+    interp = _periodic_spline(f)
     acc = np.zeros(g.shape, dtype=complex)
     for i, ui in enumerate(u):
         w = h if 0 < i < n_s - 1 else h / 2.0
-        acc += w * (_interp_periodic(f, x - ui) - _interp_periodic(f, x + ui))
+        acc += w * (interp(x - ui) - interp(x + ui))
     return acc
 
 
@@ -256,7 +270,7 @@ def moving_average_physical(f: SampledField, t: float, upsample: int = 8) -> np.
     g = f.geometry
     x = g.spatial_axis()
     fine = np.linspace(-g.half_length, g.half_length, upsample * g.n_samples + 1)
-    vals = _interp_periodic(f, fine)
+    vals = _periodic_spline(f)(fine)
     F = integrate.cumulative_trapezoid(vals, fine, initial=0.0)
     drift = (F[-1] - F[0]) / (fine[-1] - fine[0])  # residual mean after sampling
     F = F - drift * (fine - fine[0])

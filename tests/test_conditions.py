@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,6 +10,7 @@ from scalesq import (
     fourier_decay_check,
     haar_kernel,
     hormander_energy,
+    kernel_from_id,
     local_power_integral,
     marcinkiewicz_estimate_scan,
     marcinkiewicz_kernel,
@@ -77,6 +79,20 @@ def test_poisson_tail_moment_vs_quad():
 def test_poisson_local_power_vs_quad(u):
     got = local_power_integral(poisson_derivative_kernel(1), u)
     assert math.isclose(got, poisson_local_power_quad(u), rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("kid", ["riesz-diff:0.5:ball", "sgn-diff:ball"])
+def test_majorant_memory_is_bounded(kid):
+    # 200 000 radial samples against 160-256 quadrature nodes would take
+    # about 1.5 GB of temporaries in one piece
+    kernel = kernel_from_id(kid)
+    tracemalloc.start()
+    try:
+        radial_majorant_l1(kernel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_poisson_majorant_closed_form():

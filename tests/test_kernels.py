@@ -20,6 +20,7 @@ from scalesq import (
 from oracles import (
     ball_hat_1d_closed,
     disk_hat_dblquad,
+    gm_hat_mpmath,
     gm_hat_quad,
     haar_hat_closed,
     odd_compact_hat,
@@ -62,6 +63,31 @@ def test_gm_hat_vs_quad_oracle(alpha):
     for xi in XI_PROBES:
         impl = complex(k.fourier(np.array([xi]))[0])
         assert abs(impl - gm_hat_quad(alpha, xi)) < 1e-9
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 1.25])
+def test_gm_hat_vs_mpmath(alpha):
+    # reaches the top of the dyadic non-degeneracy scan (8192) and beyond
+    pytest.importorskip("mpmath")
+    k = marcinkiewicz_kernel(alpha)
+    xi = np.array([0.3, 3.3, 100.0, 2000.0, 5000.0, 8192.0, 51000.0, -7.7])
+    impl = k.fourier(xi)
+    for x, v in zip(xi, impl):
+        ref = gm_hat_mpmath(alpha, x)
+        assert abs(v - ref) <= 1e-7 * abs(ref)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.25])
+def test_gm_hat_series_branches_vs_mpmath(alpha):
+    # a power series below 2 pi |xi| = 1 and a large-argument expansion from
+    # 2 pi |xi| = 30 + 2 alpha replace hyp1f1, and are more accurate than it
+    pytest.importorskip("mpmath")
+    k = marcinkiewicz_kernel(alpha)
+    xi = np.array([1e-9, 1e-5, 0.01, 0.159, 0.16, -0.1, 5.2, 6.1, -7.7, 12.3, 100.25, 2000.5])
+    impl = k.fourier(xi)
+    for x, v in zip(xi, impl):
+        ref = gm_hat_mpmath(alpha, x)
+        assert abs(v - ref) <= 1e-11 * abs(ref)
 
 
 def test_gm_hat_odd_symmetry():
@@ -191,6 +217,15 @@ def test_sgn_difference_hat_and_spatial():
         impl = complex(k.fourier(np.array([xi_probe]))[0])
         oracle = odd_compact_hat(k.spatial, k.support_radius, xi_probe)
         assert abs(impl - oracle) < 1e-8
+
+
+def test_sgn_difference_spatial_batch_is_pointwise():
+    # 5000 points span three evaluation blocks; each point must not depend
+    # on the rest of the batch
+    k = kernel_from_id("sgn-diff:ball")
+    x = np.linspace(-1.5, 1.5, 5000)
+    pointwise = np.array([k.spatial(np.array([v]))[0] for v in x])
+    assert np.array_equal(k.spatial(x), pointwise)
 
 
 def test_band_kernel_hat():
