@@ -18,7 +18,10 @@ import numpy as np
 
 from .config import (
     ConfigError,
+    DyadicConfig,
     EquivalenceConfig,
+    GridConfig,
+    TimeGridConfig,
     load_equivalence_config,
 )
 from .conditions import (
@@ -30,9 +33,7 @@ from .grid import (
     DyadicRange,
     Geometry,
     LogTimeGrid,
-    default_dyadic_range,
     default_geometry,
-    default_time_grid,
     l2_norm,
     load_field_binary,
     load_field_csv,
@@ -91,26 +92,19 @@ def _emit_json(payload: dict, out: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _geometry_for(kernel_dim: int, args) -> Geometry:
-    geom = default_geometry(kernel_dim)
-    n = args.grid_n if args.grid_n is not None else geom.n_samples
-    L = args.grid_l if args.grid_l is not None else geom.half_length
-    return Geometry(kernel_dim, n, L)
+def _geometry_for(base: Geometry, args) -> Geometry:
+    """The base grid with the --grid-n / --grid-l overrides."""
+    n = args.grid_n if args.grid_n is not None else base.n_samples
+    L = args.grid_l if args.grid_l is not None else base.half_length
+    return GridConfig(base.dim, n, L).geometry()
 
 
 def _time_grid_for(geom: Geometry, args) -> LogTimeGrid:
-    if args.t_min is None and args.t_max is None:
-        return default_time_grid(geom, args.nodes_per_octave)
-    lo = args.t_min if args.t_min is not None else 4.0 * geom.spacing
-    hi = args.t_max if args.t_max is not None else geom.half_length / 4.0
-    return LogTimeGrid(lo, hi, args.nodes_per_octave)
+    return TimeGridConfig(args.t_min, args.t_max, args.nodes_per_octave).time_grid(geom)
 
 
 def _dyadic_range_for(geom: Geometry, args) -> DyadicRange:
-    base = default_dyadic_range(geom)
-    lo = args.k_min if args.k_min is not None else base.k_min
-    hi = args.k_max if args.k_max is not None else base.k_max
-    return DyadicRange(lo, hi)
+    return DyadicConfig(args.k_min, args.k_max).dyadic_range(geom)
 
 
 def _kernel_metadata(kernel: Kernel) -> dict:
@@ -151,7 +145,7 @@ def _build_symbol(kernel: Kernel, geom: Geometry, args):
 
 def _cmd_symbol(args) -> int:
     kernel = kernel_from_id(args.kernel)
-    geom = _geometry_for(kernel.dim, args)
+    geom = _geometry_for(default_geometry(kernel.dim), args)
     sym = _build_symbol(kernel, geom, args)
 
     # values along the first frequency axis; 2-D kernels are sliced at xi_2 = 0
@@ -195,7 +189,7 @@ def _cmd_gfun(args) -> int:
         f = _load_input_field(args.input)
         geom = f.geometry
     else:
-        geom = _geometry_for(kernel.dim, args)
+        geom = _geometry_for(default_geometry(kernel.dim), args)
         f = mean_subtract(random_band_field(geom, args.seed))
     if args.mode == "continuous":
         g = g_function(f, kernel, _time_grid_for(geom, args))
@@ -211,16 +205,7 @@ def _cmd_gfun(args) -> int:
 
 
 def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
-    grid_cfg = cfg.grid
-    if args.grid_n is not None or args.grid_l is not None:
-        from .config import GridConfig
-
-        grid_cfg = GridConfig(
-            grid_cfg.dim,
-            args.grid_n if args.grid_n is not None else grid_cfg.n_samples,
-            args.grid_l if args.grid_l is not None else grid_cfg.half_length,
-        )
-    geom = grid_cfg.geometry()
+    geom = _geometry_for(cfg.grid.geometry(), args)
     seed = args.seed if args.seed is not None else cfg.seed
     weight = weight_from_id(cfg.weight, radius_floor=geom.spacing)
     family = default_test_family(geom, seed)

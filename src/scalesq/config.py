@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .grid import DyadicRange, Geometry, LogTimeGrid, default_dyadic_range, default_time_grid
+from .grid import DyadicRange, Geometry, LogTimeGrid, default_dyadic_range, default_geometry
 
 
 class ConfigError(ValueError):
@@ -84,12 +84,9 @@ def grid_config_from_dict(d: Mapping, context: str = "grid") -> GridConfig:
     _reject_unknown(d, {"dim", "n_samples", "half_length"}, context)
     pre = f"{context}."
     dim = _get_int(d, "dim", 1, pre)
-    n = _get_int(d, "n_samples", None, pre)
-    if n is None:
-        n = 4096 if dim == 1 else 512
-    L = _get_number(d, "half_length", None, pre)
-    if L is None:
-        L = 32.0 if dim == 1 else 16.0
+    default = default_geometry(1 if dim == 1 else 2)
+    n = _get_int(d, "n_samples", default.n_samples, pre)
+    L = _get_number(d, "half_length", default.half_length, pre)
     cfg = GridConfig(dim, n, L)
     cfg.geometry()  # validate eagerly
     return cfg
@@ -104,8 +101,6 @@ class TimeGridConfig:
     nodes_per_octave: int = 16
 
     def time_grid(self, geom: Geometry) -> LogTimeGrid:
-        if self.t_min is None and self.t_max is None:
-            return default_time_grid(geom, self.nodes_per_octave)
         lo = self.t_min if self.t_min is not None else 4.0 * geom.spacing
         hi = self.t_max if self.t_max is not None else geom.half_length / 4.0
         try:
@@ -137,8 +132,6 @@ class DyadicConfig:
     k_max: int | None = None
 
     def dyadic_range(self, geom: Geometry) -> DyadicRange:
-        if self.k_min is None and self.k_max is None:
-            return default_dyadic_range(geom)
         base = default_dyadic_range(geom)
         lo = self.k_min if self.k_min is not None else base.k_min
         hi = self.k_max if self.k_max is not None else base.k_max

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1, poch
+from scipy.special import gammaln, poch
 from scipy.special import j1 as _bessel_j1
 from scipy.special import roots_jacobi, roots_legendre
 
@@ -72,17 +72,21 @@ def _blocked_quadrature(weights: np.ndarray, integrand: Callable, points: np.nda
     """sum_i weights[i] integrand(block)[i, j] over blocks of the 1-D points, bounding temporaries."""
     out = np.empty(points.shape)
     for lo in range(0, points.size, _SPATIAL_BLOCK):
-        block = slice(lo, lo + _SPATIAL_BLOCK)
-        out[block] = np.einsum("i,ij->j", weights, integrand(points[block]))
+        block = points[lo:lo + _SPATIAL_BLOCK]
+        # einsum sums a lone contiguous column in another order than each column
+        # of a wider block; a doubled lone point keeps its value batch-independent
+        wide = np.resize(block, max(block.size, 2))
+        out[lo:lo + block.size] = np.einsum("i,ij->j", weights, integrand(wide))[: block.size]
     return out
 
 
 def _graded_hat(alpha: float, xi) -> np.ndarray:
     """-2i sgn(xi) Im[e^(ia) 1F1(alpha; alpha+1; -ia)], a = 2 pi |xi| (DLMF 13.4.1).
 
-    scipy's complex hyp1f1 serves 1 <= a < 30 + 2 alpha.  Below, where it can lose
-    the imaginary part, the Maclaurin series does; above, more cheaply, the incomplete
-    gamma expansion of DLMF 8.11.2 (u_k = (alpha-1)...(alpha-k)):
+    Im[...] = integral_0^1 alpha (1-s)^(alpha-1) sin(a s) ds.  For 1 <= a < 30 + 2 alpha
+    a fixed 48-node Gauss-Jacobi rule takes it to round-off.  Below, the Maclaurin
+    series does; above, more cheaply, the incomplete gamma expansion of DLMF 8.11.2
+    (u_k = (alpha-1)...(alpha-k)):
     Gamma(alpha+1) a^-alpha sin(a - pi alpha / 2) + alpha sum_m (-1)^m u_2m a^-(2m+1).
     """
     xi = np.asarray(xi, dtype=float)
@@ -90,7 +94,8 @@ def _graded_hat(alpha: float, xi) -> np.ndarray:
     out = np.empty(a.shape)
     small, large = a < 1.0, a >= 30.0 + 2.0 * alpha
     mid = ~(small | large)
-    out[mid] = np.imag(np.exp(1j * a[mid]) * hyp1f1(alpha, alpha + 1.0, -1j * a[mid]))
+    s, W = _jacobi_unit_rule(alpha, 48)
+    out[mid] = _blocked_quadrature(W, lambda am: np.sin(np.outer(s, am)), a[mid])
     k = np.arange(16.0)
     maclaurin = (-1.0) ** k / poch(alpha + 1.0, 2.0 * k + 1.0)
     out[small] = a[small] * np.polyval(maclaurin[::-1], a[small] ** 2)
@@ -158,14 +163,17 @@ class Kernel:
 class AveragingProfile:
     """Unit-mass bump used for local averages f * profile_t.
 
-    `max_order` is the supremum of orders alpha for which the profile
-    satisfies the moment conditions (unit mass; vanishing moments of degrees
-    1..floor(alpha) when alpha >= 1).  `moment` optionally returns exact
-    mixed moments for a degree tuple; profiles without it are integrated
-    numerically over `support_box`.
+    `density` is the real-valued profile, which `kernel.spatial` returns as
+    complex; the spatial quadratures evaluate it directly.  `max_order` is
+    the supremum of orders alpha for which the profile satisfies the moment
+    conditions (unit mass; vanishing moments of degrees 1..floor(alpha) when
+    alpha >= 1).  `moment` optionally returns exact mixed moments for a
+    degree tuple; profiles without it are integrated numerically over
+    `support_box`.
     """
 
     kernel: Kernel
+    density: Callable
     support_box: tuple[tuple[float, float], ...]
     max_order: float
     moment: Callable | None = None
@@ -370,9 +378,9 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
     if dim == 1:
-        def spatial(x):
+        def density(x):
             x = np.asarray(x, dtype=float)
-            return np.where(np.abs(x) <= 1.0, 0.5, 0.0).astype(complex)
+            return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
 
         def fourier(xi):
             return np.sinc(2.0 * np.asarray(xi, dtype=float)).astype(complex)
@@ -381,9 +389,9 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
             (k,) = gamma
             return 0.0 if k % 2 else 1.0 / (k + 1.0)
     else:
-        def spatial(x, y):
+        def density(x, y):
             r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
-            return np.where(r2 <= 1.0, 1.0 / math.pi, 0.0).astype(complex)
+            return np.where(r2 <= 1.0, 1.0 / math.pi, 0.0)
 
         def fourier(x, y):
             rho = np.sqrt(np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2)
@@ -397,7 +405,7 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
     kern = Kernel(
         dim=dim,
         name="ball" if dim == 1 else f"ball:{dim}",
-        spatial=spatial,
+        spatial=lambda *coords: density(*coords).astype(complex),
         fourier=fourier,
         fourier_mode="closed_form",
         support_radius=1.0,
@@ -407,6 +415,7 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
     )
     return AveragingProfile(
         kernel=kern,
+        density=density,
         support_box=((-1.0, 1.0),) * dim,
         max_order=2.0,
         moment=moment,
@@ -436,7 +445,7 @@ def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
     out = np.zeros(r_out.shape)
     if dim == 1:
         # every block shares the reach of the whole batch, on which values depend
-        shifted = lambda x: np.real(profile.spatial(x + rho[:, None]) + profile.spatial(x - rho[:, None]))
+        shifted = lambda x: profile.density(x + rho[:, None]) + profile.density(x - rho[:, None])
         out = tau * _blocked_quadrature(w_rad, shifted, pts[0])
     else:
         n_ang = 96
@@ -446,7 +455,7 @@ def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
         for i in range(n_rad):
             px = x[None, :] + rho[i] * ct[:, None]
             py = y[None, :] + rho[i] * st[:, None]
-            ang = np.real(profile.spatial(px, py)).mean(axis=0)
+            ang = profile.density(px, py).mean(axis=0)
             out += w_rad[i] * ang
         out *= tau * 2.0 * np.pi
     return out.reshape(shape)
@@ -509,7 +518,7 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
     _require_moment_class(profile, 1.0, "sgn_difference_kernel")
     profile_hat = profile.fourier
     (lo, hi) = profile.support_box[0]
-    prof_spatial = profile.spatial
+    prof_density = profile.density
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)
@@ -525,7 +534,7 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
         flat = np.asarray(x, dtype=float).ravel()
         span = np.clip(flat, lo, hi) - lo
         # cdf(x) = integral_lo^x profile
-        cdf = _blocked_quadrature(w, lambda sp: np.real(prof_spatial(lo + np.outer(s, sp))), span) * span
+        cdf = _blocked_quadrature(w, lambda sp: prof_density(lo + np.outer(s, sp)), span) * span
         vals = np.sign(flat) - (2.0 * cdf - 1.0)
         vals[flat > hi] = np.sign(flat[flat > hi]) - 1.0
         vals[flat < lo] = np.sign(flat[flat < lo]) + 1.0

@@ -28,6 +28,7 @@ from .grid import (
     inverse_transform,
 )
 from .kernels import Kernel
+from .squarefn import ScaleFamily, _kept_run
 
 
 class DegenerateSymbolError(ValueError):
@@ -65,12 +66,13 @@ def symbol_from_callable(name: str, fn: Callable, dc_value: complex = 0.0, homog
 # ---------------------------------------------------------------------------
 # symbols induced by kernels
 
-def _tail_constants(kernel: Kernel) -> dict | None:
-    """Probe-based constants for the decay envelopes in the metadata."""
+def _tail_meta(kernel: Kernel) -> dict:
+    """{"tail": probe-based constants for the decay envelopes}, or {} for a
+    kernel without decay metadata."""
     delta = kernel.fourier_tail_exponent
     eps = kernel.fourier_origin_exponent
     if delta is None and eps is None:
-        return None
+        return {}
     out: dict = {}
     if delta is not None:
         probes = np.geomspace(1.0, 64.0, 49)
@@ -84,7 +86,7 @@ def _tail_constants(kernel: Kernel) -> dict | None:
         mags = np.abs(kernel.fourier(probes, *rest))
         out["eps"] = eps
         out["c_zero"] = float(np.max(mags / probes**eps))
-    return out
+    return {"tail": out}
 
 
 def continuous_symbol(
@@ -97,32 +99,13 @@ def continuous_symbol(
     identity.  Tail-error constants derived from the kernel's decay
     metadata land in meta["tail"].
     """
-    nodes = tg.nodes
+    keep = slice(None)
     if window is not None:
-        nodes = nodes[tg.window_mask(*window)]
-        if nodes.size == 0:
-            raise ValueError(f"no time nodes inside window {window}")
-    weight = tg.weight
-    kfour = kernel.fourier
-
-    def evaluate(*coords):
-        coords = [np.asarray(c, dtype=float) for c in coords]
-        acc = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
-        for t in nodes:
-            acc += np.abs(kfour(*(t * c for c in coords))) ** 2
-        return weight * acc
-
-    meta: dict = {"t_lo": float(nodes[0]), "t_hi": float(nodes[-1]), "node_count": int(nodes.size)}
-    tail = _tail_constants(kernel)
-    if tail is not None:
-        meta["tail"] = tail
-    return Symbol(
-        name=f"m[{kernel.name}]",
-        evaluate=evaluate,
-        dc_value=0.0,
-        homogeneity="homogeneous:0",
-        meta=meta,
-    )
+        keep = _kept_run(tg.window_mask(*window), f"no time nodes inside window {window}")
+    nodes = tg.nodes[keep]
+    meta = {"t_lo": float(nodes[0]), "t_hi": float(nodes[-1]), "node_count": int(nodes.size)}
+    evaluate = ScaleFamily.of_kernel(kernel, nodes, tg.weight).symbol
+    return Symbol(f"m[{kernel.name}]", evaluate, 0.0, "homogeneous:0", meta | _tail_meta(kernel))
 
 
 def continuous_tail_estimate(sym: Symbol, xi_mag: float) -> float | None:
@@ -145,27 +128,8 @@ def continuous_tail_estimate(sym: Symbol, xi_mag: float) -> float | None:
 
 def dyadic_symbol(kernel: Kernel, kr: DyadicRange) -> Symbol:
     """m(xi) = sum over k of |psihat(2^k xi)|^2, dc pinned to 0."""
-    scales = kr.scales
-    kfour = kernel.fourier
-
-    def evaluate(*coords):
-        coords = [np.asarray(c, dtype=float) for c in coords]
-        acc = np.zeros(np.broadcast_shapes(*(c.shape for c in coords)))
-        for t in scales:
-            acc += np.abs(kfour(*(t * c for c in coords))) ** 2
-        return acc
-
-    meta: dict = {"k_min": kr.k_min, "k_max": kr.k_max}
-    tail = _tail_constants(kernel)
-    if tail is not None:
-        meta["tail"] = tail
-    return Symbol(
-        name=f"md[{kernel.name}]",
-        evaluate=evaluate,
-        dc_value=0.0,
-        homogeneity="dyadic",
-        meta=meta,
-    )
+    meta = {"k_min": kr.k_min, "k_max": kr.k_max} | _tail_meta(kernel)
+    return Symbol(f"md[{kernel.name}]", ScaleFamily.of_kernel(kernel, kr.scales).symbol, 0.0, "dyadic", meta)
 
 
 def dyadic_defect_bound(kernel: Kernel, kr: DyadicRange, *coords) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -24,28 +25,14 @@ from .grid import (
     LogTimeGrid,
     SampledField,
     bump_field,
-    forward_transform,
     gaussian_field,
-    l2_norm,
     mean_subtract,
     modulated_gaussian_field,
 )
 from .kernels import AveragingProfile, _require_moment_class, riesz_difference_kernel
 from .multiplier import apply_multiplier, bessel_symbol, riesz_symbol
-from .squarefn import _layer_inverse, dyadic_g_function
+from .squarefn import ScaleFamily, _require_mean_zero, dyadic_g_function
 from .weights import Weight, constant_weight, weighted_norm
-
-
-def _require_mean_zero(f: SampledField, what: str) -> None:
-    """Operators with a homogeneous symbol are only faithful off the zero
-    frequency; reject fields carrying mean mass instead of zeroing it."""
-    dc = abs(forward_transform(f).coefficients[f.geometry.dc_index])
-    scale = max(l2_norm(f), 1e-300)
-    if dc > 1e-9 * scale:
-        raise ValueError(
-            f"{what} requires a mean-zero field: |fhat(0)| = {dc:.3e} "
-            f"exceeds 1e-9 * l2 norm; subtract the mean first"
-        )
 
 
 def riesz_potential(f: SampledField, order: float) -> SampledField:
@@ -66,12 +53,18 @@ def bessel_potential(f: SampledField, order: float) -> SampledField:
     return apply_multiplier(bessel_symbol(order), f)
 
 
-def _difference_multipliers(profile: AveragingProfile, geom: Geometry, scales) -> list:
-    grids = geom.frequency_grids()
-    return [
-        np.broadcast_to(1.0 - profile.fourier(*(t * g for g in grids)), geom.shape)
-        for t in scales
-    ]
+def _smoothing_family(
+    order: float, profile: AveragingProfile, dim: int, scales, weights
+) -> ScaleFamily:
+    """Multipliers 1 - Phihat(t xi), the layers f - Phi_t * f, behind the
+    order, dimension and moment-class gates."""
+    if order <= 0:
+        raise ValueError(f"order must be positive, got {order}")
+    if profile.dim != dim:
+        raise ValueError(f"profile '{profile.name}' has dim {profile.dim}, field has dim {dim}")
+    _require_moment_class(profile, order, "smoothing differences")
+    fourier = profile.fourier
+    return ScaleFamily(scales, weights, lambda t, *xi: 1.0 - fourier(*(t * x for x in xi)))
 
 
 def smoothing_difference_function(
@@ -83,40 +76,16 @@ def smoothing_difference_function(
     floor(order), otherwise the differences cannot see order `order`
     smoothness and the result is meaningless; that gate raises.
     """
-    if order <= 0:
-        raise ValueError(f"order must be positive, got {order}")
-    if profile.dim != f.geometry.dim:
-        raise ValueError(
-            f"profile '{profile.name}' has dim {profile.dim}, field has dim {f.geometry.dim}"
-        )
-    _require_moment_class(profile, order, "smoothing_difference_function")
-    geom = f.geometry
-    F = forward_transform(f).coefficients
-    acc = np.zeros(geom.shape)
-    mults = _difference_multipliers(profile, geom, tg.nodes)
-    for t, mult in zip(tg.nodes, mults):
-        acc += t ** (-2.0 * order) * np.abs(_layer_inverse(geom, mult * F)) ** 2
-    return SampledField(geom, np.sqrt(tg.weight * acc).astype(complex))
+    family = _smoothing_family(order, profile, f.geometry.dim, tg.nodes, tg.weight * tg.nodes ** (-2.0 * order))
+    return family.square_function([f])[0]
 
 
 def dyadic_smoothing_difference(
     f: SampledField, order: float, profile: AveragingProfile, kr: DyadicRange
 ) -> SampledField:
     """Dyadic-scale version: (sum_k 2^(-2 k order) |f - Phi_{2^k} * f|^2)^(1/2)."""
-    if order <= 0:
-        raise ValueError(f"order must be positive, got {order}")
-    if profile.dim != f.geometry.dim:
-        raise ValueError(
-            f"profile '{profile.name}' has dim {profile.dim}, field has dim {f.geometry.dim}"
-        )
-    _require_moment_class(profile, order, "dyadic_smoothing_difference")
-    geom = f.geometry
-    F = forward_transform(f).coefficients
-    acc = np.zeros(geom.shape)
-    mults = _difference_multipliers(profile, geom, kr.scales)
-    for k, mult in zip(kr.exponents, mults):
-        acc += 4.0 ** (-float(k) * order) * np.abs(_layer_inverse(geom, mult * F)) ** 2
-    return SampledField(geom, np.sqrt(acc).astype(complex))
+    family = _smoothing_family(order, profile, f.geometry.dim, kr.scales, 4.0 ** (-kr.exponents * order))
+    return family.square_function([f])[0]
 
 
 def potential_smoothing_function(
@@ -137,23 +106,12 @@ def potential_smoothing_function(
         return smoothing_difference_function(riesz_potential(f, order), order, profile, tg)
     if route != "layered":
         raise ValueError(f"unknown route '{route}'")
-    if order <= 0:
-        raise ValueError(f"order must be positive, got {order}")
-    _require_moment_class(profile, order, "potential_smoothing_function")
+    weights = tg.weight * tg.nodes ** (-2.0 * order)
+    diff = _smoothing_family(order, profile, f.geometry.dim, tg.nodes, weights)
     _require_mean_zero(f, "potential_smoothing_function")
-    geom = f.geometry
-    F = forward_transform(f).coefficients
-    grids = geom.frequency_grids()
-    rho = np.sqrt(sum(np.asarray(g, dtype=float) ** 2 for g in grids))
-    rho = np.broadcast_to(rho, geom.shape)
-    riesz = np.zeros(geom.shape)
-    nz = rho > 0
-    riesz[nz] = (2.0 * np.pi * rho[nz]) ** (-order)
-    acc = np.zeros(geom.shape)
-    for t, mult in zip(tg.nodes, _difference_multipliers(profile, geom, tg.nodes)):
-        layer = _layer_inverse(geom, t ** (-order) * mult * riesz * F)
-        acc += np.abs(layer) ** 2
-    return SampledField(geom, np.sqrt(tg.weight * acc).astype(complex))
+    riesz = riesz_symbol(order).evaluate
+    family = ScaleFamily(tg.nodes, weights, lambda t, *xi: diff.multiplier(t, *xi) * riesz(*xi))
+    return family.square_function([f])[0]
 
 
 def dyadic_potential_difference(
@@ -285,11 +243,16 @@ class RatioReport:
 def equivalence_experiment(
     family: TestFamily, ratio_fn, operator: str, p: float, weight_label: str
 ) -> RatioReport:
-    """Evaluate ratio_fn on every member; zero denominators skip the member."""
+    """Evaluate ratio_fn on every member; zero denominators skip the member.
+
+    A ratio_fn with a `batch` method (see `FamilyRatio`) gets all members in
+    one call; any other callable is called member by member.
+    """
+    batch = getattr(ratio_fn, "batch", None)
+    values = batch(family.members) if batch is not None else [ratio_fn(f) for f in family.members]
     ratios: list[float] = []
     skipped: list[str] = []
-    for f, label in zip(family.members, family.labels):
-        r = ratio_fn(f)
+    for r, label in zip(values, family.labels):
         if r is None:
             skipped.append(label)
         else:
@@ -310,41 +273,55 @@ def equivalence_experiment(
     )
 
 
-def square_function_ratio(kernel, tg: LogTimeGrid, p: float, weight: Weight):
+@dataclass(frozen=True)
+class FamilyRatio:
+    """A ratio_fn that evaluates a whole batch of fields in one engine call.
+
+    `batch(fields)` returns one ratio per field, None where the denominator
+    is zero; calling the object on one field runs a batch of one.
+    """
+
+    batch: Callable
+
+    def __call__(self, f: SampledField):
+        return self.batch([f])[0]
+
+
+def _norm_ratios(fields, numerators, p: float, weight: Weight) -> list:
+    """numerators[i] / ||fields[i]||, None for a zero denominator."""
+    denoms = [weighted_norm(f, p, weight) for f in fields]
+    return [None if d == 0 else num / d for num, d in zip(numerators, denoms)]
+
+
+def _square_ratio(family: ScaleFamily, p: float, weight: Weight) -> FamilyRatio:
+    def batch(fields):
+        norms = [weighted_norm(g, p, weight) for g in family.square_function(fields)]
+        return _norm_ratios(fields, norms, p, weight)
+
+    return FamilyRatio(batch)
+
+
+def square_function_ratio(kernel, tg: LogTimeGrid, p: float, weight: Weight) -> FamilyRatio:
     """ratio_fn: weighted norm of the continuous square function over that of f."""
-    from .squarefn import g_function
-
-    def ratio(f: SampledField):
-        denom = weighted_norm(f, p, weight)
-        if denom == 0:
-            return None
-        return weighted_norm(g_function(f, kernel, tg), p, weight) / denom
-
-    return ratio
+    return _square_ratio(ScaleFamily.of_kernel(kernel, tg.nodes, tg.weight), p, weight)
 
 
-def dyadic_square_ratio(kernel, kr: DyadicRange, p: float, weight: Weight):
-    def ratio(f: SampledField):
-        denom = weighted_norm(f, p, weight)
-        if denom == 0:
-            return None
-        return weighted_norm(dyadic_g_function(f, kernel, kr), p, weight) / denom
-
-    return ratio
+def dyadic_square_ratio(kernel, kr: DyadicRange, p: float, weight: Weight) -> FamilyRatio:
+    return _square_ratio(ScaleFamily.of_kernel(kernel, kr.scales), p, weight)
 
 
 def sobolev_equivalence_ratio(
     order: float, profile: AveragingProfile, kr: DyadicRange, p: float, weight: Weight
-):
+) -> FamilyRatio:
     """ratio_fn for the three-norm comparison: smooth g, then ask whether
     the smoothing-difference norm plus the smoothed norm returns ||g||."""
+    weights = 4.0 ** (-kr.exponents * order)
 
-    def ratio(g: SampledField):
-        denom = weighted_norm(g, p, weight)
-        if denom == 0:
-            return None
-        smoothed = bessel_potential(g, order)
-        diff = dyadic_smoothing_difference(smoothed, order, profile, kr)
-        return (weighted_norm(diff, p, weight) + weighted_norm(smoothed, p, weight)) / denom
+    def batch(gs):
+        smoothed = [bessel_potential(g, order) for g in gs]
+        family = _smoothing_family(order, profile, gs[0].geometry.dim, kr.scales, weights)
+        diffs = family.square_function(smoothed)
+        norms = [weighted_norm(d, p, weight) + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
+        return _norm_ratios(gs, norms, p, weight)
 
-    return ratio
+    return FamilyRatio(batch)

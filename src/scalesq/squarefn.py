@@ -1,9 +1,18 @@
 """Square functions of Littlewood-Paley type and their adjoint embeddings.
 
-Continuous scale: g(f)(x) = (sum_j w |f * psi_{t_j}(x)|^2)^(1/2) over a
-log-time grid, with psi_t the L1-normalized dilate, so that on the Fourier
-side the layer at t is psihat(t xi) fhat(xi).  Dyadic scale replaces the
-weighted sum by a plain sum over t = 2^k.
+Every operator here is one `ScaleFamily`: a Fourier multiplier m_t per
+scale t, with weight w_t, acting on a field f through its layers
+IFFT(m_t fhat).  The family gives the square sum of a batch of fields,
+sum_t w_t |IFFT(m_t fhat)|^2; the layer stack of one field; the synthesis
+sum_t w_t IFFT(m_t FFT(h_t)) of a stack h; and the symbol
+sum_t w_t |m_t(xi)|^2.  Each runs over chunks of at most `_CHUNK_BYTES` of
+complex layers (at least one layer), evaluating a chunk's multipliers once
+per call for every field of the batch, so memory beyond inputs and outputs
+does not grow with the number of scales or fields.  The square sum shifts
+each input and each output once, never a layer: |.|^2 does not see shifts.
+
+Continuous scale: m_t(xi) = psihat(t xi), psi_t the L1-normalized dilate,
+on a log-time grid weighted by its dt/t rule.  Dyadic: t = 2^k, unit weights.
 
 The adjoint embedding integrates a time-indexed field back to a single
 field, E(h) = sum_j w psi_{t_j} * h_j; feeding it the analysis layers of f
@@ -11,13 +20,16 @@ with the reflected conjugate kernel reproduces the truncated multiplier
 acting on f, which `duality_residual` checks.
 
 The direct Marcinkiewicz route never touches |psihat|^2: it evaluates the
-sided averages by Gauss-Jacobi quadrature in the offset variable and
-squares in physical space.
+sided averages by Gauss-Jacobi quadrature in the offset variable, summing
+the offsets' shifts into one spectral multiplier per scale, and squares in
+physical space.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,13 +39,22 @@ from .grid import (
     Geometry,
     LogTimeGrid,
     SampledField,
-    SpectralField,
     forward_transform,
-    inverse_transform,
     l2_norm,
 )
 from .kernels import Kernel, _jacobi_unit_rule
-from .multiplier import apply_multiplier, continuous_symbol
+
+# complex layers per chunk, counting every field of a batch
+_CHUNK_BYTES = 256 * 1024
+
+
+def _set_stack(stack, count: int) -> None:
+    """Store a stack's layers as complex128 after checking there are `count`."""
+    want = (count,) + stack.geometry.shape
+    arr = np.asarray(stack.layers, dtype=np.complex128)
+    if arr.shape != want:
+        raise ValueError(f"layers shape {arr.shape}, expected {want}")
+    object.__setattr__(stack, "layers", arr)
 
 
 @dataclass(frozen=True)
@@ -45,11 +66,7 @@ class TimeIndexedField:
     layers: NDArray[np.complex128]
 
     def __post_init__(self):
-        want = (self.time_grid.node_count,) + self.geometry.shape
-        arr = np.asarray(self.layers, dtype=np.complex128)
-        if arr.shape != want:
-            raise ValueError(f"layers shape {arr.shape}, expected {want}")
-        object.__setattr__(self, "layers", arr)
+        _set_stack(self, self.time_grid.node_count)
 
 
 @dataclass(frozen=True)
@@ -61,91 +78,173 @@ class DyadicIndexedField:
     layers: NDArray[np.complex128]
 
     def __post_init__(self):
-        want = (self.scale_range.k_max - self.scale_range.k_min + 1,) + self.geometry.shape
-        arr = np.asarray(self.layers, dtype=np.complex128)
-        if arr.shape != want:
-            raise ValueError(f"layers shape {arr.shape}, expected {want}")
-        object.__setattr__(self, "layers", arr)
+        _set_stack(self, self.scale_range.k_max - self.scale_range.k_min + 1)
 
+
+# ---------------------------------------------------------------------------
+# the scale-layer engine
 
 def _spatial_axes(geom: Geometry) -> tuple[int, ...]:
     return tuple(range(-geom.dim, 0))
 
 
-def _layer_inverse(geom: Geometry, spectral_layers: np.ndarray) -> np.ndarray:
-    ax = _spatial_axes(geom)
-    return (
-        np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectral_layers, axes=ax), axes=ax), axes=ax)
-        / geom.cell_volume
-    )
+def _fft_grids(geom: Geometry) -> tuple[np.ndarray, ...]:
+    """The frequency grids in FFT (unshifted) order."""
+    ax = np.fft.ifftshift(geom.frequency_axis())
+    return (ax,) if geom.dim == 1 else (ax[:, None], ax[None, :])
 
 
-def _layer_forward(geom: Geometry, layers: np.ndarray) -> np.ndarray:
-    ax = _spatial_axes(geom)
-    return geom.cell_volume * np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(layers, axes=ax), axes=ax), axes=ax
-    )
+def _chunk_layers(points: int) -> int:
+    """How many complex layers of `points` values fit in a chunk; at least one."""
+    return max(1, _CHUNK_BYTES // (16 * points))
 
 
-def _kernel_multipliers(kernel: Kernel, geom: Geometry, scales: np.ndarray) -> np.ndarray:
-    """psihat(t xi) for each scale, stacked along the first axis."""
-    grids = geom.frequency_grids()
-    out = np.empty((scales.size,) + geom.shape, dtype=np.complex128)
-    for i, t in enumerate(scales):
-        out[i] = np.broadcast_to(kernel.fourier(*(t * g for g in grids)), geom.shape)
-    return out
-
-
-def _check_kernel_dim(kernel: Kernel, geom: Geometry, what: str) -> None:
-    if kernel.dim != geom.dim:
+def _require_mean_zero(f: SampledField, what: str) -> None:
+    """Operators with a homogeneous symbol are only faithful off the zero
+    frequency; reject fields carrying mean mass instead of zeroing it."""
+    dc = abs(forward_transform(f).dc_value)
+    if dc > 1e-9 * max(l2_norm(f), 1e-300):
         raise ValueError(
-            f"{what}: kernel '{kernel.name}' has dim {kernel.dim}, field has dim {geom.dim}"
+            f"{what} requires a mean-zero field: |fhat(0)| = {dc:.3e} "
+            f"exceeds 1e-9 * l2 norm; subtract the mean first"
         )
 
 
+@dataclass(frozen=True)
+class ScaleFamily:
+    """Fourier multipliers m_t for the given scales, with per-scale weights w_t.
+
+    `multiplier(t, *xi)` evaluates a chunk of scales at once: t has shape
+    (c, 1, ..., 1), one trailing axis per axis of the broadcast frequency
+    arrays xi, and the result broadcasts to (c,) + that shape.
+    """
+
+    scales: NDArray[np.float64]
+    weights: NDArray[np.float64]
+    multiplier: Callable
+
+    def __post_init__(self):
+        scales = np.atleast_1d(np.asarray(self.scales, dtype=float))
+        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "weights", np.broadcast_to(np.asarray(self.weights, float), scales.shape))
+
+    @classmethod
+    def of_kernel(cls, kernel: Kernel, scales, weights=1.0) -> "ScaleFamily":
+        """m_t(xi) = psihat(t xi): the layers f * psi_t of the L1-normalized dilates."""
+        def multiplier(t, *xi):
+            if len(xi) != kernel.dim:
+                raise ValueError(f"kernel '{kernel.name}' has dim {kernel.dim}, field has dim {len(xi)}")
+            return kernel.fourier(*(t * x for x in xi))
+
+        return cls(scales, weights, multiplier)
+
+    def _chunks(self, xi, layers: int):
+        """(slice of scales, their multipliers) for chunks of `layers` scales."""
+        trailing = (1,) * len(np.broadcast_shapes(*(np.shape(x) for x in xi)))
+        for lo in range(0, self.scales.size, layers):
+            chunk = slice(lo, lo + layers)
+            yield chunk, self.multiplier(self.scales[chunk].reshape((-1,) + trailing), *xi)
+
+    def _layer_chunks(self, fields: Sequence[SampledField]):
+        """(scales, fields, their layers in FFT order) for a batch, chunk by chunk."""
+        geom = fields[0].geometry
+        if any(f.geometry != geom for f in fields):
+            raise ValueError("the fields of a batch must share one geometry")
+        spec = np.empty((len(fields), 1) + geom.shape, dtype=np.complex128)  # (field, scale, *grid)
+        for f, row in zip(fields, spec):
+            row[0] = np.fft.fftn(np.fft.ifftshift(f.values))
+        layers = _chunk_layers(math.prod(geom.shape))
+        for chunk, m in self._chunks(_fft_grids(geom), max(1, layers // len(fields))):
+            step = max(1, layers // self.scales[chunk].size)
+            for lo in range(0, len(fields), step):
+                part = slice(lo, lo + step)
+                yield chunk, part, np.fft.ifftn(m * spec[part], axes=_spatial_axes(geom))
+
+    def square_sum(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
+        """sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch, stacked on axis 0."""
+        acc = np.zeros((len(fields),) + fields[0].geometry.shape)
+        for chunk, part, out in self._layer_chunks(fields):
+            acc[part] += np.einsum("j,bj...->b...", self.weights[chunk], np.abs(out) ** 2)
+        return np.fft.fftshift(acc, axes=_spatial_axes(fields[0].geometry))
+
+    def square_function(self, fields: Sequence[SampledField]) -> list[SampledField]:
+        """The square root of `square_sum`, one real nonnegative field per input."""
+        sq = self.square_sum(fields)
+        return [SampledField(fields[0].geometry, v) for v in np.sqrt(sq, out=sq)]
+
+    def layers(self, f: SampledField) -> NDArray[np.complex128]:
+        """The stack IFFT(m_t fhat), one layer per scale, filled chunk by chunk."""
+        stack = np.empty((self.scales.size,) + f.geometry.shape, dtype=np.complex128)
+        for chunk, _, out in self._layer_chunks([f]):
+            stack[chunk] = np.fft.fftshift(out[0], axes=_spatial_axes(f.geometry))
+        return stack
+
+    def synthesis(self, layers: np.ndarray, geom: Geometry) -> SampledField:
+        """sum_t w_t IFFT(m_t FFT(h_t)) of a stack h with one layer per scale."""
+        ax = _spatial_axes(geom)
+        acc = np.zeros(geom.shape, dtype=np.complex128)
+        for chunk, m in self._chunks(_fft_grids(geom), _chunk_layers(acc.size)):
+            spec = np.fft.fftn(np.fft.ifftshift(layers[chunk], axes=ax), axes=ax)
+            acc += np.einsum("j,j...->...", self.weights[chunk], m * spec)
+        return SampledField(geom, np.fft.fftshift(np.fft.ifftn(acc)))
+
+    def symbol(self, *xi) -> NDArray[np.float64]:
+        """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi."""
+        xi = [np.asarray(x, dtype=float) for x in xi]
+        acc = np.zeros(np.broadcast_shapes(*(x.shape for x in xi)))
+        for chunk, m in self._chunks(xi, _chunk_layers(acc.size)):
+            acc += np.einsum("j,j...->...", self.weights[chunk], np.abs(m) ** 2)
+        return acc
+
+
+def _kept_run(keep: np.ndarray, message: str) -> slice:
+    """The kept scales as a slice, so that the stack is viewed, not copied;
+    a window over sorted scales keeps one run of them."""
+    idx = np.flatnonzero(keep)
+    if idx.size == 0:
+        raise ValueError(message)
+    return slice(idx[0], idx[-1] + 1)
+
+
+# ---------------------------------------------------------------------------
+# kernel square functions and layer stacks
+
 def convolve_levels(f: SampledField, kernel: Kernel, tg: LogTimeGrid) -> TimeIndexedField:
     """All layers f * psi_{t_j}, computed spectrally."""
-    _check_kernel_dim(kernel, f.geometry, "convolve_levels")
-    F = forward_transform(f)
-    mults = _kernel_multipliers(kernel, f.geometry, tg.nodes)
-    return TimeIndexedField(f.geometry, tg, _layer_inverse(f.geometry, mults * F.coefficients))
+    return TimeIndexedField(f.geometry, tg, ScaleFamily.of_kernel(kernel, tg.nodes).layers(f))
 
 
 def convolve_dyadic(f: SampledField, kernel: Kernel, kr: DyadicRange) -> DyadicIndexedField:
-    _check_kernel_dim(kernel, f.geometry, "convolve_dyadic")
-    F = forward_transform(f)
-    mults = _kernel_multipliers(kernel, f.geometry, kr.scales)
-    return DyadicIndexedField(f.geometry, kr, _layer_inverse(f.geometry, mults * F.coefficients))
+    return DyadicIndexedField(f.geometry, kr, ScaleFamily.of_kernel(kernel, kr.scales).layers(f))
 
 
 def g_function(f: SampledField, kernel: Kernel, tg: LogTimeGrid) -> SampledField:
     """Continuous-scale square function; real and nonnegative."""
-    _check_kernel_dim(kernel, f.geometry, "g_function")
-    geom = f.geometry
-    F = forward_transform(f).coefficients
-    grids = geom.frequency_grids()
-    acc = np.zeros(geom.shape)
-    for t in tg.nodes:
-        layer = _layer_inverse(geom, np.broadcast_to(kernel.fourier(*(t * g for g in grids)), geom.shape) * F)
-        acc += np.abs(layer) ** 2
-    return SampledField(geom, np.sqrt(tg.weight * acc).astype(complex))
+    return ScaleFamily.of_kernel(kernel, tg.nodes, tg.weight).square_function([f])[0]
 
 
 def dyadic_g_function(f: SampledField, kernel: Kernel, kr: DyadicRange) -> SampledField:
     """Dyadic square function (sum_k |f * psi_{2^k}|^2)^(1/2)."""
-    _check_kernel_dim(kernel, f.geometry, "dyadic_g_function")
-    geom = f.geometry
-    F = forward_transform(f).coefficients
-    grids = geom.frequency_grids()
-    acc = np.zeros(geom.shape)
-    for t in kr.scales:
-        layer = _layer_inverse(geom, np.broadcast_to(kernel.fourier(*(t * g for g in grids)), geom.shape) * F)
-        acc += np.abs(layer) ** 2
-    return SampledField(geom, np.sqrt(acc).astype(complex))
+    return ScaleFamily.of_kernel(kernel, kr.scales).square_function([f])[0]
 
 
 # ---------------------------------------------------------------------------
 # the Marcinkiewicz integral, directly from sided averages
+
+def _sided_average_family(alpha: float, scales, u_nodes: int, weights=1.0) -> ScaleFamily:
+    """S_t, whose multiplier sums the offsets' shifts: sum_i W_i (-2i sin(2 pi t s_i xi))."""
+    if alpha <= 0:
+        raise ValueError(f"order must be positive, got {alpha}")
+    s, W = _jacobi_unit_rule(alpha, u_nodes)
+
+    def multiplier(t, *xi):
+        if len(xi) != 1:
+            raise ValueError("sided averages are one-dimensional")
+        phase = 2.0 * np.pi * t * xi[0]
+        return -2j * sum(wi * np.sin(si * phase) for si, wi in zip(s, W))
+
+    return ScaleFamily(scales, weights, multiplier)
+
 
 def sided_average_layer(
     f: SampledField, alpha: float, t: float, u_nodes: int = 64
@@ -157,28 +256,24 @@ def sided_average_layer(
     with the endpoint weight absorbed into a Gauss-Jacobi rule.  Shifted
     samples come from the spectral shift, exact for band-limited fields.
     """
-    if f.geometry.dim != 1:
-        raise ValueError("sided averages are one-dimensional")
-    if alpha <= 0:
-        raise ValueError(f"order must be positive, got {alpha}")
-    s, W = _jacobi_unit_rule(alpha, u_nodes)
-    geom = f.geometry
-    F = forward_transform(f).coefficients
-    xi = geom.frequency_axis()
-    phase = -2j * np.sin(2.0 * np.pi * t * np.outer(s, xi))
-    diffs = _layer_inverse(geom, phase * F[None, :])
-    return SampledField(geom, np.einsum("i,ij->j", W.astype(complex), diffs))
+    return SampledField(f.geometry, _sided_average_family(alpha, t, u_nodes).layers(f)[0])
 
 
 def marcinkiewicz_direct(
     f: SampledField, alpha: float, tg: LogTimeGrid, u_nodes: int = 64
 ) -> SampledField:
     """(sum_j w |S_{t_j}(f)|^2)^(1/2) by direct double quadrature."""
-    geom = f.geometry
-    acc = np.zeros(geom.shape)
-    for t in tg.nodes:
-        acc += np.abs(sided_average_layer(f, alpha, t, u_nodes).values) ** 2
-    return SampledField(geom, np.sqrt(tg.weight * acc).astype(complex))
+    return _sided_average_family(alpha, tg.nodes, u_nodes, tg.weight).square_function([f])[0]
+
+
+def _second_difference_family(f: SampledField, scales, weights=1.0) -> ScaleFamily:
+    """-(F(x+t) + F(x-t) - 2 F(x)) / t, F the antiderivative of a mean-zero f: the
+    multiplier (2 - 2 cos(2 pi t xi)) / (2 pi i t xi) = -2 pi i t xi sinc(t xi)^2."""
+    if f.geometry.dim != 1:
+        raise ValueError("second differences are one-dimensional")
+    _require_mean_zero(f, "the antiderivative route")
+
+    return ScaleFamily(scales, weights, lambda t, xi: -2j * np.pi * t * xi * np.sinc(t * xi) ** 2)
 
 
 def second_difference_layer(f: SampledField, t: float) -> SampledField:
@@ -187,31 +282,12 @@ def second_difference_layer(f: SampledField, t: float) -> SampledField:
     Agrees with the order-1 sided average layer identically on band-limited
     mean-zero fields.
     """
-    if f.geometry.dim != 1:
-        raise ValueError("second differences are one-dimensional")
-    geom = f.geometry
-    F = forward_transform(f).coefficients
-    xi = geom.frequency_axis()
-    anti = np.zeros_like(F)
-    nz = xi != 0
-    anti[nz] = F[nz] / (2j * np.pi * xi[nz])
-    dc = F[geom.dc_index]
-    if abs(dc) > 1e-9 * max(l2_norm(f), 1e-300):
-        raise ValueError(
-            f"antiderivative route needs a mean-zero field, mean mass {abs(dc):.3e}"
-        )
-    second = (np.exp(2j * np.pi * t * xi) + np.exp(-2j * np.pi * t * xi) - 2.0) * anti
-    vals = _layer_inverse(geom, second) * (-1.0 / t)
-    return SampledField(geom, vals)
+    return SampledField(f.geometry, _second_difference_family(f, t).layers(f)[0])
 
 
 def marcinkiewicz_antiderivative(f: SampledField, tg: LogTimeGrid) -> SampledField:
     """Order-1 Marcinkiewicz integral via second differences of the antiderivative."""
-    geom = f.geometry
-    acc = np.zeros(geom.shape)
-    for t in tg.nodes:
-        acc += np.abs(second_difference_layer(f, t).values) ** 2
-    return SampledField(geom, np.sqrt(tg.weight * acc).astype(complex))
+    return _second_difference_family(f, tg.nodes, tg.weight).square_function([f])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,44 +297,29 @@ def scale_synthesis(
     h: TimeIndexedField, kernel: Kernel, window: tuple[float, float] | None = None
 ) -> SampledField:
     """E(h) = sum_j w psi_{t_j} * h_j over nodes inside the window."""
-    _check_kernel_dim(kernel, h.geometry, "scale_synthesis")
-    geom, tg = h.geometry, h.time_grid
-    if window is None:
-        keep = np.ones(tg.node_count, dtype=bool)
-    else:
-        keep = tg.window_mask(*window)
-        if not np.any(keep):
-            raise ValueError(f"no time nodes inside window {window}")
-    nodes = tg.nodes[keep]
-    spectral = _layer_forward(geom, h.layers[keep])
-    mults = _kernel_multipliers(kernel, geom, nodes)
-    total = tg.weight * np.sum(mults * spectral, axis=0)
-    return inverse_transform(SpectralField(geom, total))
+    tg = h.time_grid
+    keep = slice(None)
+    if window is not None:
+        keep = _kept_run(tg.window_mask(*window), f"no time nodes inside window {window}")
+    family = ScaleFamily.of_kernel(kernel, tg.nodes[keep], tg.weight)
+    return family.synthesis(h.layers[keep], h.geometry)
 
 
 def dyadic_synthesis(
     l: DyadicIndexedField, kernel: Kernel, level_cut: int | None = None
 ) -> SampledField:
     """Sum of psi_{2^k} * l_k over |k| <= level_cut (all levels if None)."""
-    _check_kernel_dim(kernel, l.geometry, "dyadic_synthesis")
-    geom, kr = l.geometry, l.scale_range
-    ks = kr.exponents
-    keep = np.ones(ks.size, dtype=bool) if level_cut is None else np.abs(ks) <= level_cut
-    if not np.any(keep):
-        raise ValueError(f"no dyadic levels survive |k| <= {level_cut}")
-    spectral = _layer_forward(geom, l.layers[keep])
-    mults = _kernel_multipliers(kernel, geom, 2.0 ** ks[keep].astype(float))
-    total = np.sum(mults * spectral, axis=0)
-    return inverse_transform(SpectralField(geom, total))
+    ks = l.scale_range.exponents
+    keep = slice(None)
+    if level_cut is not None:
+        keep = _kept_run(np.abs(ks) <= level_cut, f"no dyadic levels survive |k| <= {level_cut}")
+    family = ScaleFamily.of_kernel(kernel, 2.0 ** ks[keep].astype(float))
+    return family.synthesis(l.layers[keep], l.geometry)
 
 
 def time_fiber_norm(h: TimeIndexedField, window: tuple[float, float] | None = None) -> SampledField:
     """Pointwise norm over the time fiber, (sum_j w |h_j(y)|^2)^(1/2)."""
-    keep = (
-        np.ones(h.time_grid.node_count, dtype=bool)
-        if window is None
-        else h.time_grid.window_mask(*window)
-    )
+    keep = slice(None) if window is None else h.time_grid.window_mask(*window)
     vals = np.sqrt(h.time_grid.weight * np.sum(np.abs(h.layers[keep]) ** 2, axis=0))
     return SampledField(h.geometry, vals.astype(complex))
 
@@ -280,6 +341,8 @@ def duality_residual(
     the residual is pure floating-point noise unless something is wired
     wrong.
     """
+    from .multiplier import apply_multiplier, continuous_symbol
+
     if not (0 < eps < 1):
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     window = (eps, 1.0 / eps)

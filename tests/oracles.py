@@ -283,3 +283,108 @@ def moving_average_physical(f: SampledField, t: float, upsample: int = 8) -> np.
         return re + 1j * im
 
     return (F_at(x + t) - F_at(x - t)) / (2.0 * t)
+
+
+# ---------------------------------------------------------------------------
+# per-scale layer loops: the slow route of the scale-family engine
+#
+# One shifted transform pair per scale (per offset node for the sided
+# averages), exactly as the square functions were computed before they were
+# batched and chunked.  Multipliers take (t, *xi) with a scalar t.
+
+def _shifted_spectrum(f: SampledField) -> np.ndarray:
+    g = f.geometry
+    return g.cell_volume * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
+
+
+def _shifted_inverse(geom, spectral: np.ndarray) -> np.ndarray:
+    ax = tuple(range(-geom.dim, 0))
+    return (
+        np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectral, axes=ax), axes=ax), axes=ax)
+        / geom.cell_volume
+    )
+
+
+def _shifted_forward(geom, layers: np.ndarray) -> np.ndarray:
+    ax = tuple(range(-geom.dim, 0))
+    return geom.cell_volume * np.fft.fftshift(
+        np.fft.fftn(np.fft.ifftshift(layers, axes=ax), axes=ax), axes=ax
+    )
+
+
+def kernel_multiplier(kernel):
+    return lambda t, *xi: kernel.fourier(*(t * x for x in xi))
+
+
+def difference_multiplier(profile):
+    return lambda t, *xi: 1.0 - profile.fourier(*(t * x for x in xi))
+
+
+def riesz_multiplier(order: float, *xi) -> np.ndarray:
+    """(2 pi |xi|)^(-order), zero at the origin."""
+    rho = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xi))
+    out = np.zeros(rho.shape)
+    out[rho > 0] = (2.0 * np.pi * rho[rho > 0]) ** (-order)
+    return out
+
+
+def loop_layers(f: SampledField, multiplier, scales) -> np.ndarray:
+    """IFFT(m_t fhat) scale by scale."""
+    g = f.geometry
+    F = _shifted_spectrum(f)
+    grids = g.frequency_grids()
+    return np.array(
+        [_shifted_inverse(g, np.broadcast_to(multiplier(t, *grids), g.shape) * F) for t in scales]
+    )
+
+
+def loop_square_sum(f: SampledField, multiplier, scales, weights) -> np.ndarray:
+    """sum_t w_t |IFFT(m_t fhat)|^2 scale by scale."""
+    weights = np.broadcast_to(weights, np.shape(scales))
+    acc = np.zeros(f.geometry.shape)
+    for w, layer in zip(weights, loop_layers(f, multiplier, scales)):
+        acc += w * np.abs(layer) ** 2
+    return acc
+
+
+def loop_synthesis(layers: np.ndarray, geom, multiplier, scales, weights) -> np.ndarray:
+    """sum_t w_t IFFT(m_t FFT(h_t)) scale by scale."""
+    weights = np.broadcast_to(weights, np.shape(scales))
+    grids = geom.frequency_grids()
+    total = np.zeros(geom.shape, dtype=complex)
+    for w, t, h in zip(weights, scales, layers):
+        total += w * np.broadcast_to(multiplier(t, *grids), geom.shape) * _shifted_forward(geom, h)
+    return _shifted_inverse(geom, total)
+
+
+def loop_symbol(multiplier, scales, weights, *xi) -> np.ndarray:
+    """sum_t w_t |m_t(xi)|^2 scale by scale."""
+    weights = np.broadcast_to(weights, np.shape(scales))
+    acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in xi)))
+    for w, t in zip(weights, scales):
+        acc += w * np.abs(multiplier(t, *xi)) ** 2
+    return acc
+
+
+def sided_average_loop(f: SampledField, alpha: float, t: float, u_nodes: int) -> np.ndarray:
+    """S_t with one inverse transform per Gauss-Jacobi offset node."""
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(u_nodes, alpha - 1.0, 0.0)
+    s, W = (x + 1.0) / 2.0, alpha * 2.0 ** (-alpha) * w
+    g = f.geometry
+    phase = -2j * np.sin(2.0 * np.pi * t * np.outer(s, g.frequency_axis()))
+    diffs = _shifted_inverse(g, phase * _shifted_spectrum(f)[None, :])
+    return np.einsum("i,ij->j", W.astype(complex), diffs)
+
+
+def second_difference_loop(f: SampledField, t: float) -> np.ndarray:
+    """-(F(x+t) + F(x-t) - 2 F(x)) / t with F the spectral antiderivative."""
+    g = f.geometry
+    F = _shifted_spectrum(f)
+    xi = g.frequency_axis()
+    anti = np.zeros_like(F)
+    nz = xi != 0
+    anti[nz] = F[nz] / (2j * np.pi * xi[nz])
+    second = (np.exp(2j * np.pi * t * xi) + np.exp(-2j * np.pi * t * xi) - 2.0) * anti
+    return _shifted_inverse(g, second) * (-1.0 / t)

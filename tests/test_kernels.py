@@ -90,6 +90,18 @@ def test_gm_hat_series_branches_vs_mpmath(alpha):
         assert abs(v - ref) <= 1e-11 * abs(ref)
 
 
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 1.25])
+def test_gm_hat_mid_band_vs_mpmath(alpha):
+    # the band 1 <= 2 pi |xi| < 30 + 2 alpha, where scipy's complex hyp1f1 was
+    # off by up to 3.6e-7 relative near a zero of the hat
+    pytest.importorskip("mpmath")
+    k = marcinkiewicz_kernel(alpha)
+    xi = np.linspace(1.0, 30.0 + 2.0 * alpha, 200, endpoint=False) / (2.0 * np.pi)
+    impl = k.fourier(xi)
+    ref = np.array([gm_hat_mpmath(alpha, x) for x in xi])
+    assert np.max(np.abs(impl - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_gm_hat_odd_symmetry():
     k = marcinkiewicz_kernel(0.8)
     xi = np.linspace(0.1, 20.0, 64)

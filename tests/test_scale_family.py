@@ -1,0 +1,186 @@
+"""The scale-family engine against the per-scale loops it replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from scalesq import (
+    DyadicRange,
+    Geometry,
+    LogTimeGrid,
+    ScaleFamily,
+    ball_average_profile,
+    constant_weight,
+    continuous_symbol,
+    convolve_dyadic,
+    convolve_levels,
+    default_test_family,
+    duality_residual,
+    dyadic_g_function,
+    dyadic_smoothing_difference,
+    dyadic_square_ratio,
+    dyadic_symbol,
+    dyadic_synthesis,
+    equivalence_experiment,
+    g_function,
+    kernel_from_id,
+    marcinkiewicz_antiderivative,
+    marcinkiewicz_direct,
+    mean_subtract,
+    potential_smoothing_function,
+    random_band_field,
+    scale_synthesis,
+    smoothing_difference_function,
+    sobolev_equivalence_ratio,
+    square_function_ratio,
+    weight_from_id,
+)
+from oracles import (
+    difference_multiplier,
+    kernel_multiplier,
+    loop_layers,
+    loop_square_sum,
+    loop_symbol,
+    loop_synthesis,
+    riesz_multiplier,
+    second_difference_loop,
+    sided_average_loop,
+)
+
+GEOMS = {1: Geometry(1, 256, 16.0), 2: Geometry(2, 64, 8.0)}
+KERNELS = {1: ["haar", "gm:0.75", "poisson-q", "riesz-diff:0.5:ball", "sgn-diff:ball"],
+           2: ["poisson-q:2", "riesz-diff:0.5:ball:2"]}
+TG = LogTimeGrid(0.25, 8.0, nodes_per_octave=8)
+KR = DyadicRange(-4, 4)
+
+
+def rel(a, b) -> float:
+    return float(np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b)))
+
+
+def field(dim: int, seed: int = 0):
+    return mean_subtract(random_band_field(GEOMS[dim], seed=seed, band=(0.25, 4.0)))
+
+
+KERNEL_CASES = [(d, k) for d in (1, 2) for k in KERNELS[d]]
+
+
+@pytest.mark.parametrize("dim,kid", KERNEL_CASES)
+def test_g_functions_match_loop(dim, kid):
+    kernel, f = kernel_from_id(kid), field(dim)
+    m = kernel_multiplier(kernel)
+    g = g_function(f, kernel, TG).values
+    assert rel(g, np.sqrt(loop_square_sum(f, m, TG.nodes, TG.weight))) <= 1e-12
+    gd = dyadic_g_function(f, kernel, KR).values
+    assert rel(gd, np.sqrt(loop_square_sum(f, m, KR.scales, 1.0))) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,kid", KERNEL_CASES)
+def test_layer_stacks_and_synthesis_match_loop(dim, kid):
+    kernel, f = kernel_from_id(kid), field(dim, seed=1)
+    geom, m = GEOMS[dim], kernel_multiplier(kernel)
+    h = convolve_levels(f, kernel, TG)
+    assert rel(h.layers, loop_layers(f, m, TG.nodes)) <= 1e-12
+    l = convolve_dyadic(f, kernel, KR)
+    assert rel(l.layers, loop_layers(f, m, KR.scales)) <= 1e-12
+
+    keep = TG.window_mask(0.5, 4.0)
+    got = scale_synthesis(h, kernel, window=(0.5, 4.0)).values
+    want = loop_synthesis(h.layers[keep], geom, m, TG.nodes[keep], TG.weight)
+    assert rel(got, want) <= 1e-12
+    keep = np.abs(KR.exponents) <= 2
+    got = dyadic_synthesis(l, kernel, level_cut=2).values
+    assert rel(got, loop_synthesis(l.layers[keep], geom, m, KR.scales[keep], 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,kid", KERNEL_CASES)
+def test_symbols_match_loop(dim, kid):
+    kernel = kernel_from_id(kid)
+    m = kernel_multiplier(kernel)
+    grids = GEOMS[dim].frequency_grids()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = continuous_symbol(kernel, TG, window=(0.5, 4.0)).evaluate(*grids)
+        keep = TG.window_mask(0.5, 4.0)
+        want = loop_symbol(m, TG.nodes[keep], TG.weight, *grids)
+        assert rel(got, want) <= 1e-12
+        assert rel(dyadic_symbol(kernel, KR).evaluate(*grids), loop_symbol(m, KR.scales, 1.0, *grids)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_smoothing_differences_match_loop(dim):
+    order, profile, f = 0.5, ball_average_profile(dim), field(dim, seed=2)
+    m = difference_multiplier(profile)
+    got = smoothing_difference_function(f, order, profile, TG).values
+    want = loop_square_sum(f, m, TG.nodes, TG.weight * TG.nodes ** (-2 * order))
+    assert rel(got, np.sqrt(want)) <= 1e-12
+    got = dyadic_smoothing_difference(f, order, profile, KR).values
+    want = loop_square_sum(f, m, KR.scales, 4.0 ** (-KR.exponents * order))
+    assert rel(got, np.sqrt(want)) <= 1e-12
+
+    layered = lambda t, *xi: m(t, *xi) * riesz_multiplier(order, *xi)
+    got = potential_smoothing_function(f, order, profile, TG, route="layered").values
+    want = loop_square_sum(f, layered, TG.nodes, TG.weight * TG.nodes ** (-2 * order))
+    assert rel(got, np.sqrt(want)) <= 1e-12
+
+
+def test_marcinkiewicz_routes_match_loop():
+    f = field(1, seed=3)
+    for alpha in (0.75, 1.25):
+        layers = [sided_average_loop(f, alpha, t, 96) for t in TG.nodes]
+        want = np.sqrt(TG.weight * np.sum(np.abs(layers) ** 2, axis=0))
+        assert rel(marcinkiewicz_direct(f, alpha, TG, u_nodes=96).values, want) <= 1e-12
+    layers = [second_difference_loop(f, t) for t in TG.nodes]
+    want = np.sqrt(TG.weight * np.sum(np.abs(layers) ** 2, axis=0))
+    assert rel(marcinkiewicz_antiderivative(f, TG).values, want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# family batches
+
+def test_batch_square_sum_equals_member_by_member():
+    # 20 fields of 1024 points split into sub-batches inside a chunk
+    geom = Geometry(1, 1024, 32.0)
+    members = default_test_family(geom, seed=4).members
+    family = ScaleFamily.of_kernel(kernel_from_id("haar"), TG.nodes, TG.weight)
+    batch = family.square_sum(members)
+    for f, got in zip(members, batch):
+        assert rel(got, family.square_sum([f])[0]) <= 1e-13
+
+
+def test_family_ratios_equal_member_by_member():
+    geom = Geometry(1, 512, 16.0)
+    fam = default_test_family(geom, seed=5)
+    w = weight_from_id("pow:0.3", radius_floor=geom.spacing)
+    ratio_fns = [
+        square_function_ratio(kernel_from_id("poisson-q"), TG, 3.0, w),
+        dyadic_square_ratio(kernel_from_id("riesz-diff:0.5:ball"), KR, 2.0, constant_weight()),
+        sobolev_equivalence_ratio(0.5, ball_average_profile(1), KR, 2.0, constant_weight()),
+    ]
+    for ratio_fn in ratio_fns:
+        batched = equivalence_experiment(fam, ratio_fn, "op", 2.0, "w")
+        plain = equivalence_experiment(fam, lambda f: ratio_fn(f), "op", 2.0, "w")
+        assert np.allclose(batched.ratios, plain.ratios, rtol=1e-12, atol=0.0)
+        assert batched.skipped == plain.skipped == ()
+
+
+def test_batch_rejects_mixed_geometries():
+    family = ScaleFamily.of_kernel(kernel_from_id("haar"), TG.nodes)
+    with pytest.raises(ValueError, match="geometry"):
+        family.square_sum([field(1), mean_subtract(random_band_field(Geometry(1, 128, 16.0), 0))])
+
+
+def test_duality_memory_is_bounded_by_the_stack():
+    # 64 layers of 256^2 make a 64 MiB stack; chunked analysis and synthesis
+    # keep everything else well below a second copy of it
+    geom = Geometry(2, 256, 16.0)
+    f = mean_subtract(random_band_field(geom, seed=7))
+    stack_bytes = LogTimeGrid(0.25, 4.0, 16).node_count * 16 * 256 * 256
+    tracemalloc.start()
+    try:
+        res = duality_residual(f, kernel_from_id("poisson-q:2"), eps=0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res < 1e-10
+    assert peak < 2 * stack_bytes
