@@ -3,9 +3,9 @@
 
 import argparse
 import json
-import math
 
 from scalesq import condition_summary, kernel_from_id
+from scalesq.cli import _json_safe
 
 DEFAULT_IDS = [
     "haar",
@@ -18,23 +18,13 @@ DEFAULT_IDS = [
 ]
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    return obj
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kernels", nargs="+", default=DEFAULT_IDS)
     ap.add_argument("--out", default=None)
     args = ap.parse_args()
 
-    survey = {kid: _clean(condition_summary(kernel_from_id(kid))) for kid in args.kernels}
+    survey = {kid: _json_safe(condition_summary(kernel_from_id(kid))) for kid in args.kernels}
     text = json.dumps(survey, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

@@ -8,6 +8,7 @@ instead of dumping a traceback.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -49,7 +50,13 @@ def _get_number(d: Mapping, key: str, default: float | None, context: str) -> fl
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{context}{key}", f"expected a number, got {v!r}")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{context}{key}", f"expected a finite number, got {v!r}")
+    return x
 
 
 def _get_str(d: Mapping, key: str, default: str | None, context: str) -> str | None:

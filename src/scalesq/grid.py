@@ -51,8 +51,8 @@ class Geometry:
             raise ValueError(
                 f"n_samples must be a power of two >= 8, got {self.n_samples}"
             )
-        if not (self.half_length > 0):
-            raise ValueError(f"half_length must be positive, got {self.half_length}")
+        if not (0 < self.half_length < np.inf):
+            raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
 
     @property
     def spacing(self) -> float:
@@ -358,19 +358,34 @@ def save_field_binary(f: SampledField, path: str) -> None:
         fh.write(data.tobytes())
 
 
+def _finite_field(path: str, geom: Geometry, vals: np.ndarray) -> SampledField:
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        raise ValueError(f"{path}: non-finite sample at flat index {bad[0]}")
+    return SampledField(geom, vals.reshape(geom.shape))
+
+
+def _header_geometry(path: str, dim, n, L) -> Geometry:
+    try:
+        return Geometry(int(dim), int(n), float(L))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_field_binary(path: str) -> SampledField:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _BINARY_MAGIC:
             raise ValueError(f"{path}: not a sampled-field file (bad magic {magic!r})")
-        dim, n, L = struct.unpack("<qqd", fh.read(24))
-        geom = Geometry(int(dim), int(n), float(L))
+        header = fh.read(24)
+        if len(header) != 24:
+            raise ValueError(f"{path}: truncated header ({4 + len(header)} of 28 bytes)")
+        geom = _header_geometry(path, *struct.unpack("<qqd", header))
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    expected = 2 * n**dim
+    expected = 2 * geom.n_samples**geom.dim
     if raw.size != expected:
         raise ValueError(f"{path}: expected {expected} floats, found {raw.size}")
-    vals = (raw[0::2] + 1j * raw[1::2]).reshape(geom.shape)
-    return SampledField(geom, vals)
+    return _finite_field(path, geom, raw[0::2] + 1j * raw[1::2])
 
 
 def save_field_csv(f: SampledField, path: str) -> None:
@@ -385,16 +400,35 @@ def save_field_csv(f: SampledField, path: str) -> None:
 
 
 def load_field_csv(path: str) -> SampledField:
+    """Read a field CSV; every flat index must appear exactly once."""
     with open(path) as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing geometry header line")
-        meta = dict(tok.split("=") for tok in header[1:].split())
-        geom = Geometry(int(meta["dim"]), int(meta["n"]), float(meta["half_length"]))
+        try:
+            meta = dict(tok.split("=") for tok in header[1:].split())
+            dim, n, L = meta["dim"], meta["n"], meta["half_length"]
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: malformed geometry header {header.strip()!r}") from None
+        geom = _header_geometry(path, dim, n, L)
         fh.readline()  # column names
-        rows = np.loadtxt(fh, delimiter=",")
-    rows = np.atleast_2d(rows)
-    vals = np.zeros(geom.n_samples**geom.dim, dtype=np.complex128)
-    idx = rows[:, 0].astype(int)
+        try:
+            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if rows.shape[1:] != (3,):
+        raise ValueError(f"{path}: expected rows of index,re,im")
+    size = geom.n_samples**geom.dim
+    idx = rows[:, 0]
+    bad = (idx < 0) | (idx >= size) | (idx != np.round(idx))
+    if bad.any():
+        raise ValueError(f"{path}: index {idx[bad][0]:g} out of range: need an integer in [0, {size})")
+    idx = idx.astype(int)
+    seen = np.bincount(idx, minlength=size)
+    if seen.max() > 1:
+        raise ValueError(f"{path}: index {np.argmax(seen)} appears {seen.max()} times")
+    if seen.min() == 0:
+        raise ValueError(f"{path}: {size - idx.size} of {size} indices missing, first {np.argmin(seen)}")
+    vals = np.empty(size, dtype=np.complex128)
     vals[idx] = rows[:, 1] + 1j * rows[:, 2]
-    return SampledField(geom, vals.reshape(geom.shape))
+    return _finite_field(path, geom, vals)

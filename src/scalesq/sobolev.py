@@ -32,7 +32,7 @@ from .grid import (
 from .kernels import AveragingProfile, _require_moment_class, riesz_difference_kernel
 from .multiplier import apply_multiplier, bessel_symbol, riesz_symbol
 from .squarefn import ScaleFamily, _require_mean_zero, dyadic_g_function
-from .weights import Weight, constant_weight, weighted_norm
+from .weights import Weight, constant_on_grid, constant_weight, weighted_norm
 
 
 def riesz_potential(f: SampledField, order: float) -> SampledField:
@@ -293,10 +293,22 @@ def _norm_ratios(fields, numerators, p: float, weight: Weight) -> list:
     return [None if d == 0 else num / d for num, d in zip(numerators, denoms)]
 
 
+def _square_norms(family: ScaleFamily, fields, p: float, weight: Weight) -> list[float]:
+    """Weighted L^p norms of the family's square functions of a batch.
+
+    At p = 2 under a weight with one value c on the grid the norm is
+    sqrt(c * energy), which Parseval gives from the symbol without forming
+    a layer; every other p or weight squares the layers in physical space.
+    """
+    c = constant_on_grid(weight, fields[0].geometry) if p == 2 else None
+    if c is not None:
+        return [math.sqrt(c * e) for e in family.energy(fields)]
+    return [weighted_norm(g, p, weight) for g in family.square_function(fields)]
+
+
 def _square_ratio(family: ScaleFamily, p: float, weight: Weight) -> FamilyRatio:
     def batch(fields):
-        norms = [weighted_norm(g, p, weight) for g in family.square_function(fields)]
-        return _norm_ratios(fields, norms, p, weight)
+        return _norm_ratios(fields, _square_norms(family, fields, p, weight), p, weight)
 
     return FamilyRatio(batch)
 
@@ -320,8 +332,8 @@ def sobolev_equivalence_ratio(
     def batch(gs):
         smoothed = [bessel_potential(g, order) for g in gs]
         family = _smoothing_family(order, profile, gs[0].geometry.dim, kr.scales, weights)
-        diffs = family.square_function(smoothed)
-        norms = [weighted_norm(d, p, weight) + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
+        diffs = _square_norms(family, smoothed, p, weight)
+        norms = [d + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
         return _norm_ratios(gs, norms, p, weight)
 
     return FamilyRatio(batch)

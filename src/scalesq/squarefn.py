@@ -4,12 +4,15 @@ Every operator here is one `ScaleFamily`: a Fourier multiplier m_t per
 scale t, with weight w_t, acting on a field f through its layers
 IFFT(m_t fhat).  The family gives the square sum of a batch of fields,
 sum_t w_t |IFFT(m_t fhat)|^2; the layer stack of one field; the synthesis
-sum_t w_t IFFT(m_t FFT(h_t)) of a stack h; and the symbol
-sum_t w_t |m_t(xi)|^2.  Each runs over chunks of at most `_CHUNK_BYTES` of
+sum_t w_t IFFT(m_t FFT(h_t)) of a stack h; the symbol sigma(xi) =
+sum_t w_t |m_t(xi)|^2; and the energy of a batch, the integral of the square
+sum over the grid.  Each runs over chunks of at most `_CHUNK_BYTES` of
 complex layers (at least one layer), evaluating a chunk's multipliers once
 per call for every field of the batch, so memory beyond inputs and outputs
 does not grow with the number of scales or fields.  The square sum shifts
 each input and each output once, never a layer: |.|^2 does not see shifts.
+The energy forms no layer at all: by the discrete Parseval identity it is
+the symbol integrated against the field's power spectrum.
 
 Continuous scale: m_t(xi) = psihat(t xi), psi_t the L1-normalized dilate,
 on a log-time grid weighted by its dt/t rule.  Dyadic: t = 2^k, unit weights.
@@ -99,6 +102,13 @@ def _chunk_layers(points: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * points))
 
 
+def _batch_geometry(fields: Sequence[SampledField]) -> Geometry:
+    geom = fields[0].geometry
+    if any(f.geometry != geom for f in fields):
+        raise ValueError("the fields of a batch must share one geometry")
+    return geom
+
+
 def _require_mean_zero(f: SampledField, what: str) -> None:
     """Operators with a homogeneous symbol are only faithful off the zero
     frequency; reject fields carrying mean mass instead of zeroing it."""
@@ -147,9 +157,7 @@ class ScaleFamily:
 
     def _layer_chunks(self, fields: Sequence[SampledField]):
         """(scales, fields, their layers in FFT order) for a batch, chunk by chunk."""
-        geom = fields[0].geometry
-        if any(f.geometry != geom for f in fields):
-            raise ValueError("the fields of a batch must share one geometry")
+        geom = _batch_geometry(fields)
         spec = np.empty((len(fields), 1) + geom.shape, dtype=np.complex128)  # (field, scale, *grid)
         for f, row in zip(fields, spec):
             row[0] = np.fft.fftn(np.fft.ifftshift(f.values))
@@ -187,6 +195,21 @@ class ScaleFamily:
             spec = np.fft.fftn(np.fft.ifftshift(layers[chunk], axes=ax), axes=ax)
             acc += np.einsum("j,j...->...", self.weights[chunk], m * spec)
         return SampledField(geom, np.fft.fftshift(np.fft.ifftn(acc)))
+
+    def energy(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
+        """h^d sum_x sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch.
+
+        By the discrete Parseval identity this is (h/N)^d sum_k sigma(k) |FFT(f)_k|^2,
+        sigma the symbol at the FFT frequencies: one forward FFT per field, no
+        layer.  It is exact on the DFT for any field, complex or not.
+        """
+        geom = _batch_geometry(fields)
+        sigma = self.symbol(*_fft_grids(geom))
+        out = np.empty(len(fields))
+        for i, f in enumerate(fields):
+            spec = np.fft.fftn(f.values)  # |FFT|^2 does not see the centring shift
+            out[i] = np.sum(sigma * (spec.real**2 + spec.imag**2))
+        return (geom.spacing / geom.n_samples) ** geom.dim * out
 
     def symbol(self, *xi) -> NDArray[np.float64]:
         """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi."""

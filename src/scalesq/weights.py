@@ -90,15 +90,28 @@ def dual_weight(w: Weight, p: float) -> Weight:
     return Weight(evaluate, kind=f"dual({w.kind},p={p:g})")
 
 
+def _grid_values(w: Weight, geom: Geometry) -> np.ndarray:
+    """The weight on the spatial grid, checked finite and nonnegative."""
+    wv = np.asarray(w.evaluate(*geom.spatial_grids()), dtype=float)
+    if np.any(wv < 0) or not np.all(np.isfinite(wv)):
+        raise ValueError("weight must be finite and nonnegative on the grid")
+    return wv
+
+
+def constant_on_grid(w: Weight, geom: Geometry) -> float | None:
+    """The weight's value if it takes one value at every grid point, else None;
+    decided from the evaluated values, whatever the weight's kind."""
+    wv = _grid_values(w, geom)
+    c = wv.flat[0]
+    return float(c) if np.all(wv == c) else None
+
+
 def weighted_norm(f: SampledField, p: float, w: Weight) -> float:
     """(h^d sum |f|^p w)^(1/p) over the grid."""
     if not (p >= 1):
         raise ValueError(f"need p >= 1, got {p}")
     g = f.geometry
-    wv = np.asarray(w.evaluate(*g.spatial_grids()), dtype=float)
-    if np.any(wv < 0) or not np.all(np.isfinite(wv)):
-        raise ValueError("weight must be finite and nonnegative on the grid")
-    total = g.cell_volume * np.sum(np.abs(f.values) ** p * wv)
+    total = g.cell_volume * np.sum(np.abs(f.values) ** p * _grid_values(w, g))
     return float(total ** (1.0 / p))
 
 

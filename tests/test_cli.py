@@ -1,10 +1,19 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from scalesq import Geometry, l2_norm, load_field_csv, mean_subtract, random_band_field, save_field_csv
+from scalesq import (
+    Geometry,
+    l2_norm,
+    load_field_csv,
+    mean_subtract,
+    random_band_field,
+    save_field_binary,
+    save_field_csv,
+)
 from scalesq.cli import main
 from scalesq.config import ConfigError, equivalence_config_from_dict
 
@@ -309,3 +318,69 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["gfun", "--kernel", "haar", "--mode", "sideways"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# the input boundary: bad numbers and bad field files exit 2 with a named
+# field or path, never with a traceback
+
+def assert_usage_error(argv, capsys, named: str):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named in err
+
+
+@pytest.mark.parametrize("command,fields,named", [
+    ("equivalence", {"operator": "gfun", "kernel": "haar", "p": math.inf}, "'p'"),
+    ("equivalence", {"operator": "gfun", "kernel": "haar", "p": math.nan}, "'p'"),
+    ("sobolev", {"order": 0.5, "grid": {"half_length": math.inf}}, "'grid.half_length'"),
+    ("sobolev", {"order": 0.5, "spread_bound": 10**400}, "'spread_bound'"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, command, fields, named):
+    cfg = write_config(tmp_path, **fields)
+    assert_usage_error([command, "--config", cfg], capsys, named)
+
+
+def small_field_files(tmp_path):
+    f = mean_subtract(random_band_field(Geometry(1, 16, 4.0), seed=1))
+    csv, binary = str(tmp_path / "f.csv"), str(tmp_path / "f.bin")
+    save_field_csv(f, csv)
+    save_field_binary(f, binary)
+    return csv, binary
+
+
+def test_truncated_binary_field_exits_2(tmp_path, capsys):
+    _, binary = small_field_files(tmp_path)
+    with open(binary, "rb") as fh:
+        head = fh.read(20)
+    with open(binary, "wb") as fh:
+        fh.write(head)
+    assert_usage_error(["gfun", "--kernel", "haar", "--input", binary], capsys, binary)
+
+
+def test_non_finite_binary_sample_exits_2(tmp_path, capsys):
+    _, binary = small_field_files(tmp_path)
+    with open(binary, "r+b") as fh:
+        fh.seek(28 + 8 * 5)
+        fh.write(struct.pack("<d", math.nan))
+    assert_usage_error(["gfun", "--kernel", "haar", "--input", binary], capsys, binary)
+
+
+def edit_csv_rows(path, edit):
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines[:2] + edit(lines[2:])) + "\n")
+
+
+@pytest.mark.parametrize("case,edit", [
+    ("out of range", lambda rows: rows[:-1] + ["16,0.5,0.0"]),
+    ("duplicated", lambda rows: rows[:-1] + [rows[0]]),
+    ("missing", lambda rows: rows[:-1]),
+    ("non-finite", lambda rows: ["0,nan,0.0"] + rows[1:]),
+])
+def test_bad_csv_field_exits_2(tmp_path, capsys, case, edit):
+    csv, _ = small_field_files(tmp_path)
+    edit_csv_rows(csv, edit)
+    assert_usage_error(["gfun", "--kernel", "haar", "--input", csv], capsys, csv)

@@ -9,8 +9,11 @@ from scalesq import (
     DyadicRange,
     Geometry,
     LogTimeGrid,
+    SampledField,
     ScaleFamily,
+    Weight,
     ball_average_profile,
+    bessel_potential,
     constant_weight,
     continuous_symbol,
     convolve_dyadic,
@@ -28,6 +31,7 @@ from scalesq import (
     marcinkiewicz_antiderivative,
     marcinkiewicz_direct,
     mean_subtract,
+    modulated_gaussian_field,
     potential_smoothing_function,
     random_band_field,
     scale_synthesis,
@@ -35,7 +39,10 @@ from scalesq import (
     sobolev_equivalence_ratio,
     square_function_ratio,
     weight_from_id,
+    weighted_norm,
 )
+from scalesq.sobolev import _smoothing_family
+from scalesq.squarefn import _second_difference_family, _sided_average_family
 from oracles import (
     difference_multiplier,
     kernel_multiplier,
@@ -184,3 +191,102 @@ def test_duality_memory_is_bounded_by_the_stack():
         tracemalloc.stop()
     assert res < 1e-10
     assert peak < 2 * stack_bytes
+
+
+# ---------------------------------------------------------------------------
+# energy: the square sum integrated over the grid, by Parseval from the symbol
+
+def energy_fields(dim: int):
+    """A real, a complex (modulated) and a white-noise field carrying Nyquist
+    content, all mean-zero so that every family accepts them."""
+    geom = GEOMS[dim]
+    noise = np.random.default_rng(11).standard_normal(geom.shape)
+    return [
+        mean_subtract(SampledField(geom, random_band_field(geom, seed=8).values.real)),
+        mean_subtract(modulated_gaussian_field(geom, 1.5, 2.0, 0.3)),
+        mean_subtract(SampledField(geom, noise)),
+    ]
+
+
+def energy_families(dim: int):
+    f = energy_fields(dim)[0]
+    profile = ball_average_profile(dim)
+    diff = difference_multiplier(profile)
+    families = {
+        "smoothing": _smoothing_family(0.5, profile, dim, TG.nodes, TG.weight * TG.nodes ** -1.0),
+        "potential-layered": ScaleFamily(
+            TG.nodes, TG.weight * TG.nodes ** -1.0,
+            lambda t, *xi: diff(t, *xi) * riesz_multiplier(0.5, *xi)),
+    }
+    for kid in KERNELS[dim]:
+        kernel = kernel_from_id(kid)
+        families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+        families[f"{kid}:dyadic"] = ScaleFamily.of_kernel(kernel, KR.scales)
+    if dim == 1:
+        families["sided-average"] = _sided_average_family(0.75, TG.nodes, 32, TG.weight)
+        families["second-difference"] = _second_difference_family(f, TG.nodes, TG.weight)
+    return families
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_energy_is_the_integrated_square_sum(dim):
+    fields = energy_fields(dim)
+    h_d = GEOMS[dim].cell_volume
+    for name, family in energy_families(dim).items():
+        want = h_d * family.square_sum(fields).sum(axis=tuple(range(1, dim + 1)))
+        got = family.energy(fields)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), name
+
+
+def physical_ratios(members, dim, p, weight):
+    """Weighted norms of the physical square functions, member by member."""
+    kernel = kernel_from_id(KERNELS[dim][0])
+    dkernel = kernel_from_id(KERNELS[dim][-1])
+    profile = ball_average_profile(dim)
+    out = {"gfun": [], "dyadic": [], "sobolev": []}
+    for f in members:
+        nf = weighted_norm(f, p, weight)
+        out["gfun"].append(weighted_norm(g_function(f, kernel, TG), p, weight) / nf)
+        out["dyadic"].append(weighted_norm(dyadic_g_function(f, dkernel, KR), p, weight) / nf)
+        s = bessel_potential(f, 0.5)
+        d = dyadic_smoothing_difference(s, 0.5, profile, KR)
+        out["sobolev"].append((weighted_norm(d, p, weight) + weighted_norm(s, p, weight)) / nf)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("c", [1.0, 3.7])
+def test_constant_weight_ratios_match_physical_route(dim, c):
+    members = default_test_family(GEOMS[dim], seed=6).members[:6]
+    weight = constant_weight(c)
+    ratio_fns = {
+        "gfun": square_function_ratio(kernel_from_id(KERNELS[dim][0]), TG, 2.0, weight),
+        "dyadic": dyadic_square_ratio(kernel_from_id(KERNELS[dim][-1]), KR, 2.0, weight),
+        "sobolev": sobolev_equivalence_ratio(0.5, ball_average_profile(dim), KR, 2.0, weight),
+    }
+    want = physical_ratios(members, dim, 2.0, weight)
+    for name, ratio_fn in ratio_fns.items():
+        assert np.allclose(ratio_fn.batch(members), want[name], rtol=1e-12, atol=0.0), name
+
+
+def test_p2_constant_weight_forms_no_layer(monkeypatch):
+    members = default_test_family(GEOMS[1], seed=6).members
+    ratio_fn = square_function_ratio(kernel_from_id("haar"), TG, 2.0, constant_weight(2.0))
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("an inverse FFT formed a layer")
+
+    monkeypatch.setattr(np.fft, "ifftn", no_inverse)
+    assert all(r is not None for r in ratio_fn.batch(members))
+
+
+@pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
+def test_bad_constant_weights_still_raise(value):
+    members = default_test_family(GEOMS[1], seed=6).members[:2]
+    weight = Weight(lambda *x: np.full(np.broadcast_shapes(*(np.shape(c) for c in x)), value), "bad")
+    for ratio_fn in (
+        square_function_ratio(kernel_from_id("haar"), TG, 2.0, weight),
+        sobolev_equivalence_ratio(0.5, ball_average_profile(1), KR, 2.0, weight),
+    ):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ratio_fn.batch(members)
