@@ -381,10 +381,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

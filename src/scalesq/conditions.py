@@ -5,27 +5,28 @@ Divergent quantities come back as math.inf, never as exceptions: blowing
 up is a finding about the kernel, not a failure of the computation.
 Everything here consumes the kernels' declared metadata (tail exponents,
 edge singularities) to decide convergence before integrating, so the
-numeric answers carry analytic justification.
+numeric answers carry analytic justification.  Every spatial integral
+is a sum of panels of one Gauss-Jacobi rule (`_panel`), whose endpoint
+weights absorb the origin grading and edge singularities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .grid import LogTimeGrid
-from .kernels import Kernel, _legendre_unit_rule, marcinkiewicz_kernel
+from .kernels import Kernel, _jacobi_rule, marcinkiewicz_kernel
 
 _ANGLES = 64
 
 
-@lru_cache(maxsize=256)
-def _jacobi_pair(n: int, exponent: float):
-    return roots_jacobi(n, exponent, 0.0)
+def _panel(g, a: float, b: float, n: int, end: float = 0.0, start: float = 0.0) -> float:
+    """integral_a^b (b-u)^end (u-a)^start g(u) du by the n-node Gauss-Jacobi rule."""
+    s, w = _jacobi_rule(n, end, start)
+    return float(np.sum((b - a) ** (end + start + 1.0) * w * g(a + (b - a) * s)))
 
 
 def _require_spatial(kernel: Kernel, what: str) -> None:
@@ -33,34 +34,30 @@ def _require_spatial(kernel: Kernel, what: str) -> None:
         raise ValueError(f"{what}: kernel '{kernel.name}' has no spatial evaluator")
 
 
-def _angular_power_sum(kernel: Kernel, r: np.ndarray, power: float) -> np.ndarray:
-    """integral over the sphere of |psi(r omega)|^power, as a function of r.
+def _sphere_abs(kernel: Kernel, r: np.ndarray) -> np.ndarray:
+    """|psi(r omega)| at the sample points omega of the unit sphere, on a last axis.
 
-    One-dimensional 'spheres' are the two points {-r, r}; in two dimensions
-    the angular average is taken over a midpoint grid and scaled by 2 pi.
+    One-dimensional 'spheres' are the two points {-r, r}; a radial kernel
+    needs one point, any other 2-D kernel a midpoint grid of angles.
     """
     r = np.asarray(r, dtype=float)
     if kernel.dim == 1:
-        return np.abs(kernel.spatial(r)) ** power + np.abs(kernel.spatial(-r)) ** power
+        return np.stack([np.abs(kernel.spatial(r)), np.abs(kernel.spatial(-r))], axis=-1)
     if kernel.radial:
-        return 2.0 * np.pi * np.abs(kernel.spatial(r, np.zeros_like(r))) ** power
+        return np.abs(kernel.spatial(r, np.zeros_like(r)))[:, None]
     theta = (np.arange(_ANGLES) + 0.5) * (2.0 * np.pi / _ANGLES)
-    vals = np.abs(
-        kernel.spatial(np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta)))
-    ) ** power
-    return 2.0 * np.pi * vals.mean(axis=1)
+    return np.abs(kernel.spatial(np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta))))
+
+
+def _angular_power_sum(kernel: Kernel, r: np.ndarray, power: float) -> np.ndarray:
+    """integral over the sphere of |psi(r omega)|^power, as a function of r."""
+    measure = 2.0 if kernel.dim == 1 else 2.0 * np.pi
+    return measure * np.mean(_sphere_abs(kernel, r) ** power, axis=-1)
 
 
 def _radial_abs_max(kernel: Kernel, r: np.ndarray) -> np.ndarray:
     """sup over the sphere of |psi(r omega)|."""
-    r = np.asarray(r, dtype=float)
-    if kernel.dim == 1:
-        return np.maximum(np.abs(kernel.spatial(r)), np.abs(kernel.spatial(-r)))
-    if kernel.radial:
-        return np.abs(kernel.spatial(r, np.zeros_like(r)))
-    theta = (np.arange(_ANGLES) + 0.5) * (2.0 * np.pi / _ANGLES)
-    vals = np.abs(kernel.spatial(np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta))))
-    return vals.max(axis=1)
+    return _sphere_abs(kernel, r).max(axis=-1)
 
 
 def _octave_panels(lo: float, hi: float) -> list[tuple[float, float]]:
@@ -98,13 +95,8 @@ def tail_moment_integral(kernel: Kernel, eps: float) -> float:
     else:
         q = None
         cutoff = R
-    s, w = _legendre_unit_rule(48)
-    total = 0.0
-    for a, b in _octave_panels(1.0, cutoff):
-        r = a + (b - a) * s
-        total += (b - a) * float(
-            np.sum(w * r ** (eps + n - 1) * _angular_power_sum(kernel, r, 1.0))
-        )
+    moment = lambda r: r ** (eps + n - 1) * _angular_power_sum(kernel, r, 1.0)
+    total = sum(_panel(moment, a, b, 48) for a, b in _octave_panels(1.0, cutoff))
     if q is not None:
         # remainder under the fitted power law A(r) ~ A(cutoff) (cutoff/r)^q
         a_cut = float(_angular_power_sum(kernel, np.asarray([cutoff]), 1.0)[0])
@@ -141,37 +133,20 @@ def local_power_integral(kernel: Kernel, u: float) -> float:
     if edge is not None and edge[1] < 0 and u * edge[1] <= -1.0 + 1e-12:
         return math.inf
     top = min(1.0, kernel.support_radius)
-
-    def panel(a: float, b: float, end_exp: float) -> float:
-        # integral_a^b (b-r)^end_exp g(r) dr with g evaluated explicitly
-        if end_exp != 0.0:
-            x, wj = roots_jacobi(96, end_exp, 0.0)
-            r = a + (b - a) * (x + 1.0) / 2.0
-            scale = ((b - a) / 2.0) ** (end_exp + 1.0)
-            dens = _angular_power_sum(kernel, r, u) / (b - r) ** end_exp
-            return scale * float(np.sum(wj * r ** (n - 1) * dens))
-        sl, wl = _legendre_unit_rule(96)
-        r = a + (b - a) * sl
-        return (b - a) * float(
-            np.sum(wl * r ** (n - 1) * _angular_power_sum(kernel, r, u))
-        )
-
-    # origin grading: pull out r^(-u s) against the surface factor
+    power = lambda r: r ** (n - 1) * _angular_power_sum(kernel, r, u)
     lo = 0.0
     total = 0.0
     if s_origin is not None:
-        x, wj = roots_jacobi(96, 0.0, n - 1.0 - u * s_origin)
-        b0 = top / 2.0
-        r = b0 * (x + 1.0) / 2.0
-        scale = (b0 / 2.0) ** (n - u * s_origin)
-        dens = _angular_power_sum(kernel, r, u) * r ** (u * s_origin)
-        total += scale * float(np.sum(wj * dens))
-        lo = b0
+        # origin grading: pull out r^(-u s) against the surface factor
+        lo = top / 2.0
+        graded = lambda r: _angular_power_sum(kernel, r, u) * r ** (u * s_origin)
+        total += _panel(graded, 0.0, lo, 96, start=n - 1.0 - u * s_origin)
     if edge is not None and lo < edge[0] <= top:
-        total += panel(lo, edge[0], u * edge[1])
-        lo = edge[0]
+        b, e = edge[0], u * edge[1]
+        total += _panel(lambda r: power(r) / (b - r) ** e, lo, b, 96, end=e)
+        lo = b
     if lo < top:
-        total += panel(lo, top, 0.0)
+        total += _panel(power, lo, top, 96)
     return total
 
 
@@ -342,16 +317,6 @@ def nondegeneracy_check(kernel: Kernel, mode: str = "continuous") -> Nondegenera
 # ---------------------------------------------------------------------------
 # the scale-shift energy and its scan
 
-def _end_weighted_rule(a: float, b: float, end_exp: float, n: int):
-    """Nodes/weights for integral_a^b (b-u)^end_exp g(u) du."""
-    if end_exp == 0.0:
-        s, w = _legendre_unit_rule(n)
-        return a + (b - a) * s, (b - a) * w
-    x, w = _jacobi_pair(n, end_exp)
-    u = a + (b - a) * (x + 1.0) / 2.0
-    return u, ((b - a) / 2.0) ** (end_exp + 1.0) * w
-
-
 def hormander_energy(
     kernel: Kernel, x: float, y: float, tg: LogTimeGrid | None = None
 ) -> float:
@@ -385,17 +350,15 @@ def hormander_energy(
     def f_shift(u: np.ndarray) -> np.ndarray:
         return np.real(kernel.spatial(s * stretch * u))
 
+    def energy(u: np.ndarray) -> np.ndarray:
+        return u * (f_shift(u) - f_plain(u)) ** 2
+
     R = kernel.support_radius
     if math.isinf(R):
         cut = 64.0 / min(1.0, stretch)
-        total = 0.0
-        for a, b in _octave_panels(1e-6, cut):
-            u, w = _end_weighted_rule(a, b, 0.0, nn)
-            total += float(np.sum(w * u * (f_shift(u) - f_plain(u)) ** 2))
-        # leading panel near zero: difference vanishes quadratically there
-        u, w = _end_weighted_rule(0.0, 1e-6, 0.0, nn)
-        total += float(np.sum(w * u * (f_shift(u) - f_plain(u)) ** 2))
-        return total / x**2
+        # the leading panel [0, 1e-6] is plain: the difference vanishes quadratically there
+        panels = _octave_panels(1e-6, cut) + [(0.0, 1e-6)]
+        return sum(_panel(energy, a, b, nn) for a, b in panels) / x**2
 
     edge = kernel.edge_singularity
     e = edge[1] if edge is not None else 0.0
@@ -420,17 +383,13 @@ def hormander_energy(
         elif sing_shift is not None and math.isclose(b, sing_shift, rel_tol=1e-12):
             kind = "shift"
         if kind is None or e == 0.0:
-            u, w = _end_weighted_rule(a, b, 0.0, nn)
-            total += float(np.sum(w * u * (f_shift(u) - f_plain(u)) ** 2))
+            total += _panel(energy, a, b, nn)
             continue
         sing, smooth = (f_plain, f_shift) if kind == "plain" else (f_shift, f_plain)
         # |sing - smooth|^2 split into three terms with matched grading
-        u2, w2 = _end_weighted_rule(a, b, 2.0 * e, nn)
-        total += float(np.sum(w2 * u2 * (sing(u2) / (b - u2) ** e) ** 2))
-        u1, w1 = _end_weighted_rule(a, b, e, nn)
-        total += float(np.sum(w1 * u1 * (-2.0) * smooth(u1) * sing(u1) / (b - u1) ** e))
-        u0, w0 = _end_weighted_rule(a, b, 0.0, nn)
-        total += float(np.sum(w0 * u0 * smooth(u0) ** 2))
+        total += _panel(lambda u: u * (sing(u) / (b - u) ** e) ** 2, a, b, nn, end=2.0 * e)
+        total += _panel(lambda u: -2.0 * u * smooth(u) * sing(u) / (b - u) ** e, a, b, nn, end=e)
+        total += _panel(lambda u: u * smooth(u) ** 2, a, b, nn)
     return total / x**2
 
 

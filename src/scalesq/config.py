@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .grid import DyadicRange, Geometry, LogTimeGrid, default_dyadic_range, default_geometry
+from .grid import DyadicRange, Geometry, LogTimeGrid, default_dyadic_range, default_geometry, default_time_grid
 
 
 class ConfigError(ValueError):
@@ -74,11 +74,11 @@ def _get_str(d: Mapping, key: str, default: str | None, context: str) -> str | N
 
 @dataclass(frozen=True)
 class GridConfig:
-    """Sampling box, defaulting to the 1-D workhorse grid."""
+    """Sampling box; `grid_config_from_dict` fills gaps from `default_geometry`."""
 
-    dim: int = 1
-    n_samples: int = 4096
-    half_length: float = 32.0
+    dim: int
+    n_samples: int
+    half_length: float
 
     def geometry(self) -> Geometry:
         try:
@@ -108,9 +108,12 @@ class TimeGridConfig:
     nodes_per_octave: int = 16
 
     def time_grid(self, geom: Geometry) -> LogTimeGrid:
-        lo = self.t_min if self.t_min is not None else 4.0 * geom.spacing
-        hi = self.t_max if self.t_max is not None else geom.half_length / 4.0
+        lo, hi = self.t_min, self.t_max
         try:
+            if lo is None or hi is None:
+                base = default_time_grid(geom, self.nodes_per_octave)
+                lo = base.t_min if lo is None else lo
+                hi = base.t_max if hi is None else hi
             return LogTimeGrid(lo, hi, self.nodes_per_octave)
         except ValueError as exc:
             raise ConfigError("time", str(exc)) from exc

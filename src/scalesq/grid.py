@@ -16,6 +16,7 @@ machine precision and Parseval holds in the form
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -413,7 +414,10 @@ def load_field_csv(path: str) -> SampledField:
         geom = _header_geometry(path, dim, n, L)
         fh.readline()  # column names
         try:
-            rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                # no rows leaves an empty array, which the shape check below names
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     if rows.shape[1:] != (3,):

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln, poch
 from scipy.special import j1 as _bessel_j1
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_jacobi
 
 _MOMENT_TOL = 1e-9
 _SPATIAL_BLOCK = 2048
@@ -44,28 +44,19 @@ class MomentClassError(ValueError):
 # quadrature helpers
 
 @lru_cache(maxsize=512)
-def _jacobi_unit_rule(alpha: float, n: int):
-    """Nodes and weights for integral_0^1 alpha (1-s)^(alpha-1) g(s) ds.
+def _jacobi_rule(n: int, end: float = 0.0, start: float = 0.0):
+    """Nodes and weights for integral_0^1 (1-s)^end s^start g(s) ds, exponents > -1.
 
-    Weights absorb the density, so they sum to 1 exactly.
+    Gauss-Jacobi on [-1, 1] mapped to [0, 1]; end = start = 0 is Gauss-Legendre.
     """
-    x, w = roots_jacobi(n, alpha - 1.0, 0.0)
-    s = (x + 1.0) / 2.0
-    return s, alpha * 2.0 ** (-alpha) * w
+    x, w = roots_jacobi(n, end, start)
+    return (x + 1.0) / 2.0, 2.0 ** (-end - start - 1.0) * w
 
 
-@lru_cache(maxsize=512)
-def _power_unit_rule(exponent: float, n: int):
-    """Nodes and weights for integral_0^1 s^exponent g(s) ds, exponent > -1."""
-    x, w = roots_jacobi(n, 0.0, exponent)
-    s = (x + 1.0) / 2.0
-    return s, 2.0 ** (-exponent - 1.0) * w
-
-
-@lru_cache(maxsize=64)
-def _legendre_unit_rule(n: int):
-    x, w = roots_legendre(n)
-    return (x + 1.0) / 2.0, w / 2.0
+def _jacobi_unit_rule(alpha: float, n: int):
+    """Nodes and weights for integral_0^1 alpha (1-s)^(alpha-1) g(s) ds; weights sum to 1."""
+    s, w = _jacobi_rule(n, alpha - 1.0)
+    return s, alpha * w
 
 
 def _blocked_quadrature(weights: np.ndarray, integrand: Callable, points: np.ndarray) -> np.ndarray:
@@ -215,7 +206,7 @@ class MomentClassReport:
 
 def _numeric_moment(profile: AveragingProfile, gamma: tuple[int, ...]) -> float:
     nodes = 160
-    s, w = _legendre_unit_rule(nodes)
+    s, w = _jacobi_rule(nodes)
     axes, weights = [], []
     for lo, hi in profile.support_box:
         axes.append(lo + (hi - lo) * s)
@@ -439,7 +430,7 @@ def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
     r_out = np.sqrt(sum(p**2 for p in pts))
     reach = float(np.max(r_out)) + 1.5
     n_rad = 160
-    s, w = _power_unit_rule(alpha - 1.0, n_rad)  # weight s^(alpha-1) on [0,1]
+    s, w = _jacobi_rule(n_rad, start=alpha - 1.0)
     rho = reach * s
     w_rad = reach**alpha * w  # absorbs rho^(alpha-1) d rho
     out = np.zeros(r_out.shape)
@@ -528,7 +519,7 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
         out[nz] = -1j * (1.0 - hat[nz]) / (np.pi * xi[nz])
         return out
 
-    s, w = _legendre_unit_rule(256)
+    s, w = _jacobi_rule(256)
 
     def spatial(x):
         flat = np.asarray(x, dtype=float).ravel()

@@ -107,12 +107,18 @@ def constant_on_grid(w: Weight, geom: Geometry) -> float | None:
 
 
 def weighted_norm(f: SampledField, p: float, w: Weight) -> float:
-    """(h^d sum |f|^p w)^(1/p) over the grid."""
+    """(h^d sum |f|^p w)^(1/p) over the grid, computed as M (h^d sum (|f|/M)^p w)^(1/p)
+    with M = max |f| so that no power overflows."""
     if not (p >= 1):
         raise ValueError(f"need p >= 1, got {p}")
     g = f.geometry
-    total = g.cell_volume * np.sum(np.abs(f.values) ** p * _grid_values(w, g))
-    return float(total ** (1.0 / p))
+    wv = _grid_values(w, g)
+    mag = np.abs(f.values)
+    top = float(mag.max())
+    if top == 0.0:
+        return 0.0
+    total = g.cell_volume * np.sum((mag / top) ** p * wv)
+    return top * float(total ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

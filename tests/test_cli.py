@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -384,3 +385,21 @@ def test_bad_csv_field_exits_2(tmp_path, capsys, case, edit):
     csv, _ = small_field_files(tmp_path)
     edit_csv_rows(csv, edit)
     assert_usage_error(["gfun", "--kernel", "haar", "--input", csv], capsys, csv)
+
+
+def test_empty_csv_field_exits_2_without_warning(tmp_path, capsys):
+    csv, _ = small_field_files(tmp_path)
+    edit_csv_rows(csv, lambda rows: [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gfun", "--kernel", "haar", "--input", csv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {csv}: expected rows of index,re,im"]
+
+
+def test_huge_exponent_gives_finite_spread(tmp_path):
+    cfg = write_config(tmp_path, operator="gfun", kernel="haar", p=1e308, weight="pow:0.3", **SMALL)
+    out = str(tmp_path / "report.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["equivalence", "--config", cfg, "--out", out]) in (0, 1)
+    assert math.isfinite(read_report(out)["spread"])

@@ -2,9 +2,12 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
+from scipy.special import beta
 
 from scalesq import (
+    Kernel,
     band_indicator_kernel,
     condition_summary,
     fourier_decay_check,
@@ -19,6 +22,7 @@ from scalesq import (
     radial_majorant_l1,
     tail_moment_integral,
 )
+from scalesq.conditions import _panel, _radial_abs_max
 from oracles import (
     gm_local_power_closed,
     haar_hormander_closed,
@@ -256,3 +260,47 @@ def test_condition_summary_spectral_only():
     assert "skipped" in s["spatial_checks"]
     assert not s["nondegeneracy"]["dyadic"]["pass"]
     json.dumps(s)
+
+
+# ---------------------------------------------------------------------------
+# the shared panel rule and sphere sampler
+
+PANEL_EXPONENTS = [0.0, -0.5, -0.25, 0.75, 1.5]
+
+
+@pytest.mark.parametrize("end", PANEL_EXPONENTS)
+@pytest.mark.parametrize("start", PANEL_EXPONENTS)
+def test_panel_beta_closed_forms(end, start):
+    # integral_a^b (b-u)^end (u-a)^start (u-a)^k du = (b-a)^(end+start+k+1) B(end+1, start+k+1)
+    a, b = 0.3, 2.1
+    const = _panel(np.ones_like, a, b, 24, end, start)
+    linear = _panel(lambda u: u - a, a, b, 24, end, start)
+    width = b - a
+    assert const == pytest.approx(width ** (end + start + 1.0) * beta(end + 1.0, start + 1.0), rel=1e-12, abs=0)
+    assert linear == pytest.approx(width ** (end + start + 2.0) * beta(end + 1.0, start + 2.0), rel=1e-12, abs=0)
+
+
+def _tilted_gaussian_kernel() -> Kernel:
+    """psi(x, y) = x exp(-pi (x^2 + y^2)): 2-D and not radial, so its spheres need the angle grid."""
+    return Kernel(
+        dim=2,
+        name="x-gauss",
+        spatial=lambda x, y: (x * np.exp(-np.pi * (x**2 + y**2))).astype(complex),
+        fourier=lambda u, v: -1j * u * np.exp(-np.pi * (u**2 + v**2)),
+        fourier_mode="closed_form",
+        support_radius=math.inf,
+        cancellation_order=0,
+    )
+
+
+def test_non_radial_local_power_closed_form():
+    # integral_{|x|<1} x^2 e^(-2 pi |x|^2) dx = (pi/2) integral_0^1 v e^(-2 pi v) dv
+    exact = (math.pi / 2.0) * (1.0 - math.exp(-2.0 * math.pi) * (1.0 + 2.0 * math.pi)) / (4.0 * math.pi**2)
+    assert local_power_integral(_tilted_gaussian_kernel(), 2.0) == pytest.approx(exact, rel=1e-12, abs=0)
+
+
+def test_non_radial_sphere_max_over_midpoint_angles():
+    r = np.array([0.1, 0.5, 1.3, 3.0])
+    # the midpoint angle nearest the x axis is pi/64
+    expected = r * np.exp(-np.pi * r**2) * math.cos(math.pi / 64.0)
+    np.testing.assert_allclose(_radial_abs_max(_tilted_gaussian_kernel(), r), expected, rtol=1e-13, atol=0)

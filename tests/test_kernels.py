@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from scalesq import (
     ball_average_profile,
@@ -17,6 +18,7 @@ from scalesq import (
     riesz_difference_kernel,
     sgn_difference_kernel,
 )
+from scalesq.kernels import _jacobi_rule
 from oracles import (
     ball_hat_1d_closed,
     disk_hat_dblquad,
@@ -300,3 +302,10 @@ def test_gm_hat_scaling_consistency(alpha):
     assert complex(k.fourier(np.array([0.0]))[0]) == 0.0
     v = k.fourier(np.array([1.3, -1.3]))
     assert abs(v[0] + v[1]) < 1e-12
+
+
+def test_jacobi_rule_without_exponents_is_gauss_legendre():
+    x, w = roots_legendre(96)
+    s, ws = _jacobi_rule(96)
+    assert np.array_equal(s, (x + 1.0) / 2.0)
+    assert np.array_equal(ws, w / 2.0)
