@@ -31,7 +31,14 @@ from .grid import (
 )
 from .kernels import AveragingProfile, _require_moment_class, riesz_difference_kernel
 from .multiplier import apply_multiplier, bessel_symbol, riesz_symbol
-from .squarefn import ScaleFamily, _require_mean_zero, dyadic_g_function
+from .squarefn import (
+    ScaleFamily,
+    _batch_geometry,
+    _fft_grids,
+    _power_spectrum,
+    _require_mean_zero,
+    dyadic_g_function,
+)
 from .weights import Weight, constant_on_grid, constant_weight, weighted_norm
 
 
@@ -64,7 +71,8 @@ def _smoothing_family(
         raise ValueError(f"profile '{profile.name}' has dim {profile.dim}, field has dim {dim}")
     _require_moment_class(profile, order, "smoothing differences")
     fourier = profile.fourier
-    return ScaleFamily(scales, weights, lambda t, *xi: 1.0 - fourier(*(t * x for x in xi)))
+    multiplier = lambda t, *xi: 1.0 - fourier(*(t * x for x in xi))
+    return ScaleFamily(scales, weights, multiplier, profile.kernel.radial)
 
 
 def smoothing_difference_function(
@@ -110,7 +118,8 @@ def potential_smoothing_function(
     diff = _smoothing_family(order, profile, f.geometry.dim, tg.nodes, weights)
     _require_mean_zero(f, "potential_smoothing_function")
     riesz = riesz_symbol(order).evaluate
-    family = ScaleFamily(tg.nodes, weights, lambda t, *xi: diff.multiplier(t, *xi) * riesz(*xi))
+    multiplier = lambda t, *xi: diff.multiplier(t, *xi) * riesz(*xi)
+    family = ScaleFamily(tg.nodes, weights, multiplier, profile.kernel.radial)
     return family.square_function([f])[0]
 
 
@@ -287,10 +296,14 @@ class FamilyRatio:
         return self.batch([f])[0]
 
 
+def _ratios(numerators, denominators) -> list:
+    """numerators[i] / denominators[i], None for a zero denominator."""
+    return [None if d == 0 else num / d for num, d in zip(numerators, denominators)]
+
+
 def _norm_ratios(fields, numerators, p: float, weight: Weight) -> list:
     """numerators[i] / ||fields[i]||, None for a zero denominator."""
-    denoms = [weighted_norm(f, p, weight) for f in fields]
-    return [None if d == 0 else num / d for num, d in zip(numerators, denoms)]
+    return _ratios(numerators, [weighted_norm(f, p, weight) for f in fields])
 
 
 def _square_norms(family: ScaleFamily, fields, p: float, weight: Weight) -> list[float]:
@@ -326,12 +339,34 @@ def sobolev_equivalence_ratio(
     order: float, profile: AveragingProfile, kr: DyadicRange, p: float, weight: Weight
 ) -> FamilyRatio:
     """ratio_fn for the three-norm comparison: smooth g, then ask whether
-    the smoothing-difference norm plus the smoothed norm returns ||g||."""
+    the smoothing-difference norm plus the smoothed norm returns ||g||.
+
+    At p = 2 under a weight with one value c on the grid, Parseval gives all
+    three norms from the power spectrum P = |FFT(g)|^2, one forward FFT per
+    member: ||g|| from sum P, the smoothed norm from sum b^2 P with b the
+    Bessel symbol, the smoothing-difference norm from sum sigma b^2 P with
+    sigma the family's symbol.  Every other p or weight smooths g in
+    physical space.
+    """
     weights = 4.0 ** (-kr.exponents * order)
 
     def batch(gs):
+        geom = _batch_geometry(gs)
+        family = _smoothing_family(order, profile, geom.dim, kr.scales, weights)
+        c = constant_on_grid(weight, geom) if p == 2 else None
+        if c is not None:
+            grids = _fft_grids(geom)
+            b2 = bessel_symbol(order).evaluate(*grids) ** 2
+            sigma_b2 = family.symbol(*grids) * b2
+            volume = c * (geom.spacing / geom.n_samples) ** geom.dim
+            norms, denoms = [], []
+            for g in gs:
+                power = _power_spectrum(g)
+                diff, smoothed = np.sum(sigma_b2 * power), np.sum(b2 * power)
+                norms.append(math.sqrt(volume * diff) + math.sqrt(volume * smoothed))
+                denoms.append(math.sqrt(volume * np.sum(power)))
+            return _ratios(norms, denoms)
         smoothed = [bessel_potential(g, order) for g in gs]
-        family = _smoothing_family(order, profile, gs[0].geometry.dim, kr.scales, weights)
         diffs = _square_norms(family, smoothed, p, weight)
         norms = [d + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
         return _norm_ratios(gs, norms, p, weight)

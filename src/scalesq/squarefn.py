@@ -14,6 +14,13 @@ each input and each output once, never a layer: |.|^2 does not see shifts.
 The energy forms no layer at all: by the discrete Parseval identity it is
 the symbol integrated against the field's power spectrum.
 
+A radial family, one whose multipliers depend on |xi| alone, is evaluated
+once per |xi| shell: each call finds the distinct |xi|^2 of its input,
+evaluates a (scales, shells) table and gathers it onto the grid; the symbol
+is summed over scales on the shells and gathered once.  Nothing is cached
+between calls.  The p = 2 constant-weight Sobolev ratio in `sobolev` builds
+on the same Parseval identity and takes one forward FFT per field.
+
 Continuous scale: m_t(xi) = psihat(t xi), psi_t the L1-normalized dilate,
 on a log-time grid weighted by its dt/t rule.  Dyadic: t = 2^k, unit weights.
 
@@ -109,6 +116,12 @@ def _batch_geometry(fields: Sequence[SampledField]) -> Geometry:
     return geom
 
 
+def _power_spectrum(f: SampledField) -> np.ndarray:
+    """|FFT(f)|^2 in FFT order, which does not see the centring shift."""
+    spec = np.fft.fftn(f.values)
+    return spec.real**2 + spec.imag**2
+
+
 def _require_mean_zero(f: SampledField, what: str) -> None:
     """Operators with a homogeneous symbol are only faithful off the zero
     frequency; reject fields carrying mean mass instead of zeroing it."""
@@ -126,12 +139,15 @@ class ScaleFamily:
 
     `multiplier(t, *xi)` evaluates a chunk of scales at once: t has shape
     (c, 1, ..., 1), one trailing axis per axis of the broadcast frequency
-    arrays xi, and the result broadcasts to (c,) + that shape.
+    arrays xi, and the result broadcasts to (c,) + that shape.  `radial`
+    declares that m_t(xi) depends on |xi| alone; such a family is evaluated
+    once per distinct |xi|^2 of its input, at (|xi|, 0, ..., 0).
     """
 
     scales: NDArray[np.float64]
     weights: NDArray[np.float64]
     multiplier: Callable
+    radial: bool = False
 
     def __post_init__(self):
         scales = np.atleast_1d(np.asarray(self.scales, dtype=float))
@@ -146,14 +162,36 @@ class ScaleFamily:
                 raise ValueError(f"kernel '{kernel.name}' has dim {kernel.dim}, field has dim {len(xi)}")
             return kernel.fourier(*(t * x for x in xi))
 
-        return cls(scales, weights, multiplier)
+        return cls(scales, weights, multiplier, kernel.radial)
 
-    def _chunks(self, xi, layers: int):
-        """(slice of scales, their multipliers) for chunks of `layers` scales."""
-        trailing = (1,) * len(np.broadcast_shapes(*(np.shape(x) for x in xi)))
+    def _points(self, xi):
+        """(where to evaluate the multipliers, the index gathering them onto xi).
+
+        A radial family is evaluated on its shells, the distinct values of
+        |xi|^2, at (|xi|, 0, ..., 0); the index maps each point of xi to its
+        shell.  Any other family is evaluated at xi itself, index None.
+        """
+        if not self.radial:
+            return xi, None
+        r2 = sum(np.asarray(x, dtype=float) ** 2 for x in xi)
+        shells, index = np.unique(r2, return_inverse=True)
+        # the index lives through every chunk: the narrowest dtype keeps it small
+        index = index.reshape(np.shape(r2)).astype(np.min_scalar_type(shells.size))
+        rho = np.sqrt(shells)
+        return (rho,) + (np.zeros_like(rho),) * (len(xi) - 1), index
+
+    def _tables(self, points, layers: int):
+        """(slice of scales, their multipliers at points) for chunks of `layers` scales."""
+        trailing = (1,) * len(np.broadcast_shapes(*(np.shape(x) for x in points)))
         for lo in range(0, self.scales.size, layers):
             chunk = slice(lo, lo + layers)
-            yield chunk, self.multiplier(self.scales[chunk].reshape((-1,) + trailing), *xi)
+            yield chunk, self.multiplier(self.scales[chunk].reshape((-1,) + trailing), *points)
+
+    def _chunks(self, xi, layers: int):
+        """(slice of scales, their multipliers on xi) for chunks of `layers` scales."""
+        points, index = self._points(xi)
+        for chunk, m in self._tables(points, layers):
+            yield chunk, m if index is None else np.take(m, index, axis=1)
 
     def _layer_chunks(self, fields: Sequence[SampledField]):
         """(scales, fields, their layers in FFT order) for a batch, chunk by chunk."""
@@ -205,19 +243,16 @@ class ScaleFamily:
         """
         geom = _batch_geometry(fields)
         sigma = self.symbol(*_fft_grids(geom))
-        out = np.empty(len(fields))
-        for i, f in enumerate(fields):
-            spec = np.fft.fftn(f.values)  # |FFT|^2 does not see the centring shift
-            out[i] = np.sum(sigma * (spec.real**2 + spec.imag**2))
+        out = np.array([np.sum(sigma * _power_spectrum(f)) for f in fields])
         return (geom.spacing / geom.n_samples) ** geom.dim * out
 
     def symbol(self, *xi) -> NDArray[np.float64]:
         """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi."""
-        xi = [np.asarray(x, dtype=float) for x in xi]
-        acc = np.zeros(np.broadcast_shapes(*(x.shape for x in xi)))
-        for chunk, m in self._chunks(xi, _chunk_layers(acc.size)):
+        points, index = self._points([np.asarray(x, dtype=float) for x in xi])
+        acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in points)))
+        for chunk, m in self._tables(points, _chunk_layers(acc.size)):
             acc += np.einsum("j,j...->...", self.weights[chunk], np.abs(m) ** 2)
-        return acc
+        return acc if index is None else np.take(acc, index)
 
 
 def _kept_run(keep: np.ndarray, message: str) -> slice:

@@ -31,6 +31,17 @@ def slow_transform(f: SampledField) -> SpectralField:
     return SpectralField(g, coeffs)
 
 
+def save_field_csv_rows(f: SampledField, path: str) -> None:
+    """The field CSV written one formatted row at a time: header comment,
+    column names, then (flat index, re, im) with the floats' repr."""
+    g = f.geometry
+    with open(path, "w") as fh:
+        fh.write(f"# dim={g.dim} n={g.n_samples} half_length={g.half_length!r}\n")
+        fh.write("index,re,im\n")
+        for i, v in enumerate(f.values.ravel()):
+            fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
+
+
 # ---------------------------------------------------------------------------
 # kernel transforms by adaptive quadrature
 

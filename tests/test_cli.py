@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
 import struct
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalesq import (
     Geometry,
@@ -403,3 +409,78 @@ def test_huge_exponent_gives_finite_spread(tmp_path):
         warnings.simplefilter("error")
         assert main(["equivalence", "--config", cfg, "--out", out]) in (0, 1)
     assert math.isfinite(read_report(out)["spread"])
+
+
+# ---------------------------------------------------------------------------
+# random config dicts: a report or a named error, never a traceback
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=3),
+    st.floats(allow_nan=True, allow_infinity=True), st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def mostly(values):
+    """Values from the strategy, and one time in twelve anything JSON can hold."""
+    return st.integers(0, 11).flatmap(lambda i: JUNK if i == 7 else values)
+
+
+def with_stray_key(configs):
+    """One config in twelve gains a field the loader does not know."""
+    return st.tuples(configs, st.integers(0, 11)).map(lambda c: dict(c[0], extra=1) if c[1] == 7 else c[0])
+
+
+RANDOM_CONFIGS = with_stray_key(st.fixed_dictionaries(
+    {
+        "operator": mostly(st.sampled_from(["gfun", "gfun", "dyadic", "dyadic", "sobolev"])),
+        "kernel": mostly(st.sampled_from([
+            "haar", "gm:0.75", "poisson-q", "poisson-q:2", "riesz-diff:0.5:ball",
+            "riesz-diff:1.5:ball:2", "riesz-diff:3:ball", "sgn-diff:ball", "band:1:1.5",
+            "band:1:3", "gm:-1", "nope",
+        ])),
+        "order": mostly(st.floats(0.05, 2.5)),
+        # at most 64 points per axis: a missing n_samples would mean the 4096 default
+        "grid": st.fixed_dictionaries(
+            {"n_samples": mostly(st.sampled_from([8, 16, 32, 64, 3]))},
+            optional={"dim": mostly(st.sampled_from([1, 2, 2, 3])), "half_length": mostly(st.floats(0.25, 40.0))},
+        ),
+    },
+    optional={
+        "profile": mostly(st.sampled_from(["ball", "ball", "cube"])),
+        "p": mostly(st.floats(0.75, 6.0)),
+        "weight": mostly(st.sampled_from(["const", "pow:0.3", "pow:-0.5", "pow:1.5", "pow:x"])),
+        "seed": mostly(st.integers(-1, 5)),
+        "spread_bound": mostly(st.one_of(st.sampled_from([1.01, 1.5, 3.0]), st.floats(0.5, 100.0))),
+        "time": st.one_of(
+            st.fixed_dictionaries({"t_min": mostly(st.floats(1e-3, 2.0)), "t_max": mostly(st.floats(0.5, 50.0))}),
+            st.fixed_dictionaries({}, optional={"nodes_per_octave": mostly(st.integers(0, 8))}),
+        ),
+        "dyadic": st.fixed_dictionaries({}, optional={
+            "k_min": mostly(st.integers(-10, 4)),
+            "k_max": mostly(st.integers(-4, 10)),
+        }),
+    },
+))
+
+
+@given(command=st.sampled_from(["equivalence", "sobolev"]), cfg=RANDOM_CONFIGS)
+@settings(max_examples=40)
+def test_random_configs_end_in_a_report_or_a_named_error(command, cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "report.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", out])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            return
+        report = read_report(out)
+        if "error" in report:
+            # an experiment refused by its non-degeneracy gate fails without ratios
+            assert code == 1 and report["error"] == "nondegeneracy check failed"
+            return
+        assert isinstance(report["spread"], float) and math.isfinite(report["spread"])

@@ -30,7 +30,7 @@ from scalesq import (
     save_field_binary,
     save_field_csv,
 )
-from oracles import slow_transform
+from oracles import save_field_csv_rows, slow_transform
 
 
 def test_geometry_validation():
@@ -259,6 +259,21 @@ def test_csv_roundtrip(tmp_path, rng):
     g = load_field_csv(path)
     assert g.geometry == geom
     assert np.allclose(g.values, f.values, atol=0, rtol=0)
+
+
+@pytest.mark.parametrize("dim,n,block", [(1, 64, 7), (2, 16, 7), (1, 32768, None)])
+def test_csv_writer_matches_row_loop_byte_for_byte(tmp_path, rng, monkeypatch, dim, n, block):
+    if block is not None:  # several blocks and a partial last one
+        monkeypatch.setattr("scalesq.grid._CSV_BLOCK_ROWS", block)
+    geom = Geometry(dim, n, 2.5)
+    vals = rng.standard_normal(geom.shape) * 10.0 ** rng.integers(-300, 300, geom.shape)
+    vals = vals + 1j * rng.standard_normal(geom.shape)
+    vals.flat[:6] = [0.0, -0.0, 1.0, -1e-320, 0.1 + 3j, 1e300 - 0.0j]
+    f = SampledField(geom, vals)
+    fast, rows = tmp_path / "fast.csv", tmp_path / "rows.csv"
+    save_field_csv(f, str(fast))
+    save_field_csv_rows(f, str(rows))
+    assert fast.read_bytes() == rows.read_bytes()
 
 
 def test_binary_rejects_bad_magic(tmp_path):

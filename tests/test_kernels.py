@@ -309,3 +309,38 @@ def test_jacobi_rule_without_exponents_is_gauss_legendre():
     s, ws = _jacobi_rule(96)
     assert np.array_equal(s, (x + 1.0) / 2.0)
     assert np.array_equal(ws, w / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the radial flag, which the scale-layer engine trusts
+
+RADIAL_KERNELS = ["poisson-q", "poisson-q:2", "riesz-diff:0.5:ball", "riesz-diff:1.5:ball:2"]
+RADIAL_PROFILES = [("ball", 1), ("ball", 2)]
+
+
+def radial_cases():
+    cases = [(kid, kernel_from_id(kid)) for kid in RADIAL_KERNELS]
+    return cases + [(f"{pid}/{d}d", profile_from_id(pid, d).kernel) for pid, d in RADIAL_PROFILES]
+
+
+def test_radial_flags_of_the_registry():
+    for kid in ["haar", "gm:0.75", "sgn-diff:ball"]:
+        assert not kernel_from_id(kid).radial, kid
+    for _, kernel in radial_cases():
+        assert kernel.radial, kernel.name
+
+
+@pytest.mark.parametrize("name,kernel", radial_cases(), ids=[c[0] for c in radial_cases()])
+def test_radial_kernels_depend_on_the_modulus_alone(name, kernel):
+    rng = np.random.default_rng(17)
+    rho = 10.0 ** rng.uniform(-3.0, 2.0, 2000)
+    if kernel.dim == 1:
+        got, want = kernel.fourier(-rho), kernel.fourier(rho)
+    else:
+        # the modulus of the sampled point itself: rounding it differently would
+        # show the cancellation in 1 - ballhat at small |xi|, not a direction
+        theta = rng.uniform(0.0, 2.0 * math.pi, rho.size)
+        x, y = rho * np.cos(theta), rho * np.sin(theta)
+        got = kernel.fourier(x, y)
+        want = kernel.fourier(np.sqrt(x**2 + y**2), np.zeros_like(x))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

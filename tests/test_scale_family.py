@@ -1,5 +1,6 @@
 """The scale-family engine against the per-scale loops it replaced."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,7 @@ from scalesq import (
     modulated_gaussian_field,
     potential_smoothing_function,
     random_band_field,
+    riesz_symbol,
     scale_synthesis,
     smoothing_difference_function,
     sobolev_equivalence_ratio,
@@ -42,7 +44,7 @@ from scalesq import (
     weighted_norm,
 )
 from scalesq.sobolev import _smoothing_family
-from scalesq.squarefn import _second_difference_family, _sided_average_family
+from scalesq.squarefn import _fft_grids, _second_difference_family, _sided_average_family
 from oracles import (
     difference_multiplier,
     kernel_multiplier,
@@ -54,6 +56,7 @@ from oracles import (
     second_difference_loop,
     sided_average_loop,
 )
+from test_conditions import _tilted_gaussian_kernel
 
 GEOMS = {1: Geometry(1, 256, 16.0), 2: Geometry(2, 64, 8.0)}
 KERNELS = {1: ["haar", "gm:0.75", "poisson-q", "riesz-diff:0.5:ball", "sgn-diff:ball"],
@@ -290,3 +293,110 @@ def test_bad_constant_weights_still_raise(value):
     ):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             ratio_fn.batch(members)
+
+
+# ---------------------------------------------------------------------------
+# radial families: evaluated once per |xi| shell, gathered onto the grid
+
+def radial_families(dim: int):
+    """Every radial family the library builds, as the library builds it."""
+    profile = ball_average_profile(dim)
+    smoothing = _smoothing_family(0.5, profile, dim, TG.nodes, TG.weight * TG.nodes ** -1.0)
+    riesz = riesz_symbol(0.5).evaluate
+    families = {
+        "smoothing": smoothing,
+        "potential-layered": ScaleFamily(
+            TG.nodes, smoothing.weights,
+            lambda t, *xi: smoothing.multiplier(t, *xi) * riesz(*xi), profile.kernel.radial),
+    }
+    for kid in KERNELS[dim]:
+        kernel = kernel_from_id(kid)
+        if kernel.radial:
+            families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+            families[f"{kid}:dyadic"] = ScaleFamily.of_kernel(kernel, KR.scales)
+    return families
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shell_path_matches_full_grid_path(dim):
+    geom, fields = GEOMS[dim], energy_fields(dim)
+    axis = geom.frequency_axis()
+    symbol_inputs = {
+        "fft": _fft_grids(geom),
+        "centred": geom.frequency_grids(),
+        "cli-axis": (axis,) + (np.zeros_like(axis),) * (dim - 1),
+    }
+    families = radial_families(dim)
+    assert len(families) == 6  # two kernels of KERNELS[dim] are radial
+    for name, shells in families.items():
+        assert shells.radial, name
+        full = dataclasses.replace(shells, radial=False)
+        assert rel(shells.square_sum(fields), full.square_sum(fields)) <= 1e-12, name
+        layers = shells.layers(fields[1])
+        assert rel(layers, full.layers(fields[1])) <= 1e-12, name
+        assert rel(shells.synthesis(layers, geom).values, full.synthesis(layers, geom).values) <= 1e-12, name
+        for where, xi in symbol_inputs.items():
+            assert rel(shells.symbol(*xi), full.symbol(*xi)) <= 1e-12, (name, where)
+        want = full.energy(fields)
+        assert np.all(np.abs(shells.energy(fields) - want) <= 1e-12 * want), name
+
+
+def test_non_radial_kernel_keeps_the_full_grid():
+    kernel, f = _tilted_gaussian_kernel(), field(2, seed=9)
+    assert not kernel.radial
+    m = kernel_multiplier(kernel)
+    want = loop_square_sum(f, m, TG.nodes, TG.weight)
+    family = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+    assert rel(family.square_sum([f])[0], want) <= 1e-12
+    grids = GEOMS[2].frequency_grids()
+    assert rel(family.symbol(*grids), loop_symbol(m, TG.nodes, TG.weight, *grids)) <= 1e-12
+    # flagged radial, it would be evaluated on the first axis alone
+    assert rel(dataclasses.replace(family, radial=True).square_sum([f])[0], want) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the Sobolev ratio at p = 2 and a constant weight: one forward FFT per member
+
+def physical_sobolev_ratios(members, order, profile, p, weight):
+    """(||D Bg|| + ||Bg||) / ||g|| with B the Bessel potential and D the dyadic
+    smoothing differences, every norm taken in physical space."""
+    out = []
+    for g in members:
+        s = bessel_potential(g, order)
+        d = dyadic_smoothing_difference(s, order, profile, KR)
+        out.append((weighted_norm(d, p, weight) + weighted_norm(s, p, weight)) / weighted_norm(g, p, weight))
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("order", [0.25, 1.5])
+def test_sobolev_parseval_ratios_match_physical_route(dim, order):
+    members = default_test_family(GEOMS[dim], seed=12).members
+    profile = ball_average_profile(dim)
+    for weight in (constant_weight(), constant_weight(3.7)):
+        got = sobolev_equivalence_ratio(order, profile, KR, 2.0, weight).batch(members)
+        want = physical_sobolev_ratios(members, order, profile, 2.0, weight)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # p = 3 under a power weight keeps the physical route
+    weight = weight_from_id("pow:0.3", radius_floor=GEOMS[dim].spacing)
+    got = sobolev_equivalence_ratio(order, profile, KR, 3.0, weight).batch(members)
+    assert np.allclose(got, physical_sobolev_ratios(members, order, profile, 3.0, weight), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sobolev_p2_is_one_forward_fft_per_member(monkeypatch, dim):
+    members = default_test_family(GEOMS[dim], seed=6).members
+    ratio_fn = sobolev_equivalence_ratio(0.5, ball_average_profile(dim), KR, 2.0, constant_weight(3.7))
+    forward, calls = np.fft.fftn, []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return forward(*args, **kwargs)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("an inverse FFT ran")
+
+    monkeypatch.setattr(np.fft, "fftn", counted)
+    monkeypatch.setattr(np.fft, "ifftn", no_inverse)
+    assert all(r is not None for r in ratio_fn.batch(members))
+    assert calls == [GEOMS[dim].shape] * len(members)
