@@ -37,14 +37,17 @@ def _require_spatial(kernel: Kernel, what: str) -> None:
 def _sphere_abs(kernel: Kernel, r: np.ndarray) -> np.ndarray:
     """|psi(r omega)| at the sample points omega of the unit sphere, on a last axis.
 
-    One-dimensional 'spheres' are the two points {-r, r}; a radial kernel
-    needs one point, any other 2-D kernel a midpoint grid of angles.
+    A radial kernel needs one point in any dimension: in 1-D its tag means
+    spatial(-r) == spatial(r) bit for bit, so the point r gives the same
+    maximum and mean as the pair.  Otherwise a 1-D 'sphere' is the two
+    points {-r, r} and a 2-D one a midpoint grid of angles.
     """
     r = np.asarray(r, dtype=float)
+    if kernel.radial:
+        axis = (np.zeros_like(r),) * (kernel.dim - 1)
+        return np.abs(kernel.spatial(r, *axis))[..., None]
     if kernel.dim == 1:
         return np.stack([np.abs(kernel.spatial(r)), np.abs(kernel.spatial(-r))], axis=-1)
-    if kernel.radial:
-        return np.abs(kernel.spatial(r, np.zeros_like(r)))[:, None]
     theta = (np.arange(_ANGLES) + 0.5) * (2.0 * np.pi / _ANGLES)
     return np.abs(kernel.spatial(np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta))))
 
@@ -417,6 +420,10 @@ def _scan_max(
     tg = LogTimeGrid(1e-2, 1e2, nodes_per_octave)
     exps = np.arange(-2.0, 2.0 + 1e-9, j_step)
     ms = np.arange(2.0, 12.0 + 1e-9, m_step)
+    # hormander_energy(x, y) is total(sgn x, 1 - y/x) / x^2; each class total is
+    # the energy at x = sgn x, whose y = sgn x (1 - stretch) reproduces the stretch
+    # exactly (Sterbenz: stretch lies in [3/4, 5/4])
+    totals: dict[tuple[float, float], float] = {}
     best = (-math.inf, (0.0, 0.0))
     for sx in (1.0, -1.0):
         for ex in exps:
@@ -424,7 +431,10 @@ def _scan_max(
             for sy in (1.0, -1.0):
                 for m in ms:
                     yy = sy * 2.0**-m * abs(xx)
-                    L = hormander_energy(kernel, xx, yy, tg)
+                    key = (sx, 1.0 - yy / xx)
+                    if key not in totals:
+                        totals[key] = hormander_energy(kernel, sx, sx * (1.0 - key[1]), tg)
+                    L = totals[key] / xx**2
                     ratio = L * abs(xx) ** (1.0 + 2.0 * alpha) / abs(yy) ** (2.0 * alpha - 1.0)
                     if ratio > best[0]:
                         best = (float(ratio), (float(xx), float(yy)))
@@ -440,6 +450,13 @@ def marcinkiewicz_estimate_scan(alpha: float, refine: bool = True) -> ScanReport
     refinement pass doubles both grid densities and the quadrature order;
     the scan passes when the maximum is finite and moves by at most 5
     percent.
+
+    The energy is computed once per class (sgn x, 1 - y/x), the only
+    arguments its integral depends on, and divided by x^2 for each |x|:
+    every ratio equals the per-point call bit for bit, so the maximum and
+    the argmax among tied ratios are those of the point-by-point scan.
+    That is 44 energy integrals on the coarse grid and 86 on the refined
+    one, where one per point would take 748 and 2772.
     """
     if not 0.5 < alpha < 1.5:
         raise ValueError(f"alpha must lie in (0.5, 1.5), got {alpha}")

@@ -17,7 +17,11 @@ The zoo:
 * ball (averaging profile): normalized indicator of the unit ball.
 * riesz-diff:a:profile[:d]: riesz_core - profile * riesz_core where
   riesz_core has hat (2 pi |xi|)^(-a); hat is (2 pi |xi|)^(-a)(1 - profilehat).
-* sgn-diff:profile: sgn - sgn * profile; hat is -i (1 - profilehat)/(pi xi).
+* sgn-diff:profile: sgn - sgn * profile = sgn(x) - (2 cdf(x) - 1) in closed
+  form; hat is -i (1 - profilehat)/(pi xi).
+
+Both difference kernels take 1 - profilehat from the profile's `deficit`,
+which keeps full relative precision near xi = 0.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from scipy.special import roots_jacobi
 
 _MOMENT_TOL = 1e-9
 _SPATIAL_BLOCK = 2048
+_DEFICIT_SERIES = 0.05  # |xi| below which 1 - profilehat comes from its Taylor series
 
 
 class MomentClassError(ValueError):
@@ -155,19 +160,23 @@ class AveragingProfile:
     """Unit-mass bump used for local averages f * profile_t.
 
     `density` is the real-valued profile, which `kernel.spatial` returns as
-    complex; the spatial quadratures evaluate it directly.  `max_order` is
-    the supremum of orders alpha for which the profile satisfies the moment
-    conditions (unit mass; vanishing moments of degrees 1..floor(alpha) when
-    alpha >= 1).  `moment` optionally returns exact mixed moments for a
-    degree tuple; profiles without it are integrated numerically over
-    `support_box`.
+    complex; the spatial quadratures evaluate it directly.  `deficit` is the
+    real 1 - profilehat, to full relative precision near the origin where
+    the subtraction cancels.  `max_order` is the supremum of orders alpha for
+    which the profile satisfies the moment conditions (unit mass; vanishing
+    moments of degrees 1..floor(alpha) when alpha >= 1).  `moment`
+    optionally returns exact mixed moments for a degree tuple; profiles
+    without it are integrated numerically over `support_box`.  `cdf`, for
+    1-D profiles, is the closed-form integral of the density up to x.
     """
 
     kernel: Kernel
     density: Callable
+    deficit: Callable
     support_box: tuple[tuple[float, float], ...]
     max_order: float
     moment: Callable | None = None
+    cdf: Callable | None = None
 
     @property
     def dim(self) -> int:
@@ -364,10 +373,28 @@ def _disk_moment(gamma: tuple[int, ...]) -> float:
     return angular / ((a + b + 2.0) * math.pi)
 
 
+# Taylor coefficients of the ball deficits in w: 1 - sin(z)/z = w sum_k (-1)^k w^k/(2k+3)!
+# with w = z^2, z = 2 pi xi; 1 - J1(z)/(z/2) = w sum_k (-1)^k w^k/((k+1)!(k+2)!) with
+# w = (z/2)^2, z = 2 pi rho.  For |xi| < _DEFICIT_SERIES the eighth term is below
+# 1e-20 of the first.
+_SINC_DEFICIT = np.array([(-1.0) ** k / math.factorial(2 * k + 3) for k in range(8)])
+_DISK_DEFICIT = np.array([(-1.0) ** k / (math.factorial(k + 1) * math.factorial(k + 2)) for k in range(8)])
+
+
+def _series_deficit(w: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """w sum_k coeffs[k] w^k by Horner's rule."""
+    acc = np.full_like(w, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        acc *= w
+        acc += c
+    return w * acc
+
+
 def ball_average_profile(dim: int = 1) -> AveragingProfile:
     """Normalized indicator of the unit ball; unit mass, even, order < 2."""
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
+    cdf = None
     if dim == 1:
         def density(x):
             x = np.asarray(x, dtype=float)
@@ -375,6 +402,18 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
 
         def fourier(xi):
             return np.sinc(2.0 * np.asarray(xi, dtype=float)).astype(complex)
+
+        def deficit(xi):
+            xi = np.asarray(xi, dtype=float)
+            out = np.asarray(1.0 - np.sinc(2.0 * xi))
+            a = np.abs(xi)
+            small = (a < _DEFICIT_SERIES) & (a > 0.0)  # 1 - sinc(0) is 0 exactly
+            if small.any():  # skip the fixed cost of the series when no point needs it
+                out[small] = _series_deficit((2.0 * np.pi * xi[small]) ** 2, _SINC_DEFICIT)
+            return out
+
+        def cdf(x):
+            return (np.clip(np.asarray(x, dtype=float), -1.0, 1.0) + 1.0) / 2.0
 
         def moment(gamma):
             (k,) = gamma
@@ -384,11 +423,23 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
             r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
             return np.where(r2 <= 1.0, 1.0 / math.pi, 0.0)
 
+        def modulus(x, y):
+            return np.sqrt(np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2)
+
         def fourier(x, y):
-            rho = np.sqrt(np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2)
+            rho = modulus(x, y)
             out = np.ones(rho.shape, dtype=complex)
             nz = rho > 1e-12
             out[nz] = _bessel_j1(2.0 * np.pi * rho[nz]) / (np.pi * rho[nz])
+            return out
+
+        def deficit(x, y):
+            rho = modulus(x, y)
+            small = rho < _DEFICIT_SERIES
+            out = np.empty(rho.shape)
+            big = rho[~small]
+            out[~small] = 1.0 - _bessel_j1(2.0 * np.pi * big) / (np.pi * big)
+            out[small] = _series_deficit((np.pi * rho[small]) ** 2, _DISK_DEFICIT)
             return out
 
         moment = _disk_moment
@@ -407,9 +458,11 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
     return AveragingProfile(
         kernel=kern,
         density=density,
+        deficit=deficit,
         support_box=((-1.0, 1.0),) * dim,
         max_order=2.0,
         moment=moment,
+        cdf=cdf,
     )
 
 
@@ -466,14 +519,14 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
         raise ValueError(f"need 0 < alpha < dim = {dim}, got alpha = {alpha}")
     _require_moment_class(profile, alpha, "riesz_difference_kernel")
     tau = riesz_constant(alpha, dim)
-    profile_hat = profile.fourier
+    deficit = profile.deficit
 
     def fourier(*coords):
         rho = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        hat = np.asarray(profile_hat(*coords), dtype=complex)
+        gap = deficit(*coords)
         out = np.zeros(rho.shape, dtype=complex)
         nz = rho > 1e-300
-        out[nz] = (2.0 * np.pi * rho[nz]) ** (-alpha) * (1.0 - hat[nz])
+        out[nz] = (2.0 * np.pi * rho[nz]) ** (-alpha) * gap[nz]
         return out
 
     def spatial(*coords):
@@ -502,34 +555,30 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
     """sgn - sgn * profile in one dimension; hat is -i (1 - profilehat)/(pi xi).
 
     Requires a profile in the order-1 moment class (unit mass, vanishing
-    first moment), which makes the hat O(|xi|) at the origin.
+    first moment), which makes the hat O(|xi|) at the origin, and with a
+    closed-form cdf: (sgn * profile)(x) = 2 cdf(x) - 1, so the spatial side
+    is sgn(x) - (2 cdf(x) - 1) exactly.
     """
     if profile.dim != 1:
         raise ValueError("sgn_difference_kernel is one-dimensional")
+    if profile.cdf is None:
+        raise ValueError(f"sgn_difference_kernel: profile '{profile.name}' has no cdf")
     _require_moment_class(profile, 1.0, "sgn_difference_kernel")
-    profile_hat = profile.fourier
+    deficit = profile.deficit
+    cdf = profile.cdf
     (lo, hi) = profile.support_box[0]
-    prof_density = profile.density
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)
-        hat = np.asarray(profile_hat(xi), dtype=complex)
+        gap = deficit(xi)
         out = np.zeros(xi.shape, dtype=complex)
         nz = np.abs(xi) > 1e-300
-        out[nz] = -1j * (1.0 - hat[nz]) / (np.pi * xi[nz])
+        out[nz] = -1j * gap[nz] / (np.pi * xi[nz])
         return out
 
-    s, w = _jacobi_rule(256)
-
     def spatial(x):
-        flat = np.asarray(x, dtype=float).ravel()
-        span = np.clip(flat, lo, hi) - lo
-        # cdf(x) = integral_lo^x profile
-        cdf = _blocked_quadrature(w, lambda sp: prof_density(lo + np.outer(s, sp)), span) * span
-        vals = np.sign(flat) - (2.0 * cdf - 1.0)
-        vals[flat > hi] = np.sign(flat[flat > hi]) - 1.0
-        vals[flat < lo] = np.sign(flat[flat < lo]) + 1.0
-        return vals.reshape(np.shape(x)).astype(complex)
+        x = np.asarray(x, dtype=float)
+        return (np.sign(x) - (2.0 * cdf(x) - 1.0)).astype(complex)
 
     radius = max(abs(lo), abs(hi))
     return Kernel(

@@ -108,6 +108,26 @@ def poisson_hat_quad(xi: float) -> complex:
     return complex(2.0 * val)
 
 
+def ball_deficit_mpmath(rho, dim: int, dps: int = 40):
+    """1 - ballhat at modulus rho as an mpmath number: 1 - sin(z)/z with
+    z = 2 pi rho in 1-D, 1 - J1(z)/(z/2) in 2-D."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        z = 2 * mpmath.pi * mpmath.mpf(rho)
+        if dim == 1:
+            return 1 - mpmath.sin(z) / z
+        return 1 - mpmath.besselj(1, z) / (z / 2)
+
+
+def sgn_ball_average_quad(x: float) -> float:
+    """(sgn * ball)(x) = integral over |y| < 1 of sgn(x - y) / 2 dy, adaptively."""
+    cut = min(max(x, -1.0), 1.0)
+    below, _ = integrate.quad(lambda y: 0.5 * np.sign(x - y), -1.0, cut)
+    above, _ = integrate.quad(lambda y: 0.5 * np.sign(x - y), cut, 1.0)
+    return below + above
+
+
 def disk_hat_dblquad(rho: float) -> float:
     """Transform of the unit-disk average at radius rho, by direct 2-D quadrature."""
 
@@ -230,6 +250,31 @@ def hormander_quad(kernel, x: float, y: float) -> float:
     pts = sorted(p for p in (R, R / stretch) if 0.0 < p < top)
     val, _ = integrate.quad(integrand, 0.0, top, points=pts, limit=800)
     return val / (x * x)
+
+
+def scan_max_pointwise(
+    kernel, alpha: float, j_step: float, m_step: float, nodes_per_octave: int
+) -> tuple[float, tuple[float, float]]:
+    """The Hormander ratio scan with one energy integral per (x, y) point:
+    the slow route of conditions.marcinkiewicz_estimate_scan, same grid,
+    same visiting order, same strict comparison."""
+    from scalesq import LogTimeGrid, hormander_energy
+
+    tg = LogTimeGrid(1e-2, 1e2, nodes_per_octave)
+    exps = np.arange(-2.0, 2.0 + 1e-9, j_step)
+    ms = np.arange(2.0, 12.0 + 1e-9, m_step)
+    best = (-math.inf, (0.0, 0.0))
+    for sx in (1.0, -1.0):
+        for ex in exps:
+            xx = sx * 2.0**ex
+            for sy in (1.0, -1.0):
+                for m in ms:
+                    yy = sy * 2.0**-m * abs(xx)
+                    L = hormander_energy(kernel, xx, yy, tg)
+                    ratio = L * abs(xx) ** (1.0 + 2.0 * alpha) / abs(yy) ** (2.0 * alpha - 1.0)
+                    if ratio > best[0]:
+                        best = (float(ratio), (float(xx), float(yy)))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from scalesq import (
     radial_majorant_l1,
     tail_moment_integral,
 )
-from scalesq.conditions import _panel, _radial_abs_max
+from scalesq import conditions
+from scalesq.conditions import _angular_power_sum, _panel, _radial_abs_max
 from oracles import (
     gm_local_power_closed,
     haar_hormander_closed,
@@ -30,6 +32,7 @@ from oracles import (
     poisson_local_power_quad,
     poisson_majorant_l1_closed,
     poisson_tail_moment_quad,
+    scan_max_pointwise,
     scan_ratio_alpha1_closed,
 )
 
@@ -97,6 +100,31 @@ def test_majorant_memory_is_bounded(kid):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("u", [2.0, 4.0])
+def test_sgn_difference_local_power_closed_form(u):
+    # |sgn(x) - clip(x, -1, 1)|^u = (1 - |x|)^u on the ball
+    got = local_power_integral(kernel_from_id("sgn-diff:ball"), u)
+    assert abs(got - 2.0 / (u + 1.0)) <= 1e-13
+
+
+def test_sgn_difference_majorant_is_one():
+    # the envelope of 1 - |x| is itself; its integral over [-1, 1] is 1
+    assert abs(radial_majorant_l1(kernel_from_id("sgn-diff:ball")) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kid", ["poisson-q", "riesz-diff:0.5:ball", "riesz-diff:0.25:ball"])
+def test_radial_sphere_is_one_point_in_1d(kid):
+    # one point r stands for the pair {-r, r}: the same bits as the untagged kernel
+    kernel = kernel_from_id(kid)
+    untagged = replace(kernel, radial=False)
+    r = np.concatenate([np.geomspace(1e-4, 40.0, 3001), [0.5, 1.0, 1.5]])
+    assert np.array_equal(_radial_abs_max(kernel, r), _radial_abs_max(untagged, r))
+    for u in (1.0, 2.0, 4.0):
+        assert np.array_equal(
+            _angular_power_sum(kernel, r, u), _angular_power_sum(untagged, r, u)
+        )
 
 
 def test_poisson_majorant_closed_form():
@@ -194,6 +222,20 @@ def test_hormander_poisson_positive_finite():
 # ---------------------------------------------------------------------------
 # the scan
 
+@pytest.mark.parametrize("kid", ["gm:0.75", "haar", "poisson-q"])
+def test_hormander_energy_scale_law(kid):
+    # lambda^2 E(lambda x, lambda y) = E(x, y): the energy depends on the
+    # signs and y/x alone apart from its x^-2, which the scan relies on
+    k = kernel_from_id(kid)
+    for sx in (1.0, -1.0):
+        for sy in (1.0, -1.0):
+            x, y = sx * 1.3, sy * 0.21
+            base = hormander_energy(k, x, y)
+            for lam in (2.0**-3.5, 0.37, 3.0, 2.0**4.25):
+                got = lam**2 * hormander_energy(k, lam * x, lam * y)
+                assert math.isclose(got, base, rel_tol=1e-13), (sx, sy, lam)
+
+
 def test_scan_ratio_curve_matches_closed_form():
     k = marcinkiewicz_kernel(1.0)
     for m in (2, 3, 4):
@@ -217,6 +259,25 @@ def test_scan_without_refinement():
     assert math.isfinite(rep.max_ratio)
     assert math.isnan(rep.refinement_delta)
     assert rep.passed
+
+
+@pytest.mark.parametrize("alpha", [0.75, 1.0, 1.25])
+def test_scan_matches_pointwise_scan(alpha, monkeypatch):
+    k = marcinkiewicz_kernel(alpha)
+    coarse = scan_max_pointwise(k, alpha, 0.25, 1.0, 16)
+    fine = scan_max_pointwise(k, alpha, 0.125, 0.5, 32)
+    calls = []
+    energy = conditions.hormander_energy
+    monkeypatch.setattr(
+        conditions, "hormander_energy", lambda *a: calls.append(a) or energy(*a)
+    )
+    rep = marcinkiewicz_estimate_scan(alpha, refine=False)
+    assert (rep.max_ratio, rep.argmax) == coarse
+    # one energy per (sgn x, 1 - y/x) class: 2 x-signs, 2 y-signs, 11 m
+    assert len(calls) == 44
+    rep = marcinkiewicz_estimate_scan(alpha)
+    assert (rep.max_ratio, rep.argmax) == fine
+    assert rep.refinement_delta == (fine[0] - coarse[0]) / coarse[0]
 
 
 def test_scan_alpha_gate():
@@ -304,3 +365,20 @@ def test_non_radial_sphere_max_over_midpoint_angles():
     # the midpoint angle nearest the x axis is pi/64
     expected = r * np.exp(-np.pi * r**2) * math.cos(math.pi / 64.0)
     np.testing.assert_allclose(_radial_abs_max(_tilted_gaussian_kernel(), r), expected, rtol=1e-13, atol=0)
+
+
+def test_untagged_1d_sphere_is_both_points():
+    # neither even nor odd, so |psi(-r)| != |psi(r)|: the sphere {-r, r} needs both
+    k = Kernel(
+        dim=1,
+        name="shifted-gauss",
+        spatial=lambda x: np.exp(-np.pi * (x - 0.5) ** 2).astype(complex),
+        fourier=lambda xi: np.exp(-np.pi * xi**2 - 1j * np.pi * xi),
+        fourier_mode="closed_form",
+        support_radius=math.inf,
+        cancellation_order=-1,
+    )
+    r = np.array([0.1, 0.5, 1.3, 3.0])
+    plus, minus = np.exp(-np.pi * (r - 0.5) ** 2), np.exp(-np.pi * (r + 0.5) ** 2)
+    np.testing.assert_allclose(_radial_abs_max(k, r), plus, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(_angular_power_sum(k, r, 2.0), plus**2 + minus**2, rtol=1e-14, atol=0)

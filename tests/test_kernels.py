@@ -20,6 +20,7 @@ from scalesq import (
 )
 from scalesq.kernels import _jacobi_rule
 from oracles import (
+    ball_deficit_mpmath,
     ball_hat_1d_closed,
     disk_hat_dblquad,
     gm_hat_mpmath,
@@ -27,6 +28,7 @@ from oracles import (
     haar_hat_closed,
     odd_compact_hat,
     poisson_hat_quad,
+    sgn_ball_average_quad,
 )
 
 XI_PROBES = [0.3, 1.7, 4.9, 12.3]
@@ -234,12 +236,71 @@ def test_sgn_difference_hat_and_spatial():
 
 
 def test_sgn_difference_spatial_batch_is_pointwise():
-    # 5000 points span three evaluation blocks; each point must not depend
-    # on the rest of the batch
+    # each point must not depend on the rest of the batch
     k = kernel_from_id("sgn-diff:ball")
     x = np.linspace(-1.5, 1.5, 5000)
     pointwise = np.array([k.spatial(np.array([v]))[0] for v in x])
     assert np.array_equal(k.spatial(x), pointwise)
+
+
+SGN_POINTS = [0.0, 1.0, -1.0, 2.5, -2.5, 0.3, -0.7, 0.999, -1.0 + 1e-9, 1.5, 1e-12]
+
+
+def test_sgn_difference_spatial_matches_quad():
+    # sgn - sgn * ball against adaptive quadrature of the convolution
+    k = kernel_from_id("sgn-diff:ball")
+    want = np.array([np.sign(x) - sgn_ball_average_quad(x) for x in SGN_POINTS])
+    isolated = np.array([k.spatial(np.array([x]))[0] for x in SGN_POINTS])
+    batched = k.spatial(np.array(SGN_POINTS))
+    for got in (isolated, batched):
+        assert np.all(np.imag(got) == 0.0)
+        assert np.max(np.abs(np.real(got) - want)) <= 1e-12
+
+
+# moduli on both sides of the switch from the Taylor series of 1 - profilehat
+DEFICIT_PROBES = [1e-6, 1e-4, 1.5e-3, 0.04, 0.06]
+
+
+def _rel_err(got: complex, want) -> float:
+    return abs(complex(got) - complex(want)) / abs(complex(want))
+
+
+@pytest.mark.parametrize("rho", DEFICIT_PROBES)
+def test_ball_deficit_vs_mpmath(rho):
+    assert _rel_err(profile_from_id("ball", 1).deficit(np.array([rho]))[0],
+                    ball_deficit_mpmath(rho, 1)) <= 1e-13
+    assert _rel_err(profile_from_id("ball", 2).deficit(np.array([rho]), np.array([0.0]))[0],
+                    ball_deficit_mpmath(rho, 2)) <= 1e-13
+
+
+@pytest.mark.parametrize("rho", DEFICIT_PROBES)
+@pytest.mark.parametrize("kid", ["riesz-diff:0.5:ball", "riesz-diff:1.5:ball:2", "riesz-diff:0.5:ball:2"])
+def test_riesz_difference_hat_near_origin_vs_mpmath(kid, rho):
+    import mpmath
+
+    k = kernel_from_id(kid)
+    alpha = float(kid.split(":")[1])
+    if k.dim == 1:
+        points = [(np.array([rho]),), (np.array([-rho]),)]
+    else:
+        points = [(np.array([rho]), np.array([0.0])),
+                  (np.array([rho * math.cos(0.7)]), np.array([rho * math.sin(0.7)]))]
+    for coords in points:
+        with mpmath.workdps(40):
+            mod = mpmath.sqrt(sum(mpmath.mpf(float(c[0])) ** 2 for c in coords))
+            want = (2 * mpmath.pi * mod) ** (-alpha) * ball_deficit_mpmath(mod, k.dim)
+        assert _rel_err(k.fourier(*coords)[0], want) <= 1e-13, coords
+
+
+@pytest.mark.parametrize("rho", DEFICIT_PROBES)
+def test_sgn_difference_hat_near_origin_vs_mpmath(rho):
+    import mpmath
+
+    k = kernel_from_id("sgn-diff:ball")
+    for xi in (rho, -rho):
+        with mpmath.workdps(40):
+            want = -1j * ball_deficit_mpmath(xi, 1) / (mpmath.pi * xi)
+        assert _rel_err(k.fourier(np.array([xi]))[0], want) <= 1e-13, xi
 
 
 def test_band_kernel_hat():
@@ -328,6 +389,25 @@ def test_radial_flags_of_the_registry():
         assert not kernel_from_id(kid).radial, kid
     for _, kernel in radial_cases():
         assert kernel.radial, kernel.name
+
+
+REGISTRY_1D = ["haar", "gm:0.75", "gm:1.25", "poisson-q", "riesz-diff:0.25:ball",
+               "riesz-diff:0.5:ball", "riesz-diff:0.9:ball", "sgn-diff:ball"]
+
+
+def radial_1d_cases():
+    cases = [(kid, kernel_from_id(kid)) for kid in REGISTRY_1D]
+    cases.append(("ball/1d", profile_from_id("ball", 1).kernel))
+    return [(name, k) for name, k in cases if k.radial]
+
+
+@pytest.mark.parametrize("name,kernel", radial_1d_cases(), ids=[c[0] for c in radial_1d_cases()])
+def test_radial_1d_kernels_are_even_in_space(name, kernel):
+    # the tag must hold in space too: the condition checkers sample a radial
+    # kernel at r alone and take its value at -r to be the same bits
+    rng = np.random.default_rng(23)
+    r = np.concatenate([10.0 ** rng.uniform(-4.0, 2.0, 3000), [0.5, 1.0, 1.0 + 1e-12, 2.0]])
+    assert np.array_equal(kernel.spatial(-r), kernel.spatial(r))
 
 
 @pytest.mark.parametrize("name,kernel", radial_cases(), ids=[c[0] for c in radial_cases()])
