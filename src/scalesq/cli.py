@@ -45,8 +45,8 @@ from .kernels import Kernel, kernel_from_id, profile_from_id
 from .multiplier import (
     continuous_symbol,
     dyadic_symbol,
-    homogeneity_defect,
-    symbol_min_modulus,
+    sampled_homogeneity_defect,
+    sampled_min_modulus,
 )
 from .sobolev import (
     default_test_family,
@@ -113,6 +113,7 @@ def _kernel_metadata(kernel: Kernel) -> dict:
         "name": kernel.name,
         "dim": kernel.dim,
         "radial": kernel.radial,
+        "odd": kernel.odd,
         "has_spatial": kernel.spatial is not None,
         "fourier_mode": kernel.fourier_mode,
         "support_radius": kernel.support_radius,
@@ -147,30 +148,31 @@ def _cmd_symbol(args) -> int:
     kernel = kernel_from_id(args.kernel)
     geom = _geometry_for(default_geometry(kernel.dim), args)
     sym = _build_symbol(kernel, geom, args)
+    vals = sym.sample(geom)  # the one evaluation the CSV (in 1-D) and both checks read
 
     # values along the first frequency axis; 2-D kernels are sliced at xi_2 = 0
     axis_geom = Geometry(1, geom.n_samples, geom.half_length)
     xi = axis_geom.frequency_axis()
-    rest = (np.zeros_like(xi),) * (kernel.dim - 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(sym.evaluate(xi, *rest), dtype=complex)
-    vals = np.broadcast_to(vals, xi.shape).copy()
-    vals[axis_geom.dc_index] = sym.dc_value
+    axis_vals = vals
+    if geom.dim > 1:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            axis_vals = np.asarray(sym.evaluate(xi, *(np.zeros_like(xi),) * (geom.dim - 1)), dtype=complex)
+        axis_vals = np.broadcast_to(axis_vals, xi.shape).copy()
+        axis_vals[axis_geom.dc_index] = sym.dc_value
 
     with open(args.out, "w") as fh:
         fh.write(f"# symbol={sym.name} mode={args.mode} n={geom.n_samples} half_length={geom.half_length!r}\n")
         fh.write("xi,re,im\n")
-        for x, v in zip(xi, vals):
+        for x, v in zip(xi, axis_vals):
             fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
-    check_geom = geom if kernel.dim == geom.dim else axis_geom
     sidecar = {
         "symbol": sym.name,
         "mode": args.mode,
         "meta": sym.meta,
         "homogeneity": sym.homogeneity,
-        "homogeneity_defect": homogeneity_defect(sym, check_geom),
-        "annulus_min_modulus": symbol_min_modulus(sym, check_geom, annulus=(1.0, 2.0)),
+        "homogeneity_defect": sampled_homogeneity_defect(vals, geom),
+        "annulus_min_modulus": sampled_min_modulus(vals, geom, annulus=(1.0, 2.0)),
     }
     _emit_json(sidecar, args.out + ".json")
     print(f"wrote {args.out} and {args.out}.json")

@@ -37,13 +37,14 @@ def _require_spatial(kernel: Kernel, what: str) -> None:
 def _sphere_abs(kernel: Kernel, r: np.ndarray) -> np.ndarray:
     """|psi(r omega)| at the sample points omega of the unit sphere, on a last axis.
 
-    A radial kernel needs one point in any dimension: in 1-D its tag means
-    spatial(-r) == spatial(r) bit for bit, so the point r gives the same
-    maximum and mean as the pair.  Otherwise a 1-D 'sphere' is the two
-    points {-r, r} and a 2-D one a midpoint grid of angles.
+    A radial kernel needs one point in any dimension, and so does an odd
+    1-D kernel: their tags mean |spatial(-r)| == |spatial(r)| bit for bit,
+    so the point r gives the same maximum and mean as the pair.  Otherwise
+    a 1-D 'sphere' is the two points {-r, r} and a 2-D one a midpoint grid
+    of angles.
     """
     r = np.asarray(r, dtype=float)
-    if kernel.radial:
+    if kernel.radial or (kernel.odd and kernel.dim == 1):
         axis = (np.zeros_like(r),) * (kernel.dim - 1)
         return np.abs(kernel.spatial(r, *axis))[..., None]
     if kernel.dim == 1:

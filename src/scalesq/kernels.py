@@ -121,6 +121,11 @@ class Kernel:
     * fourier_origin_exponent eps: |psihat(xi)| <= C |xi|^eps near 0.
     * edge_singularity (r, e): |psi| ~ (r - |x|)^e as |x| -> r inside the
       support, e < 0 meaning an integrable blow-up.
+
+    Symmetry tags, which the scale-layer engine and the condition checkers
+    trust: `radial` promises that psi and psihat depend on |x| and |xi| alone;
+    `odd` promises psi(-x) == -psi(x) and psihat(-xi) == -psihat(xi), both
+    bit for bit.
     """
 
     dim: int
@@ -135,6 +140,7 @@ class Kernel:
     fourier_origin_exponent: float | None = None
     edge_singularity: tuple[float, float] | None = None
     radial: bool = False
+    odd: bool = False
 
     def fourier_at_scale(self, t: float, *coords):
         """Fourier transform of the L1-normalized dilate, psihat(t xi)."""
@@ -291,6 +297,7 @@ def haar_kernel() -> Kernel:
         cancellation_order=0,
         fourier_tail_exponent=1.0,
         fourier_origin_exponent=1.0,
+        odd=True,
     )
 
 
@@ -327,6 +334,7 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
         fourier_tail_exponent=min(alpha, 1.0),
         fourier_origin_exponent=1.0,
         edge_singularity=edge,
+        odd=True,
     )
 
 
@@ -557,12 +565,17 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
     Requires a profile in the order-1 moment class (unit mass, vanishing
     first moment), which makes the hat O(|xi|) at the origin, and with a
     closed-form cdf: (sgn * profile)(x) = 2 cdf(x) - 1, so the spatial side
-    is sgn(x) - (2 cdf(x) - 1) exactly.
+    is sgn(x) - (2 cdf(x) - 1) exactly.  The profile must be even (radial),
+    which makes the kernel odd; the spatial side is evaluated on |x| and
+    given the sign of x, and the hat divides the even deficit by xi, so the
+    `odd` tag holds bit for bit.
     """
     if profile.dim != 1:
         raise ValueError("sgn_difference_kernel is one-dimensional")
     if profile.cdf is None:
         raise ValueError(f"sgn_difference_kernel: profile '{profile.name}' has no cdf")
+    if not profile.kernel.radial:
+        raise ValueError(f"sgn_difference_kernel: profile '{profile.name}' is not even")
     _require_moment_class(profile, 1.0, "sgn_difference_kernel")
     deficit = profile.deficit
     cdf = profile.cdf
@@ -578,7 +591,7 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
 
     def spatial(x):
         x = np.asarray(x, dtype=float)
-        return (np.sign(x) - (2.0 * cdf(x) - 1.0)).astype(complex)
+        return (np.sign(x) * (1.0 - (2.0 * cdf(np.abs(x)) - 1.0))).astype(complex)
 
     radius = max(abs(lo), abs(hi))
     return Kernel(
@@ -591,6 +604,7 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
         cancellation_order=0,
         fourier_tail_exponent=1.0,
         fourier_origin_exponent=1.0,
+        odd=True,
     )
 
 

@@ -265,7 +265,11 @@ def bessel_split_symbol(alpha: float) -> Symbol:
 
 def homogeneity_defect(sym: Symbol, geom: Geometry) -> float:
     """max |m(2 xi) - m(xi)| over nonzero grid frequencies with 2 xi on-grid."""
-    vals = sym.sample(geom)
+    return sampled_homogeneity_defect(sym.sample(geom), geom)
+
+
+def sampled_homogeneity_defect(vals: np.ndarray, geom: Geometry) -> float:
+    """`homogeneity_defect` of the values a symbol's `sample(geom)` returned."""
     n = geom.n_samples
     sel = np.arange(n // 4, 3 * n // 4)  # j in [-N/4, N/4)
     dbl = 2 * sel - n // 2
@@ -284,7 +288,13 @@ def homogeneity_defect(sym: Symbol, geom: Geometry) -> float:
 
 def symbol_min_modulus(sym: Symbol, geom: Geometry, annulus: tuple[float, float] | None = None) -> float:
     """Min |m| over nonzero grid frequencies, optionally within an annulus."""
-    vals = sym.sample(geom)
+    return sampled_min_modulus(sym.sample(geom), geom, annulus)
+
+
+def sampled_min_modulus(
+    vals: np.ndarray, geom: Geometry, annulus: tuple[float, float] | None = None
+) -> float:
+    """`symbol_min_modulus` of the values a symbol's `sample(geom)` returned."""
     mag = np.abs(vals)
     mag[geom.dc_index] = np.inf
     if annulus is not None:

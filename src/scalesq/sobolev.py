@@ -64,14 +64,15 @@ def _smoothing_family(
     order: float, profile: AveragingProfile, dim: int, scales, weights
 ) -> ScaleFamily:
     """Multipliers 1 - Phihat(t xi), the layers f - Phi_t * f, behind the
-    order, dimension and moment-class gates."""
+    order, dimension and moment-class gates.  The multiplier is the
+    profile's `deficit`, which keeps full relative precision at small t xi."""
     if order <= 0:
         raise ValueError(f"order must be positive, got {order}")
     if profile.dim != dim:
         raise ValueError(f"profile '{profile.name}' has dim {profile.dim}, field has dim {dim}")
     _require_moment_class(profile, order, "smoothing differences")
-    fourier = profile.fourier
-    multiplier = lambda t, *xi: 1.0 - fourier(*(t * x for x in xi))
+    deficit = profile.deficit
+    multiplier = lambda t, *xi: deficit(*(t * x for x in xi))
     return ScaleFamily(scales, weights, multiplier, profile.kernel.radial)
 
 

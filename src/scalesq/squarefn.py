@@ -17,9 +17,12 @@ the symbol integrated against the field's power spectrum.
 A radial family, one whose multipliers depend on |xi| alone, is evaluated
 once per |xi| shell: each call finds the distinct |xi|^2 of its input,
 evaluates a (scales, shells) table and gathers it onto the grid; the symbol
-is summed over scales on the shells and gathered once.  Nothing is cached
-between calls.  The p = 2 constant-weight Sobolev ratio in `sobolev` builds
-on the same Parseval identity and takes one forward FFT per field.
+is summed over scales on the shells and gathered once.  A 1-D odd family,
+m_t(-xi) = -m_t(xi), is evaluated the same way on the distinct |xi| and
+gathered with the sign of xi; its symbol, even, ignores the sign.  Nothing
+is cached between calls.  The p = 2 constant-weight Sobolev ratio in
+`sobolev` builds on the same Parseval identity and takes one forward FFT
+per field.
 
 Continuous scale: m_t(xi) = psihat(t xi), psi_t the L1-normalized dilate,
 on a log-time grid weighted by its dt/t rule.  Dyadic: t = 2^k, unit weights.
@@ -141,13 +144,16 @@ class ScaleFamily:
     (c, 1, ..., 1), one trailing axis per axis of the broadcast frequency
     arrays xi, and the result broadcasts to (c,) + that shape.  `radial`
     declares that m_t(xi) depends on |xi| alone; such a family is evaluated
-    once per distinct |xi|^2 of its input, at (|xi|, 0, ..., 0).
+    once per distinct |xi|^2 of its input, at (|xi|, 0, ..., 0).  `odd`
+    declares m_t(-xi) == -m_t(xi) bit for bit; on 1-D input such a family
+    is evaluated once per distinct |xi| and the values at xi < 0 negated.
     """
 
     scales: NDArray[np.float64]
     weights: NDArray[np.float64]
     multiplier: Callable
     radial: bool = False
+    odd: bool = False
 
     def __post_init__(self):
         scales = np.atleast_1d(np.asarray(self.scales, dtype=float))
@@ -162,23 +168,34 @@ class ScaleFamily:
                 raise ValueError(f"kernel '{kernel.name}' has dim {kernel.dim}, field has dim {len(xi)}")
             return kernel.fourier(*(t * x for x in xi))
 
-        return cls(scales, weights, multiplier, kernel.radial)
+        return cls(scales, weights, multiplier, kernel.radial, kernel.odd)
 
     def _points(self, xi):
-        """(where to evaluate the multipliers, the index gathering them onto xi).
+        """(where to evaluate the multipliers, the index gathering them onto xi,
+        the sign applied after the gather).
 
         A radial family is evaluated on its shells, the distinct values of
-        |xi|^2, at (|xi|, 0, ..., 0); the index maps each point of xi to its
-        shell.  Any other family is evaluated at xi itself, index None.
+        |xi|^2, at (|xi|, 0, ..., 0); an odd family on 1-D input on the
+        distinct |xi|, with sign -1 where xi < 0 (xi = 0 keeps its value).
+        The index maps each point of xi to its shell.  Any other family is
+        evaluated at xi itself, index and sign None.
         """
-        if not self.radial:
-            return xi, None
-        r2 = sum(np.asarray(x, dtype=float) ** 2 for x in xi)
-        shells, index = np.unique(r2, return_inverse=True)
+        sign = None
+        if self.radial:
+            key = sum(np.asarray(x, dtype=float) ** 2 for x in xi)
+            shells, index = np.unique(key, return_inverse=True)
+            rho = np.sqrt(shells)
+            points = (rho,) + (np.zeros_like(rho),) * (len(xi) - 1)
+        elif self.odd and len(xi) == 1:
+            x = np.asarray(xi[0], dtype=float)
+            key = np.abs(x)
+            shells, index = np.unique(key, return_inverse=True)
+            points, sign = (shells,), np.where(x < 0, -1.0, 1.0)
+        else:
+            return xi, None, None
         # the index lives through every chunk: the narrowest dtype keeps it small
-        index = index.reshape(np.shape(r2)).astype(np.min_scalar_type(shells.size))
-        rho = np.sqrt(shells)
-        return (rho,) + (np.zeros_like(rho),) * (len(xi) - 1), index
+        index = index.reshape(np.shape(key)).astype(np.min_scalar_type(shells.size))
+        return points, index, sign
 
     def _tables(self, points, layers: int):
         """(slice of scales, their multipliers at points) for chunks of `layers` scales."""
@@ -189,9 +206,13 @@ class ScaleFamily:
 
     def _chunks(self, xi, layers: int):
         """(slice of scales, their multipliers on xi) for chunks of `layers` scales."""
-        points, index = self._points(xi)
+        points, index, sign = self._points(xi)
         for chunk, m in self._tables(points, layers):
-            yield chunk, m if index is None else np.take(m, index, axis=1)
+            if index is not None:
+                m = np.take(m, index, axis=1)
+            if sign is not None:
+                m *= sign
+            yield chunk, m
 
     def _layer_chunks(self, fields: Sequence[SampledField]):
         """(scales, fields, their layers in FFT order) for a batch, chunk by chunk."""
@@ -248,7 +269,7 @@ class ScaleFamily:
 
     def symbol(self, *xi) -> NDArray[np.float64]:
         """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi."""
-        points, index = self._points([np.asarray(x, dtype=float) for x in xi])
+        points, index, _ = self._points([np.asarray(x, dtype=float) for x in xi])  # |m|^2 is even
         acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in points)))
         for chunk, m in self._tables(points, _chunk_layers(acc.size)):
             acc += np.einsum("j,j...->...", self.weights[chunk], np.abs(m) ** 2)
@@ -301,7 +322,7 @@ def _sided_average_family(alpha: float, scales, u_nodes: int, weights=1.0) -> Sc
         phase = 2.0 * np.pi * t * xi[0]
         return -2j * sum(wi * np.sin(si * phase) for si, wi in zip(s, W))
 
-    return ScaleFamily(scales, weights, multiplier)
+    return ScaleFamily(scales, weights, multiplier, odd=True)
 
 
 def sided_average_layer(
@@ -331,7 +352,7 @@ def _second_difference_family(f: SampledField, scales, weights=1.0) -> ScaleFami
         raise ValueError("second differences are one-dimensional")
     _require_mean_zero(f, "the antiderivative route")
 
-    return ScaleFamily(scales, weights, lambda t, xi: -2j * np.pi * t * xi * np.sinc(t * xi) ** 2)
+    return ScaleFamily(scales, weights, lambda t, xi: -2j * np.pi * t * xi * np.sinc(t * xi) ** 2, odd=True)
 
 
 def second_difference_layer(f: SampledField, t: float) -> SampledField:

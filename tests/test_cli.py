@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 
 from scalesq import (
     Geometry,
+    LogTimeGrid,
+    kernel_from_id,
     l2_norm,
     load_field_csv,
     mean_subtract,
@@ -21,6 +24,7 @@ from scalesq import (
     save_field_binary,
     save_field_csv,
 )
+from scalesq import cli
 from scalesq.cli import main
 from scalesq.config import ConfigError, equivalence_config_from_dict
 
@@ -166,6 +170,24 @@ def test_symbol_determinism(tmp_path):
     assert main(SYMBOL_ARGS + ["--out", out_b]) == 0
     assert open(out_a).read() == open(out_b).read()
     assert read_report(out_a + ".json") == read_report(out_b + ".json")
+
+
+def test_symbol_evaluates_its_symbol_once(tmp_path, monkeypatch):
+    # one sample feeds the CSV and both checks, and the odd gm kernel is
+    # evaluated on the N/2 + 1 distinct |xi| of the grid
+    kernel, seen = kernel_from_id("gm:0.75"), []
+
+    def fourier(xi):
+        seen.append(np.size(xi))
+        return kernel.fourier(xi)
+
+    monkeypatch.setattr(cli, "kernel_from_id", lambda kid: dataclasses.replace(kernel, fourier=fourier))
+    n = 256
+    args = ["symbol", "--kernel", "gm:0.75", "--grid-n", str(n), "--t-min", "0.01", "--t-max", "100",
+            "--nodes-per-octave", "8", "--out", str(tmp_path / "sym.csv")]
+    assert main(args) == 0
+    probes = 49 + 25  # the decay-envelope probes of multiplier._tail_meta
+    assert sum(seen) <= (n // 2 + 1) * LogTimeGrid(0.01, 100.0, 8).node_count + probes
 
 
 # ---------------------------------------------------------------------------

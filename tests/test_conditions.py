@@ -127,6 +127,19 @@ def test_radial_sphere_is_one_point_in_1d(kid):
         )
 
 
+@pytest.mark.parametrize("kid", ["gm:0.75", "haar"])
+def test_odd_sphere_is_one_point_in_1d(kid):
+    # |psi(-r)| == |psi(r)| for an odd kernel, so r stands for {-r, r} as for a radial one
+    kernel = kernel_from_id(kid)
+    untagged = replace(kernel, odd=False)
+    r = np.concatenate([np.geomspace(1e-4, 40.0, 3001), [0.5, 1.0, 1.0 - 1e-12, 1.5]])
+    assert np.array_equal(_radial_abs_max(kernel, r), _radial_abs_max(untagged, r))
+    for u in (1.0, 2.0, 4.0):
+        assert np.array_equal(
+            _angular_power_sum(kernel, r, u), _angular_power_sum(untagged, r, u)
+        )
+
+
 def test_poisson_majorant_closed_form():
     got = radial_majorant_l1(poisson_derivative_kernel(1))
     assert math.isclose(got, poisson_majorant_l1_closed(), rel_tol=1e-4)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,6 +236,14 @@ def test_sgn_difference_hat_and_spatial():
         assert abs(impl - oracle) < 1e-8
 
 
+def test_sgn_difference_needs_an_even_profile():
+    # the spatial side is evaluated on |x|, which only an even profile allows
+    p = ball_average_profile(1)
+    uneven = replace(p, kernel=replace(p.kernel, radial=False))
+    with pytest.raises(ValueError, match="not even"):
+        sgn_difference_kernel(uneven)
+
+
 def test_sgn_difference_spatial_batch_is_pointwise():
     # each point must not depend on the rest of the batch
     k = kernel_from_id("sgn-diff:ball")
@@ -424,3 +433,32 @@ def test_radial_kernels_depend_on_the_modulus_alone(name, kernel):
         got = kernel.fourier(x, y)
         want = kernel.fourier(np.sqrt(x**2 + y**2), np.zeros_like(x))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the odd flag, which the scale-layer engine and the condition checkers trust
+
+ODD_KERNELS = ["haar", "gm:0.75", "gm:1", "gm:1.25", "sgn-diff:ball"]
+
+
+def test_odd_flags_of_the_registry():
+    for kid in ODD_KERNELS:
+        assert kernel_from_id(kid).odd, kid
+    for kid in ["poisson-q", "poisson-q:2", "riesz-diff:0.5:ball", "band:1:2"]:
+        assert not kernel_from_id(kid).odd, kid
+    for d in (1, 2):
+        assert not profile_from_id("ball", d).kernel.odd
+
+
+def odd_points() -> np.ndarray:
+    """~3000 points over six decades, with 0, +-1 and 1 +- 1e-12."""
+    rng = np.random.default_rng(29)
+    x = 10.0 ** rng.uniform(-4.0, 2.5, 3000) * rng.choice((-1.0, 1.0), 3000)
+    return np.concatenate([x, [0.0, 1.0, -1.0, 1.0 + 1e-12, 1.0 - 1e-12, -1.0 - 1e-12, 0.5, 2.0]])
+
+
+@pytest.mark.parametrize("kid", ODD_KERNELS)
+def test_odd_kernels_are_odd_bit_for_bit(kid):
+    kernel, x = kernel_from_id(kid), odd_points()
+    assert np.array_equal(kernel.spatial(-x), -kernel.spatial(x))
+    assert np.array_equal(kernel.fourier(-x), -kernel.fourier(x))

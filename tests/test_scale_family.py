@@ -355,6 +355,49 @@ def test_non_radial_kernel_keeps_the_full_grid():
 
 
 # ---------------------------------------------------------------------------
+# odd 1-D families: evaluated once per |xi|, gathered with the sign of xi
+
+def odd_families():
+    """Every odd 1-D family the library builds, as the library builds it."""
+    families = {
+        "sided-average": _sided_average_family(0.75, TG.nodes, 32, TG.weight),
+        "second-difference": _second_difference_family(field(1), TG.nodes, TG.weight),
+    }
+    for kid in KERNELS[1]:
+        kernel = kernel_from_id(kid)
+        if kernel.odd:
+            families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+            families[f"{kid}:dyadic"] = ScaleFamily.of_kernel(kernel, KR.scales)
+    return families
+
+
+def test_odd_path_matches_full_grid_path():
+    geom, fields = GEOMS[1], energy_fields(1)
+    families = odd_families()
+    assert len(families) == 8  # three kernels of KERNELS[1] are odd
+    for name, half in families.items():
+        assert half.odd, name
+        full = dataclasses.replace(half, odd=False)
+        # m(-xi) == -m(xi) bit for bit, so every layer is the same bits
+        assert np.array_equal(half.square_sum(fields), full.square_sum(fields)), name
+        layers = half.layers(fields[1])
+        assert np.array_equal(layers, full.layers(fields[1])), name
+        assert np.array_equal(half.synthesis(layers, geom).values, full.synthesis(layers, geom).values), name
+        # the symbol sums its scales in chunks sized by the evaluated points
+        for xi in (_fft_grids(geom)[0], geom.frequency_axis()):
+            want = full.symbol(xi)
+            assert np.all(np.abs(half.symbol(xi) - want) <= 2e-15 * want), name
+
+
+def test_a_wrong_odd_tag_changes_the_g_function():
+    # poisson-q is even: tagged odd, its layers at xi < 0 change sign
+    kernel = kernel_from_id("poisson-q")
+    wrong = dataclasses.replace(kernel, odd=True, radial=False)
+    f = field(1, seed=9)
+    assert rel(g_function(f, wrong, TG).values, g_function(f, kernel, TG).values) > 1e-2
+
+
+# ---------------------------------------------------------------------------
 # the Sobolev ratio at p = 2 and a constant weight: one forward FFT per member
 
 def physical_sobolev_ratios(members, order, profile, p, weight):

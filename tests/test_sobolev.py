@@ -33,11 +33,27 @@ from scalesq import (
     square_function_ratio,
     weighted_norm,
 )
-from oracles import moving_average_physical
+from scalesq.sobolev import _smoothing_family
+from oracles import ball_deficit_mpmath, moving_average_physical
 
 
 def mz_band(geom, seed=0):
     return mean_subtract(random_band_field(geom, seed=seed, band=(0.25, 4.0)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-3, 0.06])
+def test_smoothing_multiplier_vs_mpmath(dim, s):
+    # 1 - Phihat(t xi) at |t xi| = s, where forming it by subtraction would cancel
+    import mpmath
+
+    family = _smoothing_family(0.5, ball_average_profile(dim), dim, [1.0], 1.0)
+    points = [(s,), (-s,)] if dim == 1 else [(s, 0.0), (s * math.cos(0.7), s * math.sin(0.7))]
+    for xi in points:
+        got = family.multiplier(np.ones((1, 1)), *(np.array([x]) for x in xi))[0, 0]
+        with mpmath.workdps(40):
+            want = ball_deficit_mpmath(mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for x in xi)), dim)
+        assert abs(got - want) <= 1e-13 * abs(want), xi
 
 
 def test_bessel_roundtrip(geom_small):
