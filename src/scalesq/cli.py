@@ -30,9 +30,9 @@ from .conditions import (
     nondegeneracy_check,
 )
 from .grid import (
-    DyadicRange,
+    NODES_PER_OCTAVE,
     Geometry,
-    LogTimeGrid,
+    ScaleSet,
     default_geometry,
     l2_norm,
     load_field_binary,
@@ -50,12 +50,11 @@ from .multiplier import (
 )
 from .sobolev import (
     default_test_family,
-    dyadic_square_ratio,
     equivalence_experiment,
     sobolev_equivalence_ratio,
     square_function_ratio,
 )
-from .squarefn import dyadic_g_function, g_function
+from .squarefn import g_function
 from .weights import weight_from_id
 
 
@@ -99,11 +98,10 @@ def _geometry_for(base: Geometry, args) -> Geometry:
     return GridConfig(base.dim, n, L).geometry()
 
 
-def _time_grid_for(geom: Geometry, args) -> LogTimeGrid:
-    return TimeGridConfig(args.t_min, args.t_max, args.nodes_per_octave).time_grid(geom)
-
-
-def _dyadic_range_for(geom: Geometry, args) -> DyadicRange:
+def _scales_for(geom: Geometry, args) -> ScaleSet:
+    """The scale set of --mode, with the --t-* / --nodes-per-octave or --k-* overrides."""
+    if args.mode == "continuous":
+        return TimeGridConfig(args.t_min, args.t_max, args.nodes_per_octave).time_grid(geom)
     return DyadicConfig(args.k_min, args.k_max).dyadic_range(geom)
 
 
@@ -135,30 +133,21 @@ def _cmd_kernel_info(args) -> int:
 
 
 def _build_symbol(kernel: Kernel, geom: Geometry, args):
+    scales = _scales_for(geom, args)
     if args.mode == "continuous":
-        tg = _time_grid_for(geom, args)
-        sym = continuous_symbol(kernel, tg)
-    else:
-        kr = _dyadic_range_for(geom, args)
-        sym = dyadic_symbol(kernel, kr)
-    return sym
+        return continuous_symbol(kernel, scales)
+    return dyadic_symbol(kernel, scales)
 
 
 def _cmd_symbol(args) -> int:
     kernel = kernel_from_id(args.kernel)
     geom = _geometry_for(default_geometry(kernel.dim), args)
     sym = _build_symbol(kernel, geom, args)
-    vals = sym.sample(geom)  # the one evaluation the CSV (in 1-D) and both checks read
+    vals = sym.sample(geom)  # the one evaluation the CSV and both checks read
 
-    # values along the first frequency axis; 2-D kernels are sliced at xi_2 = 0
-    axis_geom = Geometry(1, geom.n_samples, geom.half_length)
-    xi = axis_geom.frequency_axis()
-    axis_vals = vals
-    if geom.dim > 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            axis_vals = np.asarray(sym.evaluate(xi, *(np.zeros_like(xi),) * (geom.dim - 1)), dtype=complex)
-        axis_vals = np.broadcast_to(axis_vals, xi.shape).copy()
-        axis_vals[axis_geom.dc_index] = sym.dc_value
+    # values along the first frequency axis; 2-D symbols are sliced at xi_2 = 0
+    xi = geom.frequency_axis()
+    axis_vals = vals[(slice(None),) + geom.dc_index[1:]]
 
     with open(args.out, "w") as fh:
         fh.write(f"# symbol={sym.name} mode={args.mode} n={geom.n_samples} half_length={geom.half_length!r}\n")
@@ -193,10 +182,7 @@ def _cmd_gfun(args) -> int:
     else:
         geom = _geometry_for(default_geometry(kernel.dim), args)
         f = mean_subtract(random_band_field(geom, args.seed))
-    if args.mode == "continuous":
-        g = g_function(f, kernel, _time_grid_for(geom, args))
-    else:
-        g = dyadic_g_function(f, kernel, _dyadic_range_for(geom, args))
+    g = g_function(f, kernel, _scales_for(geom, args))
     nf = l2_norm(f)
     ng = l2_norm(g)
     if args.out is not None:
@@ -226,14 +212,8 @@ def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
                 },
                 False,
             )
-        if cfg.operator == "gfun":
-            ratio_fn = square_function_ratio(
-                kernel, cfg.time.time_grid(geom), cfg.p, weight
-            )
-        else:
-            ratio_fn = dyadic_square_ratio(
-                kernel, cfg.dyadic.dyadic_range(geom), cfg.p, weight
-            )
+        scales = cfg.time.time_grid(geom) if mode == "continuous" else cfg.dyadic.dyadic_range(geom)
+        ratio_fn = square_function_ratio(kernel, scales, cfg.p, weight)
     else:
         profile = profile_from_id(cfg.profile, geom.dim)
         ratio_fn = sobolev_equivalence_ratio(
@@ -315,7 +295,7 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 def _add_scale_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-min", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--nodes-per-octave", type=int, default=16)
+    p.add_argument("--nodes-per-octave", type=int, default=NODES_PER_OCTAVE)
     p.add_argument("--k-min", type=int, default=None)
     p.add_argument("--k-max", type=int, default=None)
 

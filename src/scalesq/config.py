@@ -12,7 +12,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .grid import DyadicRange, Geometry, LogTimeGrid, default_dyadic_range, default_geometry, default_time_grid
+from .grid import (
+    NODES_PER_OCTAVE,
+    DyadicRange,
+    Geometry,
+    LogTimeGrid,
+    default_dyadic_range,
+    default_geometry,
+    default_time_grid,
+)
 
 
 class ConfigError(ValueError):
@@ -105,7 +113,7 @@ class TimeGridConfig:
 
     t_min: float | None = None
     t_max: float | None = None
-    nodes_per_octave: int = 16
+    nodes_per_octave: int = NODES_PER_OCTAVE
 
     def time_grid(self, geom: Geometry) -> LogTimeGrid:
         lo, hi = self.t_min, self.t_max
@@ -124,7 +132,7 @@ def time_config_from_dict(d: Mapping, context: str = "time") -> TimeGridConfig:
     pre = f"{context}."
     t_min = _get_number(d, "t_min", None, pre)
     t_max = _get_number(d, "t_max", None, pre)
-    j = _get_int(d, "nodes_per_octave", 16, pre)
+    j = _get_int(d, "nodes_per_octave", NODES_PER_OCTAVE, pre)
     if j is None or j < 1:
         raise ConfigError(f"{pre}nodes_per_octave", "must be a positive integer")
     if (t_min is None) != (t_max is None):

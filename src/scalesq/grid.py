@@ -24,6 +24,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 _BINARY_MAGIC = b"SFLD"
+# log-time nodes per octave of a continuous-scale grid unless one is given
+NODES_PER_OCTAVE = 16
 # CSV rows formatted per block: Python floats take four times a sample's bytes
 _CSV_BLOCK_ROWS = 16384
 
@@ -173,22 +175,26 @@ def mean_value(f: SampledField) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# scale grids
+# scale sets
+#
+# A scale set gives increasing `scales` t_j and the `weight` w every scale
+# carries; a square function over it is sum_j w |psi_{t_j} * f|^2.  The two
+# kinds differ only in those two values.
 
 
 @dataclass(frozen=True)
 class LogTimeGrid:
     """Midpoint rule in log t for integrals against dt/t on [t_min, t_max].
 
-    The cell width in log2 t is 1/J with J = nodes_per_octave; nodes sit at
-    cell midpoints t_min * 2^((j + 1/2)/J) and every node carries the weight
+    The cell width in log2 t is 1/J with J = nodes_per_octave; the scales sit
+    at cell midpoints t_min * 2^((j + 1/2)/J) and every one carries the weight
     ln(2)/J.  When J*log2(t_max/t_min) is an integer the rule integrates
     constants exactly: sum of weights = ln(t_max/t_min).
     """
 
     t_min: float
     t_max: float
-    nodes_per_octave: int = 16
+    nodes_per_octave: int = NODES_PER_OCTAVE
 
     def __post_init__(self):
         if not (0 < self.t_min < self.t_max):
@@ -204,7 +210,7 @@ class LogTimeGrid:
         return int(np.ceil(self.nodes_per_octave * octaves - 1e-9))
 
     @property
-    def nodes(self) -> NDArray[np.float64]:
+    def scales(self) -> NDArray[np.float64]:
         j = np.arange(self.node_count)
         return self.t_min * 2.0 ** ((j + 0.5) / self.nodes_per_octave)
 
@@ -213,13 +219,8 @@ class LogTimeGrid:
         """Quadrature weight per node for the dt/t measure."""
         return np.log(2.0) / self.nodes_per_octave
 
-    def window_mask(self, lo: float, hi: float) -> NDArray[np.bool_]:
-        """Nodes falling in the open interval (lo, hi)."""
-        t = self.nodes
-        return (t > lo) & (t < hi)
 
-
-def default_time_grid(geom: Geometry, nodes_per_octave: int = 16) -> LogTimeGrid:
+def default_time_grid(geom: Geometry, nodes_per_octave: int = NODES_PER_OCTAVE) -> LogTimeGrid:
     """Truncation adapted to the grid: t from 4h up to L/4."""
     return LogTimeGrid(4.0 * geom.spacing, geom.half_length / 4.0, nodes_per_octave)
 
@@ -229,16 +230,18 @@ def quadrature_sum(g: Callable, tg: LogTimeGrid) -> complex:
 
     g must accept a vector of nodes and return node values.
     """
-    vals = np.asarray(g(tg.nodes))
+    vals = np.asarray(g(tg.scales))
     return tg.weight * complex(np.sum(vals))
 
 
 @dataclass(frozen=True)
 class DyadicRange:
-    """Integer scale exponents k_min..k_max inclusive, scales t = 2^k."""
+    """Integer scale exponents k_min..k_max inclusive, scales t = 2^k, each
+    with weight 1."""
 
     k_min: int
     k_max: int
+    weight = 1.0
 
     def __post_init__(self):
         if self.k_min > self.k_max:
@@ -258,6 +261,9 @@ def default_dyadic_range(geom: Geometry) -> DyadicRange:
     lo = int(np.floor(np.log2(geom.spacing))) - 1
     hi = int(np.ceil(np.log2(geom.half_length))) + 1
     return DyadicRange(lo, hi)
+
+
+ScaleSet = LogTimeGrid | DyadicRange
 
 
 # ---------------------------------------------------------------------------

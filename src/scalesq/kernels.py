@@ -170,18 +170,16 @@ class AveragingProfile:
     real 1 - profilehat, to full relative precision near the origin where
     the subtraction cancels.  `max_order` is the supremum of orders alpha for
     which the profile satisfies the moment conditions (unit mass; vanishing
-    moments of degrees 1..floor(alpha) when alpha >= 1).  `moment`
-    optionally returns exact mixed moments for a degree tuple; profiles
-    without it are integrated numerically over `support_box`.  `cdf`, for
-    1-D profiles, is the closed-form integral of the density up to x.
+    moments of degrees 1..floor(alpha) when alpha >= 1).  `moment` returns
+    the exact mixed moment for a degree tuple.  `cdf`, for 1-D profiles, is
+    the closed-form integral of the density up to x.
     """
 
     kernel: Kernel
     density: Callable
     deficit: Callable
-    support_box: tuple[tuple[float, float], ...]
     max_order: float
-    moment: Callable | None = None
+    moment: Callable
     cdf: Callable | None = None
 
     @property
@@ -219,22 +217,6 @@ class MomentClassReport:
         return out
 
 
-def _numeric_moment(profile: AveragingProfile, gamma: tuple[int, ...]) -> float:
-    nodes = 160
-    s, w = _jacobi_rule(nodes)
-    axes, weights = [], []
-    for lo, hi in profile.support_box:
-        axes.append(lo + (hi - lo) * s)
-        weights.append((hi - lo) * w)
-    if profile.dim == 1:
-        vals = profile.spatial(axes[0]) * axes[0] ** gamma[0]
-        return float(np.real(np.sum(weights[0] * vals)))
-    X = axes[0][:, None]
-    Y = axes[1][None, :]
-    vals = profile.spatial(X, Y) * X ** gamma[0] * Y ** gamma[1]
-    return float(np.real(weights[0] @ vals @ weights[1]))
-
-
 def _degree_tuples(dim: int, degree: int) -> list[tuple[int, ...]]:
     if dim == 1:
         return [(degree,)]
@@ -245,14 +227,11 @@ def moment_class_check(profile: AveragingProfile, alpha: float) -> MomentClassRe
     """Check membership of the profile in the order-alpha moment class.
 
     Requires unit total mass, and for alpha >= 1 vanishing moments of all
-    degrees 1..floor(alpha).  Values are exact when the profile supplies a
-    moment function, otherwise Gauss-Legendre over the support box.
+    degrees 1..floor(alpha).  The values are the profile's exact moments.
     """
     if alpha <= 0:
         raise ValueError(f"order must be positive, got {alpha}")
-    mom = profile.moment if profile.moment is not None else (
-        lambda gamma: _numeric_moment(profile, gamma)
-    )
+    mom = profile.moment
     zero = (0,) * profile.dim
     mass_err = abs(mom(zero) - 1.0)
     moments: dict[tuple[int, ...], float] = {}
@@ -467,7 +446,6 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
         kernel=kern,
         density=density,
         deficit=deficit,
-        support_box=((-1.0, 1.0),) * dim,
         max_order=2.0,
         moment=moment,
         cdf=cdf,
@@ -579,7 +557,6 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
     _require_moment_class(profile, 1.0, "sgn_difference_kernel")
     deficit = profile.deficit
     cdf = profile.cdf
-    (lo, hi) = profile.support_box[0]
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)
@@ -593,14 +570,13 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
         x = np.asarray(x, dtype=float)
         return (np.sign(x) * (1.0 - (2.0 * cdf(np.abs(x)) - 1.0))).astype(complex)
 
-    radius = max(abs(lo), abs(hi))
     return Kernel(
         dim=1,
         name=f"sgn-diff:{profile.name}",
         spatial=spatial,
         fourier=fourier,
         fourier_mode=profile.kernel.fourier_mode,
-        support_radius=radius,
+        support_radius=profile.kernel.support_radius,
         cancellation_order=0,
         fourier_tail_exponent=1.0,
         fourier_origin_exponent=1.0,

@@ -28,7 +28,7 @@ from .grid import (
     inverse_transform,
 )
 from .kernels import Kernel
-from .squarefn import ScaleFamily, _kept_run
+from .squarefn import ScaleFamily, _window_run
 
 
 class DegenerateSymbolError(ValueError):
@@ -99,10 +99,8 @@ def continuous_symbol(
     identity.  Tail-error constants derived from the kernel's decay
     metadata land in meta["tail"].
     """
-    keep = slice(None)
-    if window is not None:
-        keep = _kept_run(tg.window_mask(*window), f"no time nodes inside window {window}")
-    nodes = tg.nodes[keep]
+    scales = tg.scales
+    nodes = scales[_window_run(scales, window)]
     meta = {"t_lo": float(nodes[0]), "t_hi": float(nodes[-1]), "node_count": int(nodes.size)}
     evaluate = ScaleFamily.of_kernel(kernel, nodes, tg.weight).symbol
     return Symbol(f"m[{kernel.name}]", evaluate, 0.0, "homogeneous:0", meta | _tail_meta(kernel))

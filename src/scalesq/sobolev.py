@@ -8,14 +8,15 @@ alpha.  The dyadic potential difference is the same object driven by the
 smoothed Riesz-difference kernel, which makes several identities exact in
 spectral arithmetic rather than approximate.  `equivalence_experiment`
 measures how far the norm comparisons are from equalities on a fixed
-family of test fields.
+family of test fields; its ratio functions take the whole family in one
+call and return one ratio per member, None for a zero denominator.  The
+square-function ratio takes either kind of scale set (`grid.ScaleSet`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .grid import (
     Geometry,
     LogTimeGrid,
     SampledField,
+    ScaleSet,
     bump_field,
     gaussian_field,
     mean_subtract,
@@ -37,7 +39,7 @@ from .squarefn import (
     _fft_grids,
     _power_spectrum,
     _require_mean_zero,
-    dyadic_g_function,
+    g_function,
 )
 from .weights import Weight, constant_on_grid, constant_weight, weighted_norm
 
@@ -85,7 +87,7 @@ def smoothing_difference_function(
     floor(order), otherwise the differences cannot see order `order`
     smoothness and the result is meaningless; that gate raises.
     """
-    family = _smoothing_family(order, profile, f.geometry.dim, tg.nodes, tg.weight * tg.nodes ** (-2.0 * order))
+    family = _smoothing_family(order, profile, f.geometry.dim, tg.scales, tg.weight * tg.scales ** (-2.0 * order))
     return family.square_function([f])[0]
 
 
@@ -98,29 +100,20 @@ def dyadic_smoothing_difference(
 
 
 def potential_smoothing_function(
-    f: SampledField,
-    order: float,
-    profile: AveragingProfile,
-    tg: LogTimeGrid,
-    route: str = "compose",
+    f: SampledField, order: float, profile: AveragingProfile, tg: LogTimeGrid
 ) -> SampledField:
     """Smoothing differences of the fractional integral of f.
 
-    route="compose" literally chains riesz_potential into
-    smoothing_difference_function; route="layered" builds each layer from
-    the combined symbol t^(-order) (2 pi |xi|)^(-order) (1 - Phihat(t xi))
-    in one pass.  The two differ only by transform round-off.
+    Equal, up to transform round-off, to smoothing_difference_function of
+    riesz_potential(f, order); each layer is built in one pass from the
+    combined symbol t^(-order) (2 pi |xi|)^(-order) (1 - Phihat(t xi)).
     """
-    if route == "compose":
-        return smoothing_difference_function(riesz_potential(f, order), order, profile, tg)
-    if route != "layered":
-        raise ValueError(f"unknown route '{route}'")
-    weights = tg.weight * tg.nodes ** (-2.0 * order)
-    diff = _smoothing_family(order, profile, f.geometry.dim, tg.nodes, weights)
+    weights = tg.weight * tg.scales ** (-2.0 * order)
+    diff = _smoothing_family(order, profile, f.geometry.dim, tg.scales, weights)
     _require_mean_zero(f, "potential_smoothing_function")
     riesz = riesz_symbol(order).evaluate
     multiplier = lambda t, *xi: diff.multiplier(t, *xi) * riesz(*xi)
-    family = ScaleFamily(tg.nodes, weights, multiplier, profile.kernel.radial)
+    family = ScaleFamily(tg.scales, weights, multiplier, profile.kernel.radial)
     return family.square_function([f])[0]
 
 
@@ -136,7 +129,7 @@ def dyadic_potential_difference(
     """
     _require_mean_zero(f, "dyadic_potential_difference")
     kernel = riesz_difference_kernel(order, profile)
-    return dyadic_g_function(f, kernel, kr)
+    return g_function(f, kernel, kr)
 
 
 def sobolev_norm(
@@ -253,16 +246,14 @@ class RatioReport:
 def equivalence_experiment(
     family: TestFamily, ratio_fn, operator: str, p: float, weight_label: str
 ) -> RatioReport:
-    """Evaluate ratio_fn on every member; zero denominators skip the member.
+    """Evaluate ratio_fn on the members; a None ratio skips its member.
 
-    A ratio_fn with a `batch` method (see `FamilyRatio`) gets all members in
-    one call; any other callable is called member by member.
+    ratio_fn takes the list of members and returns one ratio per member,
+    None where the denominator is zero.
     """
-    batch = getattr(ratio_fn, "batch", None)
-    values = batch(family.members) if batch is not None else [ratio_fn(f) for f in family.members]
     ratios: list[float] = []
     skipped: list[str] = []
-    for r, label in zip(values, family.labels):
+    for r, label in zip(ratio_fn(family.members), family.labels):
         if r is None:
             skipped.append(label)
         else:
@@ -281,20 +272,6 @@ def equivalence_experiment(
         max_ratio=hi,
         spread=hi / lo if lo > 0 else float("inf"),
     )
-
-
-@dataclass(frozen=True)
-class FamilyRatio:
-    """A ratio_fn that evaluates a whole batch of fields in one engine call.
-
-    `batch(fields)` returns one ratio per field, None where the denominator
-    is zero; calling the object on one field runs a batch of one.
-    """
-
-    batch: Callable
-
-    def __call__(self, f: SampledField):
-        return self.batch([f])[0]
 
 
 def _ratios(numerators, denominators) -> list:
@@ -320,25 +297,20 @@ def _square_norms(family: ScaleFamily, fields, p: float, weight: Weight) -> list
     return [weighted_norm(g, p, weight) for g in family.square_function(fields)]
 
 
-def _square_ratio(family: ScaleFamily, p: float, weight: Weight) -> FamilyRatio:
-    def batch(fields):
+def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Weight):
+    """ratio_fn: weighted norm of the square function over the scale set
+    against that of f."""
+    family = ScaleFamily.of_kernel(kernel, scales.scales, scales.weight)
+
+    def ratio_fn(fields):
         return _norm_ratios(fields, _square_norms(family, fields, p, weight), p, weight)
 
-    return FamilyRatio(batch)
-
-
-def square_function_ratio(kernel, tg: LogTimeGrid, p: float, weight: Weight) -> FamilyRatio:
-    """ratio_fn: weighted norm of the continuous square function over that of f."""
-    return _square_ratio(ScaleFamily.of_kernel(kernel, tg.nodes, tg.weight), p, weight)
-
-
-def dyadic_square_ratio(kernel, kr: DyadicRange, p: float, weight: Weight) -> FamilyRatio:
-    return _square_ratio(ScaleFamily.of_kernel(kernel, kr.scales), p, weight)
+    return ratio_fn
 
 
 def sobolev_equivalence_ratio(
     order: float, profile: AveragingProfile, kr: DyadicRange, p: float, weight: Weight
-) -> FamilyRatio:
+):
     """ratio_fn for the three-norm comparison: smooth g, then ask whether
     the smoothing-difference norm plus the smoothed norm returns ||g||.
 
@@ -351,7 +323,7 @@ def sobolev_equivalence_ratio(
     """
     weights = 4.0 ** (-kr.exponents * order)
 
-    def batch(gs):
+    def ratio_fn(gs):
         geom = _batch_geometry(gs)
         family = _smoothing_family(order, profile, geom.dim, kr.scales, weights)
         c = constant_on_grid(weight, geom) if p == 2 else None
@@ -372,4 +344,4 @@ def sobolev_equivalence_ratio(
         norms = [d + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
         return _norm_ratios(gs, norms, p, weight)
 
-    return FamilyRatio(batch)
+    return ratio_fn

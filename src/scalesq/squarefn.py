@@ -24,10 +24,13 @@ is cached between calls.  The p = 2 constant-weight Sobolev ratio in
 `sobolev` builds on the same Parseval identity and takes one forward FFT
 per field.
 
-Continuous scale: m_t(xi) = psihat(t xi), psi_t the L1-normalized dilate,
-on a log-time grid weighted by its dt/t rule.  Dyadic: t = 2^k, unit weights.
+Every kernel operator takes a scale set (`grid.ScaleSet`): its scales t_j
+and the weight w each carries.  Continuous scale: a log-time grid, weighted
+by its dt/t rule.  Dyadic: t = 2^k, unit weights.  m_t(xi) = psihat(t xi),
+psi_t the L1-normalized dilate.  A window is the open interval (lo, hi) on
+t for either kind.
 
-The adjoint embedding integrates a time-indexed field back to a single
+The adjoint embedding integrates a scale-indexed field back to a single
 field, E(h) = sum_j w psi_{t_j} * h_j; feeding it the analysis layers of f
 with the reflected conjugate kernel reproduces the truncated multiplier
 acting on f, which `duality_residual` checks.
@@ -48,10 +51,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .grid import (
-    DyadicRange,
+    NODES_PER_OCTAVE,
     Geometry,
     LogTimeGrid,
     SampledField,
+    ScaleSet,
     forward_transform,
     l2_norm,
 )
@@ -61,37 +65,20 @@ from .kernels import Kernel, _jacobi_unit_rule
 _CHUNK_BYTES = 256 * 1024
 
 
-def _set_stack(stack, count: int) -> None:
-    """Store a stack's layers as complex128 after checking there are `count`."""
-    want = (count,) + stack.geometry.shape
-    arr = np.asarray(stack.layers, dtype=np.complex128)
-    if arr.shape != want:
-        raise ValueError(f"layers shape {arr.shape}, expected {want}")
-    object.__setattr__(stack, "layers", arr)
-
-
 @dataclass(frozen=True)
-class TimeIndexedField:
-    """Stack of fields indexed by the nodes of a log-time grid."""
+class ScaleIndexedField:
+    """Stack of fields, one layer per scale of a scale set."""
 
     geometry: Geometry
-    time_grid: LogTimeGrid
+    scales: ScaleSet
     layers: NDArray[np.complex128]
 
     def __post_init__(self):
-        _set_stack(self, self.time_grid.node_count)
-
-
-@dataclass(frozen=True)
-class DyadicIndexedField:
-    """Stack of fields indexed by integer scale exponents."""
-
-    geometry: Geometry
-    scale_range: DyadicRange
-    layers: NDArray[np.complex128]
-
-    def __post_init__(self):
-        _set_stack(self, self.scale_range.k_max - self.scale_range.k_min + 1)
+        want = self.scales.scales.shape + self.geometry.shape
+        arr = np.asarray(self.layers, dtype=np.complex128)
+        if arr.shape != want:
+            raise ValueError(f"layers shape {arr.shape}, expected {want}")
+        object.__setattr__(self, "layers", arr)
 
 
 # ---------------------------------------------------------------------------
@@ -268,43 +255,43 @@ class ScaleFamily:
         return (geom.spacing / geom.n_samples) ** geom.dim * out
 
     def symbol(self, *xi) -> NDArray[np.float64]:
-        """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi."""
+        """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi.
+
+        The terms are added one scale at a time in scale order, so the value
+        at a frequency does not depend on the other points of the call.
+        """
         points, index, _ = self._points([np.asarray(x, dtype=float) for x in xi])  # |m|^2 is even
         acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in points)))
         for chunk, m in self._tables(points, _chunk_layers(acc.size)):
-            acc += np.einsum("j,j...->...", self.weights[chunk], np.abs(m) ** 2)
+            for w, mj in zip(self.weights[chunk], m):
+                acc += w * np.abs(mj) ** 2
         return acc if index is None else np.take(acc, index)
 
 
-def _kept_run(keep: np.ndarray, message: str) -> slice:
-    """The kept scales as a slice, so that the stack is viewed, not copied;
-    a window over sorted scales keeps one run of them."""
-    idx = np.flatnonzero(keep)
+def _window_run(scales: np.ndarray, window: tuple[float, float] | None) -> slice:
+    """The scales inside the open interval `window` (all if None) as a slice,
+    so that a stack is viewed, not copied; a window over increasing scales
+    keeps one run of them."""
+    if window is None:
+        return slice(None)
+    lo, hi = window
+    idx = np.flatnonzero((scales > lo) & (scales < hi))
     if idx.size == 0:
-        raise ValueError(message)
+        raise ValueError(f"no scales inside window {window}")
     return slice(idx[0], idx[-1] + 1)
 
 
 # ---------------------------------------------------------------------------
 # kernel square functions and layer stacks
 
-def convolve_levels(f: SampledField, kernel: Kernel, tg: LogTimeGrid) -> TimeIndexedField:
+def convolve_levels(f: SampledField, kernel: Kernel, scales: ScaleSet) -> ScaleIndexedField:
     """All layers f * psi_{t_j}, computed spectrally."""
-    return TimeIndexedField(f.geometry, tg, ScaleFamily.of_kernel(kernel, tg.nodes).layers(f))
+    return ScaleIndexedField(f.geometry, scales, ScaleFamily.of_kernel(kernel, scales.scales).layers(f))
 
 
-def convolve_dyadic(f: SampledField, kernel: Kernel, kr: DyadicRange) -> DyadicIndexedField:
-    return DyadicIndexedField(f.geometry, kr, ScaleFamily.of_kernel(kernel, kr.scales).layers(f))
-
-
-def g_function(f: SampledField, kernel: Kernel, tg: LogTimeGrid) -> SampledField:
-    """Continuous-scale square function; real and nonnegative."""
-    return ScaleFamily.of_kernel(kernel, tg.nodes, tg.weight).square_function([f])[0]
-
-
-def dyadic_g_function(f: SampledField, kernel: Kernel, kr: DyadicRange) -> SampledField:
-    """Dyadic square function (sum_k |f * psi_{2^k}|^2)^(1/2)."""
-    return ScaleFamily.of_kernel(kernel, kr.scales).square_function([f])[0]
+def g_function(f: SampledField, kernel: Kernel, scales: ScaleSet) -> SampledField:
+    """Square function (sum_j w |f * psi_{t_j}|^2)^(1/2); real and nonnegative."""
+    return ScaleFamily.of_kernel(kernel, scales.scales, scales.weight).square_function([f])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +329,7 @@ def marcinkiewicz_direct(
     f: SampledField, alpha: float, tg: LogTimeGrid, u_nodes: int = 64
 ) -> SampledField:
     """(sum_j w |S_{t_j}(f)|^2)^(1/2) by direct double quadrature."""
-    return _sided_average_family(alpha, tg.nodes, u_nodes, tg.weight).square_function([f])[0]
+    return _sided_average_family(alpha, tg.scales, u_nodes, tg.weight).square_function([f])[0]
 
 
 def _second_difference_family(f: SampledField, scales, weights=1.0) -> ScaleFamily:
@@ -366,50 +353,32 @@ def second_difference_layer(f: SampledField, t: float) -> SampledField:
 
 def marcinkiewicz_antiderivative(f: SampledField, tg: LogTimeGrid) -> SampledField:
     """Order-1 Marcinkiewicz integral via second differences of the antiderivative."""
-    return _second_difference_family(f, tg.nodes, tg.weight).square_function([f])[0]
+    return _second_difference_family(f, tg.scales, tg.weight).square_function([f])[0]
 
 
 # ---------------------------------------------------------------------------
 # adjoint embeddings and the duality identity
 
 def scale_synthesis(
-    h: TimeIndexedField, kernel: Kernel, window: tuple[float, float] | None = None
+    h: ScaleIndexedField, kernel: Kernel, window: tuple[float, float] | None = None
 ) -> SampledField:
-    """E(h) = sum_j w psi_{t_j} * h_j over nodes inside the window."""
-    tg = h.time_grid
-    keep = slice(None)
-    if window is not None:
-        keep = _kept_run(tg.window_mask(*window), f"no time nodes inside window {window}")
-    family = ScaleFamily.of_kernel(kernel, tg.nodes[keep], tg.weight)
+    """E(h) = sum_j w psi_{t_j} * h_j over the scales inside the window."""
+    t = h.scales.scales
+    keep = _window_run(t, window)
+    family = ScaleFamily.of_kernel(kernel, t[keep], h.scales.weight)
     return family.synthesis(h.layers[keep], h.geometry)
 
 
-def dyadic_synthesis(
-    l: DyadicIndexedField, kernel: Kernel, level_cut: int | None = None
-) -> SampledField:
-    """Sum of psi_{2^k} * l_k over |k| <= level_cut (all levels if None)."""
-    ks = l.scale_range.exponents
-    keep = slice(None)
-    if level_cut is not None:
-        keep = _kept_run(np.abs(ks) <= level_cut, f"no dyadic levels survive |k| <= {level_cut}")
-    family = ScaleFamily.of_kernel(kernel, 2.0 ** ks[keep].astype(float))
-    return family.synthesis(l.layers[keep], l.geometry)
-
-
-def time_fiber_norm(h: TimeIndexedField, window: tuple[float, float] | None = None) -> SampledField:
-    """Pointwise norm over the time fiber, (sum_j w |h_j(y)|^2)^(1/2)."""
-    keep = slice(None) if window is None else h.time_grid.window_mask(*window)
-    vals = np.sqrt(h.time_grid.weight * np.sum(np.abs(h.layers[keep]) ** 2, axis=0))
+def fiber_norm(h: ScaleIndexedField, window: tuple[float, float] | None = None) -> SampledField:
+    """Pointwise norm over the scale fiber, (sum_j w |h_j(y)|^2)^(1/2), over
+    the scales inside the window."""
+    keep = _window_run(h.scales.scales, window)
+    vals = np.sqrt(h.scales.weight * np.sum(np.abs(h.layers[keep]) ** 2, axis=0))
     return SampledField(h.geometry, vals.astype(complex))
 
 
-def dyadic_fiber_norm(l: DyadicIndexedField) -> SampledField:
-    vals = np.sqrt(np.sum(np.abs(l.layers) ** 2, axis=0))
-    return SampledField(l.geometry, vals.astype(complex))
-
-
 def duality_residual(
-    f: SampledField, kernel: Kernel, eps: float, nodes_per_octave: int = 16
+    f: SampledField, kernel: Kernel, eps: float, nodes_per_octave: int = NODES_PER_OCTAVE
 ) -> float:
     """Relative L2 gap between the embedded analysis layers and the
     truncated multiplier.

@@ -2,7 +2,9 @@
 
 Everything here goes through direct DFT sums, scipy adaptive quadrature,
 or closed forms worked out by hand, never through the package's spectral
-helpers.  Slow is fine; these run on small grids.
+helpers; the one exception, the composed potential-smoothing route at the
+end, chains two public operators that the layered route must reproduce.
+Slow is fine; these run on small grids.
 """
 
 from __future__ import annotations
@@ -444,3 +446,14 @@ def second_difference_loop(f: SampledField, t: float) -> np.ndarray:
     anti[nz] = F[nz] / (2j * np.pi * xi[nz])
     second = (np.exp(2j * np.pi * t * xi) + np.exp(-2j * np.pi * t * xi) - 2.0) * anti
     return _shifted_inverse(g, second) * (-1.0 / t)
+
+
+# ---------------------------------------------------------------------------
+# composed routes
+
+def potential_smoothing_compose(f: SampledField, order: float, profile, tg) -> SampledField:
+    """Smoothing differences of the fractional integral of f, literally
+    riesz_potential followed by smoothing_difference_function."""
+    from scalesq import riesz_potential, smoothing_difference_function
+
+    return smoothing_difference_function(riesz_potential(f, order), order, profile, tg)

@@ -144,7 +144,7 @@ def test_log_time_grid_integrates_constants(t_min, octaves, j):
 
 def test_log_time_grid_nodes_inside_range():
     tg = LogTimeGrid(0.1, 100.0, nodes_per_octave=8)
-    t = tg.nodes
+    t = tg.scales
     assert np.all(t > 0.1) and np.all(t < 100.0)
     assert tg.node_count == t.size
 
@@ -157,11 +157,12 @@ def test_log_time_grid_integrates_powers():
     assert math.isclose(total.real, 7.5, rel_tol=1e-6)
 
 
-def test_window_mask_open_interval():
-    tg = LogTimeGrid(1.0, 16.0, nodes_per_octave=1)
-    t = tg.nodes
-    mask = tg.window_mask(t[0], t[-1])
-    assert mask.sum() == t.size - 2
+def test_window_open_interval():
+    from scalesq.squarefn import _window_run
+
+    for scales in (LogTimeGrid(1.0, 16.0, nodes_per_octave=1), DyadicRange(-3, 3)):
+        t = scales.scales
+        assert t[_window_run(t, (t[0], t[-1]))].size == t.size - 2
 
 
 def test_default_time_grid_bounds():
@@ -175,6 +176,7 @@ def test_dyadic_range():
     kr = DyadicRange(-3, 2)
     assert list(kr.exponents) == [-3, -2, -1, 0, 1, 2]
     assert np.allclose(kr.scales, [0.125, 0.25, 0.5, 1.0, 2.0, 4.0])
+    assert kr.weight == 1.0
     with pytest.raises(ValueError):
         DyadicRange(2, 1)
 

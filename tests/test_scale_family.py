@@ -17,16 +17,13 @@ from scalesq import (
     bessel_potential,
     constant_weight,
     continuous_symbol,
-    convolve_dyadic,
     convolve_levels,
+    default_dyadic_range,
     default_test_family,
+    default_time_grid,
     duality_residual,
-    dyadic_g_function,
     dyadic_smoothing_difference,
-    dyadic_square_ratio,
     dyadic_symbol,
-    dyadic_synthesis,
-    equivalence_experiment,
     g_function,
     kernel_from_id,
     marcinkiewicz_antiderivative,
@@ -81,8 +78,8 @@ def test_g_functions_match_loop(dim, kid):
     kernel, f = kernel_from_id(kid), field(dim)
     m = kernel_multiplier(kernel)
     g = g_function(f, kernel, TG).values
-    assert rel(g, np.sqrt(loop_square_sum(f, m, TG.nodes, TG.weight))) <= 1e-12
-    gd = dyadic_g_function(f, kernel, KR).values
+    assert rel(g, np.sqrt(loop_square_sum(f, m, TG.scales, TG.weight))) <= 1e-12
+    gd = g_function(f, kernel, KR).values
     assert rel(gd, np.sqrt(loop_square_sum(f, m, KR.scales, 1.0))) <= 1e-12
 
 
@@ -91,16 +88,16 @@ def test_layer_stacks_and_synthesis_match_loop(dim, kid):
     kernel, f = kernel_from_id(kid), field(dim, seed=1)
     geom, m = GEOMS[dim], kernel_multiplier(kernel)
     h = convolve_levels(f, kernel, TG)
-    assert rel(h.layers, loop_layers(f, m, TG.nodes)) <= 1e-12
-    l = convolve_dyadic(f, kernel, KR)
+    assert rel(h.layers, loop_layers(f, m, TG.scales)) <= 1e-12
+    l = convolve_levels(f, kernel, KR)
     assert rel(l.layers, loop_layers(f, m, KR.scales)) <= 1e-12
 
-    keep = TG.window_mask(0.5, 4.0)
+    keep = (TG.scales > 0.5) & (TG.scales < 4.0)
     got = scale_synthesis(h, kernel, window=(0.5, 4.0)).values
-    want = loop_synthesis(h.layers[keep], geom, m, TG.nodes[keep], TG.weight)
+    want = loop_synthesis(h.layers[keep], geom, m, TG.scales[keep], TG.weight)
     assert rel(got, want) <= 1e-12
     keep = np.abs(KR.exponents) <= 2
-    got = dyadic_synthesis(l, kernel, level_cut=2).values
+    got = scale_synthesis(l, kernel, window=(2.0**-3, 2.0**3)).values
     assert rel(got, loop_synthesis(l.layers[keep], geom, m, KR.scales[keep], 1.0)) <= 1e-12
 
 
@@ -111,8 +108,8 @@ def test_symbols_match_loop(dim, kid):
     grids = GEOMS[dim].frequency_grids()
     with np.errstate(divide="ignore", invalid="ignore"):
         got = continuous_symbol(kernel, TG, window=(0.5, 4.0)).evaluate(*grids)
-        keep = TG.window_mask(0.5, 4.0)
-        want = loop_symbol(m, TG.nodes[keep], TG.weight, *grids)
+        keep = (TG.scales > 0.5) & (TG.scales < 4.0)
+        want = loop_symbol(m, TG.scales[keep], TG.weight, *grids)
         assert rel(got, want) <= 1e-12
         assert rel(dyadic_symbol(kernel, KR).evaluate(*grids), loop_symbol(m, KR.scales, 1.0, *grids)) <= 1e-12
 
@@ -122,25 +119,25 @@ def test_smoothing_differences_match_loop(dim):
     order, profile, f = 0.5, ball_average_profile(dim), field(dim, seed=2)
     m = difference_multiplier(profile)
     got = smoothing_difference_function(f, order, profile, TG).values
-    want = loop_square_sum(f, m, TG.nodes, TG.weight * TG.nodes ** (-2 * order))
+    want = loop_square_sum(f, m, TG.scales, TG.weight * TG.scales ** (-2 * order))
     assert rel(got, np.sqrt(want)) <= 1e-12
     got = dyadic_smoothing_difference(f, order, profile, KR).values
     want = loop_square_sum(f, m, KR.scales, 4.0 ** (-KR.exponents * order))
     assert rel(got, np.sqrt(want)) <= 1e-12
 
     layered = lambda t, *xi: m(t, *xi) * riesz_multiplier(order, *xi)
-    got = potential_smoothing_function(f, order, profile, TG, route="layered").values
-    want = loop_square_sum(f, layered, TG.nodes, TG.weight * TG.nodes ** (-2 * order))
+    got = potential_smoothing_function(f, order, profile, TG).values
+    want = loop_square_sum(f, layered, TG.scales, TG.weight * TG.scales ** (-2 * order))
     assert rel(got, np.sqrt(want)) <= 1e-12
 
 
 def test_marcinkiewicz_routes_match_loop():
     f = field(1, seed=3)
     for alpha in (0.75, 1.25):
-        layers = [sided_average_loop(f, alpha, t, 96) for t in TG.nodes]
+        layers = [sided_average_loop(f, alpha, t, 96) for t in TG.scales]
         want = np.sqrt(TG.weight * np.sum(np.abs(layers) ** 2, axis=0))
         assert rel(marcinkiewicz_direct(f, alpha, TG, u_nodes=96).values, want) <= 1e-12
-    layers = [second_difference_loop(f, t) for t in TG.nodes]
+    layers = [second_difference_loop(f, t) for t in TG.scales]
     want = np.sqrt(TG.weight * np.sum(np.abs(layers) ** 2, axis=0))
     assert rel(marcinkiewicz_antiderivative(f, TG).values, want) <= 1e-12
 
@@ -152,7 +149,7 @@ def test_batch_square_sum_equals_member_by_member():
     # 20 fields of 1024 points split into sub-batches inside a chunk
     geom = Geometry(1, 1024, 32.0)
     members = default_test_family(geom, seed=4).members
-    family = ScaleFamily.of_kernel(kernel_from_id("haar"), TG.nodes, TG.weight)
+    family = ScaleFamily.of_kernel(kernel_from_id("haar"), TG.scales, TG.weight)
     batch = family.square_sum(members)
     for f, got in zip(members, batch):
         assert rel(got, family.square_sum([f])[0]) <= 1e-13
@@ -164,18 +161,18 @@ def test_family_ratios_equal_member_by_member():
     w = weight_from_id("pow:0.3", radius_floor=geom.spacing)
     ratio_fns = [
         square_function_ratio(kernel_from_id("poisson-q"), TG, 3.0, w),
-        dyadic_square_ratio(kernel_from_id("riesz-diff:0.5:ball"), KR, 2.0, constant_weight()),
+        square_function_ratio(kernel_from_id("riesz-diff:0.5:ball"), KR, 2.0, constant_weight()),
         sobolev_equivalence_ratio(0.5, ball_average_profile(1), KR, 2.0, constant_weight()),
     ]
     for ratio_fn in ratio_fns:
-        batched = equivalence_experiment(fam, ratio_fn, "op", 2.0, "w")
-        plain = equivalence_experiment(fam, lambda f: ratio_fn(f), "op", 2.0, "w")
-        assert np.allclose(batched.ratios, plain.ratios, rtol=1e-12, atol=0.0)
-        assert batched.skipped == plain.skipped == ()
+        batched = ratio_fn(fam.members)
+        plain = [ratio_fn([f])[0] for f in fam.members]
+        assert None not in batched and None not in plain
+        assert np.allclose(batched, plain, rtol=1e-12, atol=0.0)
 
 
 def test_batch_rejects_mixed_geometries():
-    family = ScaleFamily.of_kernel(kernel_from_id("haar"), TG.nodes)
+    family = ScaleFamily.of_kernel(kernel_from_id("haar"), TG.scales)
     with pytest.raises(ValueError, match="geometry"):
         family.square_sum([field(1), mean_subtract(random_band_field(Geometry(1, 128, 16.0), 0))])
 
@@ -216,18 +213,18 @@ def energy_families(dim: int):
     profile = ball_average_profile(dim)
     diff = difference_multiplier(profile)
     families = {
-        "smoothing": _smoothing_family(0.5, profile, dim, TG.nodes, TG.weight * TG.nodes ** -1.0),
+        "smoothing": _smoothing_family(0.5, profile, dim, TG.scales, TG.weight * TG.scales ** -1.0),
         "potential-layered": ScaleFamily(
-            TG.nodes, TG.weight * TG.nodes ** -1.0,
+            TG.scales, TG.weight * TG.scales ** -1.0,
             lambda t, *xi: diff(t, *xi) * riesz_multiplier(0.5, *xi)),
     }
     for kid in KERNELS[dim]:
         kernel = kernel_from_id(kid)
-        families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+        families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.scales, TG.weight)
         families[f"{kid}:dyadic"] = ScaleFamily.of_kernel(kernel, KR.scales)
     if dim == 1:
-        families["sided-average"] = _sided_average_family(0.75, TG.nodes, 32, TG.weight)
-        families["second-difference"] = _second_difference_family(f, TG.nodes, TG.weight)
+        families["sided-average"] = _sided_average_family(0.75, TG.scales, 32, TG.weight)
+        families["second-difference"] = _second_difference_family(f, TG.scales, TG.weight)
     return families
 
 
@@ -250,7 +247,7 @@ def physical_ratios(members, dim, p, weight):
     for f in members:
         nf = weighted_norm(f, p, weight)
         out["gfun"].append(weighted_norm(g_function(f, kernel, TG), p, weight) / nf)
-        out["dyadic"].append(weighted_norm(dyadic_g_function(f, dkernel, KR), p, weight) / nf)
+        out["dyadic"].append(weighted_norm(g_function(f, dkernel, KR), p, weight) / nf)
         s = bessel_potential(f, 0.5)
         d = dyadic_smoothing_difference(s, 0.5, profile, KR)
         out["sobolev"].append((weighted_norm(d, p, weight) + weighted_norm(s, p, weight)) / nf)
@@ -264,12 +261,12 @@ def test_constant_weight_ratios_match_physical_route(dim, c):
     weight = constant_weight(c)
     ratio_fns = {
         "gfun": square_function_ratio(kernel_from_id(KERNELS[dim][0]), TG, 2.0, weight),
-        "dyadic": dyadic_square_ratio(kernel_from_id(KERNELS[dim][-1]), KR, 2.0, weight),
+        "dyadic": square_function_ratio(kernel_from_id(KERNELS[dim][-1]), KR, 2.0, weight),
         "sobolev": sobolev_equivalence_ratio(0.5, ball_average_profile(dim), KR, 2.0, weight),
     }
     want = physical_ratios(members, dim, 2.0, weight)
     for name, ratio_fn in ratio_fns.items():
-        assert np.allclose(ratio_fn.batch(members), want[name], rtol=1e-12, atol=0.0), name
+        assert np.allclose(ratio_fn(members), want[name], rtol=1e-12, atol=0.0), name
 
 
 def test_p2_constant_weight_forms_no_layer(monkeypatch):
@@ -280,7 +277,7 @@ def test_p2_constant_weight_forms_no_layer(monkeypatch):
         raise AssertionError("an inverse FFT formed a layer")
 
     monkeypatch.setattr(np.fft, "ifftn", no_inverse)
-    assert all(r is not None for r in ratio_fn.batch(members))
+    assert all(r is not None for r in ratio_fn(members))
 
 
 @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
@@ -292,7 +289,7 @@ def test_bad_constant_weights_still_raise(value):
         sobolev_equivalence_ratio(0.5, ball_average_profile(1), KR, 2.0, weight),
     ):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            ratio_fn.batch(members)
+            ratio_fn(members)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +298,18 @@ def test_bad_constant_weights_still_raise(value):
 def radial_families(dim: int):
     """Every radial family the library builds, as the library builds it."""
     profile = ball_average_profile(dim)
-    smoothing = _smoothing_family(0.5, profile, dim, TG.nodes, TG.weight * TG.nodes ** -1.0)
+    smoothing = _smoothing_family(0.5, profile, dim, TG.scales, TG.weight * TG.scales ** -1.0)
     riesz = riesz_symbol(0.5).evaluate
     families = {
         "smoothing": smoothing,
         "potential-layered": ScaleFamily(
-            TG.nodes, smoothing.weights,
+            TG.scales, smoothing.weights,
             lambda t, *xi: smoothing.multiplier(t, *xi) * riesz(*xi), profile.kernel.radial),
     }
     for kid in KERNELS[dim]:
         kernel = kernel_from_id(kid)
         if kernel.radial:
-            families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+            families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.scales, TG.weight)
             families[f"{kid}:dyadic"] = ScaleFamily.of_kernel(kernel, KR.scales)
     return families
 
@@ -345,11 +342,11 @@ def test_non_radial_kernel_keeps_the_full_grid():
     kernel, f = _tilted_gaussian_kernel(), field(2, seed=9)
     assert not kernel.radial
     m = kernel_multiplier(kernel)
-    want = loop_square_sum(f, m, TG.nodes, TG.weight)
-    family = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+    want = loop_square_sum(f, m, TG.scales, TG.weight)
+    family = ScaleFamily.of_kernel(kernel, TG.scales, TG.weight)
     assert rel(family.square_sum([f])[0], want) <= 1e-12
     grids = GEOMS[2].frequency_grids()
-    assert rel(family.symbol(*grids), loop_symbol(m, TG.nodes, TG.weight, *grids)) <= 1e-12
+    assert rel(family.symbol(*grids), loop_symbol(m, TG.scales, TG.weight, *grids)) <= 1e-12
     # flagged radial, it would be evaluated on the first axis alone
     assert rel(dataclasses.replace(family, radial=True).square_sum([f])[0], want) > 1e-2
 
@@ -360,13 +357,13 @@ def test_non_radial_kernel_keeps_the_full_grid():
 def odd_families():
     """Every odd 1-D family the library builds, as the library builds it."""
     families = {
-        "sided-average": _sided_average_family(0.75, TG.nodes, 32, TG.weight),
-        "second-difference": _second_difference_family(field(1), TG.nodes, TG.weight),
+        "sided-average": _sided_average_family(0.75, TG.scales, 32, TG.weight),
+        "second-difference": _second_difference_family(field(1), TG.scales, TG.weight),
     }
     for kid in KERNELS[1]:
         kernel = kernel_from_id(kid)
         if kernel.odd:
-            families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.nodes, TG.weight)
+            families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.scales, TG.weight)
             families[f"{kid}:dyadic"] = ScaleFamily.of_kernel(kernel, KR.scales)
     return families
 
@@ -383,10 +380,26 @@ def test_odd_path_matches_full_grid_path():
         layers = half.layers(fields[1])
         assert np.array_equal(layers, full.layers(fields[1])), name
         assert np.array_equal(half.synthesis(layers, geom).values, full.synthesis(layers, geom).values), name
-        # the symbol sums its scales in chunks sized by the evaluated points
+        # the symbol adds its scales one at a time, whatever points it sees
         for xi in (_fft_grids(geom)[0], geom.frequency_axis()):
-            want = full.symbol(xi)
-            assert np.all(np.abs(half.symbol(xi) - want) <= 2e-15 * want), name
+            assert np.array_equal(half.symbol(xi), full.symbol(xi)), name
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_symbol_row_is_the_axis_evaluation(n):
+    # the 2-D symbol CSV is the row xi_2 = 0 of the one sample: each value
+    # must not depend on the other points evaluated with it
+    geom = Geometry(2, n, 16.0)
+    xi = geom.frequency_axis()
+    off_dc = xi != 0
+    for kid in ("poisson-q:2", "riesz-diff:0.5:ball:2", "riesz-diff:1.5:ball:2"):
+        kernel = kernel_from_id(kid)
+        for sym in (continuous_symbol(kernel, default_time_grid(geom)),
+                    dyadic_symbol(kernel, default_dyadic_range(geom))):
+            row = sym.sample(geom)[:, n // 2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                axis = sym.evaluate(xi, np.zeros_like(xi))
+            assert np.array_equal(row[off_dc], axis[off_dc]), (kid, sym.name)
 
 
 def test_a_wrong_odd_tag_changes_the_g_function():
@@ -417,12 +430,12 @@ def test_sobolev_parseval_ratios_match_physical_route(dim, order):
     members = default_test_family(GEOMS[dim], seed=12).members
     profile = ball_average_profile(dim)
     for weight in (constant_weight(), constant_weight(3.7)):
-        got = sobolev_equivalence_ratio(order, profile, KR, 2.0, weight).batch(members)
+        got = sobolev_equivalence_ratio(order, profile, KR, 2.0, weight)(members)
         want = physical_sobolev_ratios(members, order, profile, 2.0, weight)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     # p = 3 under a power weight keeps the physical route
     weight = weight_from_id("pow:0.3", radius_floor=GEOMS[dim].spacing)
-    got = sobolev_equivalence_ratio(order, profile, KR, 3.0, weight).batch(members)
+    got = sobolev_equivalence_ratio(order, profile, KR, 3.0, weight)(members)
     assert np.allclose(got, physical_sobolev_ratios(members, order, profile, 3.0, weight), rtol=1e-12, atol=0.0)
 
 
@@ -441,5 +454,5 @@ def test_sobolev_p2_is_one_forward_fft_per_member(monkeypatch, dim):
 
     monkeypatch.setattr(np.fft, "fftn", counted)
     monkeypatch.setattr(np.fft, "ifftn", no_inverse)
-    assert all(r is not None for r in ratio_fn.batch(members))
+    assert all(r is not None for r in ratio_fn(members))
     assert calls == [GEOMS[dim].shape] * len(members)

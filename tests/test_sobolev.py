@@ -34,7 +34,7 @@ from scalesq import (
     weighted_norm,
 )
 from scalesq.sobolev import _smoothing_family
-from oracles import ball_deficit_mpmath, moving_average_physical
+from oracles import ball_deficit_mpmath, moving_average_physical, potential_smoothing_compose
 
 
 def mz_band(geom, seed=0):
@@ -109,7 +109,7 @@ def test_smoothing_difference_physical_oracle():
     tg = LogTimeGrid(0.5, 2.0, nodes_per_octave=2)
     order = 0.5
     acc = np.zeros(geom.shape)
-    for t in tg.nodes:
+    for t in tg.scales:
         layer = f.values.real - moving_average_physical(f, t)
         acc += t ** (-2.0 * order) * np.abs(layer) ** 2
     oracle = np.sqrt(tg.weight * acc)
@@ -122,11 +122,9 @@ def test_potential_smoothing_routes_agree(geom_small):
     f = mz_band(geom_small, seed=2)
     prof = ball_average_profile(1)
     tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=4)
-    a = potential_smoothing_function(f, 0.5, prof, tg, route="compose")
-    b = potential_smoothing_function(f, 0.5, prof, tg, route="layered")
+    a = potential_smoothing_compose(f, 0.5, prof, tg)
+    b = potential_smoothing_function(f, 0.5, prof, tg)
     assert l2_norm(SampledField(geom_small, a.values - b.values)) < 1e-10 * l2_norm(a)
-    with pytest.raises(ValueError, match="route"):
-        potential_smoothing_function(f, 0.5, prof, tg, route="sideways")
 
 
 def test_dyadic_chain_identity_1d():
@@ -201,22 +199,20 @@ def test_equivalence_experiment_skip_logic(geom_small):
     fam = default_test_family(geom_small, seed=0)
     skip_label = fam.labels[3]
 
-    def ratio_fn(f):
-        if np.array_equal(f.values, fam.members[3].values):
-            return None
-        return 1.0
+    def ratio_fn(fields):
+        return [None if np.array_equal(f.values, fam.members[3].values) else 1.0 for f in fields]
 
     rep = equivalence_experiment(fam, ratio_fn, "probe", 2.0, "const")
     assert rep.skipped == (skip_label,)
     assert len(rep.ratios) == 19
     assert rep.spread == 1.0
     with pytest.raises(ValueError, match="skipped"):
-        equivalence_experiment(fam, lambda f: None, "probe", 2.0, "const")
+        equivalence_experiment(fam, lambda fields: [None] * len(fields), "probe", 2.0, "const")
 
 
 def test_ratio_report_dict(geom_small):
     fam = default_test_family(geom_small, seed=0)
-    rep = equivalence_experiment(fam, lambda f: 2.0, "probe", 2.0, "const")
+    rep = equivalence_experiment(fam, lambda fields: [2.0] * len(fields), "probe", 2.0, "const")
     d = rep.as_dict()
     assert set(d) == {"operator", "p", "weight", "members", "ratios",
                       "skipped", "min", "max", "spread"}

@@ -10,14 +10,11 @@ from scalesq import (
     Geometry,
     LogTimeGrid,
     SampledField,
-    convolve_dyadic,
     convolve_levels,
     default_dyadic_range,
     default_time_grid,
     duality_residual,
-    dyadic_fiber_norm,
-    dyadic_g_function,
-    dyadic_synthesis,
+    fiber_norm,
     g_function,
     gaussian_derivative_field,
     gaussian_field,
@@ -32,7 +29,6 @@ from scalesq import (
     scale_synthesis,
     second_difference_layer,
     sided_average_layer,
-    time_fiber_norm,
 )
 from oracles import sided_average_physical
 
@@ -57,7 +53,7 @@ def test_convolve_levels_matches_single_multiplier(geom_small):
     tg = LogTimeGrid(1.0, 2.0, nodes_per_octave=1)
     f = band_field(geom_small)
     h = convolve_levels(f, k, tg)
-    t0 = tg.nodes[0]
+    t0 = tg.scales[0]
     sym = symbol_from_callable("one-scale", lambda xi: k.fourier(t0 * xi), dc_value=0.0)
     direct = apply_multiplier(sym, f)
     assert np.allclose(h.layers[0], direct.values, atol=1e-12)
@@ -68,7 +64,7 @@ def test_kernel_dim_mismatch(geom_small):
     with pytest.raises(ValueError, match="dim"):
         convolve_levels(band_field(geom_small), k2, LogTimeGrid(0.5, 2.0))
     with pytest.raises(ValueError, match="dim"):
-        dyadic_g_function(band_field(geom_small), k2, DyadicRange(0, 1))
+        g_function(band_field(geom_small), k2, DyadicRange(0, 1))
 
 
 def test_g_function_is_fiber_norm_of_layers(geom_small):
@@ -76,7 +72,7 @@ def test_g_function_is_fiber_norm_of_layers(geom_small):
     tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=8)
     f = band_field(geom_small)
     g1 = g_function(f, k, tg)
-    g2 = time_fiber_norm(convolve_levels(f, k, tg))
+    g2 = fiber_norm(convolve_levels(f, k, tg))
     assert np.allclose(g1.values, g2.values, atol=1e-12)
 
 
@@ -84,8 +80,8 @@ def test_dyadic_g_is_fiber_norm(geom_small):
     k = haar_kernel()
     kr = DyadicRange(-3, 3)
     f = band_field(geom_small)
-    g1 = dyadic_g_function(f, k, kr)
-    g2 = dyadic_fiber_norm(convolve_dyadic(f, k, kr))
+    g1 = g_function(f, k, kr)
+    g2 = fiber_norm(convolve_levels(f, k, kr))
     assert np.allclose(g1.values, g2.values, atol=1e-12)
 
 
@@ -191,12 +187,12 @@ def test_scale_synthesis_window(geom_small):
 def test_dyadic_synthesis_level_cut(geom_small):
     k = haar_kernel()
     kr = DyadicRange(-4, 4)
-    layers = convolve_dyadic(band_field(geom_small), k, kr)
-    full = dyadic_synthesis(layers, k)
-    cut = dyadic_synthesis(layers, k, level_cut=1)
+    layers = convolve_levels(band_field(geom_small), k, kr)
+    full = scale_synthesis(layers, k)
+    cut = scale_synthesis(layers, k, window=(0.25, 4.0))  # |k| <= 1
     assert l2_norm(cut) < l2_norm(full)
-    with pytest.raises(ValueError):
-        dyadic_synthesis(layers, k, level_cut=-1)
+    with pytest.raises(ValueError, match="no scales"):
+        scale_synthesis(layers, k, window=(1.0, 1.0))
 
 
 @pytest.mark.parametrize("kid", ["haar", "poisson-q", "riesz-diff:0.5:ball"])
@@ -226,9 +222,9 @@ def test_g_function_scales_linearly(seed):
     assert np.allclose(g3.values, 3.0 * g1.values, atol=1e-10)
 
 
-def test_time_fiber_norm_window(geom_small):
+def test_fiber_norm_window(geom_small):
     tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=4)
     h = convolve_levels(band_field(geom_small), haar_kernel(), tg)
-    full = time_fiber_norm(h)
-    part = time_fiber_norm(h, window=(0.5, 2.0))
+    full = fiber_norm(h)
+    part = fiber_norm(h, window=(0.5, 2.0))
     assert np.all(part.values.real <= full.values.real + 1e-15)
