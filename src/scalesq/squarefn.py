@@ -4,25 +4,27 @@ Every operator here is one `ScaleFamily`: a Fourier multiplier m_t per
 scale t, with weight w_t, acting on a field f through its layers
 IFFT(m_t fhat).  The family gives the square sum of a batch of fields,
 sum_t w_t |IFFT(m_t fhat)|^2; the layer stack of one field; the synthesis
-sum_t w_t IFFT(m_t FFT(h_t)) of a stack h; the symbol sigma(xi) =
-sum_t w_t |m_t(xi)|^2; and the energy of a batch, the integral of the square
-sum over the grid.  Each runs over chunks of at most `_CHUNK_BYTES` of
-complex layers (at least one layer), evaluating a chunk's multipliers once
-per call for every field of the batch, so memory beyond inputs and outputs
-does not grow with the number of scales or fields.  The square sum shifts
-each input and each output once, never a layer: |.|^2 does not see shifts.
-The energy forms no layer at all: by the discrete Parseval identity it is
-the symbol integrated against the field's power spectrum.
+sum_t w_t IFFT(m_t FFT(h_t)) of a stack h, or of layers streamed chunk by
+chunk; the symbol sigma(xi) = sum_t w_t |m_t(xi)|^2; and the energy of a
+batch, the integral of the square sum over the grid.  Each runs over
+chunks of at most `_CHUNK_BYTES` of complex layers (at least one layer),
+evaluating a chunk's multipliers once per call for every field of the
+batch, so memory beyond inputs and outputs does not grow with the number
+of scales or fields.  The square sum shifts each input and each output
+once, never a layer: |.|^2 does not see shifts.  The energy forms no layer
+at all: by the discrete Parseval identity it is the symbol integrated
+against the field's power spectrum.
 
 A radial family, one whose multipliers depend on |xi| alone, is evaluated
 once per |xi| shell: each call finds the distinct |xi|^2 of its input,
-evaluates a (scales, shells) table and gathers it onto the grid; the symbol
-is summed over scales on the shells and gathered once.  A 1-D odd family,
-m_t(-xi) = -m_t(xi), is evaluated the same way on the distinct |xi| and
-gathered with the sign of xi; its symbol, even, ignores the sign.  Nothing
-is cached between calls.  The p = 2 constant-weight Sobolev ratio in
-`sobolev` builds on the same Parseval identity and takes one forward FFT
-per field.
+evaluates a (scales, shells) table, as many whole chunks of layers at a
+time as fit in `_CHUNK_BYTES` on the shells, and gathers it onto the grid
+one chunk at a time; the symbol is summed over scales on the shells and
+gathered once.  A 1-D odd family, m_t(-xi) = -m_t(xi), is evaluated the
+same way on the distinct |xi| and gathered with the sign of xi; its
+symbol, even, ignores the sign.  Nothing is cached between calls.  The
+p = 2 constant-weight Sobolev ratio in `sobolev` builds on the same
+Parseval identity and takes one forward FFT per field.
 
 Every kernel operator takes a scale set (`grid.ScaleSet`): its scales t_j
 and the weight w each carries.  Continuous scale: a log-time grid, weighted
@@ -33,7 +35,9 @@ t for either kind.
 The adjoint embedding integrates a scale-indexed field back to a single
 field, E(h) = sum_j w psi_{t_j} * h_j; feeding it the analysis layers of f
 with the reflected conjugate kernel reproduces the truncated multiplier
-acting on f, which `duality_residual` checks.
+acting on f, which `duality_residual` checks.  There the layers are
+streamed: the synthesis consumes each chunk of analysis layers as it is
+made, and the stack of all layers is never stored.
 
 The direct Marcinkiewicz route never touches |psihat|^2: it evaluates the
 sided averages by Gauss-Jacobi quadrature in the offset variable, summing
@@ -192,17 +196,30 @@ class ScaleFamily:
             yield chunk, self.multiplier(self.scales[chunk].reshape((-1,) + trailing), *points)
 
     def _chunks(self, xi, layers: int):
-        """(slice of scales, their multipliers on xi) for chunks of `layers` scales."""
+        """(slice of scales, their multipliers on xi) for chunks of `layers` scales.
+
+        The multipliers are evaluated on the points of `_points` in tables of
+        as many whole chunks as fit in `_CHUNK_BYTES` there (at least one), and
+        gathered onto xi one chunk at a time: a radial table on few shells
+        covers many chunks of a large batch.
+        """
         points, index, sign = self._points(xi)
-        for chunk, m in self._tables(points, layers):
-            if index is not None:
-                m = np.take(m, index, axis=1)
-            if sign is not None:
-                m *= sign
-            yield chunk, m
+        size = math.prod(np.broadcast_shapes(*(np.shape(x) for x in points)))
+        per_table = max(1, _chunk_layers(size) // layers) * layers
+        for table, tm in self._tables(points, per_table):
+            for lo in range(0, self.scales[table].size, layers):
+                m = tm[lo:lo + layers]
+                if index is not None:
+                    m = np.take(m, index, axis=1)
+                if sign is not None:
+                    m *= sign
+                yield slice(table.start + lo, table.start + lo + layers), m
 
     def _layer_chunks(self, fields: Sequence[SampledField]):
-        """(scales, fields, their layers in FFT order) for a batch, chunk by chunk."""
+        """(scales, fields, their layers in FFT order) for a batch, chunk by chunk.
+
+        A batch of one field is chunked as `synthesis` chunks its stack:
+        `_chunk_layers` of the grid's points."""
         geom = _batch_geometry(fields)
         spec = np.empty((len(fields), 1) + geom.shape, dtype=np.complex128)  # (field, scale, *grid)
         for f, row in zip(fields, spec):
@@ -235,11 +252,20 @@ class ScaleFamily:
 
     def synthesis(self, layers: np.ndarray, geom: Geometry) -> SampledField:
         """sum_t w_t IFFT(m_t FFT(h_t)) of a stack h with one layer per scale."""
+        ax, step = _spatial_axes(geom), _chunk_layers(math.prod(geom.shape))
+        chunks = (slice(lo, lo + step) for lo in range(0, self.scales.size, step))
+        return self._synthesize(((c, np.fft.ifftshift(layers[c], axes=ax)) for c in chunks), geom)
+
+    def _synthesize(self, chunks, geom: Geometry) -> SampledField:
+        """sum_t w_t IFFT(m_t FFT(h_t)) over (slice of scales, their layers h_t
+        in FFT order) pairs, consumed as they come; the slices must be the
+        family's own chunks of `_chunk_layers` of the grid's points."""
         ax = _spatial_axes(geom)
         acc = np.zeros(geom.shape, dtype=np.complex128)
-        for chunk, m in self._chunks(_fft_grids(geom), _chunk_layers(acc.size)):
-            spec = np.fft.fftn(np.fft.ifftshift(layers[chunk], axes=ax), axes=ax)
-            acc += np.einsum("j,j...->...", self.weights[chunk], m * spec)
+        ours = self._chunks(_fft_grids(geom), _chunk_layers(acc.size))
+        for (chunk, m), (given, h) in zip(ours, chunks, strict=True):
+            assert given == chunk, f"layers for scales {given} arrived where {chunk} was due"
+            acc += np.einsum("j,j...->...", self.weights[chunk], m * np.fft.fftn(h, axes=ax))
         return SampledField(geom, np.fft.fftshift(np.fft.ifftn(acc)))
 
     def energy(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
@@ -383,11 +409,12 @@ def duality_residual(
     """Relative L2 gap between the embedded analysis layers and the
     truncated multiplier.
 
-    Analysis layers F_j = f * psi_{t_j} are synthesized with the reflected
-    conjugate kernel over the window (eps, 1/eps) and compared against the
+    Analysis layers F_j = f * psi_{t_j} over the window (eps, 1/eps) are
+    synthesized with the reflected conjugate kernel and compared against the
     truncated symbol acting on f; both sides share one discretization, so
     the residual is pure floating-point noise unless something is wired
-    wrong.
+    wrong.  The layers are streamed: each chunk of them is synthesized as
+    soon as it is made, so the stack of all layers is never formed.
     """
     from .multiplier import apply_multiplier, continuous_symbol
 
@@ -395,8 +422,10 @@ def duality_residual(
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     window = (eps, 1.0 / eps)
     tg = LogTimeGrid(eps, 1.0 / eps, nodes_per_octave)
-    layers = convolve_levels(f, kernel, tg)
-    embedded = scale_synthesis(layers, kernel.reflect_conjugate(), window)
+    t = tg.scales[_window_run(tg.scales, window)]
+    analysis = ScaleFamily.of_kernel(kernel, t)._layer_chunks([f])
+    synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), t, tg.weight)
+    embedded = synthesis._synthesize(((chunk, out[0]) for chunk, _, out in analysis), f.geometry)
     truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
     gap = l2_norm(SampledField(f.geometry, embedded.values - truncated.values))
     return gap / l2_norm(f)

@@ -2,8 +2,8 @@
 
 Everything here goes through direct DFT sums, scipy adaptive quadrature,
 or closed forms worked out by hand, never through the package's spectral
-helpers; the one exception, the composed potential-smoothing route at the
-end, chains two public operators that the layered route must reproduce.
+helpers; the exceptions, the composed routes at the end, chain public
+operators that a streamed or layered route must reproduce.
 Slow is fine; these run on small grids.
 """
 
@@ -457,3 +457,17 @@ def potential_smoothing_compose(f: SampledField, order: float, profile, tg) -> S
     from scalesq import riesz_potential, smoothing_difference_function
 
     return smoothing_difference_function(riesz_potential(f, order), order, profile, tg)
+
+
+def duality_residual_stacked(f: SampledField, kernel, eps: float) -> float:
+    """The duality residual through a stored layer stack: every analysis
+    layer on the log-time grid, then the windowed synthesis of that stack
+    with the reflected conjugate kernel, against the truncated multiplier."""
+    from scalesq import (LogTimeGrid, apply_multiplier, continuous_symbol, convolve_levels,
+                         l2_norm, scale_synthesis)
+
+    window = (eps, 1.0 / eps)
+    tg = LogTimeGrid(eps, 1.0 / eps)
+    embedded = scale_synthesis(convolve_levels(f, kernel, tg), kernel.reflect_conjugate(), window)
+    truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
+    return l2_norm(SampledField(f.geometry, embedded.values - truncated.values)) / l2_norm(f)

@@ -41,9 +41,10 @@ from scalesq import (
     weighted_norm,
 )
 from scalesq.sobolev import _smoothing_family
-from scalesq.squarefn import _fft_grids, _second_difference_family, _sided_average_family
+from scalesq.squarefn import _chunk_layers, _fft_grids, _second_difference_family, _sided_average_family
 from oracles import (
     difference_multiplier,
+    duality_residual_stacked,
     kernel_multiplier,
     loop_layers,
     loop_square_sum,
@@ -177,9 +178,41 @@ def test_batch_rejects_mixed_geometries():
         family.square_sum([field(1), mean_subtract(random_band_field(Geometry(1, 128, 16.0), 0))])
 
 
-def test_duality_memory_is_bounded_by_the_stack():
-    # 64 layers of 256^2 make a 64 MiB stack; chunked analysis and synthesis
-    # keep everything else well below a second copy of it
+def test_radial_batch_table_spans_many_layer_chunks():
+    # 20 fields of 4096 points take one layer per chunk, but the (scales,
+    # 2049 shells) table is evaluated _chunk_layers(2049) scales at a time
+    geom = Geometry(1, 4096, 32.0)
+    members = default_test_family(geom, seed=4).members
+    tg = LogTimeGrid(2.0**-4, 2.0**3, 16)
+    family = ScaleFamily.of_kernel(kernel_from_id("poisson-q"), tg.scales, tg.weight)
+    calls = []
+
+    def counted(t, *xi):
+        calls.append(t.size)
+        return family.multiplier(t, *xi)
+
+    got = dataclasses.replace(family, multiplier=counted).square_sum(members)
+    assert tg.node_count == 112 and _chunk_layers(geom.n_samples // 2 + 1) == 7
+    assert calls == [7] * 16  # one scale per call if sized for the layers
+    want = loop_square_sum(members[3], kernel_multiplier(kernel_from_id("poisson-q")), tg.scales, tg.weight)
+    assert rel(got[3], want) <= 1e-12
+
+
+DUALITY_CASES = [(1, n, kid) for n in (4096, 512) for kid in KERNELS[1]] + [(2, 128, kid) for kid in KERNELS[2]]
+
+
+@pytest.mark.parametrize("dim,n,kid", DUALITY_CASES)
+def test_duality_residual_is_the_stacked_route(dim, n, kid):
+    geom, kernel = Geometry(dim, n, 32.0 if dim == 1 else 16.0), kernel_from_id(kid)
+    for seed in (0, 1):
+        f = mean_subtract(random_band_field(geom, seed=seed))
+        for eps in (0.125, 0.25):
+            assert duality_residual(f, kernel, eps) == duality_residual_stacked(f, kernel, eps), (seed, eps)
+
+
+def test_duality_never_forms_the_stack():
+    # 64 layers of 256^2 make a 64 MiB stack; the streamed residual holds
+    # one chunk of layers at a time, far below it
     geom = Geometry(2, 256, 16.0)
     f = mean_subtract(random_band_field(geom, seed=7))
     stack_bytes = LogTimeGrid(0.25, 4.0, 16).node_count * 16 * 256 * 256
@@ -190,7 +223,7 @@ def test_duality_memory_is_bounded_by_the_stack():
     finally:
         tracemalloc.stop()
     assert res < 1e-10
-    assert peak < 2 * stack_bytes
+    assert peak < stack_bytes / 4
 
 
 # ---------------------------------------------------------------------------
