@@ -112,6 +112,7 @@ def _kernel_metadata(kernel: Kernel) -> dict:
         "dim": kernel.dim,
         "radial": kernel.radial,
         "odd": kernel.odd,
+        "real": kernel.real,
         "has_spatial": kernel.spatial is not None,
         "fourier_mode": kernel.fourier_mode,
         "support_radius": kernel.support_radius,

@@ -21,6 +21,7 @@ from .grid import (
     default_geometry,
     default_time_grid,
 )
+from .weights import require_ap_weight
 
 
 class ConfigError(ValueError):
@@ -251,6 +252,10 @@ def equivalence_config_from_dict(
     grid = grid_config_from_dict(_as_mapping(d.get("grid", {}), "grid"))
     time = time_config_from_dict(_as_mapping(d.get("time", {}), "time"))
     dyadic = dyadic_config_from_dict(_as_mapping(d.get("dyadic", {}), "dyadic"))
+    try:
+        require_ap_weight(weight or "const", grid.dim, p)
+    except ValueError as exc:
+        raise ConfigError("weight", str(exc)) from exc
 
     return EquivalenceConfig(
         operator=operator,

@@ -125,7 +125,12 @@ class Kernel:
     Symmetry tags, which the scale-layer engine and the condition checkers
     trust: `radial` promises that psi and psihat depend on |x| and |xi| alone;
     `odd` promises psi(-x) == -psi(x) and psihat(-xi) == -psihat(xi), both
-    bit for bit.
+    bit for bit; `real` promises psihat(-xi) == conj psihat(xi) at every
+    frequency of every sampling grid, the self-conjugate ones included, so
+    psihat is real at xi = 0 and on the Nyquist frequencies.  A real even
+    kernel keeps that promise.  A real odd one does not: its hat is
+    imaginary at the Nyquist frequency -N/2, which is its own negative on
+    the grid.
     """
 
     dim: int
@@ -141,6 +146,7 @@ class Kernel:
     edge_singularity: tuple[float, float] | None = None
     radial: bool = False
     odd: bool = False
+    real: bool = False
 
     def fourier_at_scale(self, t: float, *coords):
         """Fourier transform of the L1-normalized dilate, psihat(t xi)."""
@@ -348,6 +354,7 @@ def poisson_derivative_kernel(dim: int = 1) -> Kernel:
         fourier_tail_exponent=2.0,  # any polynomial rate; 2 is a safe tag
         fourier_origin_exponent=1.0,
         radial=True,
+        real=True,
     )
 
 
@@ -441,6 +448,7 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
         cancellation_order=-1,
         fourier_tail_exponent=(dim + 1.0) / 2.0,
         radial=True,
+        real=True,
     )
     return AveragingProfile(
         kernel=kern,
@@ -534,6 +542,7 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
         fourier_tail_exponent=alpha,
         fourier_origin_exponent=frac,
         radial=True,
+        real=True,
     )
 
 
@@ -606,6 +615,7 @@ def band_indicator_kernel(lo: float, hi: float) -> Kernel:
         fourier_mode="closed_form",
         support_radius=math.inf,
         cancellation_order=0,
+        real=True,
     )
 
 

@@ -75,7 +75,7 @@ def _smoothing_family(
     _require_moment_class(profile, order, "smoothing differences")
     deficit = profile.deficit
     multiplier = lambda t, *xi: deficit(*(t * x for x in xi))
-    return ScaleFamily(scales, weights, multiplier, profile.kernel.radial)
+    return ScaleFamily(scales, weights, multiplier, profile.kernel.radial, real=profile.kernel.real)
 
 
 def smoothing_difference_function(
@@ -113,7 +113,7 @@ def potential_smoothing_function(
     _require_mean_zero(f, "potential_smoothing_function")
     riesz = riesz_symbol(order).evaluate
     multiplier = lambda t, *xi: diff.multiplier(t, *xi) * riesz(*xi)
-    family = ScaleFamily(tg.scales, weights, multiplier, profile.kernel.radial)
+    family = ScaleFamily(tg.scales, weights, multiplier, diff.radial, real=diff.real)
     return family.square_function([f])[0]
 
 

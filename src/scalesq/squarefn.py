@@ -7,13 +7,28 @@ sum_t w_t |IFFT(m_t fhat)|^2; the layer stack of one field; the synthesis
 sum_t w_t IFFT(m_t FFT(h_t)) of a stack h, or of layers streamed chunk by
 chunk; the symbol sigma(xi) = sum_t w_t |m_t(xi)|^2; and the energy of a
 batch, the integral of the square sum over the grid.  Each runs over
-chunks of at most `_CHUNK_BYTES` of complex layers (at least one layer),
+chunks of at most `_CHUNK_BYTES` of layers (at least one layer),
 evaluating a chunk's multipliers once per call for every field of the
 batch, so memory beyond inputs and outputs does not grow with the number
 of scales or fields.  The square sum shifts each input and each output
 once, never a layer: |.|^2 does not see shifts.  The energy forms no layer
 at all: by the discrete Parseval identity it is the symbol integrated
 against the field's power spectrum.
+
+A family tagged real promises m_t(-xi) = conj m_t(xi) at every frequency
+of the DFT grid, the self-conjugate ones included, so m_t is real at
+xi = 0 and on the Nyquist frequencies.  It maps real fields to real layers,
+and the engine takes them through the half spectrum: `rfftn`, the
+multipliers on the first N/2 + 1 frequencies of the last axis, `irfftn`,
+and out*out for the square.  A real layer is half the bytes of a complex
+one, so a chunk holds twice the scales.  The route is decided field by
+field from the values (no imaginary part), never from a label; a mixed
+batch takes each kind its own way, in batch order.  The synthesis takes
+real layers the same way and ends in one `irfftn`.  Real odd families
+(haar, gm:a, sgn-diff, the sided averages and second differences) are not
+tagged: their multiplier is imaginary at the Nyquist frequency -N/2, which
+is its own negative, so their layers of a real field keep an imaginary
+Nyquist term that the half spectrum would drop.
 
 A radial family, one whose multipliers depend on |xi| alone, is evaluated
 once per |xi| shell: each call finds the distinct |xi|^2 of its input,
@@ -47,6 +62,7 @@ physical space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -65,7 +81,8 @@ from .grid import (
 )
 from .kernels import Kernel, _jacobi_unit_rule
 
-# complex layers per chunk, counting every field of a batch
+# layers per chunk, counting every field of a batch: a complex layer takes 16
+# bytes per grid point, a real one 8
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -92,15 +109,19 @@ def _spatial_axes(geom: Geometry) -> tuple[int, ...]:
     return tuple(range(-geom.dim, 0))
 
 
-def _fft_grids(geom: Geometry) -> tuple[np.ndarray, ...]:
-    """The frequency grids in FFT (unshifted) order."""
+def _fft_grids(geom: Geometry, half: bool = False) -> tuple[np.ndarray, ...]:
+    """The frequency grids in FFT (unshifted) order.  With `half`, the last
+    axis keeps its first N/2 + 1 frequencies, the last of them -N/2: the
+    grid of the half spectrum that `rfftn` gives and `irfftn` takes."""
     ax = np.fft.ifftshift(geom.frequency_axis())
-    return (ax,) if geom.dim == 1 else (ax[:, None], ax[None, :])
+    last = ax[: geom.n_samples // 2 + 1] if half else ax
+    return (last,) if geom.dim == 1 else (ax[:, None], last[None, :])
 
 
-def _chunk_layers(points: int) -> int:
-    """How many complex layers of `points` values fit in a chunk; at least one."""
-    return max(1, _CHUNK_BYTES // (16 * points))
+def _chunk_layers(points: int, real: bool = False) -> int:
+    """How many layers of `points` values fit in a chunk, complex ones or real
+    ones at half the bytes; at least one."""
+    return max(1, _CHUNK_BYTES // ((8 if real else 16) * points))
 
 
 def _batch_geometry(fields: Sequence[SampledField]) -> Geometry:
@@ -138,6 +159,16 @@ class ScaleFamily:
     once per distinct |xi|^2 of its input, at (|xi|, 0, ..., 0).  `odd`
     declares m_t(-xi) == -m_t(xi) bit for bit; on 1-D input such a family
     is evaluated once per distinct |xi| and the values at xi < 0 negated.
+
+    `real` declares m_t(-xi) == conj m_t(xi) at every frequency of the DFT
+    grid, the self-conjugate ones included: m_t is real at xi = 0 and on the
+    Nyquist frequencies, where -N/2 is its own negative.  Such a family maps
+    a real field to real layers, and it takes every field whose values have
+    no imaginary part through the half spectrum: `rfftn`, the multipliers on
+    the first N/2 + 1 frequencies of the last axis, `irfftn`.  The route is
+    decided field by field from the values, never from a label; a real odd
+    family must not carry the tag, since its multiplier is imaginary at -N/2
+    and the half spectrum would drop that term of its layers.
     """
 
     scales: NDArray[np.float64]
@@ -145,6 +176,7 @@ class ScaleFamily:
     multiplier: Callable
     radial: bool = False
     odd: bool = False
+    real: bool = False
 
     def __post_init__(self):
         scales = np.atleast_1d(np.asarray(self.scales, dtype=float))
@@ -159,7 +191,7 @@ class ScaleFamily:
                 raise ValueError(f"kernel '{kernel.name}' has dim {kernel.dim}, field has dim {len(xi)}")
             return kernel.fourier(*(t * x for x in xi))
 
-        return cls(scales, weights, multiplier, kernel.radial, kernel.odd)
+        return cls(scales, weights, multiplier, kernel.radial, kernel.odd, kernel.real)
 
     def _points(self, xi):
         """(where to evaluate the multipliers, the index gathering them onto xi,
@@ -215,27 +247,58 @@ class ScaleFamily:
                     m *= sign
                 yield slice(table.start + lo, table.start + lo + layers), m
 
-    def _layer_chunks(self, fields: Sequence[SampledField]):
-        """(scales, fields, their layers in FFT order) for a batch, chunk by chunk.
+    def _real_route(self, values: np.ndarray) -> bool:
+        """Whether values, a field or a stack of layers, go through the half
+        spectrum: the family is tagged real and the values have no imaginary part."""
+        return self.real and not np.imag(values).any()
 
-        A batch of one field is chunked as `synthesis` chunks its stack:
-        `_chunk_layers` of the grid's points."""
+    def _layer_chunks(self, fields: Sequence[SampledField]):
+        """(scales, slice of the batch, those fields' layers in FFT order) for
+        a batch, chunk by chunk.
+
+        Fields of `_real_route` give real layers through the half spectrum,
+        the others complex layers through the full one; each run of
+        consecutive fields of one kind is transformed together.  A chunk
+        holds at most `_CHUNK_BYTES` of layers of both kinds (at least one
+        layer).  Its multipliers are evaluated once: on the full grid if any
+        field needs it, the real layers taking its first half.  A batch of
+        one field is chunked as `synthesis` chunks its stack: `_chunk_layers`
+        of the grid's points, real or complex."""
         geom = _batch_geometry(fields)
-        spec = np.empty((len(fields), 1) + geom.shape, dtype=np.complex128)  # (field, scale, *grid)
-        for f, row in zip(fields, spec):
-            row[0] = np.fft.fftn(np.fft.ifftshift(f.values))
-        layers = _chunk_layers(math.prod(geom.shape))
-        for chunk, m in self._chunks(_fft_grids(geom), max(1, layers // len(fields))):
-            step = max(1, layers // self.scales[chunk].size)
-            for lo in range(0, len(fields), step):
-                part = slice(lo, lo + step)
-                yield chunk, part, np.fft.ifftn(m * spec[part], axes=_spatial_axes(geom))
+        ax, half = _spatial_axes(geom), geom.n_samples // 2 + 1
+        real = [self._real_route(f.values) for f in fields]
+        runs, start = [], 0  # (real?, first field, spectra on (field, scale, *grid))
+        for is_real, run in itertools.groupby(real):
+            count = len(list(run))
+            shape = geom.shape[:-1] + (half,) if is_real else geom.shape
+            spec = np.empty((count, 1) + shape, dtype=np.complex128)
+            for f, row in zip(fields[start:start + count], spec):
+                v = np.fft.ifftshift(f.values)
+                row[0] = np.fft.rfftn(v.real) if is_real else np.fft.fftn(v)
+            runs.append((is_real, start, spec))
+            start += count
+        full = not all(real)
+        # a chunk's budget counted in real layers; a complex layer counts twice
+        units = _chunk_layers(math.prod(geom.shape), real=True)
+        per_scale = 2 * len(fields) - sum(real)
+        for chunk, m in self._chunks(_fft_grids(geom, half=not full), max(1, units // per_scale)):
+            for is_real, start, spec in runs:
+                mr = m[..., :half] if is_real and full else m
+                step = max(1, units // (mr.shape[0] * (1 if is_real else 2)))
+                for lo in range(0, len(spec), step):
+                    prod = mr * spec[lo:lo + step]
+                    if is_real:
+                        out = np.fft.irfftn(prod, s=geom.shape, axes=ax)
+                    else:
+                        out = np.fft.ifftn(prod, axes=ax)
+                    yield chunk, slice(start + lo, start + lo + len(prod)), out
 
     def square_sum(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
         """sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch, stacked on axis 0."""
         acc = np.zeros((len(fields),) + fields[0].geometry.shape)
         for chunk, part, out in self._layer_chunks(fields):
-            acc[part] += np.einsum("j,bj...->b...", self.weights[chunk], np.abs(out) ** 2)
+            power = out * out if np.isrealobj(out) else np.abs(out) ** 2
+            acc[part] += np.einsum("j,bj...->b...", self.weights[chunk], power)
         return np.fft.fftshift(acc, axes=_spatial_axes(fields[0].geometry))
 
     def square_function(self, fields: Sequence[SampledField]) -> list[SampledField]:
@@ -252,21 +315,27 @@ class ScaleFamily:
 
     def synthesis(self, layers: np.ndarray, geom: Geometry) -> SampledField:
         """sum_t w_t IFFT(m_t FFT(h_t)) of a stack h with one layer per scale."""
-        ax, step = _spatial_axes(geom), _chunk_layers(math.prod(geom.shape))
+        real = self._real_route(layers)
+        ax, step = _spatial_axes(geom), _chunk_layers(math.prod(geom.shape), real)
         chunks = (slice(lo, lo + step) for lo in range(0, self.scales.size, step))
-        return self._synthesize(((c, np.fft.ifftshift(layers[c], axes=ax)) for c in chunks), geom)
+        h = layers.real if real else layers
+        return self._synthesize(((c, np.fft.ifftshift(h[c], axes=ax)) for c in chunks), geom, real)
 
-    def _synthesize(self, chunks, geom: Geometry) -> SampledField:
+    def _synthesize(self, chunks, geom: Geometry, real: bool) -> SampledField:
         """sum_t w_t IFFT(m_t FFT(h_t)) over (slice of scales, their layers h_t
         in FFT order) pairs, consumed as they come; the slices must be the
-        family's own chunks of `_chunk_layers` of the grid's points."""
+        family's own chunks of `_chunk_layers` of the grid's points.  Real
+        layers, for a family tagged real, go through the half spectrum."""
         ax = _spatial_axes(geom)
-        acc = np.zeros(geom.shape, dtype=np.complex128)
-        ours = self._chunks(_fft_grids(geom), _chunk_layers(acc.size))
+        grids = _fft_grids(geom, half=real)
+        acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in grids)), dtype=np.complex128)
+        ours = self._chunks(grids, _chunk_layers(math.prod(geom.shape), real))
+        forward = np.fft.rfftn if real else np.fft.fftn
         for (chunk, m), (given, h) in zip(ours, chunks, strict=True):
             assert given == chunk, f"layers for scales {given} arrived where {chunk} was due"
-            acc += np.einsum("j,j...->...", self.weights[chunk], m * np.fft.fftn(h, axes=ax))
-        return SampledField(geom, np.fft.fftshift(np.fft.ifftn(acc)))
+            acc += np.einsum("j,j...->...", self.weights[chunk], m * forward(h, axes=ax))
+        out = np.fft.irfftn(acc, s=geom.shape, axes=ax) if real else np.fft.ifftn(acc)
+        return SampledField(geom, np.fft.fftshift(out))
 
     def energy(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
         """h^d sum_x sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch.
@@ -423,9 +492,10 @@ def duality_residual(
     window = (eps, 1.0 / eps)
     tg = LogTimeGrid(eps, 1.0 / eps, nodes_per_octave)
     t = tg.scales[_window_run(tg.scales, window)]
-    analysis = ScaleFamily.of_kernel(kernel, t)._layer_chunks([f])
+    analysis = ScaleFamily.of_kernel(kernel, t)
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), t, tg.weight)
-    embedded = synthesis._synthesize(((chunk, out[0]) for chunk, _, out in analysis), f.geometry)
+    layers = ((chunk, out[0]) for chunk, _, out in analysis._layer_chunks([f]))
+    embedded = synthesis._synthesize(layers, f.geometry, analysis._real_route(f.values))
     truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
     gap = l2_norm(SampledField(f.geometry, embedded.values - truncated.values))
     return gap / l2_norm(f)

@@ -60,16 +60,38 @@ def power_weight(exponent: float, radius_floor: float | None = None) -> Weight:
     return Weight(evaluate, kind=f"pow:{exponent:g}")
 
 
-def weight_from_id(wid: str, radius_floor: float | None = None) -> Weight:
+def _power_exponent(wid: str) -> float | None:
+    """A of a "pow:A" id, None for "const"; any other id raises."""
     if wid == "const":
-        return constant_weight()
+        return None
     if wid.startswith("pow:"):
         try:
-            a = float(wid.split(":", 1)[1])
+            return float(wid.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"malformed weight id '{wid}'") from None
-        return power_weight(a, radius_floor)
     raise ValueError(f"unknown weight id '{wid}' (forms: const, pow:A)")
+
+
+def weight_from_id(wid: str, radius_floor: float | None = None) -> Weight:
+    a = _power_exponent(wid)
+    return constant_weight() if a is None else power_weight(a, radius_floor)
+
+
+def require_ap_weight(wid: str, dim: int, p: float) -> None:
+    """Raise ValueError unless the id names a weight of the class A_p(R^dim).
+
+    A constant always is one.  |x|^A is one iff -dim < A < dim (p - 1) for
+    p > 1, and iff -dim < A <= 0 for p = 1 (Grafakos, Classical Fourier
+    Analysis, Example 7.1.7).  The weighted norm equivalences hold only for
+    A_p weights, so outside that range their test would pass vacuously.
+    """
+    a = _power_exponent(wid)
+    if a is None:
+        return
+    hi = dim * (p - 1.0)
+    if not (-dim < a < hi if p > 1 else -dim < a <= 0.0):
+        need = f"{-dim} < A < {hi:g}" if p > 1 else f"{-dim} < A <= 0"
+        raise ValueError(f"'{wid}' is not in A_{p:g}(R^{dim}): |x|^A needs {need}")
 
 
 def dual_weight(w: Weight, p: float) -> Weight:
@@ -170,8 +192,7 @@ def _ball_samples(center: tuple[float, ...], radius: float, dim: int, m: int):
     offsets = (np.arange(m) + 0.5) * (2.0 * radius / m) - radius
     if dim == 1:
         return ((center[0] + offsets),)
-    X = center[0] + offsets[:, None]
-    Y = center[1] + offsets[None, :]
+    X, Y = np.broadcast_arrays(center[0] + offsets[:, None], center[1] + offsets[None, :])
     inside = (X - center[0]) ** 2 + (Y - center[1]) ** 2 <= radius**2
     return (X[inside], Y[inside])
 

@@ -2,8 +2,9 @@
 
 Everything here goes through direct DFT sums, scipy adaptive quadrature,
 or closed forms worked out by hand, never through the package's spectral
-helpers; the exceptions, the composed routes at the end, chain public
-operators that a streamed or layered route must reproduce.
+helpers; the exceptions, the composed routes and the complex route at the
+end, chain public operators that a streamed, layered or half-spectrum
+route must reproduce.
 Slow is fine; these run on small grids.
 """
 
@@ -471,3 +472,36 @@ def duality_residual_stacked(f: SampledField, kernel, eps: float) -> float:
     embedded = scale_synthesis(convolve_levels(f, kernel, tg), kernel.reflect_conjugate(), window)
     truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
     return l2_norm(SampledField(f.geometry, embedded.values - truncated.values)) / l2_norm(f)
+
+
+# ---------------------------------------------------------------------------
+# the complex route of the scale-family engine
+#
+# A family's layers, square sums and syntheses through complex FFTs of the
+# full grid, one scale at a time, whatever the field: the route every field
+# took before families tagged real sent real fields through the half
+# spectrum.  Only the family's multiplier, scales and weights are used.
+
+def complex_layers(family, f: SampledField) -> np.ndarray:
+    return loop_layers(f, family.multiplier, family.scales)
+
+
+def complex_square_sums(family, fields) -> np.ndarray:
+    return np.array([loop_square_sum(f, family.multiplier, family.scales, family.weights) for f in fields])
+
+
+def complex_synthesis(family, layers: np.ndarray, geom) -> np.ndarray:
+    return loop_synthesis(layers, geom, family.multiplier, family.scales, family.weights)
+
+
+def complex_duality_residual(f: SampledField, kernel, eps: float) -> float:
+    """The duality residual with the analysis layers and their synthesis
+    taken scale by scale through complex FFTs."""
+    from scalesq import LogTimeGrid, apply_multiplier, continuous_symbol, l2_norm
+
+    tg = LogTimeGrid(eps, 1.0 / eps)
+    t = tg.scales[(tg.scales > eps) & (tg.scales < 1.0 / eps)]
+    layers = loop_layers(f, kernel_multiplier(kernel), t)
+    embedded = loop_synthesis(layers, f.geometry, kernel_multiplier(kernel.reflect_conjugate()), t, tg.weight)
+    truncated = apply_multiplier(continuous_symbol(kernel, tg, (eps, 1.0 / eps)), f)
+    return l2_norm(SampledField(f.geometry, embedded - truncated.values)) / l2_norm(f)

@@ -371,6 +371,32 @@ def test_non_finite_config_number_exits_2(tmp_path, capsys, command, fields, nam
     assert_usage_error([command, "--config", cfg], capsys, named)
 
 
+@pytest.mark.parametrize("command,fields", [
+    ("equivalence", {"operator": "gfun", "kernel": "haar"}),
+    ("sobolev", {"order": 0.5}),
+])
+@pytest.mark.parametrize("weight", ["pow:-1.5", "pow:3"])
+def test_weight_outside_ap_exits_2(tmp_path, capsys, command, fields, weight):
+    # |x|^A lies in A_2 on the line iff -1 < A < 1: pow:-1.5 is not even
+    # locally integrable, and pow:3 fails A_2, so a PASS would say nothing
+    cfg = write_config(tmp_path, p=2, weight=weight, **fields, **SMALL)
+    out = str(tmp_path / "rep.json")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field 'weight'") and "Traceback" not in err
+    assert weight in err and "-1 < A < 1" in err
+    assert not os.path.exists(out)
+
+
+def test_ap_range_follows_dimension_and_exponent():
+    base = {"operator": "gfun", "kernel": "poisson-q:2", "grid": {"dim": 2}}
+    assert equivalence_config_from_dict(dict(base, weight="pow:1.5", p=2)).weight == "pow:1.5"
+    assert equivalence_config_from_dict(dict(base, weight="pow:-1.5", p=1)).weight == "pow:-1.5"
+    for weight, p in (("pow:2", 2), ("pow:-2", 3), ("pow:0.3", 1), ("pow:nan", 2)):
+        with pytest.raises(ConfigError, match="'weight'"):
+            equivalence_config_from_dict(dict(base, weight=weight, p=p))
+
+
 def small_field_files(tmp_path):
     f = mean_subtract(random_band_field(Geometry(1, 16, 4.0), seed=1))
     csv, binary = str(tmp_path / "f.csv"), str(tmp_path / "f.bin")

@@ -43,6 +43,10 @@ from scalesq import (
 from scalesq.sobolev import _smoothing_family
 from scalesq.squarefn import _chunk_layers, _fft_grids, _second_difference_family, _sided_average_family
 from oracles import (
+    complex_duality_residual,
+    complex_layers,
+    complex_square_sums,
+    complex_synthesis,
     difference_multiplier,
     duality_residual_stacked,
     kernel_multiplier,
@@ -229,15 +233,20 @@ def test_duality_never_forms_the_stack():
 # ---------------------------------------------------------------------------
 # energy: the square sum integrated over the grid, by Parseval from the symbol
 
-def energy_fields(dim: int):
+def white_noise(geom, seed: int) -> SampledField:
+    """Real, mean-zero and carrying content up to the Nyquist frequency."""
+    return mean_subtract(SampledField(geom, np.random.default_rng(seed).standard_normal(geom.shape)))
+
+
+def energy_fields(dim: int, geom=None):
     """A real, a complex (modulated) and a white-noise field carrying Nyquist
-    content, all mean-zero so that every family accepts them."""
-    geom = GEOMS[dim]
-    noise = np.random.default_rng(11).standard_normal(geom.shape)
+    content, all mean-zero so that every family accepts them; in a batch the
+    complex field parts the real ones into two runs."""
+    geom = geom or GEOMS[dim]
     return [
         mean_subtract(SampledField(geom, random_band_field(geom, seed=8).values.real)),
         mean_subtract(modulated_gaussian_field(geom, 1.5, 2.0, 0.3)),
-        mean_subtract(SampledField(geom, noise)),
+        white_noise(geom, 11),
     ]
 
 
@@ -489,3 +498,122 @@ def test_sobolev_p2_is_one_forward_fft_per_member(monkeypatch, dim):
     monkeypatch.setattr(np.fft, "ifftn", no_inverse)
     assert all(r is not None for r in ratio_fn(members))
     assert calls == [GEOMS[dim].shape] * len(members)
+
+
+# ---------------------------------------------------------------------------
+# families tagged real: real fields through the half spectrum
+
+REAL_GEOMS = [Geometry(1, 4096, 32.0), Geometry(1, 512, 16.0), Geometry(2, 128, 16.0)]
+REAL_KERNELS = {1: ["poisson-q", "riesz-diff:0.5:ball", "band:1:3"], 2: ["poisson-q:2", "riesz-diff:0.5:ball:2"]}
+ODD_KERNELS = ["haar", "gm:0.75", "sgn-diff:ball"]
+
+
+def real_families(dim: int):
+    """Every family tagged real that the library builds, as it builds it."""
+    profile = ball_average_profile(dim)
+    families = {
+        "ball": ScaleFamily.of_kernel(profile.kernel, TG.scales, TG.weight),
+        "smoothing": _smoothing_family(0.5, profile, dim, TG.scales, TG.weight * TG.scales ** -1.0),
+    }
+    for kid in REAL_KERNELS[dim]:
+        kernel = kernel_from_id(kid)
+        families[f"{kid}:continuous"] = ScaleFamily.of_kernel(kernel, TG.scales, TG.weight)
+        families[f"{kid}:dyadic"] = ScaleFamily.of_kernel(kernel, KR.scales)
+    return families
+
+
+@pytest.mark.parametrize("geom", REAL_GEOMS, ids=lambda g: f"{g.dim}d-{g.n_samples}")
+def test_real_route_matches_complex_oracle(geom):
+    fields = energy_fields(geom.dim, geom)
+    for name, family in real_families(geom.dim).items():
+        assert family.real, name
+        sums = family.square_sum(fields)
+        for got, want in zip(sums, complex_square_sums(family, fields)):
+            assert rel(got, want) <= 1e-12, name
+        layers = family.layers(fields[2])
+        assert rel(layers, complex_layers(family, fields[2])) <= 1e-12, name
+        assert not layers.imag.any(), name
+        got = family.synthesis(layers, geom).values
+        assert rel(got, complex_synthesis(family, layers, geom)) <= 1e-12, name
+
+
+@pytest.mark.parametrize("geom", REAL_GEOMS, ids=lambda g: f"{g.dim}d-{g.n_samples}")
+def test_real_potential_smoothing_matches_complex_oracle(geom):
+    order, profile, f = 0.5, ball_average_profile(geom.dim), white_noise(geom, 23)
+    layered = lambda t, *xi: difference_multiplier(profile)(t, *xi) * riesz_multiplier(order, *xi)
+    want = loop_square_sum(f, layered, TG.scales, TG.weight * TG.scales ** (-2 * order))
+    assert rel(potential_smoothing_function(f, order, profile, TG).values, np.sqrt(want)) <= 1e-12
+
+
+REAL_DUALITY_CASES = [(g, kid) for g in REAL_GEOMS for kid in REAL_KERNELS[g.dim][:2]]
+
+
+@pytest.mark.parametrize("geom,kid", REAL_DUALITY_CASES, ids=lambda c: getattr(c, "n_samples", c))
+def test_real_duality_residual_matches_complex_oracle(geom, kid):
+    kernel, f = kernel_from_id(kid), white_noise(geom, 24)
+    for eps in (0.125, 0.25):
+        res = duality_residual(f, kernel, eps)
+        assert res == duality_residual_stacked(f, kernel, eps), eps
+        assert abs(res - complex_duality_residual(f, kernel, eps)) <= 1e-12, eps
+        assert res < 1e-10, eps
+
+
+def test_real_fields_take_the_half_spectrum(monkeypatch):
+    geom = Geometry(1, 512, 16.0)
+    members = default_test_family(geom, seed=4).members
+    real = [not f.values.imag.any() for f in members]
+    assert sum(real) == 15
+    seen = {"irfftn": 0, "ifftn": 0}
+    for name in seen:
+        inverse = getattr(np.fft, name)
+
+        def counted(a, *args, _inverse=inverse, _name=name, **kwargs):
+            seen[_name] += a.shape[0] * a.shape[1]  # fields x scales
+            return _inverse(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    family = ScaleFamily.of_kernel(kernel_from_id("poisson-q"), TG.scales, TG.weight)
+    family.square_sum(members)
+    assert seen == {"irfftn": 15 * TG.node_count, "ifftn": 5 * TG.node_count}
+    # a family without the tag takes every field through the full spectrum
+    seen.update(irfftn=0, ifftn=0)
+    ScaleFamily.of_kernel(kernel_from_id("haar"), TG.scales, TG.weight).square_sum(members)
+    assert seen == {"irfftn": 0, "ifftn": 20 * TG.node_count}
+
+
+def test_wrong_real_tag_drops_the_nyquist_term():
+    # haar is real but odd: its multiplier is imaginary at -N/2, so its
+    # layers of a real field keep an imaginary Nyquist term that the half
+    # spectrum cannot hold
+    geom = Geometry(1, 4096, 32.0)
+    f = white_noise(geom, 25)
+    # the term dropped is proportional to |fhat(-N/2)|^2, of order N for this draw
+    assert abs(np.fft.rfft(f.values.real)[-1]) ** 2 > geom.n_samples
+    family = ScaleFamily.of_kernel(kernel_from_id("haar"), default_dyadic_range(geom).scales)
+    wrong = dataclasses.replace(family, real=True)
+    assert rel(wrong.square_sum([f]), family.square_sum([f])) > 1e-4
+    assert np.abs(family.layers(f).imag).max() > 1e-3
+
+
+def test_no_odd_kernel_or_family_is_tagged_real():
+    for kid in ODD_KERNELS:
+        assert not kernel_from_id(kid).real, kid
+        assert not kernel_from_id(kid).reflect_conjugate().real, kid
+    for name, family in odd_families().items():
+        assert not family.real, name
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_real_tag_is_hermitian_on_the_grid(dim):
+    # m_t(-xi) == conj m_t(xi) at every grid frequency, -N/2 being its own
+    # negative, so m_t is real wherever xi is self-conjugate
+    geom = Geometry(dim, 32, 4.0)
+    neg = -np.arange(geom.n_samples) % geom.n_samples  # the FFT index of -xi
+    mirror = (slice(None), neg) if dim == 1 else (slice(None), neg[:, None], neg[None, :])
+    families = real_families(dim)
+    smoothing = families["smoothing"].multiplier
+    families["potential"] = ScaleFamily(TG.scales, 1.0, lambda t, *xi: smoothing(t, *xi) * riesz_multiplier(0.5, *xi))
+    for name, family in families.items():
+        t = family.scales.reshape((-1,) + (1,) * dim)
+        m = np.broadcast_to(family.multiplier(t, *_fft_grids(geom)), family.scales.shape + geom.shape)
+        assert np.array_equal(m[mirror], np.conj(m)), name

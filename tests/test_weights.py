@@ -132,6 +132,15 @@ def test_ap_estimate_outside_range_grows():
     assert rep["refined_estimate"] > rep["estimate"] * 1.2
 
 
+def test_ap_estimate_in_two_dimensions():
+    # |x|^0.3 lies in A_2 on the plane (needs -2 < a < 2), |x|^3 does not
+    geom = Geometry(2, 64, 8.0)
+    rep = ap_stability_report(power_weight(0.3), 2.0, geom, j_min=-2, j_max=1, samples_per_ball=16)
+    assert rep["stable"] and rep["estimate"] >= 1.0
+    rep = ap_stability_report(power_weight(3.0), 2.0, geom, j_min=-2, j_max=1, samples_per_ball=16)
+    assert not rep["stable"] and rep["refined_estimate"] > rep["estimate"] * 1.2
+
+
 def test_ap_products_reject_nonpositive_weight():
     geom = Geometry(1, 256, 16.0)
     fam = dyadic_ball_family(geom, 0, 0)
