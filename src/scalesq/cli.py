@@ -180,10 +180,17 @@ def _cmd_gfun(args) -> int:
     if args.input is not None:
         f = _load_input_field(args.input)
         geom = f.geometry
+        try:  # the file's grid must suit the kernel and the scale set
+            if geom.dim != kernel.dim:
+                raise ValueError(f"field has dim {geom.dim}, kernel '{kernel.name}' has dim {kernel.dim}")
+            scales = _scales_for(geom, args)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}: {exc}") from None
     else:
         geom = _geometry_for(default_geometry(kernel.dim), args)
         f = mean_subtract(random_band_field(geom, args.seed))
-    g = g_function(f, kernel, _scales_for(geom, args))
+        scales = _scales_for(geom, args)
+    g = g_function(f, kernel, scales)
     nf = l2_norm(f)
     ng = l2_norm(g)
     if args.out is not None:

@@ -15,6 +15,7 @@ machine precision and Parseval holds in the form
 
 from __future__ import annotations
 
+import itertools
 import struct
 import warnings
 from dataclasses import dataclass
@@ -28,6 +29,11 @@ _BINARY_MAGIC = b"SFLD"
 NODES_PER_OCTAVE = 16
 # CSV rows formatted per block: Python floats take four times a sample's bytes
 _CSV_BLOCK_ROWS = 16384
+# bytes of one complex field at most: a command holds about ten field-sized
+# arrays at once (input, spectra, accumulators, output, a chunk of layers),
+# so the largest grid accepted, 2048^2 in 2-D or 2^22 points in 1-D, keeps
+# a command near 1 GB
+MAX_FIELD_BYTES = 64 * 1024 * 1024
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -41,8 +47,9 @@ class Geometry:
     Attributes
     ----------
     dim : 1 or 2
-    n_samples : points per axis, power of two, at least 8
-    half_length : L > 0
+    n_samples : points per axis, power of two, at least 8, with a complex
+        field of at most `MAX_FIELD_BYTES`
+    half_length : L in [1e-30, 1e30]
     """
 
     dim: int
@@ -58,6 +65,15 @@ class Geometry:
             )
         if not (0 < self.half_length < np.inf):
             raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
+        if not (1e-30 <= self.half_length <= 1e30):
+            # keeps the cell volumes h^d and (2L)^-d far inside floating-point range
+            raise ValueError(f"half_length must lie in [1e-30, 1e30], got {self.half_length}")
+        size = 16 * self.n_samples**self.dim
+        if size > MAX_FIELD_BYTES:
+            raise ValueError(
+                f"grid.n_samples = {self.n_samples} in {self.dim}-D makes a complex field of "
+                f"{size / 2**20:g} MiB, above the budget of {MAX_FIELD_BYTES / 2**20:g} MiB per field"
+            )
 
     @property
     def spacing(self) -> float:
@@ -398,7 +414,12 @@ def load_field_binary(path: str) -> SampledField:
 
 
 def save_field_csv(f: SampledField, path: str) -> None:
-    """Rows of (flat index, re, im) with a header comment recording dim, N, L."""
+    """Rows of (flat index, re, im) with a header comment recording dim, N, L.
+
+    The floats are written as their repr, block by block; a block whose
+    imaginary parts are all +0.0 (sign bit clear) writes the constant "0.0"
+    for them without formatting each one.
+    """
     g = f.geometry
     flat = f.values.ravel()
     with open(path, "w") as fh:
@@ -406,13 +427,20 @@ def save_field_csv(f: SampledField, path: str) -> None:
         fh.write("index,re,im\n")
         for lo in range(0, flat.size, _CSV_BLOCK_ROWS):
             block = flat[lo:lo + _CSV_BLOCK_ROWS]
-            rows = range(lo, lo + block.size)
-            fh.writelines(map("{},{!r},{!r}\n".format, rows, block.real.tolist(), block.imag.tolist()))
+            imag = block.imag
+            if imag.any() or np.signbit(imag).any():
+                im = map(repr, imag.tolist())
+            else:
+                im = itertools.repeat("0.0")
+            rows = zip(map(str, range(lo, lo + block.size)), map(repr, block.real.tolist()), im)
+            fh.write("\n".join(map(",".join, rows)))
+            fh.write("\n")
 
 
 def load_field_csv(path: str) -> SampledField:
-    """Read a field CSV; every flat index must appear exactly once."""
-    with open(path) as fh:
+    """Read a field CSV; every flat index must appear exactly once.  Bytes
+    that are not text read as U+FFFD, which no number or header parses as."""
+    with open(path, errors="replace") as fh:
         header = fh.readline()
         if not header.startswith("#"):
             raise ValueError(f"{path}: missing geometry header line")

@@ -8,14 +8,20 @@ alpha.  The dyadic potential difference is the same object driven by the
 smoothed Riesz-difference kernel, which makes several identities exact in
 spectral arithmetic rather than approximate.  `equivalence_experiment`
 measures how far the norm comparisons are from equalities on a fixed
-family of test fields; its ratio functions take the whole family in one
-call and return one ratio per member, None for a zero denominator.  The
-square-function ratio takes either kind of scale set (`grid.ScaleSet`).
+family of test fields.  The family keeps one maker per member and
+builds a member when it is read; a ratio function reads the members once,
+in order, and returns one ratio per member, None for a zero denominator.
+The Parseval paths take one member at a time, the paths that form layers
+batches of at most `_BATCH_BYTES` of members, and the work that depends on
+the grid alone is done once per call.  The square-function ratio takes
+either kind of scale set (`grid.ScaleSet`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +40,10 @@ from .grid import (
 from .kernels import AveragingProfile, _require_moment_class, riesz_difference_kernel
 from .multiplier import apply_multiplier, bessel_symbol, riesz_symbol
 from .squarefn import (
+    _BATCH_BYTES,
     ScaleFamily,
-    _batch_geometry,
     _fft_grids,
-    _power_spectrum,
+    _power_sums,
     _require_mean_zero,
     g_function,
 )
@@ -160,13 +166,38 @@ def sobolev_norm(
 # ---------------------------------------------------------------------------
 # test family and equivalence experiments
 
+class _BuiltOnDemand(Sequence):
+    """Fields built on demand, one maker each.  Nothing is kept: an index
+    builds its field, a slice builds a tuple of its fields, and iteration
+    builds one field at a time, each again on every access."""
+
+    def __init__(self, makers):
+        self._makers = tuple(makers)
+
+    def __len__(self) -> int:
+        return len(self._makers)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(make() for make in self._makers[i])
+        return self._makers[i]()
+
+    def __iter__(self):
+        # holds no field once it is handed out, unlike Sequence.__iter__
+        return (make() for make in self._makers)
+
+
 @dataclass(frozen=True)
 class TestFamily:
+    """Test fields with one label each.  `members` is a sequence of fields:
+    a tuple, or the sequence of `default_test_family`, which builds a member
+    whenever it is read and keeps none."""
+
     __test__ = False  # not a pytest class despite the name
 
     geometry: Geometry
     seed: int
-    members: tuple[SampledField, ...]
+    members: Sequence[SampledField]
     labels: tuple[str, ...]
 
     def __post_init__(self):
@@ -176,43 +207,47 @@ class TestFamily:
             raise ValueError("family is empty")
 
 
+def _test_member(geom: Geometry, amp: float, shape, *args) -> SampledField:
+    """One member: amp times shape(geom, *args), mean subtracted."""
+    return mean_subtract(SampledField(geom, amp * shape(geom, *args).values))
+
+
 def default_test_family(geom: Geometry, seed: int = 0) -> TestFamily:
     """Twenty mean-zero fields spanning low through high frequency content.
 
     Ten Gaussians (five widths, two centers), five modulated Gaussians,
     five smooth bumps.  The seed jitters centers and amplitudes so that
     distinct seeds give distinct but statistically matched families; all
-    shapes stay well inside the box to keep wraparound negligible.
+    shapes stay well inside the box to keep wraparound negligible.  Every
+    jitter and amplitude is drawn here, a member's jitter then its
+    amplitude; the members themselves are built when they are read.
     """
     rng = np.random.default_rng(seed)
     L = geom.half_length
     unit = L / 32.0
-    members: list[SampledField] = []
+    makers: list = []
     labels: list[str] = []
 
-    def jitter() -> tuple[float, ...]:
-        return tuple(rng.uniform(-L / 40.0, L / 40.0, size=geom.dim))
-
-    def add(label: str, f: SampledField) -> None:
+    def add(label: str, shape, *args, offset: float = 0.0) -> None:
+        center = tuple(offset + d for d in rng.uniform(-L / 40.0, L / 40.0, size=geom.dim))
         amp = rng.uniform(0.5, 2.0)
-        members.append(mean_subtract(SampledField(geom, amp * f.values)))
+        makers.append(functools.partial(_test_member, geom, amp, shape, *args, center))
         labels.append(label)
 
     widths = [0.35, 0.55, 0.9, 1.4, 2.2]
     for base_center in (-L / 16.0, L / 16.0):
         for w in widths:
-            center = tuple(base_center + d for d in jitter())
-            add(f"gauss:w{w:g}:c{base_center:g}", gaussian_field(geom, w * unit, center))
+            add(f"gauss:w{w:g}:c{base_center:g}", gaussian_field, w * unit, offset=base_center)
 
     mod_width = 1.2 * unit
     for m in (16, 32, 64, 128, 256):
         freq = m / (2.0 * L)
-        add(f"modgauss:f{freq:g}", modulated_gaussian_field(geom, freq, mod_width, jitter()))
+        add(f"modgauss:f{freq:g}", modulated_gaussian_field, freq, mod_width)
 
     for w in (2.0, 3.0, 4.0, 5.0, 6.0):
-        add(f"bump:w{w:g}", bump_field(geom, w * unit, jitter()))
+        add(f"bump:w{w:g}", bump_field, w * unit)
 
-    return TestFamily(geom, seed, tuple(members), tuple(labels))
+    return TestFamily(geom, seed, _BuiltOnDemand(makers), tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -248,8 +283,9 @@ def equivalence_experiment(
 ) -> RatioReport:
     """Evaluate ratio_fn on the members; a None ratio skips its member.
 
-    ratio_fn takes the list of members and returns one ratio per member,
-    None where the denominator is zero.
+    ratio_fn takes the sequence of members, reads each once, in order, and
+    returns one ratio per member, None where the denominator is zero; the
+    members of `default_test_family` are built as it reads them.
     """
     ratios: list[float] = []
     skipped: list[str] = []
@@ -274,6 +310,35 @@ def equivalence_experiment(
     )
 
 
+def _streamed(fields, prepare) -> list:
+    """One ratio per field of a sequence, read once, in order, batch by batch.
+
+    prepare(geom) does the work that depends on the grid alone, once, and
+    returns (fields per batch, a function giving the ratios of a batch).
+    Every field must share the first one's geometry.
+    """
+    out, batch, geom = [], [], None
+    for f in fields:
+        if geom is None:
+            geom = f.geometry
+            size, batch_ratios = prepare(geom)
+        elif f.geometry != geom:
+            raise ValueError("the fields of a batch must share one geometry")
+        batch.append(f)
+        del f  # a batch is freed before the next field is built
+        if len(batch) == size:
+            out += batch_ratios(batch)
+            batch = []
+    if batch:
+        out += batch_ratios(batch)
+    return out
+
+
+def _batch_size(geom: Geometry) -> int:
+    """Complex fields of this grid in `_BATCH_BYTES`, at least one."""
+    return max(1, _BATCH_BYTES // (16 * math.prod(geom.shape)))
+
+
 def _ratios(numerators, denominators) -> list:
     """numerators[i] / denominators[i], None for a zero denominator."""
     return [None if d == 0 else num / d for num, d in zip(numerators, denominators)]
@@ -285,27 +350,30 @@ def _norm_ratios(fields, numerators, p: float, weight: Weight) -> list:
 
 
 def _square_norms(family: ScaleFamily, fields, p: float, weight: Weight) -> list[float]:
-    """Weighted L^p norms of the family's square functions of a batch.
-
-    At p = 2 under a weight with one value c on the grid the norm is
-    sqrt(c * energy), which Parseval gives from the symbol without forming
-    a layer; every other p or weight squares the layers in physical space.
-    """
-    c = constant_on_grid(weight, fields[0].geometry) if p == 2 else None
-    if c is not None:
-        return [math.sqrt(c * e) for e in family.energy(fields)]
+    """Weighted L^p norms of the family's square functions of a batch."""
     return [weighted_norm(g, p, weight) for g in family.square_function(fields)]
 
 
 def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Weight):
     """ratio_fn: weighted norm of the square function over the scale set
-    against that of f."""
+    against that of f.
+
+    At p = 2 under a weight with one value c on the grid the numerator is
+    sqrt(c * energy), which Parseval gives from the family's symbol and one
+    forward FFT per field, one field at a time; every other p or weight
+    squares the layers in physical space, in batches of `_batch_size`.
+    """
     family = ScaleFamily.of_kernel(kernel, scales.scales, scales.weight)
 
-    def ratio_fn(fields):
-        return _norm_ratios(fields, _square_norms(family, fields, p, weight), p, weight)
+    def prepare(geom: Geometry):
+        c = constant_on_grid(weight, geom) if p == 2 else None
+        if c is None:
+            return _batch_size(geom), lambda fs: _norm_ratios(fs, _square_norms(family, fs, p, weight), p, weight)
+        sums = _power_sums(geom, [family.symbol(*_fft_grids(geom))])
+        volume = (geom.spacing / geom.n_samples) ** geom.dim
+        return 1, lambda fs: _norm_ratios(fs, [math.sqrt(c * (volume * sums(fs[0])[0]))], p, weight)
 
-    return ratio_fn
+    return lambda fields: _streamed(fields, prepare)
 
 
 def sobolev_equivalence_ratio(
@@ -316,32 +384,36 @@ def sobolev_equivalence_ratio(
 
     At p = 2 under a weight with one value c on the grid, Parseval gives all
     three norms from the power spectrum P = |FFT(g)|^2, one forward FFT per
-    member: ||g|| from sum P, the smoothed norm from sum b^2 P with b the
-    Bessel symbol, the smoothing-difference norm from sum sigma b^2 P with
-    sigma the family's symbol.  Every other p or weight smooths g in
-    physical space.
+    member, one member at a time: ||g|| from sum P, the smoothed norm from
+    sum b^2 P with b the Bessel symbol, the smoothing-difference norm from
+    sum sigma b^2 P with sigma the family's symbol.  Every other p or weight
+    smooths g in physical space, in batches of `_batch_size`.
     """
     weights = 4.0 ** (-kr.exponents * order)
 
-    def ratio_fn(gs):
-        geom = _batch_geometry(gs)
+    def prepare(geom: Geometry):
         family = _smoothing_family(order, profile, geom.dim, kr.scales, weights)
         c = constant_on_grid(weight, geom) if p == 2 else None
-        if c is not None:
-            grids = _fft_grids(geom)
-            b2 = bessel_symbol(order).evaluate(*grids) ** 2
-            sigma_b2 = family.symbol(*grids) * b2
-            volume = c * (geom.spacing / geom.n_samples) ** geom.dim
-            norms, denoms = [], []
-            for g in gs:
-                power = _power_spectrum(g)
-                diff, smoothed = np.sum(sigma_b2 * power), np.sum(b2 * power)
-                norms.append(math.sqrt(volume * diff) + math.sqrt(volume * smoothed))
-                denoms.append(math.sqrt(volume * np.sum(power)))
-            return _ratios(norms, denoms)
-        smoothed = [bessel_potential(g, order) for g in gs]
-        diffs = _square_norms(family, smoothed, p, weight)
-        norms = [d + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
-        return _norm_ratios(gs, norms, p, weight)
+        if c is None:
+            def batch_ratios(gs):
+                smoothed = [bessel_potential(g, order) for g in gs]
+                diffs = _square_norms(family, smoothed, p, weight)
+                norms = [d + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
+                return _norm_ratios(gs, norms, p, weight)
 
-    return ratio_fn
+            return _batch_size(geom), batch_ratios
+        grids = _fft_grids(geom)
+        sigma_b2 = family.symbol(*grids)  # first: finding its shells takes the most memory
+        b2 = bessel_symbol(order).evaluate(*grids) ** 2
+        sigma_b2 *= b2
+        sums = _power_sums(geom, [sigma_b2, b2, None])
+        volume = c * (geom.spacing / geom.n_samples) ** geom.dim
+
+        def member_ratio(gs):
+            diff, smoothed, total = sums(gs[0])
+            norm = math.sqrt(volume * diff) + math.sqrt(volume * smoothed)
+            return _ratios([norm], [math.sqrt(volume * total)])
+
+        return 1, member_ratio
+
+    return lambda fields: _streamed(fields, prepare)

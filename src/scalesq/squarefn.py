@@ -39,7 +39,10 @@ gathered once.  A 1-D odd family, m_t(-xi) = -m_t(xi), is evaluated the
 same way on the distinct |xi| and gathered with the sign of xi; its
 symbol, even, ignores the sign.  Nothing is cached between calls.  The
 p = 2 constant-weight Sobolev ratio in `sobolev` builds on the same
-Parseval identity and takes one forward FFT per field.
+Parseval identity and takes one forward FFT per field.  Both take a field
+with no imaginary part through `rfftn`, its power spectrum being even:
+the half spectrum against the symbol's even part, its interior columns
+counted twice.
 
 Every kernel operator takes a scale set (`grid.ScaleSet`): its scales t_j
 and the weight w each carries.  Continuous scale: a log-time grid, weighted
@@ -84,6 +87,10 @@ from .kernels import Kernel, _jacobi_unit_rule
 # layers per chunk, counting every field of a batch: a complex layer takes 16
 # bytes per grid point, a real one 8
 _CHUNK_BYTES = 256 * 1024
+# complex fields per batch of the ratio functions in `sobolev` that form
+# layers or weighted norms: the 20 test fields of a 1-D grid of 4096 points
+# (1.3 MB) stay one batch, a 2-D field of 512^2 points (4 MiB) goes alone
+_BATCH_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -131,10 +138,38 @@ def _batch_geometry(fields: Sequence[SampledField]) -> Geometry:
     return geom
 
 
-def _power_spectrum(f: SampledField) -> np.ndarray:
-    """|FFT(f)|^2 in FFT order, which does not see the centring shift."""
-    spec = np.fft.fftn(f.values)
-    return spec.real**2 + spec.imag**2
+def _power_sums(geom: Geometry, symbols):
+    """f -> [sum_k S(k) |FFT(f)_k|^2 for S in symbols] over the DFT grid of
+    geom, each S in FFT order, None standing for S = 1: one forward FFT per
+    field, no layer.  |FFT(f)|^2 does not see the centring shift.
+
+    A field with no imaginary part takes `rfftn`: its power spectrum is even,
+    so the full sum is the sum over the half spectrum (the first N/2 + 1
+    columns of the last axis) of the even part (S(k) + S(-k)) / 2 against
+    the power, every column but the first and the last (-N/2) counted
+    twice.  The other fields take `fftn` and the full grid.
+    """
+    half = geom.n_samples // 2 + 1
+    twice = np.full(half, 2.0)
+    twice[[0, -1]] = 1.0
+    # the index of -k, for k on the half grid
+    negated = np.ix_(*((-np.arange(m)) % geom.n_samples for m in geom.shape[:-1] + (half,)))
+
+    def fold(s):
+        if s is None:
+            return twice
+        s = np.broadcast_to(s, geom.shape)
+        return twice * (0.5 * (s[..., :half] + s[negated]))
+
+    folded = [fold(s) for s in symbols]
+
+    def sums(f: SampledField) -> list:
+        real = not np.imag(f.values).any()
+        spec = np.fft.rfftn(f.values.real) if real else np.fft.fftn(f.values)
+        power = spec.real**2 + spec.imag**2
+        return [np.sum(power) if s is None else np.sum(s * power) for s in (folded if real else symbols)]
+
+    return sums
 
 
 def _require_mean_zero(f: SampledField, what: str) -> None:
@@ -345,8 +380,8 @@ class ScaleFamily:
         layer.  It is exact on the DFT for any field, complex or not.
         """
         geom = _batch_geometry(fields)
-        sigma = self.symbol(*_fft_grids(geom))
-        out = np.array([np.sum(sigma * _power_spectrum(f)) for f in fields])
+        sums = _power_sums(geom, [self.symbol(*_fft_grids(geom))])
+        out = np.array([sums(f)[0] for f in fields])
         return (geom.spacing / geom.n_samples) ** geom.dim * out
 
     def symbol(self, *xi) -> NDArray[np.float64]:

@@ -505,3 +505,45 @@ def complex_duality_residual(f: SampledField, kernel, eps: float) -> float:
     embedded = loop_synthesis(layers, f.geometry, kernel_multiplier(kernel.reflect_conjugate()), t, tg.weight)
     truncated = apply_multiplier(continuous_symbol(kernel, tg, (eps, 1.0 / eps)), f)
     return l2_norm(SampledField(f.geometry, embedded - truncated.values)) / l2_norm(f)
+
+
+# ---------------------------------------------------------------------------
+# the eager test family and the full-spectrum power sums
+#
+# The test family as it was built before members were built on demand: all
+# twenty fields at once, each jitter and amplitude drawn just before its
+# member is made.  And sum_k S(k) |FFT(f)_k|^2 through a complex FFT of the
+# full grid, the route every field took before real fields took `rfftn`.
+
+def eager_test_family(geom, seed: int) -> tuple[tuple[SampledField, ...], tuple[str, ...]]:
+    from scalesq import bump_field, gaussian_field, mean_subtract, modulated_gaussian_field
+
+    rng = np.random.default_rng(seed)
+    L = geom.half_length
+    unit = L / 32.0
+    members, labels = [], []
+
+    def jitter():
+        return tuple(rng.uniform(-L / 40.0, L / 40.0, size=geom.dim))
+
+    def add(label, f):
+        amp = rng.uniform(0.5, 2.0)
+        members.append(mean_subtract(SampledField(geom, amp * f.values)))
+        labels.append(label)
+
+    for base_center in (-L / 16.0, L / 16.0):
+        for w in [0.35, 0.55, 0.9, 1.4, 2.2]:
+            center = tuple(base_center + d for d in jitter())
+            add(f"gauss:w{w:g}:c{base_center:g}", gaussian_field(geom, w * unit, center))
+    for m in (16, 32, 64, 128, 256):
+        freq = m / (2.0 * L)
+        add(f"modgauss:f{freq:g}", modulated_gaussian_field(geom, freq, 1.2 * unit, jitter()))
+    for w in (2.0, 3.0, 4.0, 5.0, 6.0):
+        add(f"bump:w{w:g}", bump_field(geom, w * unit, jitter()))
+    return tuple(members), tuple(labels)
+
+
+def full_power_sum(f: SampledField, symbol) -> float:
+    """sum_k S(k) |FFT(f)_k|^2 over the full grid, S in FFT order."""
+    power = np.abs(np.fft.fftn(f.values)) ** 2
+    return float(np.sum(np.broadcast_to(symbol, power.shape) * power))

@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -459,6 +460,35 @@ def test_huge_exponent_gives_finite_spread(tmp_path):
     assert math.isfinite(read_report(out)["spread"])
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "binary header", "csv header"])
+def test_grid_above_the_memory_budget_is_refused_before_allocating(tmp_path, capsys, source):
+    # one complex field of 8192^2 (or 2^20 squared) points is 1 GiB (or 16 TiB)
+    if source == "flag":
+        argv = ["gfun", "--kernel", "poisson-q:2", "--grid-n", "8192"]
+    elif source == "config":
+        argv = ["sobolev", "--config", write_config(tmp_path, order=0.5, grid={"dim": 2, "n_samples": 8192})]
+    elif source == "binary header":
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"SFLD" + struct.pack("<qqd", 2, 8192, 16.0) + bytes(32))
+        argv = ["gfun", "--kernel", "poisson-q:2", "--input", str(path)]
+    else:
+        path = tmp_path / "f.csv"
+        path.write_text(f"# dim=2 n={2**20} half_length=16.0\nindex,re,im\n0,1.0,0.0\n")
+        argv = ["gfun", "--kernel", "poisson-q:2", "--input", str(path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert "grid.n_samples" in err and "budget" in err
+    if source.endswith("header"):
+        assert str(path) in err
+    assert peak < 2**20
+
+
 # ---------------------------------------------------------------------------
 # random config dicts: a report or a named error, never a traceback
 
@@ -532,3 +562,78 @@ def test_random_configs_end_in_a_report_or_a_named_error(command, cfg):
             assert code == 1 and report["error"] == "nondegeneracy check failed"
             return
         assert isinstance(report["spread"], float) and math.isfinite(report["spread"])
+
+
+# ---------------------------------------------------------------------------
+# random field files through gfun --input: a result or an error naming the file
+
+# about half the files are a field on a grid that gfun runs on; the rest draw
+# each header entry apart.  2^23 in 1-D, 8192 and 2^40 in 2-D are above the memory
+# budget and must be refused from the header alone.
+HEADER_DIMS = st.sampled_from([1, 2, 0, 3, -1])
+HEADER_NS = st.sampled_from([64, 64, 8, 32, 7, 0, -8, 2**23, 8192, 2**40])
+HEADER_LS = st.one_of(st.sampled_from([1.0, 4.0, 16.0, 1e-300, 5e-324, 1e300]),
+                      st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def headers(draw) -> tuple:
+    if draw(st.booleans()):
+        return draw(st.sampled_from([1, 2])), 64, draw(st.sampled_from([1.0, 4.0, 16.0])), True
+    return draw(HEADER_DIMS), draw(HEADER_NS), draw(HEADER_LS), False
+
+
+@st.composite
+def field_payloads(draw, dim, n, exact: bool) -> bytes:
+    """The header's count of float64s, or one off it, or 16 when the
+    header names no grid: noise, or raw random bytes (any exponent, NaN or
+    inf now and then)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = 2 * n**dim if dim in (1, 2) and 0 < n <= 64 else 16
+    if not exact:
+        count = max(0, count + draw(st.sampled_from([0, -1, 1])))
+    if draw(st.booleans()):
+        return rng.standard_normal(count).astype("<f8").tobytes()
+    return rng.bytes(8 * count)
+
+
+@st.composite
+def binary_field_files(draw) -> bytes:
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.binary(max_size=64))
+    dim, n, L, exact = draw(headers())
+    magic = b"SFLD" if exact else draw(st.sampled_from([b"SFLD"] * 5 + [b"SFLX"]))
+    return magic + struct.pack("<qqd", dim, n, L) + draw(field_payloads(dim, n, exact))
+
+
+@st.composite
+def csv_field_files(draw) -> bytes:
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.binary(max_size=64))
+    dim, n, L, exact = draw(headers())
+    header = f"# dim={dim} n={n} half_length={L!r}"
+    if not exact:
+        header = draw(st.sampled_from([header, header, f"# dim={dim} n={n}", "# junk", "index"]))
+    values = np.frombuffer(draw(field_payloads(dim, n, exact)), dtype="<f8")
+    rows = [f"{i},{float(values[2 * i])!r},{float(values[2 * i + 1])!r}" for i in range(values.size // 2)]
+    if rows and not exact and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = draw(st.sampled_from(["", "1,2", "x,y,z", "0,1.0,0.0", "-1,0,0", "1e9,0,0"]))
+    return "\n".join([header, "index,re,im"] + rows).encode() + b"\n"
+
+
+@given(kind=st.sampled_from(["bin", "csv"]), data=st.data(), kernel=st.sampled_from(["haar", "poisson-q:2"]))
+@settings(max_examples=80, deadline=None)
+def test_random_field_files_end_in_a_result_or_an_error_naming_the_file(kind, data, kernel):
+    content = data.draw(binary_field_files() if kind == "bin" else csv_field_files())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"field.{kind}")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(["gfun", "--kernel", kernel, "--input", path])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(f"error: {path}")

@@ -30,6 +30,7 @@ from scalesq import (
     save_field_binary,
     save_field_csv,
 )
+from scalesq.grid import MAX_FIELD_BYTES
 from oracles import save_field_csv_rows, slow_transform
 
 
@@ -276,6 +277,45 @@ def test_csv_writer_matches_row_loop_byte_for_byte(tmp_path, rng, monkeypatch, d
     save_field_csv(f, str(fast))
     save_field_csv_rows(f, str(rows))
     assert fast.read_bytes() == rows.read_bytes()
+
+
+@pytest.mark.parametrize("imag", ["zero", "negative-zero", "complex"])
+def test_csv_writer_real_blocks_match_row_loop(tmp_path, monkeypatch, imag):
+    # blocks of 5: the first real, the second with -0.0 or complex parts in
+    # its imaginary column, or +0.0 throughout
+    monkeypatch.setattr("scalesq.grid._CSV_BLOCK_ROWS", 5)
+    geom = Geometry(1, 16, 1.0)
+    re = [-0.0, 1e16, 1e-5, 5e-324, -2.2250738585072014e-308, 0.1, 1e-300, -1.5, 3.0, 0.0,
+          123456789.125, -1e16, 2.5e-310, 7.0, -0.0, 1e300]
+    vals = np.array(re, dtype=complex)
+    if imag == "negative-zero":
+        vals.imag[7] = -0.0
+    elif imag == "complex":
+        vals.imag[5:10] = [1e-5, -1e16, 5e-324, -0.0, 2.0]
+    f = SampledField(geom, vals)
+    assert np.signbit(f.values.imag[7]) == (imag == "negative-zero")
+    fast, rows = tmp_path / "fast.csv", tmp_path / "rows.csv"
+    save_field_csv(f, str(fast))
+    save_field_csv_rows(f, str(rows))
+    assert fast.read_bytes() == rows.read_bytes()
+
+
+def test_geometry_memory_budget():
+    # the largest grids whose complex field fits MAX_FIELD_BYTES, and one past them
+    assert 16 * 2048**2 == 16 * 2**22 == MAX_FIELD_BYTES
+    Geometry(2, 2048, 16.0)
+    Geometry(1, 2**22, 32.0)
+    for dim, n in ((2, 4096), (2, 8192), (1, 2**23)):
+        with pytest.raises(ValueError, match=r"grid\.n_samples = \d+ in \d-D .* above the budget"):
+            Geometry(dim, n, 16.0)
+
+
+def test_geometry_half_length_range():
+    Geometry(1, 64, 1e-30)
+    Geometry(2, 64, 1e30)
+    for L in (1e-31, 1e31, 1e300, 5e-324):
+        with pytest.raises(ValueError, match="half_length"):
+            Geometry(2, 64, L)
 
 
 def test_binary_rejects_bad_magic(tmp_path):

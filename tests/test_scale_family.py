@@ -1,6 +1,7 @@
 """The scale-family engine against the per-scale loops it replaced."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -41,7 +42,14 @@ from scalesq import (
     weighted_norm,
 )
 from scalesq.sobolev import _smoothing_family
-from scalesq.squarefn import _chunk_layers, _fft_grids, _second_difference_family, _sided_average_family
+from scalesq.multiplier import bessel_symbol
+from scalesq.squarefn import (
+    _chunk_layers,
+    _fft_grids,
+    _power_sums,
+    _second_difference_family,
+    _sided_average_family,
+)
 from oracles import (
     complex_duality_residual,
     complex_layers,
@@ -49,6 +57,7 @@ from oracles import (
     complex_synthesis,
     difference_multiplier,
     duality_residual_stacked,
+    full_power_sum,
     kernel_multiplier,
     loop_layers,
     loop_square_sum,
@@ -485,19 +494,66 @@ def test_sobolev_parseval_ratios_match_physical_route(dim, order):
 def test_sobolev_p2_is_one_forward_fft_per_member(monkeypatch, dim):
     members = default_test_family(GEOMS[dim], seed=6).members
     ratio_fn = sobolev_equivalence_ratio(0.5, ball_average_profile(dim), KR, 2.0, constant_weight(3.7))
-    forward, calls = np.fft.fftn, []
+    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return forward(*args, **kwargs)
+    def counted(name):
+        forward = getattr(np.fft, name)
+
+        def transform(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return forward(*args, **kwargs)
+
+        return transform
 
     def no_inverse(*args, **kwargs):
         raise AssertionError("an inverse FFT ran")
 
-    monkeypatch.setattr(np.fft, "fftn", counted)
-    monkeypatch.setattr(np.fft, "ifftn", no_inverse)
+    for name in ("fftn", "rfftn"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    for name in ("ifftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, no_inverse)
     assert all(r is not None for r in ratio_fn(members))
-    assert calls == [GEOMS[dim].shape] * len(members)
+    # the complex members take fftn, the real ones (15 of 20) rfftn
+    want = [("fftn" if np.imag(f.values).any() else "rfftn", GEOMS[dim].shape) for f in members]
+    assert sum(name == "rfftn" for name, _ in want) == 15
+    assert calls == want
+
+
+@pytest.mark.parametrize("geom", [GEOMS[1], Geometry(1, 64, 4.0), GEOMS[2], Geometry(2, 16, 2.0)],
+                         ids=lambda g: f"{g.dim}d-{g.n_samples}")
+def test_power_sums_match_the_full_spectrum(geom, rng):
+    # symbols that are not even: a real field's sum takes their even part
+    grids = _fft_grids(geom)
+    symbols = [rng.uniform(0.5, 2.0, geom.shape), np.exp(sum(grids)), None]
+    sums = _power_sums(geom, symbols)
+    f = random_band_field(geom, 3, band=(0.0, 8.0))  # complex, with a mean
+    for f in (SampledField(geom, f.values.real), f):
+        want = [full_power_sum(f, 1.0 if s is None else s) for s in symbols]
+        assert np.allclose(sums(f), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_p2_ratios_match_the_full_spectrum_oracle(dim):
+    # the half spectrum of the 15 real members against complex FFTs of the full grid
+    geom = GEOMS[dim]
+    members = default_test_family(geom, seed=9).members
+    grids = _fft_grids(geom)
+    profile = ball_average_profile(dim)
+    sigma = _smoothing_family(0.5, profile, dim, KR.scales, 4.0 ** (-KR.exponents * 0.5)).symbol(*grids)
+    b2 = bessel_symbol(0.5).evaluate(*grids) ** 2
+    want = []
+    for g in members:
+        diff, smoothed, total = (full_power_sum(g, s) for s in (sigma * b2, b2, 1.0))
+        want.append((math.sqrt(diff) + math.sqrt(smoothed)) / math.sqrt(total))
+    got = sobolev_equivalence_ratio(0.5, profile, KR, 2.0, constant_weight(3.7))(members)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    kernel = kernel_from_id(KERNELS[dim][0])
+    sigma = ScaleFamily.of_kernel(kernel, TG.scales, TG.weight).symbol(*grids)
+    h_d = (geom.spacing / geom.n_samples) ** dim
+    want = [math.sqrt(h_d * full_power_sum(g, sigma)) / weighted_norm(g, 2.0, constant_weight()) for g in members]
+    got = square_function_ratio(kernel, TG, 2.0, constant_weight())(members)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from scalesq import (
     sobolev_equivalence_ratio,
     sobolev_norm,
     square_function_ratio,
+    weight_from_id,
     weighted_norm,
 )
 from scalesq.sobolev import _smoothing_family
-from oracles import ball_deficit_mpmath, moving_average_physical, potential_smoothing_compose
+from oracles import ball_deficit_mpmath, eager_test_family, moving_average_physical, potential_smoothing_compose
 
 
 def mz_band(geom, seed=0):
@@ -193,6 +194,73 @@ def test_family_validation(geom_small):
         TestFamily(geom_small, 0, (f,), ("a", "b"))
     with pytest.raises(ValueError):
         TestFamily(geom_small, 0, (), ())
+
+
+FAMILY_GEOMS = {1: Geometry(1, 512, 16.0), 2: Geometry(2, 64, 8.0)}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_members_equal_the_eager_family_bit_for_bit(dim, seed):
+    members, labels = eager_test_family(FAMILY_GEOMS[dim], seed)
+    fam = default_test_family(FAMILY_GEOMS[dim], seed)
+    assert fam.labels == labels and len(fam.members) == 20
+    for got, want in zip(fam.members, members, strict=True):
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_members_are_built_on_demand():
+    members, _ = eager_test_family(FAMILY_GEOMS[1], 5)
+    lazy = default_test_family(FAMILY_GEOMS[1], 5).members
+    first = lazy[0]
+    assert first is not lazy[0] and np.array_equal(first.values, lazy[0].values)
+    assert np.array_equal(lazy[-1].values, members[-1].values)
+    part = lazy[3:6]
+    assert isinstance(part, tuple) and len(part) == 3
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(part, members[3:6], strict=True))
+
+
+@pytest.mark.parametrize("geom,p,batches", [
+    (Geometry(1, 4096, 32.0), 2.0, [1] * 20),
+    (Geometry(1, 4096, 32.0), 3.0, [20]),  # 1.3 MB of members: one batch
+    (Geometry(2, 128, 16.0), 2.0, [1] * 20),
+    (Geometry(2, 128, 16.0), 3.0, [8, 8, 4]),  # 256 KiB each
+])
+def test_experiment_builds_each_member_once_in_batches(monkeypatch, geom, p, batches):
+    import scalesq.sobolev as sobolev
+    from scalesq import ScaleFamily
+
+    built, build = [], sobolev._test_member
+    monkeypatch.setattr(sobolev, "_test_member", lambda g, *args: built.append(g) or build(g, *args))
+    sizes, ratios = [], sobolev._ratios  # one call per batch
+    monkeypatch.setattr(sobolev, "_ratios", lambda nums, dens: sizes.append(len(nums)) or ratios(nums, dens))
+    symbols, symbol = [], ScaleFamily.symbol
+    monkeypatch.setattr(ScaleFamily, "symbol", lambda self, *xi: symbols.append(1) or symbol(self, *xi))
+    fam = default_test_family(geom, seed=1)
+    weight = constant_weight() if p == 2 else weight_from_id("pow:0.3", radius_floor=geom.spacing)
+    ratio = sobolev_equivalence_ratio(0.5, ball_average_profile(geom.dim), DyadicRange(-4, 2), p, weight)
+    rep = equivalence_experiment(fam, ratio, "sobolev", p, "w")
+    assert len(rep.ratios) == 20 and built == [geom] * 20
+    assert sizes == batches
+    assert len(symbols) == (1 if p == 2 else 0)  # the grid's work once per experiment
+
+
+def test_p2_sobolev_peak_is_a_fraction_of_the_eager_family():
+    import tracemalloc
+
+    geom = Geometry(2, 256, 16.0)
+    fam = default_test_family(geom, seed=0)
+    ratio = sobolev_equivalence_ratio(0.5, ball_average_profile(2), DyadicRange(-4, 2), 2.0, constant_weight())
+    want = equivalence_experiment(fam, ratio, "sobolev", 2.0, "const")  # warm caches
+    tracemalloc.start()
+    try:
+        got = equivalence_experiment(fam, ratio, "sobolev", 2.0, "const")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    eager = 20 * 16 * 256**2  # 20 MiB of complex members
+    assert peak < eager / 4, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_equivalence_experiment_skip_logic(geom_small):
