@@ -140,6 +140,14 @@ def _build_symbol(kernel: Kernel, geom: Geometry, args):
     return dyadic_symbol(kernel, scales)
 
 
+def _save_symbol_csv(path: str, header: str, xi: np.ndarray, values: np.ndarray) -> None:
+    """The header line, column names, then one (xi, re, im) row per frequency
+    with the floats' repr, joined and written at once."""
+    rows = zip(xi.tolist(), values.real.tolist(), values.imag.tolist())
+    with open(path, "w") as fh:
+        fh.write(header + "xi,re,im\n" + "".join(f"{x!r},{re!r},{im!r}\n" for x, re, im in rows))
+
+
 def _cmd_symbol(args) -> int:
     kernel = kernel_from_id(args.kernel)
     geom = _geometry_for(default_geometry(kernel.dim), args)
@@ -150,11 +158,8 @@ def _cmd_symbol(args) -> int:
     xi = geom.frequency_axis()
     axis_vals = vals[(slice(None),) + geom.dc_index[1:]]
 
-    with open(args.out, "w") as fh:
-        fh.write(f"# symbol={sym.name} mode={args.mode} n={geom.n_samples} half_length={geom.half_length!r}\n")
-        fh.write("xi,re,im\n")
-        for x, v in zip(xi, axis_vals):
-            fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
+    header = f"# symbol={sym.name} mode={args.mode} n={geom.n_samples} half_length={geom.half_length!r}\n"
+    _save_symbol_csv(args.out, header, xi, axis_vals)
 
     sidecar = {
         "symbol": sym.name,
@@ -231,6 +236,18 @@ def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
     report = equivalence_experiment(
         family, ratio_fn, operator=cfg.operator, p=cfg.p, weight_label=cfg.weight
     )
+    if cfg.operator in ("gfun", "dyadic") and report.min_ratio == 0.0:
+        # the symbol passes the scan, but no scale of the set reaches the grid
+        # frequencies of some member: G vanishes on it, and no ratio bounds it
+        return (
+            {
+                "operator": cfg.operator,
+                "kernel": cfg.kernel,
+                "error": "nondegeneracy check failed",
+                "nondegeneracy": {"mode": "grid", "min_value": 0.0, "pass": False},
+            },
+            False,
+        )
     passed = report.spread <= cfg.spread_bound
     payload = report.as_dict()
     payload.update(

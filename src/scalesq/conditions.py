@@ -224,20 +224,21 @@ def _directions(dim: int, count: int = 8) -> list[tuple[float, ...]]:
 
 def _max_scaled_modulus(kernel: Kernel, delta: float, xi_max: float, per_octave: int) -> float:
     """max over 1 <= |xi| <= xi_max of |psihat(xi)| |xi|^delta, with a local
-    linear refinement around the coarse argmax so oscillation peaks are hit."""
+    linear refinement around the coarse argmax so oscillation peaks are hit.
+
+    Every direction's coarse scan goes to the kernel in one call, and so do
+    their refinements; a kernel's values do not depend on the other points
+    of a call, so each direction sees what it would alone."""
     count = max(2, int(round(per_octave * math.log2(xi_max))) + 1)
     radii = np.geomspace(1.0, xi_max, count)
-    best = 0.0
-    for direc in _directions(kernel.dim):
-        mags = np.abs(kernel.fourier(*(radii * d for d in direc)))
-        scaled = mags * radii**delta
-        i = int(np.argmax(scaled))
-        lo = radii[max(i - 1, 0)]
-        hi = radii[min(i + 1, radii.size - 1)]
-        fine = np.linspace(lo, hi, 400)
-        fmag = np.abs(kernel.fourier(*(fine * d for d in direc)))
-        best = max(best, float(np.max(fmag * fine**delta)))
-    return best
+    direcs = np.array(_directions(kernel.dim))
+
+    def scaled(r: np.ndarray) -> np.ndarray:  # r on (radius, direction)
+        return np.abs(kernel.fourier(*(r * d for d in direcs.T))) * r**delta
+
+    i = np.argmax(scaled(np.repeat(radii[:, None], len(direcs), axis=1)), axis=0)
+    fine = np.linspace(radii[np.maximum(i - 1, 0)], radii[np.minimum(i + 1, count - 1)], 400)
+    return float(np.max(scaled(fine)))
 
 
 def fourier_decay_check(
@@ -282,34 +283,28 @@ def nondegeneracy_check(kernel: Kernel, mode: str = "continuous") -> Nondegenera
     1e-8.
     """
     if mode == "continuous":
-        ts = np.geomspace(1e-3, 1e3, 64 * 20)
-        worst = (math.inf, (0.0,) * kernel.dim)
-        for direc in _directions(kernel.dim, count=32):
-            sup = float(np.max(np.abs(kernel.fourier(*(ts * d for d in direc)))))
-            if sup < worst[0]:
-                worst = (sup, direc)
-        min_value, direction = worst
+        candidates = _directions(kernel.dim, count=32)
+        samples = np.geomspace(1e-3, 1e3, 64 * 20)
     elif mode == "dyadic":
         if kernel.dim == 1:
             base = np.linspace(1.0, 2.0, 129)
-            points = [(x,) for x in base] + [(-x,) for x in base]
+            candidates = [(x,) for x in base] + [(-x,) for x in base]
         else:
             rads = np.linspace(1.0, 2.0, 17)
             angles = (np.arange(32) + 0.5) * (2.0 * np.pi / 32)
-            points = [
+            candidates = [
                 (r * math.cos(t), r * math.sin(t)) for r in rads for t in angles
             ]
-        scales = 2.0 ** np.arange(-12, 13).astype(float)
-        worst = (math.inf, (0.0,) * kernel.dim)
-        for pt in points:
-            sup = float(
-                np.max(np.abs(kernel.fourier(*(scales * c for c in pt))))
-            )
-            if sup < worst[0]:
-                worst = (sup, pt)
-        min_value, direction = worst
+        samples = 2.0 ** np.arange(-12, 13).astype(float)
     else:
         raise ValueError(f"mode must be 'continuous' or 'dyadic', got '{mode}'")
+    # the whole scan in one call, (candidate, sample) per coordinate; a kernel's
+    # values do not depend on the other points of a call, and argmin keeps the
+    # first of tied minima, as a strict < over the candidates in order would
+    coords = [np.outer(c, samples) for c in np.array(candidates).T]
+    sups = np.max(np.abs(kernel.fourier(*coords)), axis=1)
+    worst = int(np.argmin(sups))
+    min_value, direction = float(sups[worst]), candidates[worst]
     return NondegeneracyReport(
         mode=mode,
         min_value=min_value,

@@ -16,6 +16,7 @@ machine precision and Parseval holds in the form
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -181,9 +182,27 @@ def inverse_transform(F: SpectralField) -> SampledField:
     return SampledField(g, values)
 
 
+def _normalized(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values times 2^-e, e) with 2^(e-1) <= max(|re|, |im|) < 2^e, e = 0 for
+    zeros.  The scaling is exact unless a part falls subnormal."""
+    peak = max(np.max(np.abs(values.real), initial=0.0), np.max(np.abs(values.imag), initial=0.0))
+    e = math.frexp(float(peak))[1]
+    out = np.empty(values.shape, dtype=np.complex128)
+    np.ldexp(values.real, -e, out=out.real)
+    np.ldexp(values.imag, -e, out=out.imag)
+    return out, e
+
+
 def l2_norm(f: SampledField) -> float:
-    """Discrete L2 norm, (h^d sum |f|^2)^(1/2)."""
-    return float(np.sqrt(f.geometry.cell_volume * np.sum(np.abs(f.values) ** 2)))
+    """Discrete L2 norm, (h^d sum |f|^2)^(1/2).
+
+    The sum is taken on f times 2^-e, e the binary exponent of its largest
+    part, and the norm scaled back, so that no square of a finite field
+    overflows; power-of-two scaling commutes with every rounding, so an
+    ordinary field gets the bits of the plain sum.
+    """
+    v, e = _normalized(f.values)
+    return float(np.ldexp(np.sqrt(f.geometry.cell_volume * np.sum(np.abs(v) ** 2)), e))
 
 
 def mean_value(f: SampledField) -> complex:

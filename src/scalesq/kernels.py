@@ -39,6 +39,9 @@ from scipy.special import roots_jacobi
 _MOMENT_TOL = 1e-9
 _SPATIAL_BLOCK = 2048
 _DEFICIT_SERIES = 0.05  # |xi| below which 1 - profilehat comes from its Taylor series
+_GM_PANEL = 1.25  # width in a = 2 pi |xi| of the graded hat's mid-band Chebyshev panels
+_GM_DEGREE = 12
+_GM_MAX_ORDER = 1024.0  # the mid-band table of the largest order holds 1662 panels
 
 
 class MomentClassError(ValueError):
@@ -76,29 +79,88 @@ def _blocked_quadrature(weights: np.ndarray, integrand: Callable, points: np.nda
     return out
 
 
+@dataclass(frozen=True)
+class _GradedTable:
+    """Per-order coefficients of the graded hat's three bands (`_graded_hat`).
+
+    `chebyshev[k, p]` is the degree-k Chebyshev coefficient on panel p of the
+    mid band, [1 + p w, 1 + (p + 1) w] in a with w = `_GM_PANEL`; `top` is
+    30 + 2 alpha, where the large-argument expansion takes over.  `maclaurin`
+    and `expansion` lead with their highest power, as np.polyval takes them.
+    """
+
+    top: float
+    chebyshev: np.ndarray
+    maclaurin: np.ndarray
+    expansion: np.ndarray
+    log_gamma: float
+
+
+@lru_cache(maxsize=64)
+def _graded_table(alpha: float) -> _GradedTable:
+    """The tables of `_graded_hat` for one order, built once.
+
+    The mid band is interpolated from the 48-node Gauss-Jacobi rule, which
+    stays the definition there: each panel holds the degree-12 Chebyshev
+    interpolant of the rule on its 13 first-kind nodes.  The rule's
+    a-derivatives are bounded by its weights' sum, 1, so the interpolant is
+    within ~1e-16 of it on a panel of width 1.25 whatever the order; round-off
+    keeps the two within 2e-15.
+    """
+    top = 30.0 + 2.0 * alpha
+    panels = math.ceil((top - 1.0) / _GM_PANEL)
+    theta = np.pi * (np.arange(_GM_DEGREE + 1.0) + 0.5) / (_GM_DEGREE + 1)
+    centres = 1.0 + _GM_PANEL * (np.arange(panels) + 0.5)
+    nodes = centres[:, None] + 0.5 * _GM_PANEL * np.cos(theta)
+    s, W = _jacobi_unit_rule(alpha, 48)
+    rule = _blocked_quadrature(W, lambda am: np.sin(np.outer(s, am)), nodes.ravel())
+    # the discrete Chebyshev transform on first-kind nodes, c_0 halved
+    basis = np.cos(np.outer(np.arange(_GM_DEGREE + 1.0), theta)) * (2.0 / theta.size)
+    basis[0] /= 2.0
+    k = np.arange(16.0)
+    maclaurin = (-1.0) ** k / poch(alpha + 1.0, 2.0 * k + 1.0)
+    expansion = (-1.0) ** k * np.cumprod(np.append(1.0, alpha - np.arange(1.0, 31.0)))[::2]
+    return _GradedTable(
+        top=top,
+        chebyshev=basis @ rule.reshape(panels, theta.size).T,
+        maclaurin=maclaurin[::-1],
+        expansion=expansion[::-1],
+        log_gamma=float(gammaln(alpha + 1.0)),
+    )
+
+
 def _graded_hat(alpha: float, xi) -> np.ndarray:
     """-2i sgn(xi) Im[e^(ia) 1F1(alpha; alpha+1; -ia)], a = 2 pi |xi| (DLMF 13.4.1).
 
     Im[...] = integral_0^1 alpha (1-s)^(alpha-1) sin(a s) ds.  For 1 <= a < 30 + 2 alpha
-    a fixed 48-node Gauss-Jacobi rule takes it to round-off.  Below, the Maclaurin
-    series does; above, more cheaply, the incomplete gamma expansion of DLMF 8.11.2
-    (u_k = (alpha-1)...(alpha-k)):
+    a fixed 48-node Gauss-Jacobi rule takes it to round-off; it is read from a
+    per-order table of Chebyshev panels built from that rule (`_graded_table`),
+    each point by Clenshaw's recurrence on the panel it falls in.  Below, the
+    Maclaurin series does; above, more cheaply, the incomplete gamma expansion
+    of DLMF 8.11.2 (u_k = (alpha-1)...(alpha-k)):
     Gamma(alpha+1) a^-alpha sin(a - pi alpha / 2) + alpha sum_m (-1)^m u_2m a^-(2m+1).
+    Every step is elementwise, so a point's value does not depend on the
+    other points of the call.
     """
+    table = _graded_table(alpha)
     xi = np.asarray(xi, dtype=float)
     a = 2.0 * np.pi * np.abs(xi)
     out = np.empty(a.shape)
-    small, large = a < 1.0, a >= 30.0 + 2.0 * alpha
+    small, large = a < 1.0, a >= table.top
     mid = ~(small | large)
-    s, W = _jacobi_unit_rule(alpha, 48)
-    out[mid] = _blocked_quadrature(W, lambda am: np.sin(np.outer(s, am)), a[mid])
-    k = np.arange(16.0)
-    maclaurin = (-1.0) ** k / poch(alpha + 1.0, 2.0 * k + 1.0)
-    out[small] = a[small] * np.polyval(maclaurin[::-1], a[small] ** 2)
-    expansion = (-1.0) ** k * np.cumprod(np.append(1.0, alpha - np.arange(1.0, 31.0)))[::2]
+    a_mid = a[mid]
+    coef = table.chebyshev
+    panel = np.minimum(np.floor((a_mid - 1.0) / _GM_PANEL), coef.shape[1] - 1)
+    t = (a_mid - (1.0 + _GM_PANEL * (panel + 0.5))) / (0.5 * _GM_PANEL)  # in [-1, 1]
+    panel, t2 = panel.astype(np.intp), 2.0 * t
+    b1 = b2 = 0.0
+    for row in coef[:0:-1]:
+        b1, b2 = row[panel] + t2 * b1 - b2, b1
+    out[mid] = coef[0][panel] + t * b1 - b2
+    out[small] = a[small] * np.polyval(table.maclaurin, a[small] ** 2)
     a_large = a[large]
-    out[large] = alpha / a_large * np.polyval(expansion[::-1], a_large**-2.0)
-    out[large] += np.exp(gammaln(alpha + 1.0) - alpha * np.log(a_large)) * np.sin(a_large - np.pi * alpha / 2)
+    out[large] = alpha / a_large * np.polyval(table.expansion, a_large**-2.0)
+    out[large] += np.exp(table.log_gamma - alpha * np.log(a_large)) * np.sin(a_large - np.pi * alpha / 2)
     return -2j * np.sign(xi) * out
 
 
@@ -110,9 +172,12 @@ class Kernel:
     """A convolution kernel with spatial and Fourier evaluators.
 
     Evaluators take `dim` coordinate arrays (broadcastable together) and
-    return the broadcast result.  `support_radius` is inf for kernels with
-    unbounded support.  `cancellation_order` is the largest M such that all
-    moments of multi-degree <= M vanish (and converge absolutely).
+    return the broadcast result.  The Fourier evaluator is pointwise: a
+    value does not depend on the other points of the call, which lets the
+    condition checkers send a whole scan in one call.  `support_radius` is
+    inf for kernels with unbounded support.  `cancellation_order` is the
+    largest M such that all moments of multi-degree <= M vanish (and
+    converge absolutely).
 
     Decay metadata, all optional:
 
@@ -293,9 +358,13 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
     alpha; alpha = 1 recovers the Haar kernel.  The hat is in closed form,
     psihat(xi) = -2i Im[e^(ia) 1F1(alpha; alpha+1; -ia)], a = 2 pi xi, from the
     Kummer integral of 1F1 (DLMF 13.4.1), evaluated on |xi| since it is odd.
+    On 1 <= 2 pi |xi| < 30 + 2 alpha that integral is defined by a 48-node
+    Gauss-Jacobi rule, and read from Chebyshev panels built once per order
+    from the rule (`_graded_table`).  Their count grows with the order, so
+    the order is capped at 1024, where the table holds 1662 panels.
     """
-    if alpha <= 0:
-        raise ValueError(f"order must be positive, got {alpha}")
+    if not 0.0 < alpha <= _GM_MAX_ORDER:
+        raise ValueError(f"order must lie in (0, {_GM_MAX_ORDER:g}], got {alpha}")
 
     def spatial(x):
         x = np.asarray(x, dtype=float)

@@ -79,6 +79,7 @@ from .grid import (
     LogTimeGrid,
     SampledField,
     ScaleSet,
+    _normalized,
     forward_transform,
     l2_norm,
 )
@@ -420,8 +421,18 @@ def convolve_levels(f: SampledField, kernel: Kernel, scales: ScaleSet) -> ScaleI
 
 
 def g_function(f: SampledField, kernel: Kernel, scales: ScaleSet) -> SampledField:
-    """Square function (sum_j w |f * psi_{t_j}|^2)^(1/2); real and nonnegative."""
-    return ScaleFamily.of_kernel(kernel, scales.scales, scales.weight).square_function([f])[0]
+    """Square function (sum_j w |f * psi_{t_j}|^2)^(1/2); real and nonnegative.
+
+    It is taken on f times 2^-e, e the binary exponent of the field's largest
+    part, and scaled back by 2^e, so that no square of a finite field (a
+    `gfun --input` file, say) overflows.  The square function is
+    1-homogeneous and power-of-two scaling commutes with every rounding, so
+    a field of ordinary size gets the bits of the plain route.
+    """
+    v, e = _normalized(f.values)
+    family = ScaleFamily.of_kernel(kernel, scales.scales, scales.weight)
+    g = family.square_function([SampledField(f.geometry, v)])[0]
+    return SampledField(f.geometry, np.ldexp(g.values.real, e))
 
 
 # ---------------------------------------------------------------------------

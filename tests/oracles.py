@@ -2,9 +2,9 @@
 
 Everything here goes through direct DFT sums, scipy adaptive quadrature,
 or closed forms worked out by hand, never through the package's spectral
-helpers; the exceptions, the composed routes and the complex route at the
-end, chain public operators that a streamed, layered or half-spectrum
-route must reproduce.
+helpers; the exceptions, the composed routes, the one-call-per-point
+scans and the complex route at the end, chain public operators that a
+streamed, layered, batched or half-spectrum route must reproduce.
 Slow is fine; these run on small grids.
 """
 
@@ -43,6 +43,16 @@ def save_field_csv_rows(f: SampledField, path: str) -> None:
         fh.write("index,re,im\n")
         for i, v in enumerate(f.values.ravel()):
             fh.write(f"{i},{float(v.real)!r},{float(v.imag)!r}\n")
+
+
+def save_symbol_csv_rows(path: str, header: str, xi, values) -> None:
+    """The symbol CSV written one formatted row at a time: the header line,
+    column names, then (xi, re, im) with the floats' repr."""
+    with open(path, "w") as fh:
+        fh.write(header)
+        fh.write("xi,re,im\n")
+        for x, v in zip(xi, values):
+            fh.write(f"{float(x)!r},{float(v.real)!r},{float(v.imag)!r}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +103,20 @@ def gm_hat_mpmath(alpha: float, xi: float, dps: int = 40) -> complex:
         a = 2 * mpmath.pi * mpmath.mpf(xi)
         val = mpmath.im(mpmath.exp(1j * a) * mpmath.hyp1f1(alpha, alpha + 1, -1j * a))
         return complex(0.0, float(-2 * val))
+
+
+def gm_hat_rule(alpha: float, xi) -> np.ndarray:
+    """hat of the graded kernel by the 48-node Gauss-Jacobi rule that defines
+    it on the mid band 1 <= 2 pi |xi| < 30 + 2 alpha:
+    -2i sgn(xi) sum_i W_i sin(2 pi |xi| s_i), s_i, W_i the rule for
+    integral_0^1 alpha (1-s)^(alpha-1) g(s) ds from scipy's roots_jacobi."""
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(48, alpha - 1.0, 0.0)
+    s, weights = (x + 1.0) / 2.0, alpha * 2.0 ** -alpha * w
+    xi = np.asarray(xi, dtype=float)
+    a = 2.0 * np.pi * np.abs(xi)
+    return -2j * np.sign(xi) * (weights @ np.sin(np.outer(s, a)))
 
 
 def poisson_hat_quad(xi: float) -> complex:
@@ -277,6 +301,48 @@ def scan_max_pointwise(
                     ratio = L * abs(xx) ** (1.0 + 2.0 * alpha) / abs(yy) ** (2.0 * alpha - 1.0)
                     if ratio > best[0]:
                         best = (float(ratio), (float(xx), float(yy)))
+    return best
+
+
+def nondegeneracy_loop(kernel, mode: str) -> tuple[float, tuple[float, ...]]:
+    """(min_value, worst_direction) of conditions.nondegeneracy_check with one
+    kernel call per direction (continuous) or annulus frequency (dyadic), the
+    candidates visited in order and a strict < keeping the first minimum."""
+    from scalesq.conditions import _directions
+
+    if mode == "continuous":
+        samples = np.geomspace(1e-3, 1e3, 64 * 20)
+        candidates = _directions(kernel.dim, count=32)
+    elif kernel.dim == 1:
+        base = np.linspace(1.0, 2.0, 129)
+        candidates = [(x,) for x in base] + [(-x,) for x in base]
+    else:
+        rads = np.linspace(1.0, 2.0, 17)
+        angles = (np.arange(32) + 0.5) * (2.0 * np.pi / 32)
+        candidates = [(r * math.cos(t), r * math.sin(t)) for r in rads for t in angles]
+    if mode == "dyadic":
+        samples = 2.0 ** np.arange(-12, 13).astype(float)
+    worst = (math.inf, (0.0,) * kernel.dim)
+    for c in candidates:
+        sup = float(np.max(np.abs(kernel.fourier(*(samples * x for x in c)))))
+        if sup < worst[0]:
+            worst = (sup, c)
+    return worst[0], tuple(float(x) for x in worst[1])
+
+
+def max_scaled_modulus_loop(kernel, delta: float, xi_max: float, per_octave: int) -> float:
+    """conditions._max_scaled_modulus with two kernel calls per direction: the
+    coarse log scan, then 400 points across the cells beside its argmax."""
+    from scalesq.conditions import _directions
+
+    count = max(2, int(round(per_octave * math.log2(xi_max))) + 1)
+    radii = np.geomspace(1.0, xi_max, count)
+    best = 0.0
+    for direc in _directions(kernel.dim):
+        scaled = np.abs(kernel.fourier(*(radii * d for d in direc))) * radii**delta
+        i = int(np.argmax(scaled))
+        fine = np.linspace(radii[max(i - 1, 0)], radii[min(i + 1, radii.size - 1)], 400)
+        best = max(best, float(np.max(np.abs(kernel.fourier(*(fine * d for d in direc))) * fine**delta)))
     return best
 
 

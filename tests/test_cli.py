@@ -11,12 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalesq import (
     Geometry,
     LogTimeGrid,
+    SampledField,
+    haar_kernel,
     kernel_from_id,
     l2_norm,
     load_field_csv,
@@ -28,6 +30,8 @@ from scalesq import (
 from scalesq import cli
 from scalesq.cli import main
 from scalesq.config import ConfigError, equivalence_config_from_dict
+from scalesq.squarefn import g_function
+from oracles import save_symbol_csv_rows
 
 HAAR_SYMBOL = 4.0 * math.log(2.0)
 
@@ -191,6 +195,27 @@ def test_symbol_evaluates_its_symbol_once(tmp_path, monkeypatch):
     assert sum(seen) <= (n // 2 + 1) * LogTimeGrid(0.01, 100.0, 8).node_count + probes
 
 
+def test_symbol_csv_writer_matches_the_row_loop(tmp_path):
+    header = "# symbol=test mode=continuous n=8 half_length=4.0\n"
+    xi = np.array([-0.5, -0.25, -0.0, 0.0, 1e-320, 0.1, 1e300, 3.0])
+    values = np.array([1.0 + 0j, -0.0 - 0.0j, 2.5e-310j, 1.0 / 3.0, 1e300 - 1e-300j, math.nan, -7.0j, 0.1 + 0.2j])
+    for vals in (values, values.real):
+        cli._save_symbol_csv(str(tmp_path / "joined.csv"), header, xi, vals)
+        save_symbol_csv_rows(str(tmp_path / "rows.csv"), header, xi, vals)
+        assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kid,n", [("gm:0.75", 512), ("poisson-q:2", 64)])
+def test_symbol_csv_is_the_row_loop_of_its_values(tmp_path, kid, n):
+    # repr round-trips a float, so the row loop can rewrite the file from it
+    out = tmp_path / "sym.csv"
+    assert main(["symbol", "--kernel", kid, "--grid-n", str(n), "--out", str(out)]) == 0
+    header, _, *rows = out.read_text().splitlines(keepends=True)
+    xi, re, im = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    save_symbol_csv_rows(str(tmp_path / "rows.csv"), header, xi, re + 1j * im)
+    assert out.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # gfun
 
@@ -219,6 +244,30 @@ def test_gfun_input_file(tmp_path, capsys):
                  "--t-min", "1e-3", "--t-max", "1e3"]) == 0
     vals = parse_gfun_line(capsys)
     assert math.isclose(vals["input_l2"], l2_norm(f), rel_tol=1e-10)
+
+
+def test_gfun_of_a_huge_field_is_finite(tmp_path, capsys):
+    # samples near 1e200 square past the float range; the norms and the square
+    # function are taken on the field scaled by a power of two, so they are
+    # exactly 2^600 times those of the field scaled down by 2^-600
+    rng = np.random.default_rng(5)
+    geom = Geometry(1, 64, 8.0)
+    big = rng.uniform(0.5, 1.5, 64) * rng.choice((-1.0, 1.0), 64) * 1e200
+    fields = [SampledField(geom, big + 0j), SampledField(geom, np.ldexp(big, -600) + 0j)]
+    tg, printed = LogTimeGrid(0.5, 2.0), []
+    for i, f in enumerate(fields):
+        path = str(tmp_path / f"field{i}.bin")
+        save_field_binary(f, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["gfun", "--kernel", "haar", "--input", path, "--t-min", "0.5", "--t-max", "2"]) == 0
+        printed.append(capsys.readouterr().out.split())
+    (nf, ng), (sf, sg) = [(l2_norm(f), l2_norm(g_function(f, haar_kernel(), tg))) for f in fields]
+    assert math.isfinite(nf) and math.isfinite(ng)
+    assert nf == math.ldexp(sf, 600) and ng == math.ldexp(sg, 600)
+    assert printed[0] == [f"input_l2={nf:.12g}", f"gfun_l2={ng:.12g}", printed[1][2]]
+    g_big, g_small = (g_function(f, haar_kernel(), tg).values for f in fields)
+    assert np.array_equal(g_big, np.ldexp(g_small.real, 600))
 
 
 def test_gfun_missing_input_file(capsys):
@@ -262,6 +311,22 @@ def test_equivalence_degenerate_kernel(tmp_path, capsys):
     payload = read_report(out)
     assert payload["error"] == "nondegeneracy check failed"
     assert payload["nondegeneracy"]["pass"] is False
+
+
+def test_equivalence_scale_set_missing_the_grid(tmp_path, capsys):
+    # band:1:1.5 passes the symbol scan, but for 1 <= t <= 2 it reaches only
+    # 0.5 <= |xi| <= 1.5, above every frequency of an 8-point default grid
+    cfg = write_config(
+        tmp_path, operator="gfun", kernel="band:1:1.5", grid={"n_samples": 8},
+        time={"t_min": 1.0, "t_max": 2.0},
+    )
+    out = str(tmp_path / "rep.json")
+    assert main(["equivalence", "--config", cfg, "--out", out]) == 1
+    assert "nondegeneracy" in capsys.readouterr().err
+    payload = read_report(out)
+    assert payload["error"] == "nondegeneracy check failed"
+    assert payload["nondegeneracy"] == {"mode": "grid", "min_value": 0.0, "pass": False}
+    assert "spread" not in payload
 
 
 def test_equivalence_rejects_sobolev_operator(tmp_path, capsys):
@@ -542,6 +607,10 @@ RANDOM_CONFIGS = with_stray_key(st.fixed_dictionaries(
 
 
 @given(command=st.sampled_from(["equivalence", "sobolev"]), cfg=RANDOM_CONFIGS)
+@example(command="equivalence", cfg={
+    "operator": "gfun", "kernel": "band:1:1.5", "order": 1.0,
+    "grid": {"n_samples": 8}, "time": {"t_min": 1.0, "t_max": 2.0},
+})
 @settings(max_examples=40)
 def test_random_configs_end_in_a_report_or_a_named_error(command, cfg):
     with tempfile.TemporaryDirectory() as tmp:

@@ -29,6 +29,8 @@ from oracles import (
     gm_local_power_closed,
     haar_hormander_closed,
     hormander_quad,
+    max_scaled_modulus_loop,
+    nondegeneracy_loop,
     poisson_local_power_quad,
     poisson_majorant_l1_closed,
     poisson_tail_moment_quad,
@@ -183,6 +185,52 @@ def test_nondegeneracy_band_gap():
     rep = nondegeneracy_check(band, "dyadic")
     assert not rep.passed
     assert rep.min_value == 0.0
+
+
+SCAN_KERNELS = ["haar", "gm:0.75", "gm:1", "gm:1.25", "poisson-q", "poisson-q:2",
+                "riesz-diff:0.25:ball", "riesz-diff:0.5:ball", "riesz-diff:1.5:ball:2",
+                "sgn-diff:ball", "band:1:2", "band:1.5:1.6"]
+
+
+@pytest.mark.parametrize("mode", ["continuous", "dyadic"])
+@pytest.mark.parametrize("kid", SCAN_KERNELS)
+def test_nondegeneracy_scan_matches_the_loop(kid, mode):
+    # one kernel call for the whole scan gives the per-candidate loop's bits,
+    # and argmin the first of tied minima (band:1.5:1.6 ties at 0 in dyadic mode)
+    kernel = kernel_from_id(kid)
+    rep = nondegeneracy_check(kernel, mode)
+    min_value, direction = nondegeneracy_loop(kernel, mode)
+    assert rep.min_value == min_value
+    assert rep.worst_direction == direction
+
+
+@pytest.mark.parametrize("kid", SCAN_KERNELS)
+def test_decay_scan_matches_the_loop(kid):
+    kernel = kernel_from_id(kid)
+    delta = kernel.fourier_tail_exponent or 0.5
+    for xi_max in (256.0, 512.0):
+        assert conditions._max_scaled_modulus(kernel, delta, xi_max, 256) == max_scaled_modulus_loop(
+            kernel, delta, xi_max, 256
+        )
+
+
+@pytest.mark.parametrize("kid", ["gm:0.75", "riesz-diff:1.5:ball:2"])
+def test_scans_call_the_kernel_once(kid):
+    # once per nondegeneracy mode, and twice per decay ceiling (coarse, then fine)
+    kernel, calls = kernel_from_id(kid), []
+
+    def fourier(*xi):
+        calls.append(np.broadcast_shapes(*(np.shape(x) for x in xi)))
+        return kernel.fourier(*xi)
+
+    counted = replace(kernel, fourier=fourier)
+    for mode in ("continuous", "dyadic"):
+        calls.clear()
+        nondegeneracy_check(counted, mode)
+        assert len(calls) == 1, mode
+    calls.clear()
+    fourier_decay_check(counted, 0.5)
+    assert len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,20 @@ def test_parseval(seed):
     assert math.isclose(spatial, spectral, rel_tol=1e-12)
 
 
+def test_l2_norm_keeps_the_bits_of_the_plain_sum():
+    # the power-of-two scaling that keeps a huge field's norm finite leaves
+    # an ordinary field's norm as the plain sum has it
+    rng = np.random.default_rng(3)
+    for geom in (Geometry(1, 512, 8.0), Geometry(2, 64, 8.0)):
+        for size in (1e-30, 0.3, 1.0, 3.7, 1e30):
+            values = size * (rng.standard_normal(geom.shape) + 1j * rng.standard_normal(geom.shape))
+            for v in (values, values.real):
+                plain = float(np.sqrt(geom.cell_volume * np.sum(np.abs(v + 0j) ** 2)))
+                assert l2_norm(SampledField(geom, v)) == plain
+    geom, huge = Geometry(1, 64, 8.0), np.full(64, 1e300 - 3e299j)
+    assert l2_norm(SampledField(geom, huge)) == math.ldexp(l2_norm(SampledField(geom, huge * 2.0**-900)), 900)
+
+
 def test_l2_norm_and_mean(geom_small):
     f = SampledField(geom_small, np.ones(geom_small.shape))
     assert math.isclose(l2_norm(f), math.sqrt(2.0 * geom_small.half_length), rel_tol=1e-12)

@@ -19,13 +19,14 @@ from scalesq import (
     riesz_difference_kernel,
     sgn_difference_kernel,
 )
-from scalesq.kernels import _jacobi_rule
+from scalesq.kernels import _GM_PANEL, _graded_table, _jacobi_rule
 from oracles import (
     ball_deficit_mpmath,
     ball_hat_1d_closed,
     disk_hat_dblquad,
     gm_hat_mpmath,
     gm_hat_quad,
+    gm_hat_rule,
     haar_hat_closed,
     odd_compact_hat,
     poisson_hat_quad,
@@ -118,6 +119,67 @@ def test_gm_rejects_nonpositive_order():
         marcinkiewicz_kernel(0.0)
     with pytest.raises(ValueError):
         marcinkiewicz_kernel(-1.0)
+
+
+def test_gm_order_is_capped():
+    # the mid-band table grows with the order; 1024 is the largest accepted
+    xi = np.array([0.5, 100.0, 250.0, 330.0])
+    assert np.max(np.abs(marcinkiewicz_kernel(1024.0).fourier(xi) - gm_hat_rule(1024.0, xi))) <= 1e-14
+    for alpha in (1024.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="order must lie in"):
+            marcinkiewicz_kernel(alpha)
+
+
+# ---------------------------------------------------------------------------
+# the graded hat's mid band, read from Chebyshev panels built from its rule
+
+GM_TABLE_ORDERS = [0.25, 0.6, 0.75, 1.0, 1.25, 3.0, 8.0]
+
+
+def gm_mid_band(alpha: float) -> np.ndarray:
+    """xi over the mid band 1 <= 2 pi |xi| < 30 + 2 alpha: 2000 even points,
+    and the neighbours of both band edges and of every panel boundary."""
+    table = _graded_table(alpha)
+    edges = 1.0 + _GM_PANEL * np.arange(table.chebyshev.shape[1] + 1)
+    marks = np.append(edges[edges < table.top], table.top) / (2.0 * np.pi)
+    near = marks[:, None] * (1.0 + 2.0**-52 * np.arange(-3.0, 4.0))
+    xi = np.concatenate([np.linspace(1.0, table.top, 2000) / (2.0 * np.pi), near.ravel()])
+    a = 2.0 * np.pi * xi
+    return xi[(a >= 1.0) & (a < table.top)]
+
+
+@pytest.mark.parametrize("alpha", GM_TABLE_ORDERS)
+def test_gm_table_matches_its_rule(alpha):
+    xi = gm_mid_band(alpha)
+    a = 2.0 * np.pi * xi
+    table = _graded_table(alpha)
+    assert a.min() - 1.0 < 1e-15 and table.top - a.max() < 1e-13  # both band edges
+    got = marcinkiewicz_kernel(alpha).fourier(np.concatenate([xi, -xi]))
+    want = gm_hat_rule(alpha, np.concatenate([xi, -xi]))
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.6, 0.75, 8.0])
+def test_gm_point_alone_has_its_batch_bits(alpha):
+    rng = np.random.default_rng(31)
+    xi = 10.0 ** rng.uniform(-3.0, 3.0, 10_000) * rng.choice((-1.0, 1.0), 10_000)
+    xi[:40] = np.resize(gm_mid_band(alpha)[-20:], 40) * np.repeat([1.0, -1.0], 20)
+    k = marcinkiewicz_kernel(alpha)
+    batch = k.fourier(xi)
+    for i in range(0, xi.size, 5 if alpha == 0.75 else 97):
+        assert np.array_equal(k.fourier(xi[i:i + 1]), batch[i:i + 1]), xi[i]
+
+
+@pytest.mark.parametrize("alpha", GM_TABLE_ORDERS)
+def test_gm_hat_is_odd_bit_for_bit_on_the_band(alpha):
+    xi = np.concatenate([gm_mid_band(alpha), [0.0, 1e-9, 0.1, 60.0]])
+    k = marcinkiewicz_kernel(alpha)
+    assert np.array_equal(k.fourier(-xi), -k.fourier(xi))
+
+
+def test_gm_table_is_built_once_per_order():
+    assert _graded_table(0.75) is _graded_table(0.75)
+    assert _graded_table(0.75).chebyshev.shape == (13, 25)
 
 
 def test_gm_edge_metadata():

@@ -30,6 +30,7 @@ from scalesq import (
     second_difference_layer,
     sided_average_layer,
 )
+from scalesq.squarefn import ScaleFamily
 from oracles import sided_average_physical
 
 HAAR_SYMBOL = 4.0 * math.log(2.0)
@@ -65,6 +66,21 @@ def test_kernel_dim_mismatch(geom_small):
         convolve_levels(band_field(geom_small), k2, LogTimeGrid(0.5, 2.0))
     with pytest.raises(ValueError, match="dim"):
         g_function(band_field(geom_small), k2, DyadicRange(0, 1))
+
+
+@pytest.mark.parametrize("kid", ["haar", "gm:0.75", "poisson-q", "riesz-diff:0.5:ball"])
+def test_g_function_keeps_the_bits_of_the_plain_route(kid):
+    # the field is scaled by a power of two on the way in and out, which
+    # changes no bit of an ordinary field's square function
+    geom = Geometry(1, 512, 16.0)
+    tg = default_time_grid(geom)
+    family = ScaleFamily.of_kernel(kernel_from_id(kid), tg.scales, tg.weight)
+    rng = np.random.default_rng(11)
+    fields = [SampledField(geom, size * band_field(geom, seed).values) for seed, size in enumerate((1e-3, 1.0, 7e5))]
+    fields.append(SampledField(geom, rng.standard_normal(512) + 1j * rng.standard_normal(512)))
+    for f in fields:
+        plain = np.sqrt(family.square_sum([f])[0])
+        assert np.array_equal(g_function(f, kernel_from_id(kid), tg).values, plain)
 
 
 def test_g_function_is_fiber_norm_of_layers(geom_small):
