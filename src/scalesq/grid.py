@@ -205,10 +205,6 @@ def l2_norm(f: SampledField) -> float:
     return float(np.ldexp(np.sqrt(f.geometry.cell_volume * np.sum(np.abs(v) ** 2)), e))
 
 
-def mean_value(f: SampledField) -> complex:
-    return complex(np.mean(f.values))
-
-
 # ---------------------------------------------------------------------------
 # scale sets
 #
@@ -258,15 +254,6 @@ class LogTimeGrid:
 def default_time_grid(geom: Geometry, nodes_per_octave: int = NODES_PER_OCTAVE) -> LogTimeGrid:
     """Truncation adapted to the grid: t from 4h up to L/4."""
     return LogTimeGrid(4.0 * geom.spacing, geom.half_length / 4.0, nodes_per_octave)
-
-
-def quadrature_sum(g: Callable, tg: LogTimeGrid) -> complex:
-    """Approximate integral of g(t) dt/t over [t_min, t_max].
-
-    g must accept a vector of nodes and return node values.
-    """
-    vals = np.asarray(g(tg.scales))
-    return tg.weight * complex(np.sum(vals))
 
 
 @dataclass(frozen=True)

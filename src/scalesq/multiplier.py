@@ -59,10 +59,6 @@ class Symbol:
         return vals
 
 
-def symbol_from_callable(name: str, fn: Callable, dc_value: complex = 0.0, homogeneity: str = "none") -> Symbol:
-    return Symbol(name=name, evaluate=fn, dc_value=dc_value, homogeneity=homogeneity)
-
-
 # ---------------------------------------------------------------------------
 # symbols induced by kernels
 
@@ -261,13 +257,9 @@ def bessel_split_symbol(alpha: float) -> Symbol:
 # ---------------------------------------------------------------------------
 # structural checks
 
-def homogeneity_defect(sym: Symbol, geom: Geometry) -> float:
-    """max |m(2 xi) - m(xi)| over nonzero grid frequencies with 2 xi on-grid."""
-    return sampled_homogeneity_defect(sym.sample(geom), geom)
-
-
 def sampled_homogeneity_defect(vals: np.ndarray, geom: Geometry) -> float:
-    """`homogeneity_defect` of the values a symbol's `sample(geom)` returned."""
+    """max |m(2 xi) - m(xi)| over nonzero grid frequencies with 2 xi on-grid,
+    m the values a symbol's `sample(geom)` returned."""
     n = geom.n_samples
     sel = np.arange(n // 4, 3 * n // 4)  # j in [-N/4, N/4)
     dbl = 2 * sel - n // 2
@@ -284,15 +276,11 @@ def sampled_homogeneity_defect(vals: np.ndarray, geom: Geometry) -> float:
     return float(np.max(np.abs(b - a)))
 
 
-def symbol_min_modulus(sym: Symbol, geom: Geometry, annulus: tuple[float, float] | None = None) -> float:
-    """Min |m| over nonzero grid frequencies, optionally within an annulus."""
-    return sampled_min_modulus(sym.sample(geom), geom, annulus)
-
-
 def sampled_min_modulus(
     vals: np.ndarray, geom: Geometry, annulus: tuple[float, float] | None = None
 ) -> float:
-    """`symbol_min_modulus` of the values a symbol's `sample(geom)` returned."""
+    """Min |m| over nonzero grid frequencies, optionally within an annulus,
+    m the values a symbol's `sample(geom)` returned."""
     mag = np.abs(vals)
     mag[geom.dc_index] = np.inf
     if annulus is not None:

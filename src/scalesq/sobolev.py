@@ -2,19 +2,22 @@
 smoothness of fractional order.
 
 The smoothing-difference square functions compare a field with its local
-averages across scales, weighting scale t by t^(-alpha); their finiteness
-is the working criterion for membership in a smoothness class of order
-alpha.  The dyadic potential difference is the same object driven by the
-smoothed Riesz-difference kernel, which makes several identities exact in
-spectral arithmetic rather than approximate.  `equivalence_experiment`
+averages across scales, sum_t w t^(-2 alpha) |f - Phi_t * f|^2 with w the
+weight of the scale set; their finiteness is the working criterion for
+membership in a smoothness class of order alpha.  `_smoothing_family` is
+the one place that forms the scale weight w t^(-2 alpha).  The dyadic
+potential difference is the same object driven by the smoothed
+Riesz-difference kernel, which makes several identities exact in spectral
+arithmetic rather than approximate.  `equivalence_experiment`
 measures how far the norm comparisons are from equalities on a fixed
 family of test fields.  The family keeps one maker per member and
 builds a member when it is read; a ratio function reads the members once,
 in order, and returns one ratio per member, None for a zero denominator.
 The Parseval paths take one member at a time, the paths that form layers
 batches of at most `_BATCH_BYTES` of members, and the work that depends on
-the grid alone is done once per call.  The square-function ratio takes
-either kind of scale set (`grid.ScaleSet`).
+the grid alone is done once per call.  The smoothing-difference square
+functions and both ratio functions take either kind of scale set
+(`grid.ScaleSet`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 from .grid import (
     DyadicRange,
     Geometry,
-    LogTimeGrid,
     SampledField,
     ScaleSet,
     bump_field,
@@ -47,7 +49,7 @@ from .squarefn import (
     _require_mean_zero,
     g_function,
 )
-from .weights import Weight, constant_on_grid, constant_weight, weighted_norm
+from .weights import Weight, constant_on_grid, weighted_norm
 
 
 def riesz_potential(f: SampledField, order: float) -> SampledField:
@@ -69,11 +71,12 @@ def bessel_potential(f: SampledField, order: float) -> SampledField:
 
 
 def _smoothing_family(
-    order: float, profile: AveragingProfile, dim: int, scales, weights
+    order: float, profile: AveragingProfile, dim: int, scales: ScaleSet
 ) -> ScaleFamily:
-    """Multipliers 1 - Phihat(t xi), the layers f - Phi_t * f, behind the
-    order, dimension and moment-class gates.  The multiplier is the
-    profile's `deficit`, which keeps full relative precision at small t xi."""
+    """Multipliers 1 - Phihat(t xi), the layers f - Phi_t * f, with scale
+    weights w t^(-2 order), behind the order, dimension and moment-class
+    gates.  The multiplier is the profile's `deficit`, which keeps full
+    relative precision at small t xi."""
     if order <= 0:
         raise ValueError(f"order must be positive, got {order}")
     if profile.dim != dim:
@@ -81,32 +84,33 @@ def _smoothing_family(
     _require_moment_class(profile, order, "smoothing differences")
     deficit = profile.deficit
     multiplier = lambda t, *xi: deficit(*(t * x for x in xi))
-    return ScaleFamily(scales, weights, multiplier, profile.kernel.radial, real=profile.kernel.real)
+    weights = scales.weight * scales.scales ** (-2.0 * order)
+    return ScaleFamily(scales.scales, weights, multiplier, profile.kernel.radial, real=profile.kernel.real)
 
 
 def smoothing_difference_function(
-    f: SampledField, order: float, profile: AveragingProfile, tg: LogTimeGrid
+    f: SampledField, order: float, profile: AveragingProfile, scales: ScaleSet
 ) -> SampledField:
-    """Square function of f - Phi_t * f with scale weight t^(-order).
+    """Square function (sum_j w t_j^(-2 order) |f - Phi_{t_j} * f|^2)^(1/2)
+    over either kind of scale set.
 
     The averaging profile must reproduce polynomials up to degree
     floor(order), otherwise the differences cannot see order `order`
     smoothness and the result is meaningless; that gate raises.
     """
-    family = _smoothing_family(order, profile, f.geometry.dim, tg.scales, tg.weight * tg.scales ** (-2.0 * order))
+    family = _smoothing_family(order, profile, f.geometry.dim, scales)
     return family.square_function([f])[0]
 
 
 def dyadic_smoothing_difference(
     f: SampledField, order: float, profile: AveragingProfile, kr: DyadicRange
 ) -> SampledField:
-    """Dyadic-scale version: (sum_k 2^(-2 k order) |f - Phi_{2^k} * f|^2)^(1/2)."""
-    family = _smoothing_family(order, profile, f.geometry.dim, kr.scales, 4.0 ** (-kr.exponents * order))
-    return family.square_function([f])[0]
+    """`smoothing_difference_function` over a dyadic range."""
+    return smoothing_difference_function(f, order, profile, kr)
 
 
 def potential_smoothing_function(
-    f: SampledField, order: float, profile: AveragingProfile, tg: LogTimeGrid
+    f: SampledField, order: float, profile: AveragingProfile, scales: ScaleSet
 ) -> SampledField:
     """Smoothing differences of the fractional integral of f.
 
@@ -114,12 +118,11 @@ def potential_smoothing_function(
     riesz_potential(f, order); each layer is built in one pass from the
     combined symbol t^(-order) (2 pi |xi|)^(-order) (1 - Phihat(t xi)).
     """
-    weights = tg.weight * tg.scales ** (-2.0 * order)
-    diff = _smoothing_family(order, profile, f.geometry.dim, tg.scales, weights)
+    diff = _smoothing_family(order, profile, f.geometry.dim, scales)
     _require_mean_zero(f, "potential_smoothing_function")
     riesz = riesz_symbol(order).evaluate
     multiplier = lambda t, *xi: diff.multiplier(t, *xi) * riesz(*xi)
-    family = ScaleFamily(tg.scales, weights, multiplier, diff.radial, real=diff.real)
+    family = ScaleFamily(diff.scales, diff.weights, multiplier, diff.radial, real=diff.real)
     return family.square_function([f])[0]
 
 
@@ -136,31 +139,6 @@ def dyadic_potential_difference(
     _require_mean_zero(f, "dyadic_potential_difference")
     kernel = riesz_difference_kernel(order, profile)
     return g_function(f, kernel, kr)
-
-
-def sobolev_norm(
-    f: SampledField, order: float, p: float = 2.0, weight: Weight | None = None
-) -> float:
-    """Weighted norm of the field whose smoothing of the given order is f.
-
-    Inverts the inhomogeneous smoothing on the grid; orders so large that
-    the inverse symbol leaves floating-point range are rejected rather
-    than silently overflowed.
-    """
-    if order < 0:
-        raise ValueError(f"order must be nonnegative, got {order}")
-    geom = f.geometry
-    xi_max = math.sqrt(geom.dim) * geom.n_samples / (4.0 * geom.half_length)
-    top = (order / 2.0) * math.log10(1.0 + 4.0 * math.pi**2 * xi_max**2)
-    if top > 100.0:
-        raise ValueError(
-            f"inverse smoothing symbol reaches 1e{top:.0f} at the grid edge; "
-            "order too large for this grid's dynamic range"
-        )
-    if weight is None:
-        weight = constant_weight()
-    rough = bessel_potential(f, -order)
-    return weighted_norm(rough, p, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +355,7 @@ def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Weight):
 
 
 def sobolev_equivalence_ratio(
-    order: float, profile: AveragingProfile, kr: DyadicRange, p: float, weight: Weight
+    order: float, profile: AveragingProfile, scales: ScaleSet, p: float, weight: Weight
 ):
     """ratio_fn for the three-norm comparison: smooth g, then ask whether
     the smoothing-difference norm plus the smoothed norm returns ||g||.
@@ -389,10 +367,8 @@ def sobolev_equivalence_ratio(
     sum sigma b^2 P with sigma the family's symbol.  Every other p or weight
     smooths g in physical space, in batches of `_batch_size`.
     """
-    weights = 4.0 ** (-kr.exponents * order)
-
     def prepare(geom: Geometry):
-        family = _smoothing_family(order, profile, geom.dim, kr.scales, weights)
+        family = _smoothing_family(order, profile, geom.dim, scales)
         c = constant_on_grid(weight, geom) if p == 2 else None
         if c is None:
             def batch_ratios(gs):

@@ -439,7 +439,9 @@ def g_function(f: SampledField, kernel: Kernel, scales: ScaleSet) -> SampledFiel
 # the Marcinkiewicz integral, directly from sided averages
 
 def _sided_average_family(alpha: float, scales, u_nodes: int, weights=1.0) -> ScaleFamily:
-    """S_t, whose multiplier sums the offsets' shifts: sum_i W_i (-2i sin(2 pi t s_i xi))."""
+    """S_t(f)(x) = alpha integral_0^1 (1-s)^(alpha-1) [f(x-ts) - f(x+ts)] ds, the
+    endpoint weight absorbed into a Gauss-Jacobi rule (nodes s_i, weights W_i):
+    its multiplier sums the offsets' shifts, sum_i W_i (-2i sin(2 pi t s_i xi))."""
     if alpha <= 0:
         raise ValueError(f"order must be positive, got {alpha}")
     s, W = _jacobi_unit_rule(alpha, u_nodes)
@@ -451,19 +453,6 @@ def _sided_average_family(alpha: float, scales, u_nodes: int, weights=1.0) -> Sc
         return -2j * sum(wi * np.sin(si * phase) for si, wi in zip(s, W))
 
     return ScaleFamily(scales, weights, multiplier, odd=True)
-
-
-def sided_average_layer(
-    f: SampledField, alpha: float, t: float, u_nodes: int = 64
-) -> SampledField:
-    """The normalized sided difference average at scale t,
-
-        S_t(f)(x) = alpha integral_0^1 (1-s)^(alpha-1) [f(x-ts) - f(x+ts)] ds,
-
-    with the endpoint weight absorbed into a Gauss-Jacobi rule.  Shifted
-    samples come from the spectral shift, exact for band-limited fields.
-    """
-    return SampledField(f.geometry, _sided_average_family(alpha, t, u_nodes).layers(f)[0])
 
 
 def marcinkiewicz_direct(
@@ -483,15 +472,6 @@ def _second_difference_family(f: SampledField, scales, weights=1.0) -> ScaleFami
     return ScaleFamily(scales, weights, lambda t, xi: -2j * np.pi * t * xi * np.sinc(t * xi) ** 2, odd=True)
 
 
-def second_difference_layer(f: SampledField, t: float) -> SampledField:
-    """-(F(x+t) + F(x-t) - 2 F(x)) / t with F the spectral antiderivative.
-
-    Agrees with the order-1 sided average layer identically on band-limited
-    mean-zero fields.
-    """
-    return SampledField(f.geometry, _second_difference_family(f, t).layers(f)[0])
-
-
 def marcinkiewicz_antiderivative(f: SampledField, tg: LogTimeGrid) -> SampledField:
     """Order-1 Marcinkiewicz integral via second differences of the antiderivative."""
     return _second_difference_family(f, tg.scales, tg.weight).square_function([f])[0]
@@ -508,14 +488,6 @@ def scale_synthesis(
     keep = _window_run(t, window)
     family = ScaleFamily.of_kernel(kernel, t[keep], h.scales.weight)
     return family.synthesis(h.layers[keep], h.geometry)
-
-
-def fiber_norm(h: ScaleIndexedField, window: tuple[float, float] | None = None) -> SampledField:
-    """Pointwise norm over the scale fiber, (sum_j w |h_j(y)|^2)^(1/2), over
-    the scales inside the window."""
-    keep = _window_run(h.scales.scales, window)
-    vals = np.sqrt(h.scales.weight * np.sum(np.abs(h.layers[keep]) ** 2, axis=0))
-    return SampledField(h.geometry, vals.astype(complex))
 
 
 def duality_residual(

@@ -94,24 +94,6 @@ def require_ap_weight(wid: str, dim: int, p: float) -> None:
         raise ValueError(f"'{wid}' is not in A_{p:g}(R^{dim}): |x|^A needs {need}")
 
 
-def dual_weight(w: Weight, p: float) -> Weight:
-    """Reflected conjugate-exponent weight x -> w(-x)^(-p'/p).
-
-    Applying it again with the conjugate exponent p' returns the original
-    weight, since the reflections and the exponents both cancel.
-    """
-    if not (p > 1):
-        raise ValueError(f"need p > 1, got {p}")
-    pprime = p / (p - 1.0)
-    ratio = pprime / p
-
-    def evaluate(*coords):
-        vals = w.evaluate(*(-np.asarray(c, dtype=float) for c in coords))
-        return np.asarray(vals, dtype=float) ** (-ratio)
-
-    return Weight(evaluate, kind=f"dual({w.kind},p={p:g})")
-
-
 def _grid_values(w: Weight, geom: Geometry) -> np.ndarray:
     """The weight on the spatial grid, checked finite and nonnegative."""
     wv = np.asarray(w.evaluate(*geom.spatial_grids()), dtype=float)

@@ -491,6 +491,11 @@ def loop_symbol(multiplier, scales, weights, *xi) -> np.ndarray:
     return acc
 
 
+def fiber_norm(h) -> np.ndarray:
+    """(sum_j w |h_j(y)|^2)^(1/2) over every layer of a scale-indexed field."""
+    return np.sqrt(h.scales.weight * np.sum(np.abs(h.layers) ** 2, axis=0))
+
+
 def sided_average_loop(f: SampledField, alpha: float, t: float, u_nodes: int) -> np.ndarray:
     """S_t with one inverse transform per Gauss-Jacobi offset node."""
     from scipy.special import roots_jacobi

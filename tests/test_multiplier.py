@@ -10,6 +10,7 @@ from scalesq import (
     DyadicRange,
     Geometry,
     LogTimeGrid,
+    Symbol,
     apply_multiplier,
     bessel_split_symbol,
     bessel_symbol,
@@ -19,7 +20,6 @@ from scalesq import (
     dyadic_symbol,
     forward_transform,
     haar_kernel,
-    homogeneity_defect,
     invert_multiplier,
     kernel_from_id,
     l2_norm,
@@ -27,9 +27,8 @@ from scalesq import (
     random_band_field,
     riesz_bessel_ratio_symbol,
     riesz_symbol,
-    symbol_from_callable,
-    symbol_min_modulus,
 )
+from scalesq.multiplier import sampled_homogeneity_defect, sampled_min_modulus
 
 HAAR_SYMBOL = 4.0 * math.log(2.0)
 
@@ -105,7 +104,7 @@ def test_dyadic_defect_is_two_boundary_terms():
 
 
 def test_apply_multiplier_identity(geom_small):
-    one = symbol_from_callable("one", lambda xi: np.ones(np.shape(xi)), dc_value=1.0)
+    one = Symbol("one", lambda xi: np.ones(np.shape(xi)), dc_value=1.0)
     f = random_band_field(geom_small, seed=2)
     g = apply_multiplier(one, f)
     assert np.allclose(g.values, f.values, atol=1e-12)
@@ -193,18 +192,18 @@ def test_ratio_symbol_validation():
 
 def test_homogeneity_defect_continuous_vs_dyadic(geom_small):
     wide = continuous_symbol(haar_kernel(), wide_grid())
-    assert homogeneity_defect(wide, geom_small) < 1e-6
+    assert sampled_homogeneity_defect(wide.sample(geom_small), geom_small) < 1e-6
     # a genuinely inhomogeneous symbol has order-one defect
     bes = bessel_symbol(1.0)
-    assert homogeneity_defect(bes, geom_small) > 0.1
+    assert sampled_homogeneity_defect(bes.sample(geom_small), geom_small) > 0.1
 
 
 def test_symbol_min_modulus_annulus(geom_small):
     sym = continuous_symbol(haar_kernel(), wide_grid())
-    m = symbol_min_modulus(sym, geom_small, annulus=(1.0, 2.0))
+    m = sampled_min_modulus(sym.sample(geom_small), geom_small, annulus=(1.0, 2.0))
     assert math.isclose(m, HAAR_SYMBOL, rel_tol=1e-6)
     with pytest.raises(ValueError):
-        symbol_min_modulus(sym, geom_small, annulus=(1e6, 2e6))
+        sampled_min_modulus(sym.sample(geom_small), geom_small, annulus=(1e6, 2e6))
 
 
 @given(seed=st.integers(0, 1000))

@@ -264,7 +264,7 @@ def energy_families(dim: int):
     profile = ball_average_profile(dim)
     diff = difference_multiplier(profile)
     families = {
-        "smoothing": _smoothing_family(0.5, profile, dim, TG.scales, TG.weight * TG.scales ** -1.0),
+        "smoothing": _smoothing_family(0.5, profile, dim, TG),
         "potential-layered": ScaleFamily(
             TG.scales, TG.weight * TG.scales ** -1.0,
             lambda t, *xi: diff(t, *xi) * riesz_multiplier(0.5, *xi)),
@@ -349,7 +349,7 @@ def test_bad_constant_weights_still_raise(value):
 def radial_families(dim: int):
     """Every radial family the library builds, as the library builds it."""
     profile = ball_average_profile(dim)
-    smoothing = _smoothing_family(0.5, profile, dim, TG.scales, TG.weight * TG.scales ** -1.0)
+    smoothing = _smoothing_family(0.5, profile, dim, TG)
     riesz = riesz_symbol(0.5).evaluate
     families = {
         "smoothing": smoothing,
@@ -464,30 +464,40 @@ def test_a_wrong_odd_tag_changes_the_g_function():
 # ---------------------------------------------------------------------------
 # the Sobolev ratio at p = 2 and a constant weight: one forward FFT per member
 
-def physical_sobolev_ratios(members, order, profile, p, weight):
-    """(||D Bg|| + ||Bg||) / ||g|| with B the Bessel potential and D the dyadic
-    smoothing differences, every norm taken in physical space."""
+def physical_sobolev_ratios(members, order, profile, scales, p, weight):
+    """(||D Bg|| + ||Bg||) / ||g|| with B the Bessel potential and D the
+    smoothing differences over the scale set, every norm taken in physical
+    space."""
     out = []
     for g in members:
         s = bessel_potential(g, order)
-        d = dyadic_smoothing_difference(s, order, profile, KR)
+        d = smoothing_difference_function(s, order, profile, scales)
         out.append((weighted_norm(d, p, weight) + weighted_norm(s, p, weight)) / weighted_norm(g, p, weight))
     return out
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("order", [0.25, 1.5])
-def test_sobolev_parseval_ratios_match_physical_route(dim, order):
+# ids "order-dim" on the dyadic range, "order-dim-continuous" on the log-time grid
+SOBOLEV_RATIO_CASES = [
+    pytest.param(order, dim, scales, id=f"{order}-{dim}{suffix}")
+    for scales, suffix in ((KR, ""), (TG, "-continuous"))
+    for dim in (1, 2)
+    for order in (0.25, 1.5)
+]
+
+
+@pytest.mark.parametrize("order, dim, scales", SOBOLEV_RATIO_CASES)
+def test_sobolev_parseval_ratios_match_physical_route(order, dim, scales):
     members = default_test_family(GEOMS[dim], seed=12).members
     profile = ball_average_profile(dim)
     for weight in (constant_weight(), constant_weight(3.7)):
-        got = sobolev_equivalence_ratio(order, profile, KR, 2.0, weight)(members)
-        want = physical_sobolev_ratios(members, order, profile, 2.0, weight)
+        got = sobolev_equivalence_ratio(order, profile, scales, 2.0, weight)(members)
+        want = physical_sobolev_ratios(members, order, profile, scales, 2.0, weight)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
     # p = 3 under a power weight keeps the physical route
     weight = weight_from_id("pow:0.3", radius_floor=GEOMS[dim].spacing)
-    got = sobolev_equivalence_ratio(order, profile, KR, 3.0, weight)(members)
-    assert np.allclose(got, physical_sobolev_ratios(members, order, profile, 3.0, weight), rtol=1e-12, atol=0.0)
+    got = sobolev_equivalence_ratio(order, profile, scales, 3.0, weight)(members)
+    want = physical_sobolev_ratios(members, order, profile, scales, 3.0, weight)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -539,7 +549,7 @@ def test_p2_ratios_match_the_full_spectrum_oracle(dim):
     members = default_test_family(geom, seed=9).members
     grids = _fft_grids(geom)
     profile = ball_average_profile(dim)
-    sigma = _smoothing_family(0.5, profile, dim, KR.scales, 4.0 ** (-KR.exponents * 0.5)).symbol(*grids)
+    sigma = _smoothing_family(0.5, profile, dim, KR).symbol(*grids)
     b2 = bessel_symbol(0.5).evaluate(*grids) ** 2
     want = []
     for g in members:
@@ -569,7 +579,7 @@ def real_families(dim: int):
     profile = ball_average_profile(dim)
     families = {
         "ball": ScaleFamily.of_kernel(profile.kernel, TG.scales, TG.weight),
-        "smoothing": _smoothing_family(0.5, profile, dim, TG.scales, TG.weight * TG.scales ** -1.0),
+        "smoothing": _smoothing_family(0.5, profile, dim, TG),
     }
     for kid in REAL_KERNELS[dim]:
         kernel = kernel_from_id(kid)

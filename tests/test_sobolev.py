@@ -29,7 +29,6 @@ from scalesq import (
     riesz_potential,
     smoothing_difference_function,
     sobolev_equivalence_ratio,
-    sobolev_norm,
     square_function_ratio,
     weight_from_id,
     weighted_norm,
@@ -48,7 +47,7 @@ def test_smoothing_multiplier_vs_mpmath(dim, s):
     # 1 - Phihat(t xi) at |t xi| = s, where forming it by subtraction would cancel
     import mpmath
 
-    family = _smoothing_family(0.5, ball_average_profile(dim), dim, [1.0], 1.0)
+    family = _smoothing_family(0.5, ball_average_profile(dim), dim, DyadicRange(0, 0))  # t = 1, w = 1
     points = [(s,), (-s,)] if dim == 1 else [(s, 0.0), (s * math.cos(0.7), s * math.sin(0.7))]
     for xi in points:
         got = family.multiplier(np.ones((1, 1)), *(np.array([x]) for x in xi))[0, 0]
@@ -159,19 +158,6 @@ def test_dyadic_potential_difference_mean_gate(geom_small):
     with pytest.raises(ValueError, match="mean-zero"):
         dyadic_potential_difference(gaussian_field(geom_small), 0.5,
                                     ball_average_profile(1), DyadicRange(0, 2))
-
-
-def test_sobolev_norm_order_zero(geom_small):
-    f = mz_band(geom_small)
-    assert math.isclose(sobolev_norm(f, 0.0), l2_norm(f), rel_tol=1e-12)
-
-
-def test_sobolev_norm_dynamic_range_guard(geom_small):
-    f = mz_band(geom_small)
-    with pytest.raises(ValueError, match="dynamic range"):
-        sobolev_norm(f, 100.0)
-    with pytest.raises(ValueError):
-        sobolev_norm(f, -1.0)
 
 
 def test_family_shape_and_determinism(geom_small):

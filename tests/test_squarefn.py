@@ -14,7 +14,6 @@ from scalesq import (
     default_dyadic_range,
     default_time_grid,
     duality_residual,
-    fiber_norm,
     g_function,
     gaussian_derivative_field,
     gaussian_field,
@@ -27,11 +26,9 @@ from scalesq import (
     poisson_derivative_kernel,
     random_band_field,
     scale_synthesis,
-    second_difference_layer,
-    sided_average_layer,
 )
-from scalesq.squarefn import ScaleFamily
-from oracles import sided_average_physical
+from scalesq.squarefn import ScaleFamily, _second_difference_family, _sided_average_family
+from oracles import fiber_norm, sided_average_physical
 
 HAAR_SYMBOL = 4.0 * math.log(2.0)
 
@@ -48,14 +45,14 @@ def test_convolve_levels_shapes(geom_small):
 
 def test_convolve_levels_matches_single_multiplier(geom_small):
     # one layer is just the multiplier psihat(t xi)
-    from scalesq import apply_multiplier, symbol_from_callable
+    from scalesq import Symbol, apply_multiplier
 
     k = haar_kernel()
     tg = LogTimeGrid(1.0, 2.0, nodes_per_octave=1)
     f = band_field(geom_small)
     h = convolve_levels(f, k, tg)
     t0 = tg.scales[0]
-    sym = symbol_from_callable("one-scale", lambda xi: k.fourier(t0 * xi), dc_value=0.0)
+    sym = Symbol("one-scale", lambda xi: k.fourier(t0 * xi), dc_value=0.0)
     direct = apply_multiplier(sym, f)
     assert np.allclose(h.layers[0], direct.values, atol=1e-12)
 
@@ -89,7 +86,7 @@ def test_g_function_is_fiber_norm_of_layers(geom_small):
     f = band_field(geom_small)
     g1 = g_function(f, k, tg)
     g2 = fiber_norm(convolve_levels(f, k, tg))
-    assert np.allclose(g1.values, g2.values, atol=1e-12)
+    assert np.allclose(g1.values, g2, atol=1e-12)
 
 
 def test_dyadic_g_is_fiber_norm(geom_small):
@@ -98,7 +95,7 @@ def test_dyadic_g_is_fiber_norm(geom_small):
     f = band_field(geom_small)
     g1 = g_function(f, k, kr)
     g2 = fiber_norm(convolve_levels(f, k, kr))
-    assert np.allclose(g1.values, g2.values, atol=1e-12)
+    assert np.allclose(g1.values, g2, atol=1e-12)
 
 
 def test_g_function_parseval_identity(geom_small):
@@ -135,35 +132,36 @@ def test_sided_average_matches_physical_oracle(alpha):
     geom = Geometry(1, 512, 16.0)
     f = gaussian_derivative_field(geom, 1.0)
     for t in (0.5, 2.0):
-        spectral = sided_average_layer(f, alpha, t, u_nodes=96)
+        spectral = _sided_average_family(alpha, t, 96).layers(f)[0]
         phys = sided_average_physical(f, alpha, t)
-        rel = l2_norm(SampledField(geom, spectral.values - phys)) / l2_norm(f)
+        rel = l2_norm(SampledField(geom, spectral - phys)) / l2_norm(f)
         assert rel < 1e-4
 
 
 def test_sided_average_validation(geom_small, geom_2d_small):
+    tg = LogTimeGrid(0.5, 2.0, nodes_per_octave=1)
     f2 = gaussian_field(geom_2d_small)
-    with pytest.raises(ValueError):
-        sided_average_layer(f2, 1.0, 1.0)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        marcinkiewicz_direct(f2, 1.0, tg)
     f1 = gaussian_field(geom_small)
-    with pytest.raises(ValueError):
-        sided_average_layer(f1, -1.0, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        marcinkiewicz_direct(f1, -1.0, tg)
 
 
 def test_second_difference_equals_order_one_average():
     geom = Geometry(1, 512, 16.0)
     f = mean_subtract(band_field(geom, seed=4))
     for t in (0.3, 1.7):
-        a = sided_average_layer(f, 1.0, t, u_nodes=128)
-        b = second_difference_layer(f, t)
-        rel = l2_norm(SampledField(geom, a.values - b.values)) / l2_norm(f)
+        a = _sided_average_family(1.0, t, 128).layers(f)[0]
+        b = _second_difference_family(f, t).layers(f)[0]
+        rel = l2_norm(SampledField(geom, a - b)) / l2_norm(f)
         assert rel < 1e-9
 
 
 def test_second_difference_requires_mean_zero(geom_small):
     f = gaussian_field(geom_small)  # positive mass
     with pytest.raises(ValueError, match="mean-zero"):
-        second_difference_layer(f, 1.0)
+        marcinkiewicz_antiderivative(f, LogTimeGrid(0.5, 2.0, nodes_per_octave=1))
 
 
 def test_marcinkiewicz_routes_agree():
@@ -236,11 +234,3 @@ def test_g_function_scales_linearly(seed):
     f3 = SampledField(geom, -3.0 * f.values)
     g3 = g_function(f3, haar_kernel(), tg)
     assert np.allclose(g3.values, 3.0 * g1.values, atol=1e-10)
-
-
-def test_fiber_norm_window(geom_small):
-    tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=4)
-    h = convolve_levels(band_field(geom_small), haar_kernel(), tg)
-    full = fiber_norm(h)
-    part = fiber_norm(h, window=(0.5, 2.0))
-    assert np.all(part.values.real <= full.values.real + 1e-15)

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from scalesq import (
     BallFamily,
@@ -13,7 +11,6 @@ from scalesq import (
     ap_constant_estimate,
     ap_stability_report,
     constant_weight,
-    dual_weight,
     dyadic_ball_family,
     gaussian_field,
     power_weight,
@@ -43,20 +40,6 @@ def test_weight_registry():
         weight_from_id("pow:x")
     with pytest.raises(ValueError):
         weight_from_id("gauss")
-
-
-@given(a=st.floats(-0.5, 2.0), p=st.floats(1.1, 5.0))
-def test_dual_weight_involution(a, p):
-    w = power_weight(a, radius_floor=0.01)
-    pprime = p / (p - 1.0)
-    back = dual_weight(dual_weight(w, p), pprime)
-    x = np.array([0.3, 1.7, -2.2])
-    assert np.allclose(back(x), w(x), rtol=1e-12)
-
-
-def test_dual_weight_needs_p_above_one():
-    with pytest.raises(ValueError):
-        dual_weight(constant_weight(), 1.0)
 
 
 def test_weighted_norm_manual(geom_small):
