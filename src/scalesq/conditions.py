@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import LogTimeGrid
 from .kernels import Kernel, _jacobi_rule, marcinkiewicz_kernel
 
 _ANGLES = 64
@@ -316,9 +315,7 @@ def nondegeneracy_check(kernel: Kernel, mode: str = "continuous") -> Nondegenera
 # ---------------------------------------------------------------------------
 # the scale-shift energy and its scan
 
-def hormander_energy(
-    kernel: Kernel, x: float, y: float, tg: LogTimeGrid | None = None
-) -> float:
+def hormander_energy(kernel: Kernel, x: float, y: float, nodes: int = 64) -> float:
     """integral over t of |psi_t(x - y) - psi_t(x)|^2 dt/t for a 1-D kernel.
 
     Computed after substituting u = |x|/t, which turns the integral into
@@ -329,7 +326,8 @@ def hormander_energy(
     the cross term, and the smooth term carry different exponents).
 
     Requires |y| < |x| / 2.  Infinite when the edge blow-up is too strong
-    to be square integrable (exponent <= -1/2).
+    to be square integrable (exponent <= -1/2).  `nodes` is the
+    quadrature order of every panel.
     """
     if kernel.dim != 1:
         raise ValueError("hormander_energy is one-dimensional")
@@ -338,7 +336,6 @@ def hormander_energy(
         raise ValueError(f"need |y| < |x|/2, got x = {x}, y = {y}")
     if y == 0.0:
         return 0.0
-    nn = 64 if tg is None else max(16, 4 * tg.nodes_per_octave)
     s = 1.0 if x > 0 else -1.0
     rho = y / x
     stretch = 1.0 - rho  # argument ratio; in (1/2, 3/2)
@@ -357,7 +354,7 @@ def hormander_energy(
         cut = 64.0 / min(1.0, stretch)
         # the leading panel [0, 1e-6] is plain: the difference vanishes quadratically there
         panels = _octave_panels(1e-6, cut) + [(0.0, 1e-6)]
-        return sum(_panel(energy, a, b, nn) for a, b in panels) / x**2
+        return sum(_panel(energy, a, b, nodes) for a, b in panels) / x**2
 
     edge = kernel.edge_singularity
     e = edge[1] if edge is not None else 0.0
@@ -382,13 +379,13 @@ def hormander_energy(
         elif sing_shift is not None and math.isclose(b, sing_shift, rel_tol=1e-12):
             kind = "shift"
         if kind is None or e == 0.0:
-            total += _panel(energy, a, b, nn)
+            total += _panel(energy, a, b, nodes)
             continue
         sing, smooth = (f_plain, f_shift) if kind == "plain" else (f_shift, f_plain)
         # |sing - smooth|^2 split into three terms with matched grading
-        total += _panel(lambda u: u * (sing(u) / (b - u) ** e) ** 2, a, b, nn, end=2.0 * e)
-        total += _panel(lambda u: -2.0 * u * smooth(u) * sing(u) / (b - u) ** e, a, b, nn, end=e)
-        total += _panel(lambda u: u * smooth(u) ** 2, a, b, nn)
+        total += _panel(lambda u: u * (sing(u) / (b - u) ** e) ** 2, a, b, nodes, end=2.0 * e)
+        total += _panel(lambda u: -2.0 * u * smooth(u) * sing(u) / (b - u) ** e, a, b, nodes, end=e)
+        total += _panel(lambda u: u * smooth(u) ** 2, a, b, nodes)
     return total / x**2
 
 
@@ -411,9 +408,8 @@ class ScanReport:
 
 
 def _scan_max(
-    kernel: Kernel, alpha: float, j_step: float, m_step: float, nodes_per_octave: int
+    kernel: Kernel, alpha: float, j_step: float, m_step: float, nodes: int
 ) -> tuple[float, tuple[float, float]]:
-    tg = LogTimeGrid(1e-2, 1e2, nodes_per_octave)
     exps = np.arange(-2.0, 2.0 + 1e-9, j_step)
     ms = np.arange(2.0, 12.0 + 1e-9, m_step)
     # hormander_energy(x, y) is total(sgn x, 1 - y/x) / x^2; each class total is
@@ -429,7 +425,7 @@ def _scan_max(
                     yy = sy * 2.0**-m * abs(xx)
                     key = (sx, 1.0 - yy / xx)
                     if key not in totals:
-                        totals[key] = hormander_energy(kernel, sx, sx * (1.0 - key[1]), tg)
+                        totals[key] = hormander_energy(kernel, sx, sx * (1.0 - key[1]), nodes)
                     L = totals[key] / xx**2
                     ratio = L * abs(xx) ** (1.0 + 2.0 * alpha) / abs(yy) ** (2.0 * alpha - 1.0)
                     if ratio > best[0]:
@@ -457,10 +453,10 @@ def marcinkiewicz_estimate_scan(alpha: float, refine: bool = True) -> ScanReport
     if not 0.5 < alpha < 1.5:
         raise ValueError(f"alpha must lie in (0.5, 1.5), got {alpha}")
     kernel = marcinkiewicz_kernel(alpha)
-    coarse, arg = _scan_max(kernel, alpha, 0.25, 1.0, 16)
+    coarse, arg = _scan_max(kernel, alpha, 0.25, 1.0, 64)
     if not refine:
         return ScanReport(alpha, coarse, arg, math.nan, math.isfinite(coarse))
-    fine, arg_fine = _scan_max(kernel, alpha, 0.125, 0.5, 32)
+    fine, arg_fine = _scan_max(kernel, alpha, 0.125, 0.5, 128)
     delta = (fine - coarse) / coarse if coarse != 0 else math.inf
     passed = bool(math.isfinite(fine) and abs(delta) <= 0.05)
     return ScanReport(alpha, fine, arg_fine, float(delta), passed)

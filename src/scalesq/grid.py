@@ -15,7 +15,6 @@ machine precision and Parseval holds in the form
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 import warnings
@@ -158,10 +157,6 @@ class SpectralField:
                 f"coefficients shape {c.shape} does not match grid shape {self.geometry.shape}"
             )
         object.__setattr__(self, "coefficients", c)
-
-    @property
-    def dc_value(self) -> complex:
-        return complex(self.coefficients[self.geometry.dc_index])
 
 
 def forward_transform(f: SampledField) -> SpectralField:
@@ -437,7 +432,7 @@ def save_field_csv(f: SampledField, path: str) -> None:
             if imag.any() or np.signbit(imag).any():
                 im = map(repr, imag.tolist())
             else:
-                im = itertools.repeat("0.0")
+                im = ["0.0"] * block.size
             rows = zip(map(str, range(lo, lo + block.size)), map(repr, block.real.tolist()), im)
             fh.write("\n".join(map(",".join, rows)))
             fh.write("\n")

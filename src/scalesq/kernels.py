@@ -239,17 +239,14 @@ class AveragingProfile:
     `density` is the real-valued profile, which `kernel.spatial` returns as
     complex; the spatial quadratures evaluate it directly.  `deficit` is the
     real 1 - profilehat, to full relative precision near the origin where
-    the subtraction cancels.  `max_order` is the supremum of orders alpha for
-    which the profile satisfies the moment conditions (unit mass; vanishing
-    moments of degrees 1..floor(alpha) when alpha >= 1).  `moment` returns
-    the exact mixed moment for a degree tuple.  `cdf`, for 1-D profiles, is
-    the closed-form integral of the density up to x.
+    the subtraction cancels.  `moment` returns the exact mixed moment for a
+    degree tuple.  `cdf`, for 1-D profiles, is the closed-form integral of
+    the density up to x.
     """
 
     kernel: Kernel
     density: Callable
     deficit: Callable
-    max_order: float
     moment: Callable
     cdf: Callable | None = None
 
@@ -264,10 +261,6 @@ class AveragingProfile:
     @property
     def fourier(self) -> Callable:
         return self.kernel.fourier
-
-    @property
-    def spatial(self) -> Callable:
-        return self.kernel.spatial
 
 
 @dataclass(frozen=True)
@@ -523,7 +516,6 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
         kernel=kern,
         density=density,
         deficit=deficit,
-        max_order=2.0,
         moment=moment,
         cdf=cdf,
     )

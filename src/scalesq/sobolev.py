@@ -332,22 +332,31 @@ def _square_norms(family: ScaleFamily, fields, p: float, weight: Weight) -> list
     return [weighted_norm(g, p, weight) for g in family.square_function(fields)]
 
 
+def _parseval(family: ScaleFamily, p: float) -> bool:
+    """Whether a ratio may take its p = 2 norms by Parseval on the half grid,
+    which needs an even symbol: |m_t|^2 is even for a family tagged radial,
+    odd or real (every registry kernel and profile is one of them)."""
+    return p == 2 and (family.radial or family.odd or family.real)
+
+
 def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Weight):
     """ratio_fn: weighted norm of the square function over the scale set
     against that of f.
 
     At p = 2 under a weight with one value c on the grid the numerator is
-    sqrt(c * energy), which Parseval gives from the family's symbol and one
-    forward FFT per field, one field at a time; every other p or weight
-    squares the layers in physical space, in batches of `_batch_size`.
+    sqrt(c * h^d sum_x of the square sum), which Parseval gives from the
+    family's symbol on the half grid and one `rfftn` per real plane of the
+    field, one field at a time (`_parseval`); every other p or weight, or a
+    family without an even symbol, squares the layers in physical space, in
+    batches of `_batch_size`.
     """
     family = ScaleFamily.of_kernel(kernel, scales.scales, scales.weight)
 
     def prepare(geom: Geometry):
-        c = constant_on_grid(weight, geom) if p == 2 else None
+        c = constant_on_grid(weight, geom) if _parseval(family, p) else None
         if c is None:
             return _batch_size(geom), lambda fs: _norm_ratios(fs, _square_norms(family, fs, p, weight), p, weight)
-        sums = _power_sums(geom, [family.symbol(*_fft_grids(geom))])
+        sums = _power_sums(geom, [family.symbol(*_fft_grids(geom, half=True))])
         volume = (geom.spacing / geom.n_samples) ** geom.dim
         return 1, lambda fs: _norm_ratios(fs, [math.sqrt(c * (volume * sums(fs[0])[0]))], p, weight)
 
@@ -361,15 +370,17 @@ def sobolev_equivalence_ratio(
     the smoothing-difference norm plus the smoothed norm returns ||g||.
 
     At p = 2 under a weight with one value c on the grid, Parseval gives all
-    three norms from the power spectrum P = |FFT(g)|^2, one forward FFT per
-    member, one member at a time: ||g|| from sum P, the smoothed norm from
-    sum b^2 P with b the Bessel symbol, the smoothing-difference norm from
-    sum sigma b^2 P with sigma the family's symbol.  Every other p or weight
-    smooths g in physical space, in batches of `_batch_size`.
+    three norms from the power spectrum P = |FFT(g)|^2, one `rfftn` per real
+    plane of the member, one member at a time (`_parseval`): ||g|| from
+    sum P, the smoothed norm from sum b^2 P with b the Bessel symbol, the
+    smoothing-difference norm from sum sigma b^2 P with sigma the family's
+    symbol, each symbol on the half grid.  Every other p or weight, or a
+    profile without an even symbol, smooths g in physical space, in batches
+    of `_batch_size`.
     """
     def prepare(geom: Geometry):
         family = _smoothing_family(order, profile, geom.dim, scales)
-        c = constant_on_grid(weight, geom) if p == 2 else None
+        c = constant_on_grid(weight, geom) if _parseval(family, p) else None
         if c is None:
             def batch_ratios(gs):
                 smoothed = [bessel_potential(g, order) for g in gs]
@@ -378,7 +389,7 @@ def sobolev_equivalence_ratio(
                 return _norm_ratios(gs, norms, p, weight)
 
             return _batch_size(geom), batch_ratios
-        grids = _fft_grids(geom)
+        grids = _fft_grids(geom, half=True)
         sigma_b2 = family.symbol(*grids)  # first: finding its shells takes the most memory
         b2 = bessel_symbol(order).evaluate(*grids) ** 2
         sigma_b2 *= b2

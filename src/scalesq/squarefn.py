@@ -5,44 +5,39 @@ scale t, with weight w_t, acting on a field f through its layers
 IFFT(m_t fhat).  The family gives the square sum of a batch of fields,
 sum_t w_t |IFFT(m_t fhat)|^2; the layer stack of one field; the synthesis
 sum_t w_t IFFT(m_t FFT(h_t)) of a stack h, or of layers streamed chunk by
-chunk; the symbol sigma(xi) = sum_t w_t |m_t(xi)|^2; and the energy of a
-batch, the integral of the square sum over the grid.  Each runs over
-chunks of at most `_CHUNK_BYTES` of layers (at least one layer),
-evaluating a chunk's multipliers once per call for every field of the
-batch, so memory beyond inputs and outputs does not grow with the number
-of scales or fields.  The square sum shifts each input and each output
-once, never a layer: |.|^2 does not see shifts.  The energy forms no layer
-at all: by the discrete Parseval identity it is the symbol integrated
-against the field's power spectrum.
+chunk; and the symbol sigma(xi) = sum_t w_t |m_t(xi)|^2.  Each runs over
+chunks of at most `_CHUNK_BYTES` of layers (at least one layer of each
+plane), evaluating a chunk's multipliers once per call for every field of
+the batch, so memory beyond inputs and outputs does not grow with the
+number of scales.  The square sum shifts each input and each output once,
+never a layer: |.|^2 does not see shifts.
 
-A family tagged real promises m_t(-xi) = conj m_t(xi) at every frequency
-of the DFT grid, the self-conjugate ones included, so m_t is real at
-xi = 0 and on the Nyquist frequencies.  It maps real fields to real layers,
-and the engine takes them through the half spectrum: `rfftn`, the
-multipliers on the first N/2 + 1 frequencies of the last axis, `irfftn`,
-and out*out for the square.  A real layer is half the bytes of a complex
-one, so a chunk holds twice the scales.  The route is decided field by
-field from the values (no imaginary part), never from a label; a mixed
-batch takes each kind its own way, in batch order.  The synthesis takes
-real layers the same way and ends in one `irfftn`.  Real odd families
+The family's tag decides its spectrum.  A family tagged real promises
+m_t(-xi) = conj m_t(xi) at every frequency of the DFT grid, the
+self-conjugate ones included, so m_t is real at xi = 0 and on the Nyquist
+frequencies, and it maps real fields to real layers.  It takes every field
+as real planes, its real part and its imaginary part when that is non-zero,
+each through the half spectrum: `rfftn`, the multipliers on the first
+N/2 + 1 frequencies of the last axis, `irfftn`, and out*out for the square.
+The layers of f = re + i im are those of re plus i those of im, and its
+square sum the sum of theirs.  A real layer is half the bytes of a complex
+one, so a chunk holds twice the scales.  Every other family takes each
+field as one complex plane through the full spectrum.  Real odd families
 (haar, gm:a, sgn-diff, the sided averages and second differences) are not
 tagged: their multiplier is imaginary at the Nyquist frequency -N/2, which
 is its own negative, so their layers of a real field keep an imaginary
 Nyquist term that the half spectrum would drop.
 
-A radial family, one whose multipliers depend on |xi| alone, is evaluated
-once per |xi| shell: each call finds the distinct |xi|^2 of its input,
-evaluates a (scales, shells) table, as many whole chunks of layers at a
-time as fit in `_CHUNK_BYTES` on the shells, and gathers it onto the grid
-one chunk at a time; the symbol is summed over scales on the shells and
-gathered once.  A 1-D odd family, m_t(-xi) = -m_t(xi), is evaluated the
-same way on the distinct |xi| and gathered with the sign of xi; its
-symbol, even, ignores the sign.  Nothing is cached between calls.  The
-p = 2 constant-weight Sobolev ratio in `sobolev` builds on the same
-Parseval identity and takes one forward FFT per field.  Both take a field
-with no imaginary part through `rfftn`, its power spectrum being even:
-the half spectrum against the symbol's even part, its interior columns
-counted twice.
+A radial family, one whose multipliers depend on |xi| alone, or a 1-D odd
+family, m_t(-xi) = -m_t(xi), is evaluated once per |xi| shell: each call
+finds the distinct |xi|^2 of its input, evaluates a (scales, shells) table,
+as many whole chunks of layers at a time as fit in `_CHUNK_BYTES` on the
+shells, and gathers it onto the grid one chunk at a time, an odd family
+with the sign of xi; the symbol is summed over scales on the shells and
+gathered once.  Nothing is cached between calls.  The p = 2
+constant-weight ratios in `sobolev` take their norms by the discrete
+Parseval identity from even symbols on the half grid and one `rfftn` per
+real plane of a field (`_power_sums`), and form no layer.
 
 Every kernel operator takes a scale set (`grid.ScaleSet`): its scales t_j
 and the weight w each carries.  Continuous scale: a log-time grid, weighted
@@ -65,7 +60,6 @@ physical space.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -80,7 +74,6 @@ from .grid import (
     SampledField,
     ScaleSet,
     _normalized,
-    forward_transform,
     l2_norm,
 )
 from .kernels import Kernel, _jacobi_unit_rule
@@ -132,43 +125,47 @@ def _chunk_layers(points: int, real: bool = False) -> int:
     return max(1, _CHUNK_BYTES // ((8 if real else 16) * points))
 
 
-def _batch_geometry(fields: Sequence[SampledField]) -> Geometry:
-    geom = fields[0].geometry
-    if any(f.geometry != geom for f in fields):
-        raise ValueError("the fields of a batch must share one geometry")
-    return geom
+def _spectrum_shape(geom: Geometry, half: bool) -> tuple[int, ...]:
+    """The shape of the grids of `_fft_grids(geom, half)`."""
+    return geom.shape[:-1] + (geom.n_samples // 2 + 1,) if half else geom.shape
+
+
+def _planes(values: np.ndarray, real: bool = True) -> list:
+    """The planes values, a field or a stack of layers, go through: with `real`
+    their real part and, when that is non-zero, their imaginary part
+    (values = planes[0] + i planes[1]); else the values themselves."""
+    if not real:
+        return [values]
+    return [values.real] + ([values.imag] if np.imag(values).any() else [])
+
+
+def _joined(planes: np.ndarray) -> np.ndarray:
+    """planes[0] + i planes[1] over the first axis, a lone plane as it is."""
+    return planes[0] if len(planes) == 1 else planes[0] + 1j * planes[1]
 
 
 def _power_sums(geom: Geometry, symbols):
     """f -> [sum_k S(k) |FFT(f)_k|^2 for S in symbols] over the DFT grid of
-    geom, each S in FFT order, None standing for S = 1: one forward FFT per
-    field, no layer.  |FFT(f)|^2 does not see the centring shift.
+    geom, one `rfftn` per real plane of f (`_planes`) and no layer; each S
+    even, S(-k) = S(k), and given on the half grid (None standing for 1).
 
-    A field with no imaginary part takes `rfftn`: its power spectrum is even,
-    so the full sum is the sum over the half spectrum (the first N/2 + 1
-    columns of the last axis) of the even part (S(k) + S(-k)) / 2 against
-    the power, every column but the first and the last (-N/2) counted
-    twice.  The other fields take `fftn` and the full grid.
+    A real plane's power spectrum is even, so its full sum is the sum over
+    the half spectrum, every column of the last axis but the first and the
+    last (-N/2) counted twice.  Against an even S the cross term of the two
+    planes of f = re + i im cancels, so f's sum is the sum of its planes'.
+    |FFT(f)|^2 does not see the centring shift.
     """
-    half = geom.n_samples // 2 + 1
-    twice = np.full(half, 2.0)
+    twice = np.full(geom.n_samples // 2 + 1, 2.0)
     twice[[0, -1]] = 1.0
-    # the index of -k, for k on the half grid
-    negated = np.ix_(*((-np.arange(m)) % geom.n_samples for m in geom.shape[:-1] + (half,)))
+    weighted = [twice if s is None else twice * s for s in symbols]
 
-    def fold(s):
-        if s is None:
-            return twice
-        s = np.broadcast_to(s, geom.shape)
-        return twice * (0.5 * (s[..., :half] + s[negated]))
-
-    folded = [fold(s) for s in symbols]
-
-    def sums(f: SampledField) -> list:
-        real = not np.imag(f.values).any()
-        spec = np.fft.rfftn(f.values.real) if real else np.fft.fftn(f.values)
-        power = spec.real**2 + spec.imag**2
-        return [np.sum(power) if s is None else np.sum(s * power) for s in (folded if real else symbols)]
+    def sums(f: SampledField) -> np.ndarray:
+        out = np.zeros(len(weighted))
+        for plane in _planes(f.values):
+            spec = np.fft.rfftn(plane)
+            power = spec.real**2 + spec.imag**2
+            out += [np.sum(s * power) for s in weighted]
+        return out
 
     return sums
 
@@ -176,7 +173,7 @@ def _power_sums(geom: Geometry, symbols):
 def _require_mean_zero(f: SampledField, what: str) -> None:
     """Operators with a homogeneous symbol are only faithful off the zero
     frequency; reject fields carrying mean mass instead of zeroing it."""
-    dc = abs(forward_transform(f).dc_value)
+    dc = abs(f.geometry.cell_volume * np.sum(f.values))  # fhat(0) = h^d sum f
     if dc > 1e-9 * max(l2_norm(f), 1e-300):
         raise ValueError(
             f"{what} requires a mean-zero field: |fhat(0)| = {dc:.3e} "
@@ -194,17 +191,20 @@ class ScaleFamily:
     declares that m_t(xi) depends on |xi| alone; such a family is evaluated
     once per distinct |xi|^2 of its input, at (|xi|, 0, ..., 0).  `odd`
     declares m_t(-xi) == -m_t(xi) bit for bit; on 1-D input such a family
-    is evaluated once per distinct |xi| and the values at xi < 0 negated.
+    is evaluated once per distinct xi^2, at |xi|, and the values at xi < 0
+    negated.
 
     `real` declares m_t(-xi) == conj m_t(xi) at every frequency of the DFT
     grid, the self-conjugate ones included: m_t is real at xi = 0 and on the
     Nyquist frequencies, where -N/2 is its own negative.  Such a family maps
-    a real field to real layers, and it takes every field whose values have
-    no imaginary part through the half spectrum: `rfftn`, the multipliers on
-    the first N/2 + 1 frequencies of the last axis, `irfftn`.  The route is
-    decided field by field from the values, never from a label; a real odd
-    family must not carry the tag, since its multiplier is imaginary at -N/2
-    and the half spectrum would drop that term of its layers.
+    real fields to real layers, and it takes every field through the half
+    spectrum as real planes (`_planes`): each plane through `rfftn`,
+    the multipliers on the first N/2 + 1 frequencies of the last axis, and
+    `irfftn`, the layers of f = re + i im being those of re plus i those of
+    im.  Every other family takes every field through the full spectrum as
+    one complex plane.  A real odd family must not carry the tag, since its
+    multiplier is imaginary at -N/2 and the half spectrum would drop that
+    term of its layers.
     """
 
     scales: NDArray[np.float64]
@@ -233,25 +233,21 @@ class ScaleFamily:
         """(where to evaluate the multipliers, the index gathering them onto xi,
         the sign applied after the gather).
 
-        A radial family is evaluated on its shells, the distinct values of
-        |xi|^2, at (|xi|, 0, ..., 0); an odd family on 1-D input on the
-        distinct |xi|, with sign -1 where xi < 0 (xi = 0 keeps its value).
-        The index maps each point of xi to its shell.  Any other family is
+        A radial family, or an odd family on 1-D input, is evaluated on its
+        shells, the distinct values of |xi|^2, at (|xi|, 0, ..., 0); the index
+        maps each point of xi to its shell, and an odd family takes sign -1
+        where xi < 0 (xi = 0 keeps its value).  sqrt(fl(x^2)) == |x| in
+        binary64, so a 1-D shell is |xi| itself.  Any other family is
         evaluated at xi itself, index and sign None.
         """
-        sign = None
-        if self.radial:
-            key = sum(np.asarray(x, dtype=float) ** 2 for x in xi)
-            shells, index = np.unique(key, return_inverse=True)
-            rho = np.sqrt(shells)
-            points = (rho,) + (np.zeros_like(rho),) * (len(xi) - 1)
-        elif self.odd and len(xi) == 1:
-            x = np.asarray(xi[0], dtype=float)
-            key = np.abs(x)
-            shells, index = np.unique(key, return_inverse=True)
-            points, sign = (shells,), np.where(x < 0, -1.0, 1.0)
-        else:
+        odd = self.odd and len(xi) == 1
+        if not (self.radial or odd):
             return xi, None, None
+        key = sum(np.asarray(x, dtype=float) ** 2 for x in xi)
+        shells, index = np.unique(key, return_inverse=True)
+        rho = np.sqrt(shells)
+        points = (rho,) + (np.zeros_like(rho),) * (len(xi) - 1)
+        sign = np.where(np.asarray(xi[0]) < 0, -1.0, 1.0) if odd else None
         # the index lives through every chunk: the narrowest dtype keeps it small
         index = index.reshape(np.shape(key)).astype(np.min_scalar_type(shells.size))
         return points, index, sign
@@ -283,59 +279,56 @@ class ScaleFamily:
                     m *= sign
                 yield slice(table.start + lo, table.start + lo + layers), m
 
-    def _real_route(self, values: np.ndarray) -> bool:
-        """Whether values, a field or a stack of layers, go through the half
-        spectrum: the family is tagged real and the values have no imaginary part."""
-        return self.real and not np.imag(values).any()
+    def _per_chunk(self, geom: Geometry, other: int) -> int:
+        """How many layers of `other` planes each, or planes of `other` layers
+        each, fit in `_CHUNK_BYTES` on geom, real or complex as the family's
+        planes are; at least one."""
+        return _chunk_layers(other * math.prod(geom.shape), self.real)
 
-    def _layer_chunks(self, fields: Sequence[SampledField]):
-        """(scales, slice of the batch, those fields' layers in FFT order) for
-        a batch, chunk by chunk.
+    def _spectra(self, fields: Sequence[SampledField]):
+        """(the index of each field's first plane, the spectra of the batch's
+        planes in FFT order, on (plane, 1, *grid))."""
+        geom = fields[0].geometry
+        if any(f.geometry != geom for f in fields):
+            raise ValueError("the fields of a batch must share one geometry")
+        planes = [_planes(f.values, self.real) for f in fields]
+        first = np.cumsum([0] + [len(p) for p in planes[:-1]])
+        spec = np.empty((first[-1] + len(planes[-1]), 1) + _spectrum_shape(geom, self.real), dtype=np.complex128)
+        forward = np.fft.rfftn if self.real else np.fft.fftn
+        for row, plane in zip(spec, (p for ps in planes for p in ps)):
+            row[0] = forward(np.fft.ifftshift(plane))
+        return first, spec
 
-        Fields of `_real_route` give real layers through the half spectrum,
-        the others complex layers through the full one; each run of
-        consecutive fields of one kind is transformed together.  A chunk
-        holds at most `_CHUNK_BYTES` of layers of both kinds (at least one
-        layer).  Its multipliers are evaluated once: on the full grid if any
-        field needs it, the real layers taking its first half.  A batch of
-        one field is chunked as `synthesis` chunks its stack: `_chunk_layers`
-        of the grid's points, real or complex."""
-        geom = _batch_geometry(fields)
-        ax, half = _spatial_axes(geom), geom.n_samples // 2 + 1
-        real = [self._real_route(f.values) for f in fields]
-        runs, start = [], 0  # (real?, first field, spectra on (field, scale, *grid))
-        for is_real, run in itertools.groupby(real):
-            count = len(list(run))
-            shape = geom.shape[:-1] + (half,) if is_real else geom.shape
-            spec = np.empty((count, 1) + shape, dtype=np.complex128)
-            for f, row in zip(fields[start:start + count], spec):
-                v = np.fft.ifftshift(f.values)
-                row[0] = np.fft.rfftn(v.real) if is_real else np.fft.fftn(v)
-            runs.append((is_real, start, spec))
-            start += count
-        full = not all(real)
-        # a chunk's budget counted in real layers; a complex layer counts twice
-        units = _chunk_layers(math.prod(geom.shape), real=True)
-        per_scale = 2 * len(fields) - sum(real)
-        for chunk, m in self._chunks(_fft_grids(geom, half=not full), max(1, units // per_scale)):
-            for is_real, start, spec in runs:
-                mr = m[..., :half] if is_real and full else m
-                step = max(1, units // (mr.shape[0] * (1 if is_real else 2)))
-                for lo in range(0, len(spec), step):
-                    prod = mr * spec[lo:lo + step]
-                    if is_real:
-                        out = np.fft.irfftn(prod, s=geom.shape, axes=ax)
-                    else:
-                        out = np.fft.ifftn(prod, axes=ax)
-                    yield chunk, slice(start + lo, start + lo + len(prod)), out
+    def _layer_chunks(self, spec: np.ndarray, geom: Geometry):
+        """(slice of scales, slice of the planes of `_spectra`, their layers in
+        FFT order on (plane, scale, *grid)), chunk by chunk.
+
+        A chunk holds `_per_chunk` scales of every plane, at most
+        `_CHUNK_BYTES` of layers (at least one scale), and its multipliers
+        are evaluated once, on the grid of the spectra.  Its planes are
+        transformed as many at a time as fit in `_CHUNK_BYTES` beside its
+        scales, at least two for a family tagged real, so that the planes of
+        a batch of one field come in one piece."""
+        ax = _spatial_axes(geom)
+        for chunk, m in self._chunks(_fft_grids(geom, half=self.real), self._per_chunk(geom, len(spec))):
+            step = max(1 + self.real, self._per_chunk(geom, len(m)))
+            for lo in range(0, len(spec), step):
+                prod = m * spec[lo:lo + step]
+                out = np.fft.irfftn(prod, s=geom.shape, axes=ax) if self.real else np.fft.ifftn(prod, axes=ax)
+                yield chunk, slice(lo, lo + len(prod)), out
 
     def square_sum(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
-        """sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch, stacked on axis 0."""
-        acc = np.zeros((len(fields),) + fields[0].geometry.shape)
-        for chunk, part, out in self._layer_chunks(fields):
-            power = out * out if np.isrealobj(out) else np.abs(out) ** 2
+        """sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch, stacked on
+        axis 0; for real planes, the sum over the planes of f = re + i im."""
+        first, spec = self._spectra(fields)
+        geom = fields[0].geometry
+        acc = np.zeros((len(spec),) + geom.shape)
+        for chunk, part, out in self._layer_chunks(spec, geom):
+            power = out * out if self.real else np.abs(out) ** 2
             acc[part] += np.einsum("j,bj...->b...", self.weights[chunk], power)
-        return np.fft.fftshift(acc, axes=_spatial_axes(fields[0].geometry))
+        if len(spec) > len(fields):
+            acc = np.add.reduceat(acc, first, axis=0)
+        return np.fft.fftshift(acc, axes=_spatial_axes(geom))
 
     def square_function(self, fields: Sequence[SampledField]) -> list[SampledField]:
         """The square root of `square_sum`, one real nonnegative field per input."""
@@ -345,45 +338,35 @@ class ScaleFamily:
     def layers(self, f: SampledField) -> NDArray[np.complex128]:
         """The stack IFFT(m_t fhat), one layer per scale, filled chunk by chunk."""
         stack = np.empty((self.scales.size,) + f.geometry.shape, dtype=np.complex128)
-        for chunk, _, out in self._layer_chunks([f]):
-            stack[chunk] = np.fft.fftshift(out[0], axes=_spatial_axes(f.geometry))
+        _, spec = self._spectra([f])
+        for chunk, _, out in self._layer_chunks(spec, f.geometry):
+            stack[chunk] = np.fft.fftshift(_joined(out), axes=_spatial_axes(f.geometry))
         return stack
 
     def synthesis(self, layers: np.ndarray, geom: Geometry) -> SampledField:
         """sum_t w_t IFFT(m_t FFT(h_t)) of a stack h with one layer per scale."""
-        real = self._real_route(layers)
-        ax, step = _spatial_axes(geom), _chunk_layers(math.prod(geom.shape), real)
+        planes = _planes(layers, self.real)
+        ax, step = _spatial_axes(geom), self._per_chunk(geom, len(planes))
         chunks = (slice(lo, lo + step) for lo in range(0, self.scales.size, step))
-        h = layers.real if real else layers
-        return self._synthesize(((c, np.fft.ifftshift(h[c], axes=ax)) for c in chunks), geom, real)
+        stacked = ((c, np.fft.ifftshift(np.stack([p[c] for p in planes]), axes=ax)) for c in chunks)
+        return self._synthesize(stacked, geom, len(planes))
 
-    def _synthesize(self, chunks, geom: Geometry, real: bool) -> SampledField:
-        """sum_t w_t IFFT(m_t FFT(h_t)) over (slice of scales, their layers h_t
-        in FFT order) pairs, consumed as they come; the slices must be the
-        family's own chunks of `_chunk_layers` of the grid's points.  Real
-        layers, for a family tagged real, go through the half spectrum."""
+    def _synthesize(self, chunks, geom: Geometry, planes: int) -> SampledField:
+        """sum_t w_t IFFT(m_t FFT(h_t)) over (slice of scales, the `planes`
+        planes of their layers h_t in FFT order, on (plane, scale, *grid))
+        pairs, consumed as they come; the slices must be the family's own
+        chunks of `_per_chunk` scales.  Each plane is synthesized on
+        its own and the result joined, re + i im."""
         ax = _spatial_axes(geom)
-        grids = _fft_grids(geom, half=real)
-        acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in grids)), dtype=np.complex128)
-        ours = self._chunks(grids, _chunk_layers(math.prod(geom.shape), real))
-        forward = np.fft.rfftn if real else np.fft.fftn
+        grids = _fft_grids(geom, half=self.real)
+        acc = np.zeros((planes,) + _spectrum_shape(geom, self.real), dtype=np.complex128)
+        ours = self._chunks(grids, self._per_chunk(geom, planes))
+        forward = np.fft.rfftn if self.real else np.fft.fftn
         for (chunk, m), (given, h) in zip(ours, chunks, strict=True):
             assert given == chunk, f"layers for scales {given} arrived where {chunk} was due"
-            acc += np.einsum("j,j...->...", self.weights[chunk], m * forward(h, axes=ax))
-        out = np.fft.irfftn(acc, s=geom.shape, axes=ax) if real else np.fft.ifftn(acc)
-        return SampledField(geom, np.fft.fftshift(out))
-
-    def energy(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
-        """h^d sum_x sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch.
-
-        By the discrete Parseval identity this is (h/N)^d sum_k sigma(k) |FFT(f)_k|^2,
-        sigma the symbol at the FFT frequencies: one forward FFT per field, no
-        layer.  It is exact on the DFT for any field, complex or not.
-        """
-        geom = _batch_geometry(fields)
-        sums = _power_sums(geom, [self.symbol(*_fft_grids(geom))])
-        out = np.array([sums(f)[0] for f in fields])
-        return (geom.spacing / geom.n_samples) ** geom.dim * out
+            acc += np.einsum("j,pj...->p...", self.weights[chunk], m * forward(h, axes=ax))
+        out = np.fft.irfftn(acc, s=geom.shape, axes=ax) if self.real else np.fft.ifftn(acc, axes=ax)
+        return SampledField(geom, np.fft.fftshift(_joined(out)))
 
     def symbol(self, *xi) -> NDArray[np.float64]:
         """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi.
@@ -512,8 +495,9 @@ def duality_residual(
     t = tg.scales[_window_run(tg.scales, window)]
     analysis = ScaleFamily.of_kernel(kernel, t)
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), t, tg.weight)
-    layers = ((chunk, out[0]) for chunk, _, out in analysis._layer_chunks([f]))
-    embedded = synthesis._synthesize(layers, f.geometry, analysis._real_route(f.values))
+    _, spec = analysis._spectra([f])
+    layers = ((chunk, out) for chunk, _, out in analysis._layer_chunks(spec, f.geometry))
+    embedded = synthesis._synthesize(layers, f.geometry, len(spec))
     truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
     gap = l2_norm(SampledField(f.geometry, embedded.values - truncated.values))
     return gap / l2_norm(f)

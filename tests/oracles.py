@@ -280,14 +280,13 @@ def hormander_quad(kernel, x: float, y: float) -> float:
 
 
 def scan_max_pointwise(
-    kernel, alpha: float, j_step: float, m_step: float, nodes_per_octave: int
+    kernel, alpha: float, j_step: float, m_step: float, nodes: int
 ) -> tuple[float, tuple[float, float]]:
     """The Hormander ratio scan with one energy integral per (x, y) point:
     the slow route of conditions.marcinkiewicz_estimate_scan, same grid,
     same visiting order, same strict comparison."""
-    from scalesq import LogTimeGrid, hormander_energy
+    from scalesq import hormander_energy
 
-    tg = LogTimeGrid(1e-2, 1e2, nodes_per_octave)
     exps = np.arange(-2.0, 2.0 + 1e-9, j_step)
     ms = np.arange(2.0, 12.0 + 1e-9, m_step)
     best = (-math.inf, (0.0, 0.0))
@@ -297,7 +296,7 @@ def scan_max_pointwise(
             for sy in (1.0, -1.0):
                 for m in ms:
                     yy = sy * 2.0**-m * abs(xx)
-                    L = hormander_energy(kernel, xx, yy, tg)
+                    L = hormander_energy(kernel, xx, yy, nodes)
                     ratio = L * abs(xx) ** (1.0 + 2.0 * alpha) / abs(yy) ** (2.0 * alpha - 1.0)
                     if ratio > best[0]:
                         best = (float(ratio), (float(xx), float(yy)))

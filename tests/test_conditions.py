@@ -325,8 +325,8 @@ def test_scan_without_refinement():
 @pytest.mark.parametrize("alpha", [0.75, 1.0, 1.25])
 def test_scan_matches_pointwise_scan(alpha, monkeypatch):
     k = marcinkiewicz_kernel(alpha)
-    coarse = scan_max_pointwise(k, alpha, 0.25, 1.0, 16)
-    fine = scan_max_pointwise(k, alpha, 0.125, 0.5, 32)
+    coarse = scan_max_pointwise(k, alpha, 0.25, 1.0, 64)
+    fine = scan_max_pointwise(k, alpha, 0.125, 0.5, 128)
     calls = []
     energy = conditions.hormander_energy
     monkeypatch.setattr(

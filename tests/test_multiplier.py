@@ -198,6 +198,19 @@ def test_homogeneity_defect_continuous_vs_dyadic(geom_small):
     assert sampled_homogeneity_defect(bes.sample(geom_small), geom_small) > 0.1
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_homogeneity_defect_is_the_max_over_nonzero_frequencies(dim):
+    # a NaN at the zero frequency must not reach the max
+    geom = Geometry(dim, 16, 4.0)
+    n = geom.n_samples
+    vals = np.random.default_rng(dim).standard_normal(geom.shape) + 0j
+    vals[geom.dc_index] = np.nan
+    at = lambda j: vals[tuple(np.add(j, n // 2))]  # centred index of frequency j
+    js = np.array(np.meshgrid(*[np.arange(-n // 4, n // 4)] * dim)).reshape(dim, -1).T
+    want = max(abs(at(2 * j) - at(j)) for j in js if j.any())
+    assert sampled_homogeneity_defect(vals, geom) == want
+
+
 def test_symbol_min_modulus_annulus(geom_small):
     sym = continuous_symbol(haar_kernel(), wide_grid())
     m = sampled_min_modulus(sym.sample(geom_small), geom_small, annulus=(1.0, 2.0))

@@ -41,6 +41,7 @@ from scalesq import (
     weight_from_id,
     weighted_norm,
 )
+from scalesq import sobolev
 from scalesq.sobolev import _smoothing_family
 from scalesq.multiplier import bessel_symbol
 from scalesq.squarefn import (
@@ -241,6 +242,7 @@ def test_duality_never_forms_the_stack():
 
 # ---------------------------------------------------------------------------
 # energy: the square sum integrated over the grid, by Parseval from the symbol
+# on the half grid
 
 def white_noise(geom, seed: int) -> SampledField:
     """Real, mean-zero and carrying content up to the Nyquist frequency."""
@@ -257,6 +259,13 @@ def energy_fields(dim: int, geom=None):
         mean_subtract(modulated_gaussian_field(geom, 1.5, 2.0, 0.3)),
         white_noise(geom, 11),
     ]
+
+
+def energies(family, fields) -> np.ndarray:
+    """h^d sum_x of the family's square sum of each field, by `_power_sums`."""
+    geom = fields[0].geometry
+    sums = _power_sums(geom, [family.symbol(*_fft_grids(geom, half=True))])
+    return (geom.spacing / geom.n_samples) ** geom.dim * np.array([sums(f)[0] for f in fields])
 
 
 def energy_families(dim: int):
@@ -285,7 +294,7 @@ def test_energy_is_the_integrated_square_sum(dim):
     h_d = GEOMS[dim].cell_volume
     for name, family in energy_families(dim).items():
         want = h_d * family.square_sum(fields).sum(axis=tuple(range(1, dim + 1)))
-        got = family.energy(fields)
+        got = energies(family, fields)
         assert np.all(np.abs(got - want) <= 1e-12 * want), name
 
 
@@ -329,6 +338,60 @@ def test_p2_constant_weight_forms_no_layer(monkeypatch):
 
     monkeypatch.setattr(np.fft, "ifftn", no_inverse)
     assert all(r is not None for r in ratio_fn(members))
+
+
+def test_untagged_family_at_p2_takes_the_physical_route(monkeypatch):
+    # a family tagged neither radial, odd nor real promises no even symbol,
+    # which the half grid's power sums need
+    members = default_test_family(GEOMS[1], seed=6).members
+    kernel = dataclasses.replace(kernel_from_id("poisson-q"), radial=False, real=False)
+    ball = ball_average_profile(1)
+    profile = dataclasses.replace(ball, kernel=dataclasses.replace(ball.kernel, radial=False, real=False))
+    weight = constant_weight(3.7)
+
+    def no_parseval(*args):
+        raise AssertionError("a Parseval sum ran")
+
+    monkeypatch.setattr(sobolev, "_power_sums", no_parseval)
+    got = square_function_ratio(kernel, TG, 2.0, weight)(members)
+    nf = [weighted_norm(f, 2.0, weight) for f in members]
+    want = [weighted_norm(g_function(f, kernel, TG), 2.0, weight) / n for f, n in zip(members, nf)]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    got = sobolev_equivalence_ratio(0.5, profile, KR, 2.0, weight)(members)
+    assert np.allclose(got, physical_sobolev_ratios(members, 0.5, profile, KR, 2.0, weight), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_parseval_symbols_see_the_half_grid_alone(monkeypatch, dim):
+    geom = GEOMS[dim]
+    half = np.broadcast_shapes(*(np.shape(x) for x in _fft_grids(geom, half=True)))
+    shapes = []
+    power_sums, symbol = sobolev._power_sums, ScaleFamily.symbol
+
+    def watched_sums(g, symbols):
+        shapes.extend(np.shape(s) for s in symbols if s is not None)
+        return power_sums(g, symbols)
+
+    def watched_symbol(family, *xi):
+        shapes.append(np.broadcast_shapes(*(np.shape(x) for x in xi)))
+        return symbol(family, *xi)
+
+    def no_full_spectrum(*args, **kwargs):
+        raise AssertionError("a full-spectrum FFT ran")
+
+    monkeypatch.setattr(sobolev, "_power_sums", watched_sums)
+    monkeypatch.setattr(ScaleFamily, "symbol", watched_symbol)
+    monkeypatch.setattr(np.fft, "fftn", no_full_spectrum)
+    members = default_test_family(geom, seed=6).members
+    for ratio_fn in (
+        square_function_ratio(kernel_from_id(KERNELS[dim][0]), TG, 2.0, constant_weight()),
+        square_function_ratio(kernel_from_id(KERNELS[dim][-1]), KR, 2.0, constant_weight()),
+        sobolev_equivalence_ratio(0.5, ball_average_profile(dim), KR, 2.0, constant_weight(3.7)),
+    ):
+        assert None not in ratio_fn(members)
+    # two symbols per square-function ratio (the family's, as evaluated and as
+    # summed), three for the Sobolev ratio (the family's, sigma b^2 and b^2)
+    assert shapes == [half] * 7
 
 
 @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
@@ -385,8 +448,8 @@ def test_shell_path_matches_full_grid_path(dim):
         assert rel(shells.synthesis(layers, geom).values, full.synthesis(layers, geom).values) <= 1e-12, name
         for where, xi in symbol_inputs.items():
             assert rel(shells.symbol(*xi), full.symbol(*xi)) <= 1e-12, (name, where)
-        want = full.energy(fields)
-        assert np.all(np.abs(shells.energy(fields) - want) <= 1e-12 * want), name
+        want = energies(full, fields)
+        assert np.all(np.abs(energies(shells, fields) - want) <= 1e-12 * want), name
 
 
 def test_non_radial_kernel_keeps_the_full_grid():
@@ -454,9 +517,10 @@ def test_symbol_row_is_the_axis_evaluation(n):
 
 
 def test_a_wrong_odd_tag_changes_the_g_function():
-    # poisson-q is even: tagged odd, its layers at xi < 0 change sign
+    # poisson-q is even: tagged odd, its layers at xi < 0 change sign (on the
+    # full grid: on the half grid a wrong sign would touch the -N/2 column alone)
     kernel = kernel_from_id("poisson-q")
-    wrong = dataclasses.replace(kernel, odd=True, radial=False)
+    wrong = dataclasses.replace(kernel, odd=True, radial=False, real=False)
     f = field(1, seed=9)
     assert rel(g_function(f, wrong, TG).values, g_function(f, kernel, TG).values) > 1e-2
 
@@ -523,19 +587,21 @@ def test_sobolev_p2_is_one_forward_fft_per_member(monkeypatch, dim):
     for name in ("ifftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, no_inverse)
     assert all(r is not None for r in ratio_fn(members))
-    # the complex members take fftn, the real ones (15 of 20) rfftn
-    want = [("fftn" if np.imag(f.values).any() else "rfftn", GEOMS[dim].shape) for f in members]
-    assert sum(name == "rfftn" for name, _ in want) == 15
-    assert calls == want
+    # one rfftn per real plane: the 15 real members one each, the 5 complex two
+    planes = sum(2 if np.imag(f.values).any() else 1 for f in members)
+    assert planes == 25
+    assert calls == [("rfftn", GEOMS[dim].shape)] * planes
 
 
 @pytest.mark.parametrize("geom", [GEOMS[1], Geometry(1, 64, 4.0), GEOMS[2], Geometry(2, 16, 2.0)],
                          ids=lambda g: f"{g.dim}d-{g.n_samples}")
 def test_power_sums_match_the_full_spectrum(geom, rng):
-    # symbols that are not even: a real field's sum takes their even part
-    grids = _fft_grids(geom)
-    symbols = [rng.uniform(0.5, 2.0, geom.shape), np.exp(sum(grids)), None]
-    sums = _power_sums(geom, symbols)
+    # even symbols on the full grid, S(-k) = S(k), given to the sums on the half grid
+    negated = np.ix_(*((-np.arange(n)) % n for n in geom.shape))  # the index of -k
+    noise = rng.uniform(0.5, 2.0, geom.shape)
+    symbols = [noise + noise[negated], np.exp(-sum(x**2 for x in _fft_grids(geom))), None]
+    half = geom.n_samples // 2 + 1
+    sums = _power_sums(geom, [None if s is None else np.broadcast_to(s, geom.shape)[..., :half] for s in symbols])
     f = random_band_field(geom, 3, band=(0.0, 8.0))  # complex, with a mean
     for f in (SampledField(geom, f.values.real), f):
         want = [full_power_sum(f, 1.0 if s is None else s) for s in symbols]
@@ -601,6 +667,25 @@ def test_real_route_matches_complex_oracle(geom):
         assert not layers.imag.any(), name
         got = family.synthesis(layers, geom).values
         assert rel(got, complex_synthesis(family, layers, geom)) <= 1e-12, name
+        # a complex field, and its complex layers, as a real plane plus i times another
+        layers = family.layers(fields[1])
+        assert rel(layers, complex_layers(family, fields[1])) <= 1e-12, name
+        got = family.synthesis(layers, geom).values
+        assert rel(got, complex_synthesis(family, layers, geom)) <= 1e-12, name
+
+
+def test_a_complex_field_takes_both_planes_in_one_piece():
+    # at 256^2 a chunk holds one scale and the budget not even one plane of it:
+    # the two planes of a complex field still go through the chunk together
+    geom = Geometry(2, 256, 16.0)
+    f = mean_subtract(modulated_gaussian_field(geom, 1.5, 2.0, 0.3))
+    kernel = kernel_from_id("poisson-q:2")
+    family = ScaleFamily.of_kernel(kernel, TG.scales[:4], TG.weight)
+    layers = family.layers(f)
+    assert rel(layers, complex_layers(family, f)) <= 1e-12
+    assert rel(family.synthesis(layers, geom).values, complex_synthesis(family, layers, geom)) <= 1e-12
+    res = duality_residual(f, kernel, 0.25)
+    assert abs(res - complex_duality_residual(f, kernel, 0.25)) <= 1e-12 and res < 1e-10
 
 
 @pytest.mark.parametrize("geom", REAL_GEOMS, ids=lambda g: f"{g.dim}d-{g.n_samples}")
@@ -624,6 +709,26 @@ def test_real_duality_residual_matches_complex_oracle(geom, kid):
         assert res < 1e-10, eps
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_real_multipliers_see_the_half_grid_alone(dim):
+    # untagged radial, so that the multiplier sees the grid and not its shells
+    geom, fields = GEOMS[dim], energy_fields(dim)
+    half = _fft_grids(geom, half=True)
+    shape = np.broadcast_shapes(*(np.shape(x) for x in half))
+    for name, family in real_families(dim).items():
+        seen = []
+
+        def watched(t, *xi, _multiplier=family.multiplier):
+            seen.append(np.broadcast_shapes(*(np.shape(x) for x in xi)))
+            assert all(np.array_equal(np.broadcast_to(x, shape), np.broadcast_to(h, shape)) for x, h in zip(xi, half))
+            return _multiplier(t, *xi)
+
+        grid_family = dataclasses.replace(family, radial=False, multiplier=watched)
+        grid_family.square_sum(fields)
+        grid_family.synthesis(grid_family.layers(fields[1]), geom)
+        assert seen and set(seen) == {shape}, name
+
+
 def test_real_fields_take_the_half_spectrum(monkeypatch):
     geom = Geometry(1, 512, 16.0)
     members = default_test_family(geom, seed=4).members
@@ -640,7 +745,8 @@ def test_real_fields_take_the_half_spectrum(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     family = ScaleFamily.of_kernel(kernel_from_id("poisson-q"), TG.scales, TG.weight)
     family.square_sum(members)
-    assert seen == {"irfftn": 15 * TG.node_count, "ifftn": 5 * TG.node_count}
+    # every field as real planes: the 15 real members one each, the 5 complex two
+    assert seen == {"irfftn": (15 + 2 * 5) * TG.node_count, "ifftn": 0}
     # a family without the tag takes every field through the full spectrum
     seen.update(irfftn=0, ifftn=0)
     ScaleFamily.of_kernel(kernel_from_id("haar"), TG.scales, TG.weight).square_sum(members)

@@ -246,7 +246,7 @@ def test_p2_sobolev_peak_is_a_fraction_of_the_eager_family():
         tracemalloc.stop()
     assert got == want
     eager = 20 * 16 * 256**2  # 20 MiB of complex members
-    assert peak < eager / 4, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < eager / 5, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_equivalence_experiment_skip_logic(geom_small):
