@@ -34,6 +34,14 @@ _CSV_BLOCK_ROWS = 16384
 # so the largest grid accepted, 2048^2 in 2-D or 2^22 points in 1-D, keeps
 # a command near 1 GB
 MAX_FIELD_BYTES = 64 * 1024 * 1024
+# bytes of one chunk of temporaries, the one budget of the scale-layer
+# engine's chunks of layers and the spatial quadratures' blocks of points
+_CHUNK_BYTES = 256 * 1024
+
+
+def _fit_chunk(item_bytes: int, least: int = 1) -> int:
+    """How many items of `item_bytes` each fit in `_CHUNK_BYTES`; at least `least`."""
+    return max(least, _CHUNK_BYTES // item_bytes)
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -36,8 +36,9 @@ from scipy.special import gammaln, poch
 from scipy.special import j1 as _bessel_j1
 from scipy.special import roots_jacobi
 
+from .grid import _fit_chunk
+
 _MOMENT_TOL = 1e-9
-_SPATIAL_BLOCK = 2048
 _DEFICIT_SERIES = 0.05  # |xi| below which 1 - profilehat comes from its Taylor series
 _GM_PANEL = 1.25  # width in a = 2 pi |xi| of the graded hat's mid-band Chebyshev panels
 _GM_DEGREE = 12
@@ -67,15 +68,33 @@ def _jacobi_unit_rule(alpha: float, n: int):
     return s, alpha * w
 
 
+def _point_blocks(size: int, rows: int) -> list[slice]:
+    """Blocks of a batch of `size` points whose (rows, block) float temporaries
+    each fit `grid._CHUNK_BYTES`, at least two points a block.
+
+    A reduction over the rows sums a lone contiguous column in another order
+    than each column of a wider block, so a last lone point joins the block
+    before it: a point's sum order then does not depend on the block width.
+    """
+    step = _fit_chunk(8 * rows, 2)
+    starts = list(range(0, size, step))
+    if len(starts) > 1 and size - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [size])]
+
+
 def _blocked_quadrature(weights: np.ndarray, integrand: Callable, points: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] integrand(block)[i, j] over blocks of the 1-D points, bounding temporaries."""
+    """sum_i weights[i] integrand(block)[i, j] over the `_point_blocks` of the 1-D points.
+
+    The integrand's (rows, block) temporaries stay within the chunk budget,
+    and each point's value is the same bits at any block width.
+    """
     out = np.empty(points.shape)
-    for lo in range(0, points.size, _SPATIAL_BLOCK):
-        block = points[lo:lo + _SPATIAL_BLOCK]
-        # einsum sums a lone contiguous column in another order than each column
-        # of a wider block; a doubled lone point keeps its value batch-independent
-        wide = np.resize(block, max(block.size, 2))
-        out[lo:lo + block.size] = np.einsum("i,ij->j", weights, integrand(wide))[: block.size]
+    for block in _point_blocks(points.size, weights.size):
+        part = points[block]
+        # a batch of one point is doubled, so that it too sums as a column of a wider block
+        wide = np.resize(part, max(part.size, 2))
+        out[block] = np.einsum("i,ij->j", weights, integrand(wide))[: part.size]
     return out
 
 
@@ -529,7 +548,15 @@ def riesz_constant(alpha: float, dim: int) -> float:
 
 
 def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
-    """(profile * riesz_core)(x) by polar quadrature around the singularity."""
+    """(profile * riesz_core)(x) by polar quadrature around the singularity.
+
+    A 160-node radial rule on [0, reach], reach = max|x| + 1.5 over the whole
+    batch; in 2-D each radial node averages 96 angles.  The points are walked
+    in `_point_blocks`, so the temporaries, (160, block) in 1-D and
+    (96, block) per radial node in 2-D, stay within `grid._CHUNK_BYTES`
+    whatever the batch size, and every point sums in the same order at any
+    block width.
+    """
     dim = profile.dim
     tau = riesz_constant(alpha, dim)
     pts = [np.asarray(c, dtype=float) for c in coords]
@@ -551,11 +578,12 @@ def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
         theta = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
         ct, st = np.cos(theta), np.sin(theta)
         x, y = pts
-        for i in range(n_rad):
-            px = x[None, :] + rho[i] * ct[:, None]
-            py = y[None, :] + rho[i] * st[:, None]
-            ang = profile.density(px, py).mean(axis=0)
-            out += w_rad[i] * ang
+        for block in _point_blocks(out.size, n_ang):
+            acc, xb, yb = out[block], x[None, block], y[None, block]
+            for i in range(n_rad):
+                px = xb + rho[i] * ct[:, None]
+                py = yb + rho[i] * st[:, None]
+                acc += w_rad[i] * profile.density(px, py).mean(axis=0)
         out *= tau * 2.0 * np.pi
     return out.reshape(shape)
 

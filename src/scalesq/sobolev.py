@@ -36,7 +36,6 @@ from .grid import (
     ScaleSet,
     bump_field,
     gaussian_field,
-    mean_subtract,
     modulated_gaussian_field,
 )
 from .kernels import AveragingProfile, _require_moment_class, riesz_difference_kernel
@@ -186,8 +185,15 @@ class TestFamily:
 
 
 def _test_member(geom: Geometry, amp: float, shape, *args) -> SampledField:
-    """One member: amp times shape(geom, *args), mean subtracted."""
-    return mean_subtract(SampledField(geom, amp * shape(geom, *args).values))
+    """One member: amp times shape(geom, *args), mean subtracted.
+
+    It holds one grid-sized temporary beside the shape: the product is made
+    out of place, since the shape's values may be a read-only broadcast
+    view, and the mean subtracted in place.
+    """
+    v = amp * shape(geom, *args).values
+    v -= np.mean(v)
+    return SampledField(geom, v)
 
 
 def default_test_family(geom: Geometry, seed: int = 0) -> TestFamily:

@@ -6,7 +6,7 @@ IFFT(m_t fhat).  The family gives the square sum of a batch of fields,
 sum_t w_t |IFFT(m_t fhat)|^2; the layer stack of one field; the synthesis
 sum_t w_t IFFT(m_t FFT(h_t)) of a stack h, or of layers streamed chunk by
 chunk; and the symbol sigma(xi) = sum_t w_t |m_t(xi)|^2.  Each runs over
-chunks of at most `_CHUNK_BYTES` of layers (at least one layer of each
+chunks of at most `grid._CHUNK_BYTES` of layers (at least one layer of each
 plane), evaluating a chunk's multipliers once per call for every field of
 the batch, so memory beyond inputs and outputs does not grow with the
 number of scales.  The square sum shifts each input and each output once,
@@ -31,7 +31,7 @@ Nyquist term that the half spectrum would drop.
 A radial family, one whose multipliers depend on |xi| alone, or a 1-D odd
 family, m_t(-xi) = -m_t(xi), is evaluated once per |xi| shell: each call
 finds the distinct |xi|^2 of its input, evaluates a (scales, shells) table,
-as many whole chunks of layers at a time as fit in `_CHUNK_BYTES` on the
+as many whole chunks of layers at a time as fit in `grid._CHUNK_BYTES` on the
 shells, and gathers it onto the grid one chunk at a time, an odd family
 with the sign of xi; the symbol is summed over scales on the shells and
 gathered once.  Nothing is cached between calls.  The p = 2
@@ -73,14 +73,12 @@ from .grid import (
     LogTimeGrid,
     SampledField,
     ScaleSet,
+    _fit_chunk,
     _normalized,
     l2_norm,
 )
 from .kernels import Kernel, _jacobi_unit_rule
 
-# layers per chunk, counting every field of a batch: a complex layer takes 16
-# bytes per grid point, a real one 8
-_CHUNK_BYTES = 256 * 1024
 # complex fields per batch of the ratio functions in `sobolev` that form
 # layers or weighted norms: the 20 test fields of a 1-D grid of 4096 points
 # (1.3 MB) stay one batch, a 2-D field of 512^2 points (4 MiB) goes alone
@@ -122,7 +120,7 @@ def _fft_grids(geom: Geometry, half: bool = False) -> tuple[np.ndarray, ...]:
 def _chunk_layers(points: int, real: bool = False) -> int:
     """How many layers of `points` values fit in a chunk, complex ones or real
     ones at half the bytes; at least one."""
-    return max(1, _CHUNK_BYTES // ((8 if real else 16) * points))
+    return _fit_chunk((8 if real else 16) * points)
 
 
 def _spectrum_shape(geom: Geometry, half: bool) -> tuple[int, ...]:
@@ -263,7 +261,7 @@ class ScaleFamily:
         """(slice of scales, their multipliers on xi) for chunks of `layers` scales.
 
         The multipliers are evaluated on the points of `_points` in tables of
-        as many whole chunks as fit in `_CHUNK_BYTES` there (at least one), and
+        as many whole chunks as fit in `grid._CHUNK_BYTES` there (at least one), and
         gathered onto xi one chunk at a time: a radial table on few shells
         covers many chunks of a large batch.
         """
@@ -281,7 +279,7 @@ class ScaleFamily:
 
     def _per_chunk(self, geom: Geometry, other: int) -> int:
         """How many layers of `other` planes each, or planes of `other` layers
-        each, fit in `_CHUNK_BYTES` on geom, real or complex as the family's
+        each, fit in `grid._CHUNK_BYTES` on geom, real or complex as the family's
         planes are; at least one."""
         return _chunk_layers(other * math.prod(geom.shape), self.real)
 
@@ -304,9 +302,9 @@ class ScaleFamily:
         FFT order on (plane, scale, *grid)), chunk by chunk.
 
         A chunk holds `_per_chunk` scales of every plane, at most
-        `_CHUNK_BYTES` of layers (at least one scale), and its multipliers
+        `grid._CHUNK_BYTES` of layers (at least one scale), and its multipliers
         are evaluated once, on the grid of the spectra.  Its planes are
-        transformed as many at a time as fit in `_CHUNK_BYTES` beside its
+        transformed as many at a time as fit in `grid._CHUNK_BYTES` beside its
         scales, at least two for a family tagged real, so that the planes of
         a batch of one field come in one piece."""
         ax = _spatial_axes(geom)

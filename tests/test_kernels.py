@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from scalesq import (
     riesz_difference_kernel,
     sgn_difference_kernel,
 )
-from scalesq.kernels import _GM_PANEL, _graded_table, _jacobi_rule
+from scalesq import grid
+from scalesq.kernels import _GM_PANEL, _blocked_quadrature, _graded_table, _jacobi_rule
 from oracles import (
     ball_deficit_mpmath,
     ball_hat_1d_closed,
@@ -281,6 +283,61 @@ def test_riesz_difference_spatial_diagnostic():
         expected = tau * (x**-0.5 - smoothed)
         impl = float(np.real(k.spatial(np.array([x]))[0]))
         assert abs(impl - expected) < 1e-2
+
+
+# the spatial quadratures walk their points in blocks of the chunk budget:
+# a budget of one byte gives blocks of 2 points, the least, and one of
+# 2**40 bytes a single block for every batch here
+BLOCK_BUDGETS = {"2-point blocks": 1, "default": grid._CHUNK_BYTES, "one block": 2**40}
+
+
+def bits_at_each_budget(monkeypatch, evaluate) -> dict[str, bytes]:
+    bits = {}
+    for name, budget in BLOCK_BUDGETS.items():
+        monkeypatch.setattr(grid, "_CHUNK_BYTES", budget)
+        bits[name] = evaluate().tobytes()
+    return bits
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 2049])
+def test_blocked_quadrature_bits_do_not_depend_on_the_block(monkeypatch, size):
+    weights = np.random.default_rng(3).standard_normal(160)
+    points = np.linspace(-3.0, 7.0, size)
+    integrand = lambda x: np.cos(np.outer(np.arange(1.0, 161.0), x))
+    bits = bits_at_each_budget(monkeypatch, lambda: _blocked_quadrature(weights, integrand, points))
+    assert len(set(bits.values())) == 1, bits.keys()
+    batch = _blocked_quadrature(weights, integrand, points)
+    for i in range(0, size, 97):  # a point alone has its bits in the batch too
+        assert _blocked_quadrature(weights, integrand, points[i:i + 1]).tobytes() == batch[i:i + 1].tobytes()
+
+
+# at the default budget the 1-D side takes 204 points a block and the 2-D
+# side 341, so 205 and 342 points leave a lone point after a block, as 7
+# points do after three 2-point blocks
+@pytest.mark.parametrize("dim,size", [(1, 1), (1, 2), (1, 7), (1, 205), (2, 1), (2, 2), (2, 7), (2, 342)])
+def test_riesz_spatial_bits_do_not_depend_on_the_block(monkeypatch, dim, size):
+    k = riesz_difference_kernel(dim - 0.5, ball_average_profile(dim))
+    coords = np.random.default_rng(size).uniform(-6.0, 6.0, (dim, size))
+    bits = bits_at_each_budget(monkeypatch, lambda: k.spatial(*coords))
+    assert len(set(bits.values())) == 1, bits.keys()
+
+
+@pytest.mark.parametrize("dim,size", [(1, 20_000), (2, 2_000)])
+def test_riesz_spatial_peak_is_bounded_by_the_budget(dim, size):
+    # the block temporaries, a few at a time, each within the budget, beside
+    # a few arrays of one value per point (coordinates, radii, outputs)
+    k = riesz_difference_kernel(dim - 0.5, ball_average_profile(dim))
+    x = np.linspace(-50.0, 50.0, size)
+    coords = (x,) if dim == 1 else (x / 2.0, np.flip(x) / 4.0)
+    k.spatial(*(c[:2] for c in coords))  # warm the radial rule's cache
+    tracemalloc.start()
+    try:
+        k.spatial(*coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 8 * grid._CHUNK_BYTES + 8 * (8 * size)
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_sgn_difference_hat_and_spatial():
