@@ -43,13 +43,7 @@ from .kernels import (
     sgn_difference_kernel,
 )
 from .weights import (
-    BallFamily,
-    Weight,
-    ap_characteristic_products,
-    ap_constant_estimate,
-    ap_stability_report,
     constant_weight,
-    dyadic_ball_family,
     power_weight,
     weight_from_id,
     weighted_norm,
@@ -70,13 +64,10 @@ from .multiplier import (
 )
 from .squarefn import (
     ScaleFamily,
-    ScaleIndexedField,
-    convolve_levels,
     duality_residual,
     g_function,
     marcinkiewicz_antiderivative,
     marcinkiewicz_direct,
-    scale_synthesis,
 )
 from .sobolev import (
     RatioReport,
@@ -86,7 +77,6 @@ from .sobolev import (
     dyadic_potential_difference,
     dyadic_smoothing_difference,
     equivalence_experiment,
-    potential_smoothing_function,
     riesz_potential,
     smoothing_difference_function,
     sobolev_equivalence_ratio,

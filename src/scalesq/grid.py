@@ -235,6 +235,8 @@ class LogTimeGrid:
             raise ValueError(
                 f"need 0 < t_min < t_max, got ({self.t_min}, {self.t_max})"
             )
+        if not math.isfinite(self.t_max / self.t_min):
+            raise ValueError(f"t_max/t_min must be finite, got {self.t_max!r}/{self.t_min!r}")
         if self.nodes_per_octave < 1:
             raise ValueError("nodes_per_octave must be a positive integer")
 
@@ -262,7 +264,7 @@ def default_time_grid(geom: Geometry, nodes_per_octave: int = NODES_PER_OCTAVE) 
 @dataclass(frozen=True)
 class DyadicRange:
     """Integer scale exponents k_min..k_max inclusive, scales t = 2^k, each
-    with weight 1."""
+    with weight 1.  Every 2^k is a finite nonzero double: -1074 <= k <= 1023."""
 
     k_min: int
     k_max: int
@@ -271,6 +273,8 @@ class DyadicRange:
     def __post_init__(self):
         if self.k_min > self.k_max:
             raise ValueError(f"empty dyadic range [{self.k_min}, {self.k_max}]")
+        if not (-1074 <= self.k_min and self.k_max <= 1023):
+            raise ValueError(f"need -1074 <= k_min <= k_max <= 1023, got [{self.k_min}, {self.k_max}]")
 
     @property
     def exponents(self) -> NDArray[np.int64]:

@@ -42,6 +42,7 @@ _MOMENT_TOL = 1e-9
 _DEFICIT_SERIES = 0.05  # |xi| below which 1 - profilehat comes from its Taylor series
 _GM_PANEL = 1.25  # width in a = 2 pi |xi| of the graded hat's mid-band Chebyshev panels
 _GM_DEGREE = 12
+_GM_MIN_ORDER = 2.0**-10  # the unit rule's weights sum to 1 within 8e-16 down to here
 _GM_MAX_ORDER = 1024.0  # the mid-band table of the largest order holds 1662 panels
 
 
@@ -373,10 +374,12 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
     On 1 <= 2 pi |xi| < 30 + 2 alpha that integral is defined by a 48-node
     Gauss-Jacobi rule, and read from Chebyshev panels built once per order
     from the rule (`_graded_table`).  Their count grows with the order, so
-    the order is capped at 1024, where the table holds 1662 panels.
+    the order is capped at 1024, where the table holds 1662 panels.  The
+    rule's weights sum to 1 within 8e-16 at orders down to 2^-10 but lose
+    digits below about 1e-5 (NaN at 1e-15), so the order starts at 2^-10.
     """
-    if not 0.0 < alpha <= _GM_MAX_ORDER:
-        raise ValueError(f"order must lie in (0, {_GM_MAX_ORDER:g}], got {alpha}")
+    if not _GM_MIN_ORDER <= alpha <= _GM_MAX_ORDER:
+        raise ValueError(f"gm order must lie in [2^-10, {_GM_MAX_ORDER:g}], got {alpha}")
 
     def spatial(x):
         x = np.asarray(x, dtype=float)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +48,7 @@ from .squarefn import (
     _require_mean_zero,
     g_function,
 )
-from .weights import Weight, constant_on_grid, weighted_norm
+from .weights import constant_on_grid, weighted_norm
 
 
 def riesz_potential(f: SampledField, order: float) -> SampledField:
@@ -74,8 +74,8 @@ def _smoothing_family(
 ) -> ScaleFamily:
     """Multipliers 1 - Phihat(t xi), the layers f - Phi_t * f, with scale
     weights w t^(-2 order), behind the order, dimension and moment-class
-    gates.  The multiplier is the profile's `deficit`, which keeps full
-    relative precision at small t xi."""
+    gates and the gate that every weight is finite.  The multiplier is the
+    profile's `deficit`, which keeps full relative precision at small t xi."""
     if order <= 0:
         raise ValueError(f"order must be positive, got {order}")
     if profile.dim != dim:
@@ -83,7 +83,12 @@ def _smoothing_family(
     _require_moment_class(profile, order, "smoothing differences")
     deficit = profile.deficit
     multiplier = lambda t, *xi: deficit(*(t * x for x in xi))
-    weights = scales.weight * scales.scales ** (-2.0 * order)
+    with np.errstate(over="ignore", divide="ignore"):
+        weights = scales.weight * scales.scales ** (-2.0 * order)
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        t = float(scales.scales[bad[0]])
+        raise ValueError(f"order {order:g}: the scale weight w t^(-2 order) is not finite at t = {t!r}")
     return ScaleFamily(scales.scales, weights, multiplier, profile.kernel.radial, real=profile.kernel.real)
 
 
@@ -106,23 +111,6 @@ def dyadic_smoothing_difference(
 ) -> SampledField:
     """`smoothing_difference_function` over a dyadic range."""
     return smoothing_difference_function(f, order, profile, kr)
-
-
-def potential_smoothing_function(
-    f: SampledField, order: float, profile: AveragingProfile, scales: ScaleSet
-) -> SampledField:
-    """Smoothing differences of the fractional integral of f.
-
-    Equal, up to transform round-off, to smoothing_difference_function of
-    riesz_potential(f, order); each layer is built in one pass from the
-    combined symbol t^(-order) (2 pi |xi|)^(-order) (1 - Phihat(t xi)).
-    """
-    diff = _smoothing_family(order, profile, f.geometry.dim, scales)
-    _require_mean_zero(f, "potential_smoothing_function")
-    riesz = riesz_symbol(order).evaluate
-    multiplier = lambda t, *xi: diff.multiplier(t, *xi) * riesz(*xi)
-    family = ScaleFamily(diff.scales, diff.weights, multiplier, diff.radial, real=diff.real)
-    return family.square_function([f])[0]
 
 
 def dyadic_potential_difference(
@@ -328,12 +316,12 @@ def _ratios(numerators, denominators) -> list:
     return [None if d == 0 else num / d for num, d in zip(numerators, denominators)]
 
 
-def _norm_ratios(fields, numerators, p: float, weight: Weight) -> list:
+def _norm_ratios(fields, numerators, p: float, weight: Callable) -> list:
     """numerators[i] / ||fields[i]||, None for a zero denominator."""
     return _ratios(numerators, [weighted_norm(f, p, weight) for f in fields])
 
 
-def _square_norms(family: ScaleFamily, fields, p: float, weight: Weight) -> list[float]:
+def _square_norms(family: ScaleFamily, fields, p: float, weight: Callable) -> list[float]:
     """Weighted L^p norms of the family's square functions of a batch."""
     return [weighted_norm(g, p, weight) for g in family.square_function(fields)]
 
@@ -345,7 +333,7 @@ def _parseval(family: ScaleFamily, p: float) -> bool:
     return p == 2 and (family.radial or family.odd or family.real)
 
 
-def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Weight):
+def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Callable):
     """ratio_fn: weighted norm of the square function over the scale set
     against that of f.
 
@@ -370,7 +358,7 @@ def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Weight):
 
 
 def sobolev_equivalence_ratio(
-    order: float, profile: AveragingProfile, scales: ScaleSet, p: float, weight: Weight
+    order: float, profile: AveragingProfile, scales: ScaleSet, p: float, weight: Callable
 ):
     """ratio_fn for the three-norm comparison: smooth g, then ask whether
     the smoothing-difference norm plus the smoothed norm returns ||g||.

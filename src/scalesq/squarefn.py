@@ -45,10 +45,11 @@ by its dt/t rule.  Dyadic: t = 2^k, unit weights.  m_t(xi) = psihat(t xi),
 psi_t the L1-normalized dilate.  A window is the open interval (lo, hi) on
 t for either kind.
 
-The adjoint embedding integrates a scale-indexed field back to a single
-field, E(h) = sum_j w psi_{t_j} * h_j; feeding it the analysis layers of f
-with the reflected conjugate kernel reproduces the truncated multiplier
-acting on f, which `duality_residual` checks.  There the layers are
+The adjoint embedding (`ScaleFamily.synthesis`) integrates a stack of
+layers, one per scale, back to a single field, E(h) = sum_j w psi_{t_j} * h_j;
+feeding it the analysis layers of f with the reflected conjugate kernel
+reproduces the truncated multiplier acting on f, which `duality_residual`
+checks.  There the layers are
 streamed: the synthesis consumes each chunk of analysis layers as it is
 made, and the stack of all layers is never stored.
 
@@ -83,22 +84,6 @@ from .kernels import Kernel, _jacobi_unit_rule
 # layers or weighted norms: the 20 test fields of a 1-D grid of 4096 points
 # (1.3 MB) stay one batch, a 2-D field of 512^2 points (4 MiB) goes alone
 _BATCH_BYTES = 2 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class ScaleIndexedField:
-    """Stack of fields, one layer per scale of a scale set."""
-
-    geometry: Geometry
-    scales: ScaleSet
-    layers: NDArray[np.complex128]
-
-    def __post_init__(self):
-        want = self.scales.scales.shape + self.geometry.shape
-        arr = np.asarray(self.layers, dtype=np.complex128)
-        if arr.shape != want:
-            raise ValueError(f"layers shape {arr.shape}, expected {want}")
-        object.__setattr__(self, "layers", arr)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +379,7 @@ def _window_run(scales: np.ndarray, window: tuple[float, float] | None) -> slice
 
 
 # ---------------------------------------------------------------------------
-# kernel square functions and layer stacks
-
-def convolve_levels(f: SampledField, kernel: Kernel, scales: ScaleSet) -> ScaleIndexedField:
-    """All layers f * psi_{t_j}, computed spectrally."""
-    return ScaleIndexedField(f.geometry, scales, ScaleFamily.of_kernel(kernel, scales.scales).layers(f))
-
+# kernel square functions
 
 def g_function(f: SampledField, kernel: Kernel, scales: ScaleSet) -> SampledField:
     """Square function (sum_j w |f * psi_{t_j}|^2)^(1/2); real and nonnegative.
@@ -459,17 +439,7 @@ def marcinkiewicz_antiderivative(f: SampledField, tg: LogTimeGrid) -> SampledFie
 
 
 # ---------------------------------------------------------------------------
-# adjoint embeddings and the duality identity
-
-def scale_synthesis(
-    h: ScaleIndexedField, kernel: Kernel, window: tuple[float, float] | None = None
-) -> SampledField:
-    """E(h) = sum_j w psi_{t_j} * h_j over the scales inside the window."""
-    t = h.scales.scales
-    keep = _window_run(t, window)
-    family = ScaleFamily.of_kernel(kernel, t[keep], h.scales.weight)
-    return family.synthesis(h.layers[keep], h.geometry)
-
+# the duality identity
 
 def duality_residual(
     f: SampledField, kernel: Kernel, eps: float, nodes_per_octave: int = NODES_PER_OCTAVE

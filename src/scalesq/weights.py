@@ -1,38 +1,21 @@
-"""Muckenhoupt-style weights, ball families, and weighted norms.
+"""Power weights |x|^A, their A_p gate, and weighted norms.
 
-The A_p constant estimator maximizes the characteristic product
-
-    avg_B(w) * avg_B(w^(-1/(p-1)))^(p-1)
-
-over a finite family of balls, each average computed by midpoint
-quadrature.  This is a lower bound for the true supremum; the verdict
-"in A_p numerically" means the estimate is stable when the ball family
-and the per-ball sampling are refined, never a proof.
+A weight is a callable on coordinates.  Whether `pow:A` is an A_p weight
+is decided in closed form by `require_ap_weight`; the numerical A_p
+estimate over families of balls lives with the test oracles, which check
+that gate against it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .grid import Geometry, SampledField
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Positive weight function given by an evaluator on coordinates."""
-
-    evaluate: Callable
-    kind: str
-
-    def __call__(self, *coords):
-        return self.evaluate(*coords)
-
-
-def constant_weight(value: float = 1.0) -> Weight:
+def constant_weight(value: float = 1.0) -> Callable:
     if value <= 0:
         raise ValueError(f"weight must be positive, got {value}")
 
@@ -40,10 +23,10 @@ def constant_weight(value: float = 1.0) -> Weight:
         shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
         return np.full(shape, float(value))
 
-    return Weight(evaluate, kind="const")
+    return evaluate
 
 
-def power_weight(exponent: float, radius_floor: float | None = None) -> Weight:
+def power_weight(exponent: float, radius_floor: float | None = None) -> Callable:
     """|x|^a, optionally with |x| clamped below by radius_floor.
 
     The clamp keeps the weight finite and positive on grids whose origin is
@@ -57,7 +40,7 @@ def power_weight(exponent: float, radius_floor: float | None = None) -> Weight:
         with np.errstate(divide="ignore"):
             return r**exponent
 
-    return Weight(evaluate, kind=f"pow:{exponent:g}")
+    return evaluate
 
 
 def _power_exponent(wid: str) -> float | None:
@@ -72,7 +55,7 @@ def _power_exponent(wid: str) -> float | None:
     raise ValueError(f"unknown weight id '{wid}' (forms: const, pow:A)")
 
 
-def weight_from_id(wid: str, radius_floor: float | None = None) -> Weight:
+def weight_from_id(wid: str, radius_floor: float | None = None) -> Callable:
     a = _power_exponent(wid)
     return constant_weight() if a is None else power_weight(a, radius_floor)
 
@@ -94,23 +77,23 @@ def require_ap_weight(wid: str, dim: int, p: float) -> None:
         raise ValueError(f"'{wid}' is not in A_{p:g}(R^{dim}): |x|^A needs {need}")
 
 
-def _grid_values(w: Weight, geom: Geometry) -> np.ndarray:
+def _grid_values(w: Callable, geom: Geometry) -> np.ndarray:
     """The weight on the spatial grid, checked finite and nonnegative."""
-    wv = np.asarray(w.evaluate(*geom.spatial_grids()), dtype=float)
+    wv = np.asarray(w(*geom.spatial_grids()), dtype=float)
     if np.any(wv < 0) or not np.all(np.isfinite(wv)):
         raise ValueError("weight must be finite and nonnegative on the grid")
     return wv
 
 
-def constant_on_grid(w: Weight, geom: Geometry) -> float | None:
+def constant_on_grid(w: Callable, geom: Geometry) -> float | None:
     """The weight's value if it takes one value at every grid point, else None;
-    decided from the evaluated values, whatever the weight's kind."""
+    decided from the evaluated values, not from how the weight was made."""
     wv = _grid_values(w, geom)
     c = wv.flat[0]
     return float(c) if np.all(wv == c) else None
 
 
-def weighted_norm(f: SampledField, p: float, w: Weight) -> float:
+def weighted_norm(f: SampledField, p: float, w: Callable) -> float:
     """(h^d sum |f|^p w)^(1/p) over the grid, computed as M (h^d sum (|f|/M)^p w)^(1/p)
     with M = max |f| so that no power overflows."""
     if not (p >= 1):
@@ -123,111 +106,3 @@ def weighted_norm(f: SampledField, p: float, w: Weight) -> float:
         return 0.0
     total = g.cell_volume * np.sum((mag / top) ** p * wv)
     return top * float(total ** (1.0 / p))
-
-
-# ---------------------------------------------------------------------------
-# ball families and the characteristic product
-
-@dataclass(frozen=True)
-class BallFamily:
-    """Finite list of (center, radius) pairs; centers are dim-tuples."""
-
-    dim: int
-    balls: tuple[tuple[tuple[float, ...], float], ...]
-
-    def __post_init__(self):
-        for center, radius in self.balls:
-            if len(center) != self.dim:
-                raise ValueError(f"center {center} does not have dim {self.dim}")
-            if radius <= 0:
-                raise ValueError(f"ball radius must be positive, got {radius}")
-
-    def __len__(self) -> int:
-        return len(self.balls)
-
-
-def dyadic_ball_family(
-    geom: Geometry,
-    j_min: int = -4,
-    j_max: int = 4,
-    centers_per_axis: int = 9,
-) -> BallFamily:
-    """Balls with radii 2^j and centers on a coarse sublattice of the box."""
-    if j_min > j_max:
-        raise ValueError(f"empty radius range [{j_min}, {j_max}]")
-    L = geom.half_length
-    cs = np.linspace(-L / 2.0, L / 2.0, centers_per_axis)
-    if geom.dim == 1:
-        centers = [(float(c),) for c in cs]
-    else:
-        centers = [(float(a), float(b)) for a in cs for b in cs]
-    balls = tuple(
-        (center, float(2.0**j))
-        for j in range(j_min, j_max + 1)
-        for center in centers
-    )
-    return BallFamily(geom.dim, balls)
-
-
-def _ball_samples(center: tuple[float, ...], radius: float, dim: int, m: int):
-    """Midpoint sample points covering the ball; never hits the center line."""
-    offsets = (np.arange(m) + 0.5) * (2.0 * radius / m) - radius
-    if dim == 1:
-        return ((center[0] + offsets),)
-    X, Y = np.broadcast_arrays(center[0] + offsets[:, None], center[1] + offsets[None, :])
-    inside = (X - center[0]) ** 2 + (Y - center[1]) ** 2 <= radius**2
-    return (X[inside], Y[inside])
-
-
-def ap_characteristic_products(
-    w: Weight, p: float, balls: BallFamily, samples_per_ball: int = 512
-) -> np.ndarray:
-    """Per-ball products avg(w) * avg(w^(-1/(p-1)))^(p-1)."""
-    if not (p > 1):
-        raise ValueError(f"need p > 1, got {p}")
-    out = np.empty(len(balls))
-    expo = -1.0 / (p - 1.0)
-    for i, (center, radius) in enumerate(balls.balls):
-        pts = _ball_samples(center, radius, balls.dim, samples_per_ball)
-        vals = np.asarray(w.evaluate(*pts), dtype=float).ravel()
-        if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-            raise ValueError(
-                f"weight must be positive and finite on ball (center={center}, radius={radius})"
-            )
-        out[i] = np.mean(vals) * np.mean(vals**expo) ** (p - 1.0)
-    return out
-
-
-def ap_constant_estimate(
-    w: Weight, p: float, balls: BallFamily, samples_per_ball: int = 512
-) -> float:
-    """Max of the characteristic product over the family; always >= 1."""
-    return float(np.max(ap_characteristic_products(w, p, balls, samples_per_ball)))
-
-
-def ap_stability_report(
-    w: Weight,
-    p: float,
-    geom: Geometry,
-    j_min: int = -4,
-    j_max: int = 4,
-    samples_per_ball: int = 512,
-    rel_tol: float = 0.05,
-) -> dict:
-    """Heuristic A_p verdict: estimate plus refinement stability.
-
-    The refined pass extends the family two octaves down and doubles the
-    per-ball sampling; weights outside A_p show up as an estimate that keeps
-    growing under this refinement.
-    """
-    base_family = dyadic_ball_family(geom, j_min, j_max)
-    fine_family = dyadic_ball_family(geom, j_min - 2, j_max)
-    base = ap_constant_estimate(w, p, base_family, samples_per_ball)
-    fine = ap_constant_estimate(w, p, fine_family, 2 * samples_per_ball)
-    drift = abs(fine - base) / base
-    return {
-        "estimate": base,
-        "refined_estimate": fine,
-        "drift": drift,
-        "stable": bool(drift <= rel_tol),
-    }

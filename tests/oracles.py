@@ -3,13 +3,14 @@
 Everything here goes through direct DFT sums, scipy adaptive quadrature,
 or closed forms worked out by hand, never through the package's spectral
 helpers; the exceptions, the composed routes, the one-call-per-point
-scans and the complex route at the end, chain public operators that a
+scans and the complex route, chain public operators that a
 streamed, layered, batched or half-spectrum route must reproduce.
 Slow is fine; these run on small grids.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -490,9 +491,9 @@ def loop_symbol(multiplier, scales, weights, *xi) -> np.ndarray:
     return acc
 
 
-def fiber_norm(h) -> np.ndarray:
-    """(sum_j w |h_j(y)|^2)^(1/2) over every layer of a scale-indexed field."""
-    return np.sqrt(h.scales.weight * np.sum(np.abs(h.layers) ** 2, axis=0))
+def fiber_norm(layers: np.ndarray, weight: float) -> np.ndarray:
+    """(sum_j w |h_j(y)|^2)^(1/2) over every layer of a stack, one per scale."""
+    return np.sqrt(weight * np.sum(np.abs(layers) ** 2, axis=0))
 
 
 def sided_average_loop(f: SampledField, alpha: float, t: float, u_nodes: int) -> np.ndarray:
@@ -522,24 +523,19 @@ def second_difference_loop(f: SampledField, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # composed routes
 
-def potential_smoothing_compose(f: SampledField, order: float, profile, tg) -> SampledField:
-    """Smoothing differences of the fractional integral of f, literally
-    riesz_potential followed by smoothing_difference_function."""
-    from scalesq import riesz_potential, smoothing_difference_function
-
-    return smoothing_difference_function(riesz_potential(f, order), order, profile, tg)
-
-
 def duality_residual_stacked(f: SampledField, kernel, eps: float) -> float:
     """The duality residual through a stored layer stack: every analysis
     layer on the log-time grid, then the windowed synthesis of that stack
     with the reflected conjugate kernel, against the truncated multiplier."""
-    from scalesq import (LogTimeGrid, apply_multiplier, continuous_symbol, convolve_levels,
-                         l2_norm, scale_synthesis)
+    from scalesq import LogTimeGrid, ScaleFamily, apply_multiplier, continuous_symbol, l2_norm
+    from scalesq.squarefn import _window_run
 
     window = (eps, 1.0 / eps)
     tg = LogTimeGrid(eps, 1.0 / eps)
-    embedded = scale_synthesis(convolve_levels(f, kernel, tg), kernel.reflect_conjugate(), window)
+    layers = ScaleFamily.of_kernel(kernel, tg.scales).layers(f)
+    run = _window_run(tg.scales, window)
+    synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), tg.scales[run], tg.weight)
+    embedded = synthesis.synthesis(layers[run], f.geometry)
     truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
     return l2_norm(SampledField(f.geometry, embedded.values - truncated.values)) / l2_norm(f)
 
@@ -617,3 +613,36 @@ def full_power_sum(f: SampledField, symbol) -> float:
     """sum_k S(k) |FFT(f)_k|^2 over the full grid, S in FFT order."""
     power = np.abs(np.fft.fftn(f.values)) ** 2
     return float(np.sum(np.broadcast_to(symbol, power.shape) * power))
+
+
+# ---------------------------------------------------------------------------
+# the A_p constant of a weight, estimated over balls
+#
+# The package decides whether pow:A is an A_p weight in closed form
+# (`weights.require_ap_weight`); this is the numerical check of that gate.
+
+def ap_estimates(w, p: float, geom, j_min: int = -4, j_max: int = 4, m: int = 512) -> tuple[float, float]:
+    """(estimate, refined estimate) of the A_p constant of the weight w: the
+    largest avg_B(w) avg_B(w^(-1/(p-1)))^(p-1) over the balls B of radius 2^j,
+    j_min <= j <= j_max, centred on 9 points per axis of the middle half of
+    the box, each average a midpoint rule of m points per diameter that never
+    samples the centre.  The refined pass reaches two octaves further down at
+    2m points per diameter.  A lower bound for the supremum: a weight in A_p
+    gives a refined estimate near the first, one outside an estimate that
+    keeps growing as the sampling nears a singularity."""
+    cs = np.linspace(-geom.half_length / 2.0, geom.half_length / 2.0, 9)
+    centres = list(itertools.product(cs, repeat=geom.dim))
+
+    def estimate(j_lo: int, m: int) -> float:
+        best = 0.0
+        for j in range(j_lo, j_max + 1):
+            r = 2.0**j
+            offsets = (np.arange(m) + 0.5) * (2.0 * r / m) - r
+            grids = np.meshgrid(*[offsets] * geom.dim, indexing="ij")
+            inside = sum(g * g for g in grids) <= r * r
+            for c in centres:
+                v = w(*(ci + g[inside] for ci, g in zip(c, grids)))
+                best = max(best, np.mean(v) * np.mean(v ** (-1.0 / (p - 1.0))) ** (p - 1.0))
+        return float(best)
+
+    return estimate(j_min, m), estimate(j_min - 2, 2 * m)

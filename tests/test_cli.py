@@ -454,6 +454,31 @@ def test_weight_outside_ap_exits_2(tmp_path, capsys, command, fields, weight):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("argv,config,named", [
+    pytest.param(["gfun", "--kernel", "haar", "--grid-n", "64", "--t-min", "1e-300", "--t-max", "1e300"],
+                 None, "'time'", id="gfun-time"),
+    pytest.param(["symbol", "--kernel", "gm:1e-15"], None, "gm order must lie in [2^-10, 1024]", id="symbol-gm"),
+    pytest.param(["conditions", "--kernel", "gm:1e-17"], None, "gm order must lie in [2^-10, 1024]",
+                 id="conditions-gm"),
+    pytest.param(["equivalence"], {"operator": "gfun", "kernel": "haar", "time": {"t_min": 1e-300, "t_max": 1e300}},
+                 "'time'", id="equivalence-time"),
+    pytest.param(["equivalence"], {"operator": "dyadic", "kernel": "haar", "dyadic": {"k_min": 5000, "k_max": 5001}},
+                 "'dyadic'", id="equivalence-dyadic"),
+    pytest.param(["sobolev"], {"order": 0.5, "dyadic": {"k_min": -3000}}, "'dyadic'", id="sobolev-dyadic"),
+    # 2^-1000 is a double, but its weight 2^2000 under order 1 is not
+    pytest.param(["sobolev"], {"order": 1.0, "dyadic": {"k_min": -1000}}, "order 1: the scale weight",
+                 id="sobolev-order"),
+])
+def test_overflowing_scales_and_tiny_gm_orders_exit_2(tmp_path, capsys, argv, config, named):
+    # a scale, a scale weight or a kernel order that overflows or underflows
+    # the doubles is a usage error, not a report of inf or NaN values
+    if argv[0] == "symbol":
+        argv = argv + ["--out", str(tmp_path / "sym.csv")]
+    if config is not None:
+        argv = argv + ["--config", write_config(tmp_path, **config, **SMALL)]
+    assert_usage_error(argv, capsys, named)
+
+
 def test_ap_range_follows_dimension_and_exponent():
     base = {"operator": "gfun", "kernel": "poisson-q:2", "grid": {"dim": 2}}
     assert equivalence_config_from_dict(dict(base, weight="pow:1.5", p=2)).weight == "pow:1.5"
@@ -596,11 +621,13 @@ RANDOM_CONFIGS = with_stray_key(st.fixed_dictionaries(
         "spread_bound": mostly(st.one_of(st.sampled_from([1.01, 1.5, 3.0]), st.floats(0.5, 100.0))),
         "time": st.one_of(
             st.fixed_dictionaries({"t_min": mostly(st.floats(1e-3, 2.0)), "t_max": mostly(st.floats(0.5, 50.0))}),
+            # a window whose ratio t_max/t_min overflows
+            st.fixed_dictionaries({"t_min": st.sampled_from([1e-300, 1e-9]), "t_max": st.sampled_from([1e300, 1e306])}),
             st.fixed_dictionaries({}, optional={"nodes_per_octave": mostly(st.integers(0, 8))}),
         ),
         "dyadic": st.fixed_dictionaries({}, optional={
-            "k_min": mostly(st.integers(-10, 4)),
-            "k_max": mostly(st.integers(-4, 10)),
+            "k_min": mostly(st.one_of(st.integers(-10, 4), st.sampled_from([-5000, -1075, 5000]))),
+            "k_max": mostly(st.one_of(st.integers(-4, 10), st.sampled_from([-5000, 1024, 5000]))),
         }),
     },
 ))

@@ -142,6 +142,9 @@ def test_log_time_grid_validation():
         LogTimeGrid(-1.0, 2.0)
     with pytest.raises(ValueError):
         LogTimeGrid(0.5, 2.0, nodes_per_octave=0)
+    for t_min, t_max in ((1e-300, 1e300), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="t_max/t_min must be finite"):
+            LogTimeGrid(t_min, t_max)
 
 
 @given(
@@ -192,6 +195,11 @@ def test_dyadic_range():
     assert kr.weight == 1.0
     with pytest.raises(ValueError):
         DyadicRange(2, 1)
+    # every 2^k a finite nonzero double
+    assert DyadicRange(-1074, 1023).scales[[0, -1]].tolist() == [5e-324, 2.0**1023]
+    for k_min, k_max in ((-1075, 0), (0, 1024), (5000, 5001)):
+        with pytest.raises(ValueError, match="-1074 <= k_min <= k_max <= 1023"):
+            DyadicRange(k_min, k_max)
 
 
 def test_default_dyadic_range_covers_grid():

@@ -127,8 +127,13 @@ def test_gm_order_is_capped():
     # the mid-band table grows with the order; 1024 is the largest accepted
     xi = np.array([0.5, 100.0, 250.0, 330.0])
     assert np.max(np.abs(marcinkiewicz_kernel(1024.0).fourier(xi) - gm_hat_rule(1024.0, xi))) <= 1e-14
-    for alpha in (1024.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match="order must lie in"):
+    # the unit rule loses digits at tiny orders (NaN at 1e-15); 2^-10 is the smallest accepted
+    low = 2.0**-10
+    xi = np.array([0.05, 0.3, 1.0, 3.0, 10.0])
+    ref = np.array([gm_hat_mpmath(low, x) for x in xi])
+    assert np.max(np.abs(marcinkiewicz_kernel(low).fourier(xi) - ref)) <= 1e-11
+    for alpha in (1024.5, math.inf, math.nan, low * (1.0 - 2.0**-52), 1e-15, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"gm order must lie in \[2\^-10, 1024\]"):
             marcinkiewicz_kernel(alpha)
 
 

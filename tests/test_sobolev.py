@@ -24,7 +24,6 @@ from scalesq import (
     haar_kernel,
     l2_norm,
     mean_subtract,
-    potential_smoothing_function,
     random_band_field,
     riesz_potential,
     smoothing_difference_function,
@@ -34,7 +33,7 @@ from scalesq import (
     weighted_norm,
 )
 from scalesq.sobolev import _smoothing_family
-from oracles import ball_deficit_mpmath, eager_test_family, moving_average_physical, potential_smoothing_compose
+from oracles import ball_deficit_mpmath, eager_test_family, moving_average_physical
 
 
 def mz_band(geom, seed=0):
@@ -116,15 +115,6 @@ def test_smoothing_difference_physical_oracle():
     got = smoothing_difference_function(f, order, prof, tg)
     rel = l2_norm(SampledField(geom, got.values - oracle)) / l2_norm(got)
     assert rel < 1e-4
-
-
-def test_potential_smoothing_routes_agree(geom_small):
-    f = mz_band(geom_small, seed=2)
-    prof = ball_average_profile(1)
-    tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=4)
-    a = potential_smoothing_compose(f, 0.5, prof, tg)
-    b = potential_smoothing_function(f, 0.5, prof, tg)
-    assert l2_norm(SampledField(geom_small, a.values - b.values)) < 1e-10 * l2_norm(a)
 
 
 def test_dyadic_chain_identity_1d():

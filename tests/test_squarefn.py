@@ -10,7 +10,6 @@ from scalesq import (
     Geometry,
     LogTimeGrid,
     SampledField,
-    convolve_levels,
     default_dyadic_range,
     default_time_grid,
     duality_residual,
@@ -25,9 +24,8 @@ from scalesq import (
     mean_subtract,
     poisson_derivative_kernel,
     random_band_field,
-    scale_synthesis,
 )
-from scalesq.squarefn import ScaleFamily, _second_difference_family, _sided_average_family
+from scalesq.squarefn import ScaleFamily, _second_difference_family, _sided_average_family, _window_run
 from oracles import fiber_norm, sided_average_physical
 
 HAAR_SYMBOL = 4.0 * math.log(2.0)
@@ -39,8 +37,8 @@ def band_field(geom, seed=0):
 
 def test_convolve_levels_shapes(geom_small):
     tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=4)
-    h = convolve_levels(band_field(geom_small), haar_kernel(), tg)
-    assert h.layers.shape == (tg.node_count,) + geom_small.shape
+    h = ScaleFamily.of_kernel(haar_kernel(), tg.scales).layers(band_field(geom_small))
+    assert h.shape == (tg.node_count,) + geom_small.shape
 
 
 def test_convolve_levels_matches_single_multiplier(geom_small):
@@ -50,17 +48,17 @@ def test_convolve_levels_matches_single_multiplier(geom_small):
     k = haar_kernel()
     tg = LogTimeGrid(1.0, 2.0, nodes_per_octave=1)
     f = band_field(geom_small)
-    h = convolve_levels(f, k, tg)
+    h = ScaleFamily.of_kernel(k, tg.scales).layers(f)
     t0 = tg.scales[0]
     sym = Symbol("one-scale", lambda xi: k.fourier(t0 * xi), dc_value=0.0)
     direct = apply_multiplier(sym, f)
-    assert np.allclose(h.layers[0], direct.values, atol=1e-12)
+    assert np.allclose(h[0], direct.values, atol=1e-12)
 
 
 def test_kernel_dim_mismatch(geom_small):
     k2 = poisson_derivative_kernel(2)
     with pytest.raises(ValueError, match="dim"):
-        convolve_levels(band_field(geom_small), k2, LogTimeGrid(0.5, 2.0))
+        ScaleFamily.of_kernel(k2, LogTimeGrid(0.5, 2.0).scales).layers(band_field(geom_small))
     with pytest.raises(ValueError, match="dim"):
         g_function(band_field(geom_small), k2, DyadicRange(0, 1))
 
@@ -85,7 +83,7 @@ def test_g_function_is_fiber_norm_of_layers(geom_small):
     tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=8)
     f = band_field(geom_small)
     g1 = g_function(f, k, tg)
-    g2 = fiber_norm(convolve_levels(f, k, tg))
+    g2 = fiber_norm(ScaleFamily.of_kernel(k, tg.scales).layers(f), tg.weight)
     assert np.allclose(g1.values, g2, atol=1e-12)
 
 
@@ -94,7 +92,7 @@ def test_dyadic_g_is_fiber_norm(geom_small):
     kr = DyadicRange(-3, 3)
     f = band_field(geom_small)
     g1 = g_function(f, k, kr)
-    g2 = fiber_norm(convolve_levels(f, k, kr))
+    g2 = fiber_norm(ScaleFamily.of_kernel(k, kr.scales).layers(f), kr.weight)
     assert np.allclose(g1.values, g2, atol=1e-12)
 
 
@@ -191,22 +189,24 @@ def test_marcinkiewicz_equals_gm_square_function():
 def test_scale_synthesis_window(geom_small):
     k = haar_kernel()
     tg = LogTimeGrid(0.25, 4.0, nodes_per_octave=4)
-    h = convolve_levels(band_field(geom_small), k, tg)
-    full = scale_synthesis(h, k)
+    family = ScaleFamily.of_kernel(k, tg.scales, tg.weight)
+    full = family.synthesis(family.layers(band_field(geom_small)), geom_small)
     assert full.values.shape == geom_small.shape
     with pytest.raises(ValueError):
-        scale_synthesis(h, k, window=(100.0, 200.0))
+        _window_run(tg.scales, (100.0, 200.0))
 
 
 def test_dyadic_synthesis_level_cut(geom_small):
     k = haar_kernel()
     kr = DyadicRange(-4, 4)
-    layers = convolve_levels(band_field(geom_small), k, kr)
-    full = scale_synthesis(layers, k)
-    cut = scale_synthesis(layers, k, window=(0.25, 4.0))  # |k| <= 1
+    family = ScaleFamily.of_kernel(k, kr.scales)
+    layers = family.layers(band_field(geom_small))
+    run = _window_run(kr.scales, (0.25, 4.0))  # |k| <= 1
+    full = family.synthesis(layers, geom_small)
+    cut = ScaleFamily.of_kernel(k, kr.scales[run]).synthesis(layers[run], geom_small)
     assert l2_norm(cut) < l2_norm(full)
     with pytest.raises(ValueError, match="no scales"):
-        scale_synthesis(layers, k, window=(1.0, 1.0))
+        _window_run(kr.scales, (1.0, 1.0))
 
 
 @pytest.mark.parametrize("kid", ["haar", "poisson-q", "riesz-diff:0.5:ball"])
