@@ -106,6 +106,15 @@ def test_ap_estimate_outside_range_grows():
             assert ap_drift(dim, p, a) > 0.2, (dim, p, a)
 
 
+def test_ap_estimate_in_two_dimensions():
+    # |x|^0.3 lies in A_2 on the plane (needs -2 < a < 2), |x|^3 does not
+    geom, sizes = AP_CASES[2]
+    base, refined = ap_estimates(power_weight(0.3), 2.0, geom, **sizes)
+    assert abs(refined - base) <= 0.2 * base and base >= 1.0
+    base, refined = ap_estimates(power_weight(3.0), 2.0, geom, **sizes)
+    assert refined > base * 1.2
+
+
 def test_characteristic_product_constant_weight():
     for dim, (geom, sizes) in AP_CASES.items():
         assert ap_estimates(constant_weight(3.0), 2.0, geom, **sizes) == pytest.approx((1.0, 1.0), rel=1e-12)
