@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -108,6 +109,14 @@ def grid_config_from_dict(d: Mapping, context: str = "grid") -> GridConfig:
     return cfg
 
 
+def _largest_scale_limit(geom: Geometry) -> float:
+    """The largest t whose 2 pi t |xi|, at every frequency of the grid, has a
+    finite square: the radial transforms square each coordinate of t xi, and
+    a scale past this one sends them to inf and NaN."""
+    xi_max = math.sqrt(geom.dim) * (geom.n_samples // 2) / (2.0 * geom.half_length)
+    return math.sqrt(sys.float_info.max) / (2.0 * math.pi * xi_max)
+
+
 @dataclass(frozen=True)
 class TimeGridConfig:
     """Continuous-scale quadrature window; None bounds mean grid-adapted."""
@@ -123,9 +132,15 @@ class TimeGridConfig:
                 base = default_time_grid(geom, self.nodes_per_octave)
                 lo = base.t_min if lo is None else lo
                 hi = base.t_max if hi is None else hi
-            return LogTimeGrid(lo, hi, self.nodes_per_octave)
+            grid = LogTimeGrid(lo, hi, self.nodes_per_octave)
         except ValueError as exc:
             raise ConfigError("time", str(exc)) from exc
+        limit = _largest_scale_limit(geom)
+        if hi > limit:
+            raise ConfigError(
+                "time", f"t_max = {hi!r} overflows the kernel transforms on this grid; need t_max <= {limit:.6g}"
+            )
+        return grid
 
 
 def time_config_from_dict(d: Mapping, context: str = "time") -> TimeGridConfig:
@@ -155,9 +170,15 @@ class DyadicConfig:
         lo = self.k_min if self.k_min is not None else base.k_min
         hi = self.k_max if self.k_max is not None else base.k_max
         try:
-            return DyadicRange(lo, hi)
+            dyadic = DyadicRange(lo, hi)
         except ValueError as exc:
             raise ConfigError("dyadic", str(exc)) from exc
+        limit = math.floor(math.log2(_largest_scale_limit(geom)))
+        if hi > limit:
+            raise ConfigError(
+                "dyadic", f"k_max = {hi} overflows the kernel transforms on this grid; need k_max <= {limit}"
+            )
+        return dyadic
 
 
 def dyadic_config_from_dict(d: Mapping, context: str = "dyadic") -> DyadicConfig:

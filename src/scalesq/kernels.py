@@ -550,32 +550,64 @@ def riesz_constant(alpha: float, dim: int) -> float:
     )
 
 
+def _ball_run_weight(rho: np.ndarray, cum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per point, the weight of the nodes i with |fl(x + rho_i)| <= 1; `cum`
+    holds the rule's cumulative weights, 0 first.
+
+    The nodes ascend, so fl(x + rho_i) does too, and those nodes are one run.
+    np.searchsorted guesses each end from -1 - x and 1 - x; the guess is off
+    by at most a node or so, where rounding decides, and is settled on the
+    membership test itself, so ties fall as a node-by-node test puts them.
+    """
+    n = rho.size
+
+    def settle(count, before):
+        # count = the number of leading nodes i at which before(fl(x + rho_i)) holds
+        while True:
+            down = (count > 0) & ~before(x + rho[np.maximum(count - 1, 0)])
+            up = (count < n) & before(x + rho[np.minimum(count, n - 1)])
+            if not (down.any() or up.any()):
+                return count
+            count = count - down + up
+
+    lo = settle(np.searchsorted(rho, -1.0 - x), lambda v: v < -1.0)
+    hi = settle(np.searchsorted(rho, 1.0 - x, side="right"), lambda v: v <= 1.0)
+    return cum[hi] - cum[lo]
+
+
 def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
     """(profile * riesz_core)(x) by polar quadrature around the singularity.
 
     A 160-node radial rule on [0, reach], reach = max|x| + 1.5 over the whole
-    batch; in 2-D each radial node averages 96 angles.  The points are walked
-    in `_point_blocks`, so the temporaries, (160, block) in 1-D and
-    (96, block) per radial node in 2-D, stay within `grid._CHUNK_BYTES`
-    whatever the batch size, and every point sums in the same order at any
-    block width.
+    batch, so a point's value depends on the other points of its batch; in
+    2-D each radial node averages 96 angles.  In 1-D the profile is the ball,
+    whose density is 1/2 on [-1, 1]: the rule's sum
+    sum_i W_i [d(x + rho_i) + d(x - rho_i)] is half the weight of the run of
+    nodes with |x + rho_i| <= 1 plus half that of the run with
+    |x - rho_i| <= 1, read from the rule's cumulative weights
+    (`_ball_run_weight`); the second run is the first at -x, since
+    fl(-x + rho) = -fl(x - rho).  The points are walked in `_point_blocks`, so the
+    temporaries, a few of one value per point in 1-D and (96, block) per
+    radial node in 2-D, stay within `grid._CHUNK_BYTES` whatever the batch
+    size, and every point's value is the same bits at any block width.
     """
     dim = profile.dim
     tau = riesz_constant(alpha, dim)
     pts = [np.asarray(c, dtype=float) for c in coords]
     shape = np.broadcast_shapes(*(p.shape for p in pts))
     pts = [np.broadcast_to(p, shape).ravel() for p in pts]
-    r_out = np.sqrt(sum(p**2 for p in pts))
-    reach = float(np.max(r_out)) + 1.5
+    reach = float(np.max(np.sqrt(sum(p**2 for p in pts)))) + 1.5
     n_rad = 160
     s, w = _jacobi_rule(n_rad, start=alpha - 1.0)
     rho = reach * s
     w_rad = reach**alpha * w  # absorbs rho^(alpha-1) d rho
-    out = np.zeros(r_out.shape)
+    out = np.zeros(pts[0].shape)
     if dim == 1:
-        # every block shares the reach of the whole batch, on which values depend
-        shifted = lambda x: profile.density(x + rho[:, None]) + profile.density(x - rho[:, None])
-        out = tau * _blocked_quadrature(w_rad, shifted, pts[0])
+        cum = np.concatenate(([0.0], np.cumsum(w_rad)))
+        x = pts[0]
+        for block in _point_blocks(out.size, 8):  # about 8 arrays of one value a point at once
+            out[block] = _ball_run_weight(rho, cum, x[block]) + _ball_run_weight(rho, cum, -x[block])
+        out *= tau * 0.5
     else:
         n_ang = 96
         theta = (np.arange(n_ang) + 0.5) * (2.0 * np.pi / n_ang)
@@ -596,13 +628,18 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
 
     hat(xi) = (2 pi |xi|)^(-alpha) (1 - profilehat(xi)), which vanishes at
     the origin like |xi|^(floor(alpha)+1-alpha) and decays like |xi|^-alpha.
-    Requires 0 < alpha < dim and profile in the order-alpha moment class.
-    The spatial evaluator is a quadrature diagnostic; the Fourier side is
-    authoritative.
+    Requires 0 < alpha < dim and profile in the order-alpha moment class,
+    in 1-D the ball (`_smoothed_riesz_core`).  The spatial evaluator is a
+    quadrature diagnostic; the Fourier side is authoritative.
     """
     dim = profile.dim
     if not (0.0 < alpha < dim):
         raise ValueError(f"need 0 < alpha < dim = {dim}, got alpha = {alpha}")
+    if dim == 1 and profile.name != "ball":
+        raise ValueError(
+            f"riesz_difference_kernel: the 1-D spatial side sums the ball's density; "
+            f"profile '{profile.name}' is not the ball"
+        )
     _require_moment_class(profile, alpha, "riesz_difference_kernel")
     tau = riesz_constant(alpha, dim)
     deficit = profile.deficit
@@ -617,9 +654,16 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
 
     def spatial(*coords):
         r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
+        # one complex array and one real one beside it: large batches set the peak memory
+        core = np.where(r > 0, r, np.nan)
+        del r
         with np.errstate(divide="ignore"):
-            core = tau * np.where(r > 0, r, np.nan) ** (alpha - dim)
-        return (core - _smoothed_riesz_core(profile, alpha, coords)).astype(complex)
+            core **= alpha - dim
+        out = np.zeros(core.shape, dtype=complex)
+        np.multiply(tau, core, out=out.real)
+        del core
+        out.real -= _smoothed_riesz_core(profile, alpha, coords)
+        return out[()]  # a scalar for scalar coordinates
 
     frac = math.floor(alpha) + 1.0 - alpha
     return Kernel(

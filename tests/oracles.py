@@ -156,6 +156,30 @@ def sgn_ball_average_quad(x: float) -> float:
     return below + above
 
 
+def riesz_radial_rule(alpha: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes rho_i and weights W_i of the 160-node rule for
+    integral_0^reach rho^(alpha-1) g(rho) d rho, from scipy's roots_jacobi."""
+    from scipy.special import roots_jacobi
+
+    x, w = roots_jacobi(160, 0.0, alpha - 1.0)
+    return reach * ((x + 1.0) / 2.0), reach**alpha * 2.0**-alpha * w
+
+
+def riesz_ball_average_dense(alpha: float, x) -> np.ndarray:
+    """(ball * tau |.|^(alpha-1))(x) in 1-D as the dense radial sum
+    tau sum_i W_i (d(x + rho_i) + d(x - rho_i)), d = 1/2 on [-1, 1], the rule
+    on [0, reach] with the batch's reach max|x| + 1.5, a few points at a time."""
+    x = np.asarray(x, dtype=float)
+    tau = math.gamma((1.0 - alpha) / 2.0) / (math.sqrt(math.pi) * 2.0**alpha * math.gamma(alpha / 2.0))
+    rho, w = riesz_radial_rule(alpha, float(np.max(np.abs(x))) + 1.5)
+    density = lambda y: np.where(np.abs(y) <= 1.0, 0.5, 0.0)
+    out = np.empty(x.size)
+    for lo in range(0, x.size, 1024):
+        part = x.ravel()[lo:lo + 1024]
+        out[lo:lo + 1024] = w @ (density(part + rho[:, None]) + density(part - rho[:, None]))
+    return tau * out.reshape(x.shape)
+
+
 def disk_hat_dblquad(rho: float) -> float:
     """Transform of the unit-disk average at radius rho, by direct 2-D quadrature."""
 

@@ -18,6 +18,7 @@ from scalesq import (
     Geometry,
     LogTimeGrid,
     SampledField,
+    default_geometry,
     haar_kernel,
     kernel_from_id,
     l2_norm,
@@ -29,7 +30,7 @@ from scalesq import (
 )
 from scalesq import cli
 from scalesq.cli import main
-from scalesq.config import ConfigError, equivalence_config_from_dict
+from scalesq.config import ConfigError, GridConfig, _largest_scale_limit, equivalence_config_from_dict
 from scalesq.squarefn import g_function
 from oracles import save_symbol_csv_rows
 
@@ -465,6 +466,18 @@ def test_weight_outside_ap_exits_2(tmp_path, capsys, command, fields, weight):
     pytest.param(["equivalence"], {"operator": "dyadic", "kernel": "haar", "dyadic": {"k_min": 5000, "k_max": 5001}},
                  "'dyadic'", id="equivalence-dyadic"),
     pytest.param(["sobolev"], {"order": 0.5, "dyadic": {"k_min": -3000}}, "'dyadic'", id="sobolev-dyadic"),
+    # scales whose t |xi| on the grid would overflow the kernel transforms to inf and NaN
+    pytest.param(["gfun", "--kernel", "haar", "--grid-n", "64", "--mode", "dyadic", "--k-min", "1000",
+                  "--k-max", "1023"], None, "k_max = 1023", id="gfun-haar-k_max"),
+    pytest.param(["gfun", "--kernel", "poisson-q", "--grid-n", "64", "--mode", "dyadic", "--k-min", "1000",
+                  "--k-max", "1023"], None, "k_max = 1023", id="gfun-poisson-q-k_max"),
+    pytest.param(["gfun", "--kernel", "haar", "--grid-n", "64", "--t-min", "1e300", "--t-max", "1e305"],
+                 None, "t_max = 1e+305", id="gfun-haar-t_max"),
+    pytest.param(["gfun", "--kernel", "poisson-q", "--grid-n", "64", "--t-min", "1e300", "--t-max", "1e305"],
+                 None, "t_max = 1e+305", id="gfun-poisson-q-t_max"),
+    # 2 pi t |xi| is finite here, but not its square, which the radial kernels form
+    pytest.param(["gfun", "--kernel", "poisson-q:2", "--grid-n", "64", "--mode", "dyadic", "--k-min", "590",
+                  "--k-max", "600"], None, "k_max = 600", id="gfun-poisson-q:2-square"),
     # 2^-1000 is a double, but its weight 2^2000 under order 1 is not
     pytest.param(["sobolev"], {"order": 1.0, "dyadic": {"k_min": -1000}}, "order 1: the scale weight",
                  id="sobolev-order"),
@@ -477,6 +490,20 @@ def test_overflowing_scales_and_tiny_gm_orders_exit_2(tmp_path, capsys, argv, co
     if config is not None:
         argv = argv + ["--config", write_config(tmp_path, **config, **SMALL)]
     assert_usage_error(argv, capsys, named)
+
+
+@pytest.mark.parametrize("kernel", ["haar", "poisson-q", "poisson-q:2"])
+def test_largest_scales_allowed_run_clean(capsys, kernel):
+    # the bound is tight: at the largest k_max it allows, the transforms stay
+    # finite (a RuntimeWarning fails the test), one more is refused
+    dim = 2 if kernel.endswith(":2") else 1
+    geom = GridConfig(dim, 64, default_geometry(dim).half_length).geometry()
+    limit = math.floor(math.log2(_largest_scale_limit(geom)))
+    argv = ["gfun", "--kernel", kernel, "--grid-n", "64", "--mode", "dyadic", "--k-min", str(limit - 8)]
+    assert main(argv + ["--k-max", str(limit)]) == 0
+    out = capsys.readouterr().out
+    assert "ratio=" in out and "nan" not in out and "inf" not in out
+    assert_usage_error(argv + ["--k-max", str(limit + 1)], capsys, f"need k_max <= {limit}")
 
 
 def test_ap_range_follows_dimension_and_exponent():

@@ -21,7 +21,7 @@ from scalesq import (
     sgn_difference_kernel,
 )
 from scalesq import grid
-from scalesq.kernels import _GM_PANEL, _blocked_quadrature, _graded_table, _jacobi_rule
+from scalesq.kernels import _GM_PANEL, _blocked_quadrature, _graded_table, _jacobi_rule, _smoothed_riesz_core
 from oracles import (
     ball_deficit_mpmath,
     ball_hat_1d_closed,
@@ -32,6 +32,8 @@ from oracles import (
     haar_hat_closed,
     odd_compact_hat,
     poisson_hat_quad,
+    riesz_ball_average_dense,
+    riesz_radial_rule,
     sgn_ball_average_quad,
 )
 
@@ -288,6 +290,45 @@ def test_riesz_difference_spatial_diagnostic():
         expected = tau * (x**-0.5 - smoothed)
         impl = float(np.real(k.spatial(np.array([x]))[0]))
         assert abs(impl - expected) < 1e-2
+
+
+def assert_matches_dense_sum(alpha, x):
+    # the same nodes in each run, so the same zeros, and the sums within round-off
+    got = _smoothed_riesz_core(ball_average_profile(1), alpha, (x,))
+    want = riesz_ball_average_dense(alpha, x)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("size", [1, 2, 205, 1001, 200_000])
+def test_riesz_1d_runs_of_nodes_match_the_dense_sum(alpha, size):
+    # 200 000 points are the majorant's midpoints on [0, 1024]
+    if size == 200_000:
+        x = (np.arange(size) + 0.5) * (1024.0 / size)
+    else:
+        x = np.random.default_rng(size).uniform(-8.0, 8.0, size)
+    assert_matches_dense_sum(alpha, x)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
+def test_riesz_1d_runs_of_nodes_take_the_dense_sums_ties(alpha):
+    # x +- rho_i lands on +-1 or a rounding away: each node's membership
+    # there is the dense test's, or its weight would show far above 1e-12;
+    # the anchor at 8 fixes the batch's reach, and every tie lies within it
+    anchor = 8.0
+    rho, _ = riesz_radial_rule(alpha, anchor + 1.5)
+    rho = rho[rho < anchor - 1.0]
+    ties = np.concatenate([1.0 - rho, -1.0 - rho, rho - 1.0, rho + 1.0])
+    x = np.concatenate([[anchor], ties, np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf)])
+    assert_matches_dense_sum(alpha, x)
+
+
+def test_riesz_difference_1d_needs_the_ball():
+    ball = ball_average_profile(1)
+    other = replace(ball, kernel=replace(ball.kernel, name="box"))
+    with pytest.raises(ValueError, match="'box' is not the ball"):
+        riesz_difference_kernel(0.5, other)
 
 
 # the spatial quadratures walk their points in blocks of the chunk budget:
