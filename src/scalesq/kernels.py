@@ -32,9 +32,9 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, poch
+from scipy.special import beta as _beta
+from scipy.special import betaln, eval_jacobi, eval_legendre, gammaln, poch
 from scipy.special import j1 as _bessel_j1
-from scipy.special import roots_jacobi
 
 from .grid import _fit_chunk
 
@@ -53,14 +53,87 @@ class MomentClassError(ValueError):
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
+def roots_jacobi(n: int, a: float, b: float):
+    """Nodes and weights of the n-point Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1].
+
+    Golub-Welsch (Math. Comp. 23, 1969) step for step as scipy.special.roots_jacobi
+    takes it, and with its bits for n >= 2 and a != b or a = b = 0: the
+    eigenvalues of the tridiagonal Jacobi matrix, one Newton step, then
+    Christoffel weights log-normalised against overflow and scaled to the
+    weight's mass mu0.  The eigenvalues come from numpy's eigvalsh of the
+    dense matrix, which LAPACK keeps tridiagonal as it is and hands to the
+    same dsterf as scipy's banded route, so scipy.linalg is never loaded.
+    a = b = 0 is Gauss-Legendre, symmetrised as scipy does; any other a = b
+    takes the general recurrence (scipy's Gegenbauer route differs in bits).
+    """
+    try:
+        m = int(n)
+    except (TypeError, ValueError, OverflowError):
+        m = None
+    if m is None or m != n or m < 1:
+        raise ValueError(f"Gauss-Jacobi order must be a positive integer, got {n!r}")
+    for name, e in (("a", a), ("b", b)):
+        if not (math.isfinite(e) and e > -1.0):
+            raise ValueError(f"Gauss-Jacobi exponent {name} must be finite and > -1, got {e!r}")
+    j = np.arange(1.0, m)  # the off-diagonal's recurrence indices k = 1 ... n-1
+    diagonal = np.zeros(m)
+    if a == 0.0 and b == 0.0:
+        mu0 = 2.0
+        off = j * np.sqrt(1.0 / (4 * j * j - 1))
+        f = eval_legendre
+
+        def df(k, x):
+            return (-k * x * eval_legendre(k, x) + k * eval_legendre(k - 1, x)) / (1 - x**2)
+    else:
+        if a + b <= 1000:
+            mu0 = 2.0 ** (a + b + 1) * _beta(a + 1, b + 1)
+        else:  # pow and beta would overflow
+            with np.errstate(over="ignore"):
+                mu0 = np.exp((a + b + 1) * np.log(2.0) + betaln(a + 1, b + 1))
+            if not math.isfinite(mu0):
+                raise ValueError(f"Gauss-Jacobi weight (1-x)^{a!r} (1+x)^{b!r} has no finite mass")
+        diagonal[0] = (b - a) / (2 + a + b)
+        if a + b != 0.0:
+            diagonal[1:] = (b * b - a * a) / ((2.0 * j + a + b) * (2.0 * j + a + b + 2))
+        # the k = 1 factor is 1; for a + b = -1 its general form would be 0/0
+        ratio = np.ones(m - 1)
+        ratio[1:] = np.sqrt(j[1:] * (j[1:] + a + b) / (2.0 * j[1:] + a + b - 1))
+        off = 2.0 / (2.0 * j + a + b) * np.sqrt((j + a) * (j + b) / (2 * j + a + b + 1)) * ratio
+
+        def f(k, x):
+            return eval_jacobi(k, a, b, x)
+
+        def df(k, x):
+            return 0.5 * (k + a + b + 1) * eval_jacobi(k - 1, a + 1, b + 1, x)
+
+    x = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    y, dy = f(m, x), df(m, x)
+    x -= y / dy  # one Newton step
+    # fm and dy may hold very large or small values: log-normalise before the product
+    fm = f(m - 1, x)
+    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
+    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
+    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if a == 0.0 and b == 0.0:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w *= mu0 / w.sum()
+    return x, w
+
+
 @lru_cache(maxsize=512)
 def _jacobi_rule(n: int, end: float = 0.0, start: float = 0.0):
     """Nodes and weights for integral_0^1 (1-s)^end s^start g(s) ds, exponents > -1.
 
     Gauss-Jacobi on [-1, 1] mapped to [0, 1]; end = start = 0 is Gauss-Legendre.
+    Every caller shares the cached arrays, so they are read-only.
     """
     x, w = roots_jacobi(n, end, start)
-    return (x + 1.0) / 2.0, 2.0 ** (-end - start - 1.0) * w
+    s, w = (x + 1.0) / 2.0, 2.0 ** (-end - start - 1.0) * w
+    s.setflags(write=False)
+    w.setflags(write=False)
+    return s, w
 
 
 def _jacobi_unit_rule(alpha: float, n: int):

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -399,6 +401,26 @@ def test_mar_scan_cli(tmp_path, capsys):
 def test_mar_scan_bad_alpha(capsys):
     assert main(["mar-scan", "--alpha", "0.2"]) == 2
     assert "alpha" in capsys.readouterr().err
+
+
+def test_graded_commands_never_load_scipy_linalg(tmp_path):
+    # the Gauss-Jacobi rules are built with numpy's eigensolver; scipy.special's own
+    # roots_jacobi would load scipy.linalg inside the first condition check.  The
+    # probe runs in a fresh interpreter, since this one has loaded it already.
+    probe = (
+        "import contextlib, io, sys\n"
+        "from scalesq import cli, kernels\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['conditions', '--kernel', 'gm:0.75']),\n"
+        "             cli.main(['mar-scan', '--alpha', '0.75', '--no-refine'])]\n"
+        "print(codes, kernels._jacobi_rule.cache_info().currsize > 0, 'scipy.linalg' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[-2] == "[0, 0] True False"
 
 
 # ---------------------------------------------------------------------------

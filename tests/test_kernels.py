@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import roots_legendre
+from scipy.special import betaln, roots_legendre
+from scipy.special import roots_jacobi as scipy_roots_jacobi
 
 from scalesq import (
     ball_average_profile,
@@ -21,7 +22,14 @@ from scalesq import (
     sgn_difference_kernel,
 )
 from scalesq import grid
-from scalesq.kernels import _GM_PANEL, _blocked_quadrature, _graded_table, _jacobi_rule, _smoothed_riesz_core
+from scalesq.kernels import (
+    _GM_PANEL,
+    _blocked_quadrature,
+    _graded_table,
+    _jacobi_rule,
+    _smoothed_riesz_core,
+    roots_jacobi,
+)
 from oracles import (
     ball_deficit_mpmath,
     ball_hat_1d_closed,
@@ -544,6 +552,58 @@ def test_jacobi_rule_without_exponents_is_gauss_legendre():
     s, ws = _jacobi_rule(96)
     assert np.array_equal(s, (x + 1.0) / 2.0)
     assert np.array_equal(ws, w / 2.0)
+
+
+# exponents of the rules the package builds: Legendre, the panels' edge and origin
+# gradings, gm and mar-scan orders from 2^-10 to 1024 (end = alpha - 1), riesz-diff
+JACOBI_EXPONENTS = [0.0, -0.25, -0.5, 0.75, 1.5, 2.0**-10 - 1.0, 1023.0, -0.7668787372852778]
+
+
+def _has_finite_mass(a, b):
+    # 2^(a+b+1) B(a+1, b+1): (2^-10 - 1, 1023) overflows in scipy's rule as in ours
+    return (a + b + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0) < math.log(np.finfo(float).max)
+
+
+@pytest.mark.parametrize("n", [2, 16, 24, 48, 64, 96, 160])
+def test_roots_jacobi_is_scipys_rule_bit_for_bit(n):
+    # mar-scan's stored argmax and the stored majorant_l1 ride on the rule's last bit
+    pairs = [(a, b) for a in JACOBI_EXPONENTS for b in JACOBI_EXPONENTS
+             if (a != b or a == 0.0) and _has_finite_mass(a, b)]
+    assert len(pairs) == 55
+    for a, b in pairs:
+        x, w = roots_jacobi(n, a, b)
+        x_ref, w_ref = scipy_roots_jacobi(n, a, b)
+        assert np.array_equal(x, x_ref), (n, a, b)
+        assert np.array_equal(w, w_ref), (n, a, b)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, math.nan, math.inf, "8", None])
+def test_roots_jacobi_refuses_a_bad_order(n):
+    with pytest.raises(ValueError, match="order must be a positive integer") as exc:
+        roots_jacobi(n, 0.5, 0.0)
+    assert repr(n) in str(exc.value)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, 0.0), (0.0, -1.5), (math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.5)])
+def test_roots_jacobi_refuses_a_bad_exponent(a, b):
+    bad = a if not (math.isfinite(a) and a > -1.0) else b
+    with pytest.raises(ValueError, match="exponent .* must be finite and > -1") as exc:
+        roots_jacobi(8, a, b)
+    assert repr(bad) in str(exc.value)
+
+
+def test_roots_jacobi_refuses_a_weight_without_finite_mass():
+    with pytest.raises(ValueError, match="no finite mass"):
+        roots_jacobi(8, 2.0**-10 - 1.0, 1023.0)
+
+
+def test_cached_jacobi_rule_is_read_only():
+    s, w = _jacobi_rule(24, 0.75)
+    for arr in (s, w):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    again = _jacobi_rule(24, 0.75)
+    assert again[0] is s and again[1] is w
 
 
 # ---------------------------------------------------------------------------
