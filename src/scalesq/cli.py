@@ -114,12 +114,12 @@ def _kernel_metadata(kernel: Kernel) -> dict:
         "odd": kernel.odd,
         "real": kernel.real,
         "has_spatial": kernel.spatial is not None,
-        "fourier_mode": kernel.fourier_mode,
         "support_radius": kernel.support_radius,
         "cancellation_order": kernel.cancellation_order,
         "spatial_tail_exponent": kernel.spatial_tail_exponent,
         "fourier_tail_exponent": kernel.fourier_tail_exponent,
         "fourier_origin_exponent": kernel.fourier_origin_exponent,
+        "origin_singularity": kernel.origin_singularity,
         "edge_singularity": list(edge) if edge is not None else None,
     }
 
@@ -317,6 +317,13 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
                    help="half-length of the periodic box")
 
 
+def _seed(text: str) -> int:
+    """--seed: a nonnegative integer, as numpy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_scale_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-min", type=float, default=None)
     p.add_argument("--t-max", type=float, default=None)
@@ -349,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--mode", choices=("continuous", "dyadic"), default="continuous")
     p.add_argument("--input", default=None, help="field file (.csv or binary); default: seeded random band field")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write the square function as a field CSV")
     _add_grid_flags(p)
     _add_scale_flags(p)
@@ -358,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equivalence", help="norm-equivalence experiment from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     _add_grid_flags(p)
     p.set_defaults(fn=_cmd_equivalence)
 
     p = sub.add_parser("sobolev", help="smoothness-norm equivalence from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p.add_argument("--seed", type=_seed, default=None, help="override the config seed")
     _add_grid_flags(p)
     p.set_defaults(fn=_cmd_sobolev)
 

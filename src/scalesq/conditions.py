@@ -4,8 +4,8 @@ placed on square-function kernels, plus the scale-shift energy scan.
 Divergent quantities come back as math.inf, never as exceptions: blowing
 up is a finding about the kernel, not a failure of the computation.
 Everything here consumes the kernels' declared metadata (tail exponents,
-edge singularities) to decide convergence before integrating, so the
-numeric answers carry analytic justification.  Every spatial integral
+origin and edge singularities) to decide convergence before integrating,
+so the numeric answers carry analytic justification.  Every spatial integral
 is a sum of panels of one Gauss-Jacobi rule (`_panel`), whose endpoint
 weights absorb the origin grading and edge singularities.
 """
@@ -107,29 +107,19 @@ def tail_moment_integral(kernel: Kernel, eps: float) -> float:
     return total
 
 
-def _origin_exponent_probe(kernel: Kernel) -> float | None:
-    """Fitted s with |psi| ~ r^-s near the origin, or None when bounded."""
-    radii = np.geomspace(1e-4, 1e-2, 9)
-    mags = _radial_abs_max(kernel, radii)
-    if np.any(mags <= 0):
-        return None
-    slope = np.polyfit(np.log(radii), np.log(mags), 1)[0]
-    return -float(slope) if slope < -0.05 else None
-
-
 def local_power_integral(kernel: Kernel, u: float) -> float:
     """integral over |x| < 1 of |psi(x)|^u for u > 1; inf when divergent.
 
-    Divergence is decided from the edge-singularity metadata (exponent e:
-    the integral blows up when u e <= -1) and from a probed origin
-    exponent.  Edge singularities are absorbed into Gauss-Jacobi weights,
-    so graded profiles integrate exactly.
+    Divergence is decided from the declared singularities: an edge
+    exponent e blows up when u e <= -1, an origin exponent s when
+    u s >= dim.  Both are absorbed into Gauss-Jacobi weights, so graded
+    profiles integrate exactly.
     """
     if u <= 1:
         raise ValueError(f"exponent must exceed 1, got {u}")
     _require_spatial(kernel, "local_power_integral")
     n = kernel.dim
-    s_origin = _origin_exponent_probe(kernel)
+    s_origin = kernel.origin_singularity
     if s_origin is not None and u * s_origin >= n - 1e-9:
         return math.inf
     edge = kernel.edge_singularity
@@ -165,7 +155,7 @@ def radial_majorant_l1(kernel: Kernel, n_samples: int = 200_000) -> float:
     edge = kernel.edge_singularity
     if edge is not None and edge[1] < 0:
         return math.inf
-    s_origin = _origin_exponent_probe(kernel)
+    s_origin = kernel.origin_singularity
     if s_origin is not None and s_origin >= n - 1e-9:
         return math.inf
     R = kernel.support_radius

@@ -129,7 +129,7 @@ class TimeGridConfig:
         lo, hi = self.t_min, self.t_max
         try:
             if lo is None or hi is None:
-                base = default_time_grid(geom, self.nodes_per_octave)
+                base = default_time_grid(geom)  # only its window is read
                 lo = base.t_min if lo is None else lo
                 hi = base.t_max if hi is None else hi
             grid = LogTimeGrid(lo, hi, self.nodes_per_octave)

@@ -251,6 +251,13 @@ class LogTimeGrid:
             raise ValueError(f"t_max/t_min must be finite, got {self.t_max!r}/{self.t_min!r}")
         if self.nodes_per_octave < 1:
             raise ValueError("nodes_per_octave must be a positive integer")
+        # the scales are one array of doubles, held to the budget of a field; a
+        # Python float against the int, so that no J converts to a double
+        if self.nodes_per_octave > (MAX_FIELD_BYTES // 8) / math.log2(self.t_max / self.t_min):
+            raise ValueError(
+                f"nodes_per_octave = {self.nodes_per_octave} makes more than {MAX_FIELD_BYTES // 8} "
+                f"scales over [{self.t_min!r}, {self.t_max!r}]"
+            )
 
     @property
     def node_count(self) -> int:

@@ -277,6 +277,7 @@ class Kernel:
     * spatial_tail_exponent q: |psi(x)| <= C |x|^-q for large |x|.
     * fourier_tail_exponent delta: |psihat(xi)| <= C |xi|^-delta at infinity.
     * fourier_origin_exponent eps: |psihat(xi)| <= C |xi|^eps near 0.
+    * origin_singularity s: |psi(x)| ~ C |x|^-s as x -> 0; None if bounded.
     * edge_singularity (r, e): |psi| ~ (r - |x|)^e as |x| -> r inside the
       support, e < 0 meaning an integrable blow-up.
 
@@ -295,12 +296,12 @@ class Kernel:
     name: str
     spatial: Callable | None
     fourier: Callable
-    fourier_mode: str  # "closed_form" or "quadrature"
     support_radius: float
     cancellation_order: int
     spatial_tail_exponent: float | None = None
     fourier_tail_exponent: float | None = None
     fourier_origin_exponent: float | None = None
+    origin_singularity: float | None = None
     edge_singularity: tuple[float, float] | None = None
     radial: bool = False
     odd: bool = False
@@ -428,7 +429,6 @@ def haar_kernel() -> Kernel:
         name="haar",
         spatial=spatial,
         fourier=fourier,
-        fourier_mode="closed_form",
         support_radius=1.0,
         cancellation_order=0,
         fourier_tail_exponent=1.0,
@@ -470,7 +470,6 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
         name=f"gm:{alpha:g}",
         spatial=spatial,
         fourier=lambda xi: _graded_hat(alpha, xi),
-        fourier_mode="closed_form",
         support_radius=1.0,
         cancellation_order=0,
         fourier_tail_exponent=min(alpha, 1.0),
@@ -504,7 +503,6 @@ def poisson_derivative_kernel(dim: int = 1) -> Kernel:
         name="poisson-q" if dim == 1 else f"poisson-q:{dim}",
         spatial=spatial,
         fourier=fourier,
-        fourier_mode="closed_form",
         support_radius=math.inf,
         cancellation_order=1,
         spatial_tail_exponent=float(dim + 1),
@@ -600,7 +598,6 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
         name="ball" if dim == 1 else f"ball:{dim}",
         spatial=lambda *coords: density(*coords).astype(complex),
         fourier=fourier,
-        fourier_mode="closed_form",
         support_radius=1.0,
         cancellation_order=-1,
         fourier_tail_exponent=(dim + 1.0) / 2.0,
@@ -744,12 +741,12 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
         name=f"riesz-diff:{alpha:g}:{profile.name}",
         spatial=spatial,
         fourier=fourier,
-        fourier_mode="closed_form" if profile.kernel.fourier_mode == "closed_form" else "quadrature",
         support_radius=math.inf,
         cancellation_order=0,
         spatial_tail_exponent=dim + math.floor(alpha) + 1.0 - alpha,
         fourier_tail_exponent=alpha,
         fourier_origin_exponent=frac,
+        origin_singularity=dim - alpha,
         radial=True,
         real=True,
     )
@@ -793,7 +790,6 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
         name=f"sgn-diff:{profile.name}",
         spatial=spatial,
         fourier=fourier,
-        fourier_mode=profile.kernel.fourier_mode,
         support_radius=profile.kernel.support_radius,
         cancellation_order=0,
         fourier_tail_exponent=1.0,
@@ -821,7 +817,6 @@ def band_indicator_kernel(lo: float, hi: float) -> Kernel:
         name=f"band:{lo:g}:{hi:g}",
         spatial=None,
         fourier=fourier,
-        fourier_mode="closed_form",
         support_radius=math.inf,
         cancellation_order=0,
         real=True,

@@ -225,6 +225,21 @@ def gm_local_power_closed(alpha: float, u: float) -> float:
     return 2.0 * alpha**u / denom
 
 
+def riesz_diff_local_power_mpmath(alpha: float, u: float, dps: int = 30) -> float:
+    """integral over |x| < 1 of |psi|^u for riesz-diff:alpha:ball in 1-D, from
+    the closed form psi(x) = tau |x|^(alpha-1) - (tau / 2 alpha) [F(x+1) - F(x-1)],
+    F(y) = sgn(y) |y|^alpha: the Riesz kernel less its ball average.  psi is
+    even, and on (0, 1) mpmath's tanh-sinh rule takes the origin singularity
+    at its endpoint; for even u the integrand is smooth inside."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        tau = mpmath.gamma((1 - a) / 2) / (mpmath.sqrt(mpmath.pi) * 2**a * mpmath.gamma(a / 2))
+        psi = lambda x: tau * x ** (a - 1) - tau / (2 * a) * ((1 + x) ** a + (1 - x) ** a)
+        return float(2 * mpmath.quad(lambda x: abs(psi(x)) ** u, [0, 1]))
+
+
 def gm_tail_weight_closed(alpha: float, u: float) -> float:
     """Same integral as gm_local_power_closed via the substitution v = 1-r."""
     return gm_local_power_closed(alpha, u)

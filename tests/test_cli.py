@@ -116,6 +116,13 @@ def test_kernel_info_stdout(capsys):
     assert payload["name"] == "haar"
     assert payload["support_radius"] == 1.0
     assert payload["has_spatial"] is True
+    assert payload["origin_singularity"] is None
+    assert "fourier_mode" not in payload
+
+
+def test_kernel_info_origin_singularity(capsys):
+    assert main(["kernel-info", "riesz-diff:0.5:ball"]) == 0
+    assert stdout_json(capsys)["origin_singularity"] == 0.5
 
 
 def test_kernel_info_unknown_kernel(capsys):
@@ -436,6 +443,20 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["gfun", "--kernel", "haar", "--mode", "sideways"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["gfun", "equivalence", "sobolev"])
+def test_negative_seed_names_its_flag(tmp_path, capsys, command):
+    if command == "gfun":
+        argv = ["gfun", "--kernel", "haar", "--grid-n", "64"]
+    else:
+        fields = {"operator": "gfun", "kernel": "haar"} if command == "equivalence" else {"order": 0.5}
+        argv = [command, "--config", write_config(tmp_path, **fields, **SMALL)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a nonnegative integer" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from oracles import (
     poisson_local_power_quad,
     poisson_majorant_l1_closed,
     poisson_tail_moment_quad,
+    riesz_diff_local_power_mpmath,
     scan_max_pointwise,
     scan_ratio_alpha1_closed,
 )
@@ -114,6 +115,24 @@ def test_sgn_difference_local_power_closed_form(u):
 def test_sgn_difference_majorant_is_one():
     # the envelope of 1 - |x| is itself; its integral over [-1, 1] is 1
     assert abs(radial_majorant_l1(kernel_from_id("sgn-diff:ball")) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("u", [2.0, 4.0])
+@pytest.mark.parametrize("kid,alpha,dim", [
+    *((f"riesz-diff:{a:g}:ball", a, 1) for a in (0.25, 0.5, 0.51, 0.53, 0.76, 0.8, 0.9)),
+    ("riesz-diff:1:ball:2", 1.0, 2), ("riesz-diff:1.5:ball:2", 1.5, 2),
+])
+def test_riesz_difference_local_power_verdict(kid, alpha, dim, u):
+    # |psi|^u ~ |x|^(-u (dim - alpha)) at the origin: integrable iff u (dim - alpha) < dim
+    got = local_power_integral(kernel_from_id(kid), u)
+    assert math.isinf(got) == (u * (dim - alpha) >= dim)
+
+
+@pytest.mark.parametrize("alpha", [0.53, 0.76, 0.8, 0.9])
+def test_riesz_difference_local_power_vs_mpmath(alpha):
+    # loose: the spatial side's ball average still depends on the rest of its batch
+    got = local_power_integral(kernel_from_id(f"riesz-diff:{alpha:g}:ball"), 2.0)
+    assert got == pytest.approx(riesz_diff_local_power_mpmath(alpha, 2.0), rel=1e-2, abs=0)
 
 
 @pytest.mark.parametrize("kid", ["poisson-q", "riesz-diff:0.5:ball", "riesz-diff:0.25:ball"])
@@ -409,7 +428,6 @@ def _tilted_gaussian_kernel() -> Kernel:
         name="x-gauss",
         spatial=lambda x, y: (x * np.exp(-np.pi * (x**2 + y**2))).astype(complex),
         fourier=lambda u, v: -1j * u * np.exp(-np.pi * (u**2 + v**2)),
-        fourier_mode="closed_form",
         support_radius=math.inf,
         cancellation_order=0,
     )
@@ -435,7 +453,6 @@ def test_untagged_1d_sphere_is_both_points():
         name="shifted-gauss",
         spatial=lambda x: np.exp(-np.pi * (x - 0.5) ** 2).astype(complex),
         fourier=lambda xi: np.exp(-np.pi * xi**2 - 1j * np.pi * xi),
-        fourier_mode="closed_form",
         support_radius=math.inf,
         cancellation_order=-1,
     )

@@ -31,6 +31,7 @@ from scalesq import (
     save_field_binary,
     save_field_csv,
 )
+from scalesq.config import ConfigError, TimeGridConfig
 from scalesq.grid import MAX_FIELD_BYTES
 from oracles import save_field_csv_rows, slow_transform
 
@@ -148,6 +149,23 @@ def test_log_time_grid_validation():
     for t_min, t_max in ((1e-300, 1e300), (1.0, math.inf)):
         with pytest.raises(ValueError, match="t_max/t_min must be finite"):
             LogTimeGrid(t_min, t_max)
+
+
+@pytest.mark.parametrize("j", [10**9, 10**400], ids=["1e9", "1e400"])
+def test_log_time_grid_above_the_budget_is_refused(j):
+    # 7e9 scales on the default 1-D window would take 52 GiB; only the
+    # constructors run, so no scale array is made
+    geom = default_geometry(1)
+    with pytest.raises(ValueError, match="nodes_per_octave"):
+        default_time_grid(geom, j)
+    with pytest.raises(ConfigError, match="nodes_per_octave"):
+        TimeGridConfig(nodes_per_octave=j).time_grid(geom)
+
+
+def test_time_window_does_not_take_the_default_windows_node_count():
+    # a short window may carry many nodes per octave that the default window could not
+    tg = TimeGridConfig(1.0, 1.0001, 10**9).time_grid(default_geometry(1))
+    assert tg.node_count == 144_263
 
 
 @given(

@@ -205,6 +205,18 @@ def test_gm_edge_metadata():
     assert marcinkiewicz_kernel(1.0).edge_singularity is None
 
 
+@pytest.mark.parametrize("kid,s", [
+    ("riesz-diff:0.5:ball", 0.5), ("riesz-diff:0.9:ball", 1.0 - 0.9),
+    ("riesz-diff:1.5:ball:2", 0.5), ("haar", None), ("gm:0.75", None),
+    ("sgn-diff:ball", None), ("poisson-q", None), ("poisson-q:2", None),
+])
+def test_origin_singularity_metadata(kid, s):
+    # psi ~ tau |x|^(alpha - dim) at the origin for riesz-diff; the rest are bounded there
+    k = kernel_from_id(kid)
+    assert k.origin_singularity == s
+    assert k.reflect_conjugate().origin_singularity == s
+
+
 def test_poisson_hat_vs_quad_oracle():
     k = poisson_derivative_kernel(1)
     for xi in [0.0, 0.4, 2.1]:
