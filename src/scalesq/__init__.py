@@ -97,10 +97,7 @@ from .conditions import (
 )
 from .config import (
     ConfigError,
-    DyadicConfig,
     EquivalenceConfig,
-    GridConfig,
-    TimeGridConfig,
     equivalence_config_from_dict,
     load_equivalence_config,
 )

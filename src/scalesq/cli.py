@@ -16,14 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .config import (
-    ConfigError,
-    DyadicConfig,
-    EquivalenceConfig,
-    GridConfig,
-    TimeGridConfig,
-    load_equivalence_config,
-)
+from .config import ConfigError, EquivalenceConfig, load_equivalence_config
 from .conditions import (
     condition_summary,
     marcinkiewicz_estimate_scan,
@@ -40,6 +33,7 @@ from .grid import (
     mean_subtract,
     random_band_field,
     save_field_csv,
+    scale_set,
 )
 from .kernels import Kernel, kernel_from_id, profile_from_id
 from .multiplier import (
@@ -95,14 +89,14 @@ def _geometry_for(base: Geometry, args) -> Geometry:
     """The base grid with the --grid-n / --grid-l overrides."""
     n = args.grid_n if args.grid_n is not None else base.n_samples
     L = args.grid_l if args.grid_l is not None else base.half_length
-    return GridConfig(base.dim, n, L).geometry()
+    return Geometry(base.dim, n, L)
 
 
 def _scales_for(geom: Geometry, args) -> ScaleSet:
     """The scale set of --mode, with the --t-* / --nodes-per-octave or --k-* overrides."""
-    if args.mode == "continuous":
-        return TimeGridConfig(args.t_min, args.t_max, args.nodes_per_octave).time_grid(geom)
-    return DyadicConfig(args.k_min, args.k_max).dyadic_range(geom)
+    return scale_set(
+        geom, args.mode == "continuous", args.t_min, args.t_max, args.nodes_per_octave, args.k_min, args.k_max
+    )
 
 
 def _kernel_metadata(kernel: Kernel) -> dict:
@@ -206,7 +200,7 @@ def _cmd_gfun(args) -> int:
 
 
 def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
-    geom = _geometry_for(cfg.grid.geometry(), args)
+    geom = _geometry_for(cfg.grid, args)
     seed = args.seed if args.seed is not None else cfg.seed
     weight = weight_from_id(cfg.weight, radius_floor=geom.spacing)
     family = default_test_family(geom, seed)
@@ -225,12 +219,11 @@ def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
                 },
                 False,
             )
-        scales = cfg.time.time_grid(geom) if mode == "continuous" else cfg.dyadic.dyadic_range(geom)
-        ratio_fn = square_function_ratio(kernel, scales, cfg.p, weight)
+        ratio_fn = square_function_ratio(kernel, cfg.scale_set(geom, mode == "continuous"), cfg.p, weight)
     else:
         profile = profile_from_id(cfg.profile, geom.dim)
         ratio_fn = sobolev_equivalence_ratio(
-            cfg.order, profile, cfg.dyadic.dyadic_range(geom), cfg.p, weight
+            cfg.order, profile, cfg.scale_set(geom, False), cfg.p, weight
         )
 
     report = equivalence_experiment(

@@ -9,19 +9,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .grid import (
-    NODES_PER_OCTAVE,
-    DyadicRange,
-    Geometry,
-    LogTimeGrid,
-    default_dyadic_range,
-    default_geometry,
-    default_time_grid,
-)
+from .grid import Geometry, ScaleSet, default_geometry, scale_set
 from .weights import require_ap_weight
 
 
@@ -79,116 +70,35 @@ def _get_str(d: Mapping, key: str, default: str | None, context: str) -> str | N
 
 
 # ---------------------------------------------------------------------------
-# sub-configs
+# sections
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Sampling box; `grid_config_from_dict` fills gaps from `default_geometry`."""
-
-    dim: int
-    n_samples: int
-    half_length: float
-
-    def geometry(self) -> Geometry:
-        try:
-            return Geometry(self.dim, self.n_samples, self.half_length)
-        except ValueError as exc:
-            raise ConfigError("grid", str(exc)) from exc
-
-
-def grid_config_from_dict(d: Mapping, context: str = "grid") -> GridConfig:
-    _reject_unknown(d, {"dim", "n_samples", "half_length"}, context)
-    pre = f"{context}."
-    dim = _get_int(d, "dim", 1, pre)
+def _geometry_from_dict(d: Mapping) -> Geometry:
+    """The `grid` section; gaps are filled from `default_geometry`."""
+    _reject_unknown(d, {"dim", "n_samples", "half_length"}, "grid")
+    dim = _get_int(d, "dim", 1, "grid.")
     default = default_geometry(1 if dim == 1 else 2)
-    n = _get_int(d, "n_samples", default.n_samples, pre)
-    L = _get_number(d, "half_length", default.half_length, pre)
-    cfg = GridConfig(dim, n, L)
-    cfg.geometry()  # validate eagerly
-    return cfg
+    n = _get_int(d, "n_samples", default.n_samples, "grid.")
+    L = _get_number(d, "half_length", default.half_length, "grid.")
+    try:
+        return Geometry(dim, n, L)
+    except ValueError as exc:
+        raise ConfigError("grid", str(exc)) from exc
 
 
-def _largest_scale_limit(geom: Geometry) -> float:
-    """The largest t whose 2 pi t |xi|, at every frequency of the grid, has a
-    finite square: the radial transforms square each coordinate of t xi, and
-    a scale past this one sends them to inf and NaN."""
-    xi_max = math.sqrt(geom.dim) * (geom.n_samples // 2) / (2.0 * geom.half_length)
-    return math.sqrt(sys.float_info.max) / (2.0 * math.pi * xi_max)
+# the keys of the `time` and `dyadic` sections, each with its type check;
+# `grid.scale_set` checks their ranges
+_SCALE_KEYS = {
+    "time": {"t_min": _get_number, "t_max": _get_number, "nodes_per_octave": _get_int},
+    "dyadic": {"k_min": _get_int, "k_max": _get_int},
+}
 
 
-@dataclass(frozen=True)
-class TimeGridConfig:
-    """Continuous-scale quadrature window; None bounds mean grid-adapted."""
-
-    t_min: float | None = None
-    t_max: float | None = None
-    nodes_per_octave: int = NODES_PER_OCTAVE
-
-    def time_grid(self, geom: Geometry) -> LogTimeGrid:
-        lo, hi = self.t_min, self.t_max
-        try:
-            if lo is None or hi is None:
-                base = default_time_grid(geom)  # only its window is read
-                lo = base.t_min if lo is None else lo
-                hi = base.t_max if hi is None else hi
-            grid = LogTimeGrid(lo, hi, self.nodes_per_octave)
-        except ValueError as exc:
-            raise ConfigError("time", str(exc)) from exc
-        limit = _largest_scale_limit(geom)
-        if hi > limit:
-            raise ConfigError(
-                "time", f"t_max = {hi!r} overflows the kernel transforms on this grid; need t_max <= {limit:.6g}"
-            )
-        return grid
-
-
-def time_config_from_dict(d: Mapping, context: str = "time") -> TimeGridConfig:
-    _reject_unknown(d, {"t_min", "t_max", "nodes_per_octave"}, context)
-    pre = f"{context}."
-    t_min = _get_number(d, "t_min", None, pre)
-    t_max = _get_number(d, "t_max", None, pre)
-    j = _get_int(d, "nodes_per_octave", NODES_PER_OCTAVE, pre)
-    if j is None or j < 1:
-        raise ConfigError(f"{pre}nodes_per_octave", "must be a positive integer")
-    if (t_min is None) != (t_max is None):
-        raise ConfigError(context, "t_min and t_max must be given together")
-    if t_min is not None and not (0 < t_min < t_max):
-        raise ConfigError(context, f"need 0 < t_min < t_max, got ({t_min}, {t_max})")
-    return TimeGridConfig(t_min, t_max, j)
-
-
-@dataclass(frozen=True)
-class DyadicConfig:
-    """Dyadic scale exponents; None bounds mean grid-adapted."""
-
-    k_min: int | None = None
-    k_max: int | None = None
-
-    def dyadic_range(self, geom: Geometry) -> DyadicRange:
-        base = default_dyadic_range(geom)
-        lo = self.k_min if self.k_min is not None else base.k_min
-        hi = self.k_max if self.k_max is not None else base.k_max
-        try:
-            dyadic = DyadicRange(lo, hi)
-        except ValueError as exc:
-            raise ConfigError("dyadic", str(exc)) from exc
-        limit = math.floor(math.log2(_largest_scale_limit(geom)))
-        if hi > limit:
-            raise ConfigError(
-                "dyadic", f"k_max = {hi} overflows the kernel transforms on this grid; need k_max <= {limit}"
-            )
-        return dyadic
-
-
-def dyadic_config_from_dict(d: Mapping, context: str = "dyadic") -> DyadicConfig:
-    _reject_unknown(d, {"k_min", "k_max"}, context)
-    pre = f"{context}."
-    k_min = _get_int(d, "k_min", None, pre)
-    k_max = _get_int(d, "k_max", None, pre)
-    if k_min is not None and k_max is not None and k_min > k_max:
-        raise ConfigError(context, f"empty range [{k_min}, {k_max}]")
-    return DyadicConfig(k_min, k_max)
+def _scale_kwargs(d: Mapping, section: str) -> dict:
+    """The keys that the section gives, as keyword arguments of `scale_set`."""
+    getters = _SCALE_KEYS[section]
+    _reject_unknown(d, set(getters), section)
+    return {key: get(d, key, None, f"{section}.") for key, get in getters.items() if key in d}
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +114,9 @@ class EquivalenceConfig:
     operator selects the ratio under test: "gfun" and "dyadic" compare a
     square function against the plain L^p norm for a named kernel;
     "sobolev" compares the potential-difference seminorm route against
-    the smoothing route at a given order and profile.
+    the smoothing route at a given order and profile.  `grid` is the file's
+    grid; `time` and `dyadic` hold the keys their sections give, as keyword
+    arguments of `grid.scale_set`.
     """
 
     operator: str
@@ -215,9 +127,18 @@ class EquivalenceConfig:
     weight: str
     seed: int
     spread_bound: float
-    grid: GridConfig
-    time: TimeGridConfig
-    dyadic: DyadicConfig
+    grid: Geometry
+    time: dict
+    dyadic: dict
+
+    def scale_set(self, geom: Geometry, continuous: bool) -> ScaleSet:
+        """The `time` (continuous) or `dyadic` scale set on `geom`; a refusal
+        names the section."""
+        section, kwargs = ("time", self.time) if continuous else ("dyadic", self.dyadic)
+        try:
+            return scale_set(geom, continuous, **kwargs)
+        except ValueError as exc:
+            raise ConfigError(section, str(exc)) from exc
 
 
 def equivalence_config_from_dict(
@@ -270,27 +191,33 @@ def equivalence_config_from_dict(
     if spread_bound is None or not (spread_bound > 1):
         raise ConfigError("spread_bound", f"must exceed 1, got {spread_bound}")
 
-    grid = grid_config_from_dict(_as_mapping(d.get("grid", {}), "grid"))
-    time = time_config_from_dict(_as_mapping(d.get("time", {}), "time"))
-    dyadic = dyadic_config_from_dict(_as_mapping(d.get("dyadic", {}), "dyadic"))
+    grid = _geometry_from_dict(_as_mapping(d.get("grid", {}), "grid"))
     try:
-        require_ap_weight(weight or "const", grid.dim, p)
+        require_ap_weight(weight, grid.dim, p)
     except ValueError as exc:
         raise ConfigError("weight", str(exc)) from exc
 
-    return EquivalenceConfig(
+    cfg = EquivalenceConfig(
         operator=operator,
         kernel=kernel,
         order=order,
-        profile=profile or "ball",
+        profile=profile,
         p=p,
-        weight=weight or "const",
+        weight=weight,
         seed=seed,
         spread_bound=spread_bound,
         grid=grid,
-        time=time,
-        dyadic=dyadic,
+        time=_scale_kwargs(_as_mapping(d.get("time", {}), "time"), "time"),
+        dyadic=_scale_kwargs(_as_mapping(d.get("dyadic", {}), "dyadic"), "dyadic"),
     )
+    # a section the file gives is resolved on the file's grid as it loads, so
+    # that a bad range is refused here; a section left out is grid-adapted, and
+    # on a grid of 32 points or fewer the default time window is empty
+    if cfg.time:
+        cfg.scale_set(grid, True)
+    if cfg.dyadic:
+        cfg.scale_set(grid, False)
+    return cfg
 
 
 def read_json_config(path: str) -> Mapping:

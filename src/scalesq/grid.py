@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -291,7 +292,7 @@ class DyadicRange:
 
     def __post_init__(self):
         if self.k_min > self.k_max:
-            raise ValueError(f"empty dyadic range [{self.k_min}, {self.k_max}]")
+            raise ValueError(f"empty dyadic range: need k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if not (-1074 <= self.k_min and self.k_max <= 1023):
             raise ValueError(f"need -1074 <= k_min <= k_max <= 1023, got [{self.k_min}, {self.k_max}]")
 
@@ -312,6 +313,55 @@ def default_dyadic_range(geom: Geometry) -> DyadicRange:
 
 
 ScaleSet = LogTimeGrid | DyadicRange
+
+
+def _largest_scale_limit(geom: Geometry) -> float:
+    """The largest t whose 2 pi t |xi|, at every frequency of the grid, has a
+    finite square: the radial transforms square each coordinate of t xi, and
+    a scale past this one sends them to inf and NaN."""
+    xi_max = math.sqrt(geom.dim) * (geom.n_samples // 2) / (2.0 * geom.half_length)
+    return math.sqrt(sys.float_info.max) / (2.0 * math.pi * xi_max)
+
+
+def scale_set(
+    geom: Geometry,
+    continuous: bool,
+    t_min: float | None = None,
+    t_max: float | None = None,
+    nodes_per_octave: int = NODES_PER_OCTAVE,
+    k_min: int | None = None,
+    k_max: int | None = None,
+) -> ScaleSet:
+    """The scale set on `geom`: the log-time grid on [t_min, t_max] with
+    nodes_per_octave nodes per octave when `continuous`, else the dyadic
+    range k_min..k_max; the other kind's bounds are not read.
+
+    A bound left None comes from `default_time_grid` (t_min and t_max
+    together: one alone is refused) or `default_dyadic_range`.  Scales whose
+    t |xi| on this grid would overflow the kernel transforms are refused.
+    Every error is a ValueError naming the parameter.
+    """
+    if continuous:
+        if (t_min is None) != (t_max is None):
+            raise ValueError("t_min and t_max must be given together")
+        if t_min is None:
+            base = default_time_grid(geom)  # only its window is read
+            t_min, t_max = base.t_min, base.t_max
+        scales = LogTimeGrid(t_min, t_max, nodes_per_octave)
+        limit = _largest_scale_limit(geom)
+        if t_max > limit:
+            raise ValueError(
+                f"t_max = {t_max!r} overflows the kernel transforms on this grid; need t_max <= {limit:.6g}"
+            )
+        return scales
+    base = default_dyadic_range(geom)
+    scales = DyadicRange(base.k_min if k_min is None else k_min, base.k_max if k_max is None else k_max)
+    limit = math.floor(math.log2(_largest_scale_limit(geom)))
+    if scales.k_max > limit:
+        raise ValueError(
+            f"k_max = {scales.k_max} overflows the kernel transforms on this grid; need k_max <= {limit}"
+        )
+    return scales
 
 
 # ---------------------------------------------------------------------------

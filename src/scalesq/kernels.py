@@ -265,12 +265,13 @@ class Kernel:
     """A convolution kernel with spatial and Fourier evaluators.
 
     Evaluators take `dim` coordinate arrays (broadcastable together) and
-    return the broadcast result.  The Fourier evaluator is pointwise: a
-    value does not depend on the other points of the call, which lets the
-    condition checkers send a whole scan in one call.  `support_radius` is
-    inf for kernels with unbounded support.  `cancellation_order` is the
-    largest M such that all moments of multi-degree <= M vanish (and
-    converge absolutely).
+    return the broadcast result.  Spatial values are real, float64: every
+    kernel with a spatial side is real in space.  The Fourier evaluator is
+    pointwise: a value does not depend on the other points of the call,
+    which lets the condition checkers send a whole scan in one call.
+    `support_radius` is inf for kernels with unbounded support.
+    `cancellation_order` is the largest M such that all moments of
+    multi-degree <= M vanish (and converge absolutely).
 
     Decay metadata, all optional:
 
@@ -330,16 +331,14 @@ class Kernel:
 class AveragingProfile:
     """Unit-mass bump used for local averages f * profile_t.
 
-    `density` is the real-valued profile, which `kernel.spatial` returns as
-    complex; the spatial quadratures evaluate it directly.  `deficit` is the
-    real 1 - profilehat, to full relative precision near the origin where
-    the subtraction cancels.  `moment` returns the exact mixed moment for a
+    The profile's values are `kernel.spatial`.  `deficit` is the real
+    1 - profilehat, to full relative precision near the origin where the
+    subtraction cancels.  `moment` returns the exact mixed moment for a
     degree tuple.  `cdf`, for 1-D profiles, is the closed-form integral of
-    the density up to x.
+    the profile up to x.
     """
 
     kernel: Kernel
-    density: Callable
     deficit: Callable
     moment: Callable
     cdf: Callable | None = None
@@ -418,7 +417,7 @@ def haar_kernel() -> Kernel:
 
     def spatial(x):
         x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= 1.0, np.sign(x), 0.0).astype(complex)
+        return np.where(np.abs(x) <= 1.0, np.sign(x), 0.0)
 
     def fourier(xi):
         xi = np.asarray(xi, dtype=float)
@@ -457,7 +456,7 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
     def spatial(x):
         x = np.asarray(x, dtype=float)
         ax = np.abs(x)
-        out = np.zeros(ax.shape, dtype=complex)
+        out = np.zeros(ax.shape)
         inside = ax < 1.0
         with np.errstate(divide="ignore"):
             vals = alpha * (1.0 - ax[inside]) ** (alpha - 1.0)
@@ -492,7 +491,7 @@ def poisson_derivative_kernel(dim: int = 1) -> Kernel:
 
     def spatial(*coords):
         r2 = sum(np.asarray(x, dtype=float) ** 2 for x in coords)
-        return (c * (r2 - dim) / (r2 + 1.0) ** ((dim + 3) / 2.0)).astype(complex)
+        return c * (r2 - dim) / (r2 + 1.0) ** ((dim + 3) / 2.0)
 
     def fourier(*coords):
         rho = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in coords))
@@ -596,7 +595,7 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
     kern = Kernel(
         dim=dim,
         name="ball" if dim == 1 else f"ball:{dim}",
-        spatial=lambda *coords: density(*coords).astype(complex),
+        spatial=density,
         fourier=fourier,
         support_radius=1.0,
         cancellation_order=-1,
@@ -606,7 +605,6 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
     )
     return AveragingProfile(
         kernel=kern,
-        density=density,
         deficit=deficit,
         moment=moment,
         cdf=cdf,
@@ -688,7 +686,7 @@ def _smoothed_riesz_core(profile: AveragingProfile, alpha: float, coords):
             for i in range(n_rad):
                 px = xb + rho[i] * ct[:, None]
                 py = yb + rho[i] * st[:, None]
-                acc += w_rad[i] * profile.density(px, py).mean(axis=0)
+                acc += w_rad[i] * profile.kernel.spatial(px, py).mean(axis=0)
         out *= tau * 2.0 * np.pi
     return out.reshape(shape)
 
@@ -724,16 +722,14 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
 
     def spatial(*coords):
         r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        # one complex array and one real one beside it: large batches set the peak memory
+        # the value is formed in one array of the batch: large batches set the peak memory
         core = np.where(r > 0, r, np.nan)
         del r
         with np.errstate(divide="ignore"):
             core **= alpha - dim
-        out = np.zeros(core.shape, dtype=complex)
-        np.multiply(tau, core, out=out.real)
-        del core
-        out.real -= _smoothed_riesz_core(profile, alpha, coords)
-        return out[()]  # a scalar for scalar coordinates
+        core *= tau
+        core -= _smoothed_riesz_core(profile, alpha, coords)
+        return core[()]  # a scalar for scalar coordinates
 
     frac = math.floor(alpha) + 1.0 - alpha
     return Kernel(
@@ -783,7 +779,7 @@ def sgn_difference_kernel(profile: AveragingProfile) -> Kernel:
 
     def spatial(x):
         x = np.asarray(x, dtype=float)
-        return (np.sign(x) * (1.0 - (2.0 * cdf(np.abs(x)) - 1.0))).astype(complex)
+        return np.sign(x) * (1.0 - (2.0 * cdf(np.abs(x)) - 1.0))
 
     return Kernel(
         dim=1,

@@ -30,7 +30,7 @@ def power_weight(exponent: float, radius_floor: float | None = None) -> Callable
     """|x|^a, optionally with |x| clamped below by radius_floor.
 
     The clamp keeps the weight finite and positive on grids whose origin is
-    a sample point; pass half the grid spacing for grid work.
+    a sample point; the commands pass the grid spacing.
     """
 
     def evaluate(*coords):

@@ -32,7 +32,8 @@ from scalesq import (
 )
 from scalesq import cli
 from scalesq.cli import main
-from scalesq.config import ConfigError, GridConfig, _largest_scale_limit, equivalence_config_from_dict
+from scalesq.config import ConfigError, equivalence_config_from_dict
+from scalesq.grid import _largest_scale_limit
 from scalesq.squarefn import g_function
 from oracles import save_symbol_csv_rows
 
@@ -70,10 +71,10 @@ def test_config_defaults():
     assert cfg.seed == 0
     assert cfg.spread_bound == 50.0
     assert cfg.profile == "ball"
-    assert cfg.grid.geometry().n_samples == 4096
+    assert cfg.grid.n_samples == 4096
     cfg2 = equivalence_config_from_dict({"operator": "sobolev", "order": 0.5, "grid": {"dim": 2}})
-    assert cfg2.grid.geometry().n_samples == 512
-    assert cfg2.grid.geometry().half_length == 16.0
+    assert cfg2.grid.n_samples == 512
+    assert cfg2.grid.half_length == 16.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -89,10 +90,20 @@ def test_config_defaults():
     {"operator": "gfun", "kernel": "haar", "time": {"t_min": 2.0, "t_max": 1.0}},
     {"operator": "gfun", "kernel": "haar", "grid": {"n_samples": 7}},
     {"operator": "gfun", "kernel": "haar", "dyadic": {"k_min": 3, "k_max": -3}},
+    {"operator": "gfun", "kernel": "haar", "weight": ""},
 ])
 def test_config_rejections(bad):
     with pytest.raises(ConfigError):
         equivalence_config_from_dict(bad)
+
+
+def test_config_resolves_the_sections_it_gives():
+    # on 32 points the default time window [4h, L/4] is empty: a config that
+    # gives no time section still loads, one that gives it is refused at load
+    base = {"operator": "sobolev", "order": 0.5, "grid": {"n_samples": 32}}
+    assert equivalence_config_from_dict(base).time == {}
+    with pytest.raises(ConfigError, match="config field 'time': need 0 < t_min < t_max"):
+        equivalence_config_from_dict(dict(base, time={"nodes_per_octave": 4}))
 
 
 def test_config_error_names_field():
@@ -500,7 +511,7 @@ def test_weight_outside_ap_exits_2(tmp_path, capsys, command, fields, weight):
 
 @pytest.mark.parametrize("argv,config,named", [
     pytest.param(["gfun", "--kernel", "haar", "--grid-n", "64", "--t-min", "1e-300", "--t-max", "1e300"],
-                 None, "'time'", id="gfun-time"),
+                 None, "t_max/t_min must be finite", id="gfun-time"),
     pytest.param(["symbol", "--kernel", "gm:1e-15"], None, "gm order must lie in [2^-10, 1024]", id="symbol-gm"),
     pytest.param(["conditions", "--kernel", "gm:1e-17"], None, "gm order must lie in [2^-10, 1024]",
                  id="conditions-gm"),
@@ -540,13 +551,72 @@ def test_largest_scales_allowed_run_clean(capsys, kernel):
     # the bound is tight: at the largest k_max it allows, the transforms stay
     # finite (a RuntimeWarning fails the test), one more is refused
     dim = 2 if kernel.endswith(":2") else 1
-    geom = GridConfig(dim, 64, default_geometry(dim).half_length).geometry()
+    geom = Geometry(dim, 64, default_geometry(dim).half_length)
     limit = math.floor(math.log2(_largest_scale_limit(geom)))
     argv = ["gfun", "--kernel", kernel, "--grid-n", "64", "--mode", "dyadic", "--k-min", str(limit - 8)]
     assert main(argv + ["--k-max", str(limit)]) == 0
     out = capsys.readouterr().out
     assert "ratio=" in out and "nan" not in out and "inf" not in out
     assert_usage_error(argv + ["--k-max", str(limit + 1)], capsys, f"need k_max <= {limit}")
+
+
+# one bad value per grid or scale parameter, as flags (with the message that
+# names the parameter) and as the config keys of the same parameter
+BAD_GRID_AND_SCALE_VALUES = [
+    pytest.param(["--grid-n", "7"], {"grid": {"n_samples": 7}}, "n_samples", id="n_samples"),
+    pytest.param(["--grid-l", "-1"], {"grid": {"half_length": -1}}, "half_length", id="half_length"),
+    pytest.param(["--nodes-per-octave", "0"], {"time": {"nodes_per_octave": 0}}, "nodes_per_octave",
+                 id="nodes_per_octave-0"),
+    pytest.param(["--nodes-per-octave", "1000000000"], {"time": {"nodes_per_octave": 10**9}},
+                 "nodes_per_octave = 1000000000", id="nodes_per_octave-1e9"),
+    pytest.param(["--t-min", "2", "--t-max", "1"], {"time": {"t_min": 2, "t_max": 1}}, "0 < t_min < t_max",
+                 id="t-window"),
+    pytest.param(["--t-min", "0.5"], {"time": {"t_min": 0.5}}, "t_min and t_max must be given together",
+                 id="t_min-alone"),
+    pytest.param(["--mode", "dyadic", "--k-min", "3", "--k-max", "-3"], {"dyadic": {"k_min": 3, "k_max": -3}},
+                 "need k_min <= k_max", id="k-range"),
+]
+
+
+def assert_flag_error(argv, capsys, named: str):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "config field" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["gfun", "symbol"])
+@pytest.mark.parametrize("flags,keys,named", BAD_GRID_AND_SCALE_VALUES)
+def test_bad_grid_and_scale_flags_name_the_parameter(tmp_path, capsys, command, flags, keys, named):
+    # no config file was given, so the error names the parameter, not a config field
+    argv = [command, "--kernel", "haar"] + flags
+    if command == "symbol":
+        argv += ["--out", str(tmp_path / "sym.csv")]
+    assert_flag_error(argv, capsys, named)
+
+
+@pytest.mark.parametrize("command,fields", [
+    ("equivalence", {"operator": "gfun", "kernel": "haar"}),
+    ("sobolev", {"order": 0.5}),
+])
+def test_bad_grid_flag_on_a_config_command_names_the_parameter(tmp_path, capsys, command, fields):
+    cfg = write_config(tmp_path, **fields, **SMALL)
+    assert_flag_error([command, "--config", cfg, "--grid-n", "7"], capsys, "n_samples")
+
+
+@pytest.mark.parametrize("flags,keys,named", BAD_GRID_AND_SCALE_VALUES)
+def test_bad_grid_and_scale_keys_name_the_section(tmp_path, capsys, flags, keys, named):
+    operator = "dyadic" if "dyadic" in keys else "gfun"
+    cfg = write_config(tmp_path, operator=operator, kernel="haar", **keys)
+    assert main(["equivalence", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{next(iter(keys))}': ") and named in err
+
+
+def test_empty_profile_exits_2(tmp_path, capsys):
+    # an empty id names no profile; it is not read as the ball
+    cfg = write_config(tmp_path, order=0.5, profile="", **SMALL)
+    assert_usage_error(["sobolev", "--config", cfg], capsys, "unknown averaging profile id ''")
 
 
 def test_ap_range_follows_dimension_and_exponent():

@@ -31,8 +31,7 @@ from scalesq import (
     save_field_binary,
     save_field_csv,
 )
-from scalesq.config import ConfigError, TimeGridConfig
-from scalesq.grid import MAX_FIELD_BYTES
+from scalesq.grid import MAX_FIELD_BYTES, scale_set
 from oracles import save_field_csv_rows, slow_transform
 
 
@@ -158,13 +157,13 @@ def test_log_time_grid_above_the_budget_is_refused(j):
     geom = default_geometry(1)
     with pytest.raises(ValueError, match="nodes_per_octave"):
         default_time_grid(geom, j)
-    with pytest.raises(ConfigError, match="nodes_per_octave"):
-        TimeGridConfig(nodes_per_octave=j).time_grid(geom)
+    with pytest.raises(ValueError, match="nodes_per_octave"):
+        scale_set(geom, True, nodes_per_octave=j)
 
 
 def test_time_window_does_not_take_the_default_windows_node_count():
     # a short window may carry many nodes per octave that the default window could not
-    tg = TimeGridConfig(1.0, 1.0001, 10**9).time_grid(default_geometry(1))
+    tg = scale_set(default_geometry(1), True, 1.0, 1.0001, 10**9)
     assert tg.node_count == 144_263
 
 
