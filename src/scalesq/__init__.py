@@ -6,16 +6,13 @@ from .grid import (
     Geometry,
     LogTimeGrid,
     SampledField,
-    SpectralField,
     bump_field,
     default_dyadic_range,
     default_geometry,
     default_time_grid,
     field_from_function,
-    forward_transform,
     gaussian_derivative_field,
     gaussian_field,
-    inverse_transform,
     l2_norm,
     load_field_binary,
     load_field_csv,

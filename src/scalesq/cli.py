@@ -148,12 +148,12 @@ def _cmd_symbol(args) -> int:
     sym = _build_symbol(kernel, geom, args)
     vals = sym.sample(geom)  # the one evaluation the CSV and both checks read
 
-    # values along the first frequency axis; 2-D symbols are sliced at xi_2 = 0
-    xi = geom.frequency_axis()
-    axis_vals = vals[(slice(None),) + geom.dc_index[1:]]
+    # values along the first frequency axis in centred order; 2-D symbols are
+    # sliced at xi_2 = 0, the first entry of the second axis in FFT order
+    axis_vals = np.fft.fftshift(vals[(slice(None),) + (0,) * (geom.dim - 1)])
 
     header = f"# symbol={sym.name} mode={args.mode} n={geom.n_samples} half_length={geom.half_length!r}\n"
-    _save_symbol_csv(args.out, header, xi, axis_vals)
+    _save_symbol_csv(args.out, header, geom.frequency_axis(), axis_vals)
 
     sidecar = {
         "symbol": sym.name,
@@ -199,6 +199,17 @@ def _cmd_gfun(args) -> int:
     return 0
 
 
+def _degenerate(cfg: EquivalenceConfig, nondegeneracy: dict) -> tuple[dict, bool]:
+    """The failing report of a square function that vanishes at some frequency."""
+    payload = {
+        "operator": cfg.operator,
+        "kernel": cfg.kernel,
+        "error": "nondegeneracy check failed",
+        "nondegeneracy": nondegeneracy,
+    }
+    return payload, False
+
+
 def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
     geom = _geometry_for(cfg.grid, args)
     seed = args.seed if args.seed is not None else cfg.seed
@@ -210,15 +221,7 @@ def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
         mode = "continuous" if cfg.operator == "gfun" else "dyadic"
         gate = nondegeneracy_check(kernel, mode)
         if not gate.passed:
-            return (
-                {
-                    "operator": cfg.operator,
-                    "kernel": cfg.kernel,
-                    "error": "nondegeneracy check failed",
-                    "nondegeneracy": gate.as_dict(),
-                },
-                False,
-            )
+            return _degenerate(cfg, gate.as_dict())
         ratio_fn = square_function_ratio(kernel, cfg.scale_set(geom, mode == "continuous"), cfg.p, weight)
     else:
         profile = profile_from_id(cfg.profile, geom.dim)
@@ -232,15 +235,7 @@ def _experiment_report(cfg: EquivalenceConfig, args) -> tuple[dict, bool]:
     if cfg.operator in ("gfun", "dyadic") and report.min_ratio == 0.0:
         # the symbol passes the scan, but no scale of the set reaches the grid
         # frequencies of some member: G vanishes on it, and no ratio bounds it
-        return (
-            {
-                "operator": cfg.operator,
-                "kernel": cfg.kernel,
-                "error": "nondegeneracy check failed",
-                "nondegeneracy": {"mode": "grid", "min_value": 0.0, "pass": False},
-            },
-            False,
-        )
+        return _degenerate(cfg, {"mode": "grid", "min_value": 0.0, "pass": False})
     passed = report.spread <= cfg.spread_bound
     payload = report.as_dict()
     payload.update(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .grid import Geometry, ScaleSet, default_geometry, scale_set
+from .kernels import profile_from_id
 from .weights import require_ap_weight
 
 
@@ -196,6 +197,10 @@ def equivalence_config_from_dict(
         require_ap_weight(weight, grid.dim, p)
     except ValueError as exc:
         raise ConfigError("weight", str(exc)) from exc
+    try:  # checked for every operator, since every report echoes it
+        profile_from_id(profile, grid.dim)
+    except ValueError as exc:
+        raise ConfigError("profile", str(exc)) from exc
 
     cfg = EquivalenceConfig(
         operator=operator,

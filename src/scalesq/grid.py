@@ -1,16 +1,15 @@
-"""Periodic sampled fields, their Fourier transforms, and scale quadrature.
+"""Periodic sampled fields, their frequency grids, and scale quadrature.
 
 Fields live on the box [-L, L)^d sampled at N points per axis, with N a
-power of two.  The Fourier transform follows the convention
+power of two.  The frequencies are xi_j = j / (2L), j in {-N/2, ..., N/2 - 1}
+(`Geometry.frequency_axis`), and the Fourier convention
 
-    fhat(xi) = integral f(x) exp(-2 pi i <x, xi>) dx,
+    fhat(xi) = integral f(x) exp(-2 pi i <x, xi>) dx
 
-discretized as the Riemann sum h^d * sum_m f(x_m) exp(-2 pi i <x_m, xi_j>)
-over grid points x_m = -L + m h (h = 2L/N) and frequencies
-xi_j = j / (2L) with j in {-N/2, ..., N/2 - 1}.  Round trips are exact to
-machine precision and Parseval holds in the form
-
-    h^d sum |f(x_m)|^2  =  (2L)^{-d} sum |fhat(xi_j)|^2.
+is the one of the kernels' hats.  Every spectrum in the package is held in
+FFT order, frequency j at index j mod N (`Geometry.fft_grids`), and its FFTs
+are unscaled: a multiplier m acts on a field as IFFT(m FFT(f)), in which the
+Riemann-sum factor h^d of the forward transform cancels against the inverse.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import struct
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -95,10 +94,6 @@ class Geometry:
         return self.spacing**self.dim
 
     @property
-    def frequency_cell(self) -> float:
-        return (2.0 * self.half_length) ** -self.dim
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return (self.n_samples,) * self.dim
 
@@ -117,15 +112,18 @@ class Geometry:
             return (ax,)
         return (ax[:, None], ax[None, :])
 
-    def frequency_grids(self) -> tuple[NDArray[np.float64], ...]:
-        ax = self.frequency_axis()
-        if self.dim == 1:
-            return (ax,)
-        return (ax[:, None], ax[None, :])
+    def fft_grids(self, half: bool = False) -> tuple[NDArray[np.float64], ...]:
+        """Per-axis frequency arrays in FFT order, frequency j/(2L) at index
+        j mod N, shaped for mutual broadcasting.  With `half`, the last axis
+        keeps its first N/2 + 1 frequencies, the last of them -N/2: the grid
+        of the half spectrum that `rfftn` gives and `irfftn` takes."""
+        ax = np.fft.ifftshift(self.frequency_axis())
+        last = ax[: self.n_samples // 2 + 1] if half else ax
+        return (last,) if self.dim == 1 else (ax[:, None], last[None, :])
 
-    @property
-    def dc_index(self) -> tuple[int, ...]:
-        return (self.n_samples // 2,) * self.dim
+    def spectrum_shape(self, half: bool = False) -> tuple[int, ...]:
+        """The shape of the grids of `fft_grids(half)`."""
+        return self.shape[:-1] + (self.n_samples // 2 + 1,) if half else self.shape
 
 
 def default_geometry(dim: int) -> Geometry:
@@ -155,40 +153,6 @@ class SampledField:
                 f"values shape {v.shape} does not match grid shape {self.geometry.shape}"
             )
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients indexed by j = -N/2 .. N/2-1 along each axis."""
-
-    geometry: Geometry
-    coefficients: NDArray[np.complex128]
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.complex128)
-        if c.shape != self.geometry.shape:
-            raise ValueError(
-                f"coefficients shape {c.shape} does not match grid shape {self.geometry.shape}"
-            )
-        object.__setattr__(self, "coefficients", c)
-
-
-def forward_transform(f: SampledField) -> SpectralField:
-    """Riemann-sum Fourier transform of a sampled field."""
-    g = f.geometry
-    coeffs = g.cell_volume * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-    return SpectralField(g, coeffs)
-
-
-def inverse_transform(F: SpectralField) -> SampledField:
-    """Exact inverse of `forward_transform` (and the Riemann sum of the
-    inversion integral, the two coincide on the grid)."""
-    g = F.geometry
-    values = (
-        np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(F.coefficients)))
-        / g.cell_volume
-    )
-    return SampledField(g, values)
 
 
 def _normalized(values: np.ndarray) -> tuple[np.ndarray, int]:
@@ -448,13 +412,15 @@ def bump_field(geom: Geometry, radius: float = 1.0, center=0.0) -> SampledField:
 
 
 def random_band_field(geom: Geometry, seed: int, band: tuple[float, float] = (0.25, 4.0)) -> SampledField:
-    """Random smooth field with spectrum supported in band (by |xi|), mean zero."""
+    """Random smooth field with spectrum supported in band (by |xi|), mean zero.
+
+    The coefficients are drawn on the centred grid of `frequency_axis`, and
+    the field is the Riemann sum of the inversion integral over them."""
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(geom.shape) + 1j * rng.standard_normal(geom.shape)
-    rho = np.sqrt(sum(x**2 for x in np.broadcast_arrays(*geom.frequency_grids())))
+    rho = np.sqrt(sum(x**2 for x in np.ix_(*[geom.frequency_axis()] * geom.dim)))
     coeffs = np.where((rho >= band[0]) & (rho <= band[1]), coeffs, 0.0)
-    f = inverse_transform(SpectralField(geom, coeffs))
-    return f
+    return SampledField(geom, np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(coeffs))) / geom.cell_volume)
 
 
 def mean_subtract(f: SampledField) -> SampledField:

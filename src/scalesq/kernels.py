@@ -266,9 +266,11 @@ class Kernel:
 
     Evaluators take `dim` coordinate arrays (broadcastable together) and
     return the broadcast result.  Spatial values are real, float64: every
-    kernel with a spatial side is real in space.  The Fourier evaluator is
-    pointwise: a value does not depend on the other points of the call,
-    which lets the condition checkers send a whole scan in one call.
+    kernel with a spatial side is real in space.  The Fourier values of a
+    real even kernel are float64 too, those of an odd one complex.  The
+    Fourier evaluator is pointwise: a value does not depend on the other
+    points of the call, which lets the condition checkers send a whole scan
+    in one call.
     `support_radius` is inf for kernels with unbounded support.
     `cancellation_order` is the largest M such that all moments of
     multi-degree <= M vanish (and converge absolutely).
@@ -495,7 +497,7 @@ def poisson_derivative_kernel(dim: int = 1) -> Kernel:
 
     def fourier(*coords):
         rho = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in coords))
-        return (-2.0 * np.pi * rho * np.exp(-2.0 * np.pi * rho)).astype(complex)
+        return -2.0 * np.pi * rho * np.exp(-2.0 * np.pi * rho)
 
     return Kernel(
         dim=dim,
@@ -549,7 +551,7 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
             return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
 
         def fourier(xi):
-            return np.sinc(2.0 * np.asarray(xi, dtype=float)).astype(complex)
+            return np.sinc(2.0 * np.asarray(xi, dtype=float))
 
         def deficit(xi):
             xi = np.asarray(xi, dtype=float)
@@ -576,7 +578,7 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
 
         def fourier(x, y):
             rho = modulus(x, y)
-            out = np.ones(rho.shape, dtype=complex)
+            out = np.ones(rho.shape)
             nz = rho > 1e-12
             out[nz] = _bessel_j1(2.0 * np.pi * rho[nz]) / (np.pi * rho[nz])
             return out
@@ -715,7 +717,7 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
     def fourier(*coords):
         rho = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
         gap = deficit(*coords)
-        out = np.zeros(rho.shape, dtype=complex)
+        out = np.zeros(rho.shape)
         nz = rho > 1e-300
         out[nz] = (2.0 * np.pi * rho[nz]) ** (-alpha) * gap[nz]
         return out
@@ -806,7 +808,7 @@ def band_indicator_kernel(lo: float, hi: float) -> Kernel:
 
     def fourier(xi):
         a = np.abs(np.asarray(xi, dtype=float))
-        return ((a >= lo) & (a <= hi)).astype(complex)
+        return ((a >= lo) & (a <= hi)).astype(float)
 
     return Kernel(
         dim=1,

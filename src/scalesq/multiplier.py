@@ -10,15 +10,17 @@ boundary terms.  Symbols act on sampled fields by pointwise multiplication
 of the Fourier coefficients; the value at the zero frequency is pinned by
 `dc_value` since the defining formulas degenerate there.
 
-A symbol declared even, real with m(-xi) = m(xi), acts on the half
-spectrum (`apply_multiplier`): each real plane of a field goes through
-`rfftn`, is multiplied in place by the symbol sampled on the half grid
-alone, and comes back through `irfftn`, so a real field stays real and no
-full complex grid is formed.  The kernel-induced symbols are even when
-their family's symbol is (`squarefn.ScaleFamily.even_symbol`, the rule the
-p = 2 Parseval ratios use), and the potential-type symbols, functions of
-|xi| alone, always are.  Every other symbol, such as a one-scale odd
-multiplier, is applied on the full complex grid.
+A symbol is sampled in FFT order (`Symbol.sample`, `grid.Geometry.fft_grids`)
+and acts on a field plane by plane (`apply_multiplier`).  A symbol declared
+even, real with m(-xi) = m(xi), acts on the half spectrum: each real plane
+of a field goes through `rfftn`, is multiplied in place by the symbol
+sampled on the half grid alone, and comes back through `irfftn`, so a real
+field stays real and no full complex grid is formed.  The kernel-induced
+symbols are even when their family's symbol is
+(`squarefn.ScaleFamily.even_symbol`, the rule the p = 2 Parseval ratios
+use), and the potential-type symbols, functions of |xi| alone, always are.
+Every other symbol, such as a one-scale odd multiplier, takes a field as
+one complex plane through `fftn` and `ifftn`.
 """
 
 from __future__ import annotations
@@ -28,25 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import (
-    DyadicRange,
-    Geometry,
-    LogTimeGrid,
-    SampledField,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-)
+from .grid import DyadicRange, Geometry, LogTimeGrid, SampledField
 from .kernels import Kernel
-from .squarefn import (
-    ScaleFamily,
-    _fft_grids,
-    _inverse_into,
-    _joined,
-    _planes,
-    _spectrum_shape,
-    _window_run,
-)
+from .squarefn import ScaleFamily, _inverse_into, _joined, _planes, _window_run
 
 
 class DegenerateSymbolError(ValueError):
@@ -71,22 +57,16 @@ class Symbol:
     meta: dict = field(default_factory=dict)
     even: bool = False
 
-    def sample(self, geom: Geometry) -> np.ndarray:
-        """Symbol values on the full frequency grid, DC entry pinned."""
+    def sample(self, geom: Geometry, half: bool = False) -> np.ndarray:
+        """Symbol values on the grid of `geom.fft_grids(half)`, in FFT order,
+        the zero frequency, their first entry, pinned: complex values on the
+        full grid; with `half`, real parts on the half grid of `rfftn`, the
+        values of an even symbol."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.asarray(self.evaluate(*geom.frequency_grids()), dtype=complex)
-        vals = np.broadcast_to(vals, geom.shape).copy()
-        vals[geom.dc_index] = self.dc_value
-        return vals
-
-    def half_sample(self, geom: Geometry) -> np.ndarray:
-        """Real parts of the symbol on the half grid of `rfftn` in FFT order
-        (`squarefn._fft_grids`), the zero frequency, its first entry, pinned;
-        the values of an even symbol."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.real(self.evaluate(*_fft_grids(geom, half=True)))
-        vals = np.array(np.broadcast_to(vals, _spectrum_shape(geom, half=True)), dtype=float)
-        vals[(0,) * geom.dim] = np.real(self.dc_value)
+            vals = self.evaluate(*geom.fft_grids(half))
+        vals = np.array(np.broadcast_to(np.real(vals) if half else vals, geom.spectrum_shape(half)),
+                        dtype=float if half else complex)
+        vals[(0,) * geom.dim] = np.real(self.dc_value) if half else self.dc_value
         return vals
 
 
@@ -174,25 +154,23 @@ def dyadic_defect_bound(kernel: Kernel, kr: DyadicRange, *coords) -> np.ndarray:
 # action on fields
 
 def apply_multiplier(sym: Symbol, f: SampledField) -> SampledField:
-    """Inverse transform of sym(xi) * fhat(xi).
+    """IFFT(sym(xi) FFT(f)), plane by plane.
 
     An even symbol takes the half spectrum: each real plane of f
     (`squarefn._planes`) through `rfftn`, times the symbol on the half grid
     in place, and back through `irfftn`, so a real field gives a real
-    field.  A multiplier commutes with translations, so the planes go
-    through in grid order, with no centring shift.  Any other symbol takes
-    the full complex grid.
+    field.  Any other symbol takes f as one complex plane through `fftn`
+    and `ifftn`.  A multiplier commutes with translations, so the planes go
+    through in grid order, with no centring shift.
     """
-    geom = f.geometry
-    if not sym.even:
-        F = forward_transform(f)
-        return inverse_transform(SpectralField(geom, sym.sample(geom) * F.coefficients))
-    m = sym.half_sample(geom)
-    planes = _planes(f.values)
-    out = np.empty((len(planes),) + geom.shape)
+    geom, half = f.geometry, sym.even
+    m = sym.sample(geom, half)
+    planes = _planes(f.values, half)
+    out = np.empty((len(planes),) + geom.shape, dtype=float if half else complex)
     spec = np.empty(m.shape, dtype=np.complex128)
+    forward = np.fft.rfftn if half else np.fft.fftn
     for plane, o in zip(planes, out):
-        np.fft.rfftn(plane, out=spec)
+        forward(plane, out=spec)
         spec *= m
         _inverse_into(spec, o, geom.dim)
     return SampledField(geom, _joined(out))
@@ -206,12 +184,11 @@ def invert_multiplier(sym: Symbol, floor: float, geom: Geometry) -> Symbol:
     """
     if floor <= 0:
         raise ValueError(f"inversion floor must be positive, got {floor}")
-    vals = sym.sample(geom)
-    mag = np.abs(vals)
-    mag[geom.dc_index] = np.inf
+    mag = np.abs(sym.sample(geom))
+    mag[(0,) * geom.dim] = np.inf
     argmin = np.unravel_index(int(np.argmin(mag)), mag.shape)
     if mag[argmin] < floor:
-        freq = tuple(float(ax[i]) for ax, i in zip([geom.frequency_axis()] * geom.dim, argmin))
+        freq = tuple(float(np.ravel(xi)[i]) for xi, i in zip(geom.fft_grids(), argmin))
         raise DegenerateSymbolError(
             f"symbol '{sym.name}' has modulus {mag[argmin]:.3e} < floor {floor:.3e} "
             f"at frequency xi = {freq}"
@@ -314,10 +291,9 @@ def sampled_homogeneity_defect(vals: np.ndarray, geom: Geometry) -> float:
     """max |m(2 xi) - m(xi)| over nonzero grid frequencies with 2 xi on-grid,
     m the values a symbol's `sample(geom)` returned."""
     n = geom.n_samples
-    sel = np.arange(n // 4, 3 * n // 4)  # j in [-N/4, N/4)
-    dbl = 2 * sel - n // 2
-    gap = np.abs(vals[np.ix_(*[dbl] * geom.dim)] - vals[np.ix_(*[sel] * geom.dim)])
-    gap[(n // 2 - n // 4,) * geom.dim] = 0.0  # leave out j = 0: every gap is >= 0, so 0 drops it from the max
+    j = np.arange(-n // 4, n // 4)  # frequency j at FFT index j mod N
+    gap = np.abs(vals[np.ix_(*[2 * j % n] * geom.dim)] - vals[np.ix_(*[j % n] * geom.dim)])
+    gap[(n // 4,) * geom.dim] = 0.0  # leave out j = 0: every gap is >= 0, so 0 drops it from the max
     return float(np.max(gap))
 
 
@@ -327,9 +303,9 @@ def sampled_min_modulus(
     """Min |m| over nonzero grid frequencies, optionally within an annulus,
     m the values a symbol's `sample(geom)` returned."""
     mag = np.abs(vals)
-    mag[geom.dc_index] = np.inf
+    mag[(0,) * geom.dim] = np.inf
     if annulus is not None:
-        rho = _radius(np.broadcast_arrays(*geom.frequency_grids()))
+        rho = _radius(geom.fft_grids())
         lo, hi = annulus
         mask = (rho >= lo) & (rho <= hi)
         if not np.any(mask):

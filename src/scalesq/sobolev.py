@@ -43,7 +43,6 @@ from .multiplier import apply_multiplier, bessel_symbol, riesz_symbol
 from .squarefn import (
     _BATCH_BYTES,
     ScaleFamily,
-    _fft_grids,
     _power_sums,
     _require_mean_zero,
     g_function,
@@ -346,7 +345,7 @@ def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Callable):
         c = constant_on_grid(weight, geom) if _parseval(family, p) else None
         if c is None:
             return _batch_size(geom), lambda fs: _norm_ratios(fs, _square_norms(family, fs, p, weight), p, weight)
-        sums = _power_sums(geom, [family.symbol(*_fft_grids(geom, half=True))])
+        sums = _power_sums(geom, [family.symbol(*geom.fft_grids(half=True))])
         volume = (geom.spacing / geom.n_samples) ** geom.dim
         return 1, lambda fs: _norm_ratios(fs, [math.sqrt(c * (volume * sums(fs[0])[0]))], p, weight)
 
@@ -379,7 +378,7 @@ def sobolev_equivalence_ratio(
                 return _norm_ratios(gs, norms, p, weight)
 
             return _batch_size(geom), batch_ratios
-        grids = _fft_grids(geom, half=True)
+        grids = geom.fft_grids(half=True)
         sigma_b2 = family.symbol(*grids)  # first: finding its shells takes the most memory
         b2 = bessel_symbol(order).evaluate(*grids) ** 2
         sigma_b2 *= b2

@@ -93,24 +93,10 @@ def _spatial_axes(geom: Geometry) -> tuple[int, ...]:
     return tuple(range(-geom.dim, 0))
 
 
-def _fft_grids(geom: Geometry, half: bool = False) -> tuple[np.ndarray, ...]:
-    """The frequency grids in FFT (unshifted) order.  With `half`, the last
-    axis keeps its first N/2 + 1 frequencies, the last of them -N/2: the
-    grid of the half spectrum that `rfftn` gives and `irfftn` takes."""
-    ax = np.fft.ifftshift(geom.frequency_axis())
-    last = ax[: geom.n_samples // 2 + 1] if half else ax
-    return (last,) if geom.dim == 1 else (ax[:, None], last[None, :])
-
-
 def _chunk_layers(points: int, real: bool = False) -> int:
     """How many layers of `points` values fit in a chunk, complex ones or real
     ones at half the bytes; at least one."""
     return _fit_chunk((8 if real else 16) * points)
-
-
-def _spectrum_shape(geom: Geometry, half: bool) -> tuple[int, ...]:
-    """The shape of the grids of `_fft_grids(geom, half)`."""
-    return geom.shape[:-1] + (geom.n_samples // 2 + 1,) if half else geom.shape
 
 
 def _planes(values: np.ndarray, real: bool = True) -> list:
@@ -281,17 +267,13 @@ class ScaleFamily:
         as many whole chunks as fit in `grid._CHUNK_BYTES` there (at least one), and
         gathered onto xi one chunk at a time, into one buffer that every
         chunk reuses: a radial table on few shells covers many chunks of a
-        large batch.  A family tagged real and radial has real multipliers,
-        m_t(xi) = m_t(-xi) = conj m_t(xi), so its tables are made real
-        before the gather.
+        large batch.
         """
         points, index, sign = self._points(xi)
         size = math.prod(np.broadcast_shapes(*(np.shape(x) for x in points)))
         per_table = max(1, _chunk_layers(size) // layers) * layers
         gathered = None
         for table, tm in self._tables(points, per_table):
-            if self.real and self.radial:
-                tm = tm.real
             for lo in range(0, self.scales[table].size, layers):
                 m = tm[lo:lo + layers]
                 if index is not None:
@@ -315,7 +297,7 @@ class ScaleFamily:
             raise ValueError("the fields of a batch must share one geometry")
         planes = [_planes(f.values, self.real) for f in fields]
         first = np.cumsum([0] + [len(p) for p in planes[:-1]])
-        spec = np.empty((first[-1] + len(planes[-1]), 1) + _spectrum_shape(geom, self.real), dtype=np.complex128)
+        spec = np.empty((first[-1] + len(planes[-1]), 1) + geom.spectrum_shape(self.real), dtype=np.complex128)
         forward = np.fft.rfftn if self.real else np.fft.fftn
         for row, plane in zip(spec, (p for ps in planes for p in ps)):
             forward(np.fft.ifftshift(plane), out=row[0])
@@ -334,7 +316,7 @@ class ScaleFamily:
         are formed in two buffers that every chunk reuses, so a consumer must
         be done with a chunk's layers before it asks for the next."""
         prod_buf = out_buf = None
-        for chunk, m in self._chunks(_fft_grids(geom, half=self.real), self._per_chunk(geom, len(spec))):
+        for chunk, m in self._chunks(geom.fft_grids(half=self.real), self._per_chunk(geom, len(spec))):
             step = max(1 + self.real, self._per_chunk(geom, len(m)))
             for lo in range(0, len(spec), step):
                 part = spec[lo:lo + step]
@@ -390,8 +372,8 @@ class ScaleFamily:
         chunks of `_per_chunk` scales.  Each plane is synthesized on
         its own and the result joined, re + i im."""
         ax = _spatial_axes(geom)
-        grids = _fft_grids(geom, half=self.real)
-        acc = np.zeros((planes,) + _spectrum_shape(geom, self.real), dtype=np.complex128)
+        grids = geom.fft_grids(half=self.real)
+        acc = np.zeros((planes,) + geom.spectrum_shape(self.real), dtype=np.complex128)
         ours = self._chunks(grids, self._per_chunk(geom, planes))
         forward = np.fft.rfftn if self.real else np.fft.fftn
         spec_buf = None

@@ -17,23 +17,81 @@ import math
 import numpy as np
 from scipy import integrate
 
-from scalesq import SampledField, SpectralField
+from scalesq import SampledField
 
 
 # ---------------------------------------------------------------------------
-# direct transforms
+# centred transforms
+#
+# The Riemann sum of the Fourier integral, fhat(xi_j) = h^d sum_m f(x_m)
+# exp(-2 pi i <x_m, xi_j>), on the centred frequency grid
+# xi_j = j / (2L), j = -N/2 .. N/2 - 1, and its exact inverse, the Riemann
+# sum of the inversion integral: the route every multiplier took before
+# spectra were held in FFT order.  The inverse acts on the last `dim` axes,
+# so it takes a field or a stack of layers.
 
-def slow_transform(f: SampledField) -> SpectralField:
-    """O(N^2) DFT matrix applied axis by axis."""
+def centred_grids(geom) -> tuple[np.ndarray, ...]:
+    """Per-axis frequency arrays in centred order, shaped for broadcasting."""
+    ax = geom.frequency_axis()
+    return (ax,) if geom.dim == 1 else (ax[:, None], ax[None, :])
+
+
+def forward_transform(f: SampledField) -> np.ndarray:
+    """The centred coefficients of a sampled field, by shifted FFTs."""
+    g = f.geometry
+    return g.cell_volume * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
+
+
+def inverse_transform(geom, spectral: np.ndarray) -> np.ndarray:
+    """Exact inverse of `forward_transform`: values on the spatial grid."""
+    ax = tuple(range(-geom.dim, 0))
+    return (
+        np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectral, axes=ax), axes=ax), axes=ax)
+        / geom.cell_volume
+    )
+
+
+def slow_transform(f: SampledField) -> np.ndarray:
+    """The centred coefficients by the O(N^2) DFT matrix, axis by axis."""
     g = f.geometry
     x = g.spatial_axis()
     xi = g.frequency_axis()
     M = np.exp(-2j * np.pi * np.outer(xi, x)) * g.spacing
     if g.dim == 1:
-        coeffs = M @ f.values
-    else:
-        coeffs = M @ f.values @ M.T
-    return SpectralField(g, coeffs)
+        return M @ f.values
+    return M @ f.values @ M.T
+
+
+def centred_sample(sym, geom) -> np.ndarray:
+    """A symbol on the full centred grid, its zero frequency, entry N/2 on
+    each axis, pinned."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.asarray(sym.evaluate(*centred_grids(geom)), dtype=complex)
+    vals = np.broadcast_to(vals, geom.shape).copy()
+    vals[(geom.n_samples // 2,) * geom.dim] = sym.dc_value
+    return vals
+
+
+def centred_homogeneity_defect(vals: np.ndarray, geom) -> float:
+    """max |m(2 xi) - m(xi)| over nonzero frequencies j in [-N/4, N/4) of
+    centred samples, frequency j at index j + N/2."""
+    n = geom.n_samples
+    sel = np.arange(n // 4, 3 * n // 4)  # j in [-N/4, N/4)
+    dbl = 2 * sel - n // 2
+    gap = np.abs(vals[np.ix_(*[dbl] * geom.dim)] - vals[np.ix_(*[sel] * geom.dim)])
+    gap[(n // 2 - n // 4,) * geom.dim] = 0.0  # leave out j = 0
+    return float(np.max(gap))
+
+
+def centred_min_modulus(vals: np.ndarray, geom, annulus=None) -> float:
+    """Min |m| of centred samples over nonzero frequencies, optionally
+    within the annulus lo <= |xi| <= hi."""
+    mag = np.abs(vals)
+    mag[(geom.n_samples // 2,) * geom.dim] = np.inf
+    if annulus is not None:
+        rho = np.sqrt(sum(x**2 for x in np.broadcast_arrays(*centred_grids(geom))))
+        mag = np.where((rho >= annulus[0]) & (rho <= annulus[1]), mag, np.inf)
+    return float(np.min(mag))
 
 
 def save_field_csv_rows(f: SampledField, path: str) -> None:
@@ -457,26 +515,6 @@ def moving_average_physical(f: SampledField, t: float, upsample: int = 8) -> np.
 # averages), exactly as the square functions were computed before they were
 # batched and chunked.  Multipliers take (t, *xi) with a scalar t.
 
-def _shifted_spectrum(f: SampledField) -> np.ndarray:
-    g = f.geometry
-    return g.cell_volume * np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values)))
-
-
-def _shifted_inverse(geom, spectral: np.ndarray) -> np.ndarray:
-    ax = tuple(range(-geom.dim, 0))
-    return (
-        np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spectral, axes=ax), axes=ax), axes=ax)
-        / geom.cell_volume
-    )
-
-
-def _shifted_forward(geom, layers: np.ndarray) -> np.ndarray:
-    ax = tuple(range(-geom.dim, 0))
-    return geom.cell_volume * np.fft.fftshift(
-        np.fft.fftn(np.fft.ifftshift(layers, axes=ax), axes=ax), axes=ax
-    )
-
-
 def kernel_multiplier(kernel):
     return lambda t, *xi: kernel.fourier(*(t * x for x in xi))
 
@@ -496,10 +534,10 @@ def riesz_multiplier(order: float, *xi) -> np.ndarray:
 def loop_layers(f: SampledField, multiplier, scales) -> np.ndarray:
     """IFFT(m_t fhat) scale by scale."""
     g = f.geometry
-    F = _shifted_spectrum(f)
-    grids = g.frequency_grids()
+    F = forward_transform(f)
+    grids = centred_grids(g)
     return np.array(
-        [_shifted_inverse(g, np.broadcast_to(multiplier(t, *grids), g.shape) * F) for t in scales]
+        [inverse_transform(g, np.broadcast_to(multiplier(t, *grids), g.shape) * F) for t in scales]
     )
 
 
@@ -515,11 +553,11 @@ def loop_square_sum(f: SampledField, multiplier, scales, weights) -> np.ndarray:
 def loop_synthesis(layers: np.ndarray, geom, multiplier, scales, weights) -> np.ndarray:
     """sum_t w_t IFFT(m_t FFT(h_t)) scale by scale."""
     weights = np.broadcast_to(weights, np.shape(scales))
-    grids = geom.frequency_grids()
+    grids = centred_grids(geom)
     total = np.zeros(geom.shape, dtype=complex)
     for w, t, h in zip(weights, scales, layers):
-        total += w * np.broadcast_to(multiplier(t, *grids), geom.shape) * _shifted_forward(geom, h)
-    return _shifted_inverse(geom, total)
+        total += w * np.broadcast_to(multiplier(t, *grids), geom.shape) * forward_transform(SampledField(geom, h))
+    return inverse_transform(geom, total)
 
 
 def loop_symbol(multiplier, scales, weights, *xi) -> np.ndarray:
@@ -544,20 +582,20 @@ def sided_average_loop(f: SampledField, alpha: float, t: float, u_nodes: int) ->
     s, W = (x + 1.0) / 2.0, alpha * 2.0 ** (-alpha) * w
     g = f.geometry
     phase = -2j * np.sin(2.0 * np.pi * t * np.outer(s, g.frequency_axis()))
-    diffs = _shifted_inverse(g, phase * _shifted_spectrum(f)[None, :])
+    diffs = inverse_transform(g, phase * forward_transform(f)[None, :])
     return np.einsum("i,ij->j", W.astype(complex), diffs)
 
 
 def second_difference_loop(f: SampledField, t: float) -> np.ndarray:
     """-(F(x+t) + F(x-t) - 2 F(x)) / t with F the spectral antiderivative."""
     g = f.geometry
-    F = _shifted_spectrum(f)
+    F = forward_transform(f)
     xi = g.frequency_axis()
     anti = np.zeros_like(F)
     nz = xi != 0
     anti[nz] = F[nz] / (2j * np.pi * xi[nz])
     second = (np.exp(2j * np.pi * t * xi) + np.exp(-2j * np.pi * t * xi) - 2.0) * anti
-    return _shifted_inverse(g, second) * (-1.0 / t)
+    return inverse_transform(g, second) * (-1.0 / t)
 
 
 # ---------------------------------------------------------------------------
@@ -621,10 +659,7 @@ def complex_duality_residual(f: SampledField, kernel, eps: float) -> float:
 # symbol took before even symbols took the half spectrum.
 
 def full_grid_multiplier(sym, f: SampledField) -> np.ndarray:
-    from scalesq import forward_transform, inverse_transform
-
-    F = forward_transform(f)
-    return inverse_transform(SpectralField(f.geometry, sym.sample(f.geometry) * F.coefficients)).values
+    return inverse_transform(f.geometry, centred_sample(sym, f.geometry) * forward_transform(f))
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,7 @@ def test_config_defaults():
     {"operator": "gfun", "kernel": "haar", "grid": {"n_samples": 7}},
     {"operator": "gfun", "kernel": "haar", "dyadic": {"k_min": 3, "k_max": -3}},
     {"operator": "gfun", "kernel": "haar", "weight": ""},
+    {"operator": "gfun", "kernel": "haar", "profile": "cube"},  # read by sobolev alone, echoed by every report
 ])
 def test_config_rejections(bad):
     with pytest.raises(ConfigError):

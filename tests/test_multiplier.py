@@ -17,9 +17,10 @@ from scalesq import (
     bessel_symbol,
     continuous_symbol,
     continuous_tail_estimate,
+    default_dyadic_range,
+    default_time_grid,
     dyadic_defect_bound,
     dyadic_symbol,
-    forward_transform,
     haar_kernel,
     invert_multiplier,
     kernel_from_id,
@@ -30,7 +31,13 @@ from scalesq import (
     riesz_symbol,
 )
 from scalesq.multiplier import sampled_homogeneity_defect, sampled_min_modulus
-from oracles import full_grid_multiplier
+from oracles import (
+    centred_homogeneity_defect,
+    centred_min_modulus,
+    centred_sample,
+    forward_transform,
+    full_grid_multiplier,
+)
 
 HAAR_SYMBOL = 4.0 * math.log(2.0)
 
@@ -48,8 +55,8 @@ def test_continuous_symbol_haar_constant():
 
 def test_continuous_symbol_dc_pinned(geom_small):
     sym = continuous_symbol(haar_kernel(), wide_grid())
-    vals = sym.sample(geom_small)
-    assert vals[geom_small.dc_index] == 0.0
+    assert sym.sample(geom_small)[0] == 0.0  # the zero frequency comes first in FFT order
+    assert sym.sample(geom_small, half=True)[0] == 0.0
 
 
 def test_continuous_symbol_window_subset():
@@ -206,8 +213,8 @@ def test_homogeneity_defect_is_the_max_over_nonzero_frequencies(dim):
     geom = Geometry(dim, 16, 4.0)
     n = geom.n_samples
     vals = np.random.default_rng(dim).standard_normal(geom.shape) + 0j
-    vals[geom.dc_index] = np.nan
-    at = lambda j: vals[tuple(np.add(j, n // 2))]  # centred index of frequency j
+    vals[(0,) * dim] = np.nan
+    at = lambda j: vals[tuple(np.mod(j, n))]  # FFT index of frequency j
     js = np.array(np.meshgrid(*[np.arange(-n // 4, n // 4)] * dim)).reshape(dim, -1).T
     want = max(abs(at(2 * j) - at(j)) for j in js if j.any())
     assert sampled_homogeneity_defect(vals, geom) == want
@@ -228,9 +235,9 @@ def test_parseval_route_for_multipliers(seed):
     f = random_band_field(geom, seed=seed, band=(0.2, 3.0))
     sym = bessel_symbol(1.0)
     g = apply_multiplier(sym, f)
-    F = forward_transform(f)
-    vals = sym.sample(geom)
-    freq_side = geom.frequency_cell * np.sum(np.abs(vals * F.coefficients) ** 2)
+    F = forward_transform(f)  # centred, as fftshift puts the FFT-order sample
+    vals = np.fft.fftshift(sym.sample(geom))
+    freq_side = (2.0 * geom.half_length) ** -1 * np.sum(np.abs(vals * F) ** 2)
     assert math.isclose(l2_norm(g) ** 2, freq_side, rel_tol=1e-10)
 
 
@@ -273,10 +280,14 @@ def test_even_symbols_take_the_half_spectrum(monkeypatch, dim, kind):
     syms = even_symbols(geom)
     want = [full_grid_multiplier(sym, f) for sym in syms]
 
-    def full_grid(self, geom):
-        raise AssertionError(f"{self.name} was sampled on the full grid")
+    sample = Symbol.sample
 
-    monkeypatch.setattr(Symbol, "sample", full_grid)
+    def half_only(self, geom, half=False):
+        if not half:
+            raise AssertionError(f"{self.name} was sampled on the full grid")
+        return sample(self, geom, half)
+
+    monkeypatch.setattr(Symbol, "sample", half_only)
     for sym, w in zip(syms, want):
         assert sym.even, sym.name
         got = apply_multiplier(sym, f).values
@@ -303,6 +314,29 @@ def test_half_sample_is_the_full_sample_on_the_half_grid():
     for dim, geom in HALF_GEOMS.items():
         half = geom.n_samples // 2 + 1
         for sym in even_symbols(geom):
-            full = np.fft.ifftshift(sym.sample(geom))
-            assert np.array_equal(sym.half_sample(geom), full.real[..., :half]), sym.name
+            full = sym.sample(geom)
+            assert np.array_equal(full, np.fft.ifftshift(centred_sample(sym, geom))), sym.name
+            assert np.array_equal(sym.sample(geom, half=True), full.real[..., :half]), sym.name
             assert not np.any(full.imag), sym.name
+
+
+CHECK_KERNELS = {1: ["gm:0.75", "haar", "riesz-diff:0.5:ball"], 2: ["poisson-q:2", "riesz-diff:0.5:ball:2"]}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fft_order_checks_equal_the_centred_index_arithmetic(dim):
+    # the structural checks index FFT-order samples (j -> j mod N, 2j mod N,
+    # the zero frequency at 0); the centred samples, indexed j -> j + N/2,
+    # must give the same bits
+    geom = HALF_GEOMS[dim]
+    syms = [bessel_symbol(1.0)]
+    for kid in CHECK_KERNELS[dim]:
+        k = kernel_from_id(kid)
+        syms += [continuous_symbol(k, default_time_grid(geom)), dyadic_symbol(k, default_dyadic_range(geom))]
+    for sym in syms:
+        vals, centred = sym.sample(geom), centred_sample(sym, geom)
+        assert np.array_equal(vals, np.fft.ifftshift(centred)), sym.name
+        assert sampled_homogeneity_defect(vals, geom) == centred_homogeneity_defect(centred, geom), sym.name
+        for annulus in (None, (1.0, 2.0)):
+            got = sampled_min_modulus(vals, geom, annulus)
+            assert got == centred_min_modulus(centred, geom, annulus), (sym.name, annulus)

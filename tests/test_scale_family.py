@@ -42,13 +42,13 @@ from scalesq.sobolev import _smoothing_family
 from scalesq.multiplier import bessel_symbol
 from scalesq.squarefn import (
     _chunk_layers,
-    _fft_grids,
     _power_sums,
     _second_difference_family,
     _sided_average_family,
     _window_run,
 )
 from oracles import (
+    centred_grids,
     complex_duality_residual,
     complex_layers,
     complex_square_sums,
@@ -119,7 +119,7 @@ def test_layer_stacks_and_synthesis_match_loop(dim, kid):
 def test_symbols_match_loop(dim, kid):
     kernel = kernel_from_id(kid)
     m = kernel_multiplier(kernel)
-    grids = GEOMS[dim].frequency_grids()
+    grids = centred_grids(GEOMS[dim])
     with np.errstate(divide="ignore", invalid="ignore"):
         got = continuous_symbol(kernel, TG, window=(0.5, 4.0)).evaluate(*grids)
         keep = (TG.scales > 0.5) & (TG.scales < 4.0)
@@ -276,7 +276,7 @@ def energy_fields(dim: int, geom=None):
 def energies(family, fields) -> np.ndarray:
     """h^d sum_x of the family's square sum of each field, by `_power_sums`."""
     geom = fields[0].geometry
-    sums = _power_sums(geom, [family.symbol(*_fft_grids(geom, half=True))])
+    sums = _power_sums(geom, [family.symbol(*geom.fft_grids(half=True))])
     return (geom.spacing / geom.n_samples) ** geom.dim * np.array([sums(f)[0] for f in fields])
 
 
@@ -376,7 +376,7 @@ def test_untagged_family_at_p2_takes_the_physical_route(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_parseval_symbols_see_the_half_grid_alone(monkeypatch, dim):
     geom = GEOMS[dim]
-    half = np.broadcast_shapes(*(np.shape(x) for x in _fft_grids(geom, half=True)))
+    half = np.broadcast_shapes(*(np.shape(x) for x in geom.fft_grids(half=True)))
     shapes = []
     power_sums, symbol = sobolev._power_sums, ScaleFamily.symbol
 
@@ -445,8 +445,8 @@ def test_shell_path_matches_full_grid_path(dim):
     geom, fields = GEOMS[dim], energy_fields(dim)
     axis = geom.frequency_axis()
     symbol_inputs = {
-        "fft": _fft_grids(geom),
-        "centred": geom.frequency_grids(),
+        "fft": geom.fft_grids(),
+        "centred": centred_grids(geom),
         "cli-axis": (axis,) + (np.zeros_like(axis),) * (dim - 1),
     }
     families = radial_families(dim)
@@ -471,7 +471,7 @@ def test_non_radial_kernel_keeps_the_full_grid():
     want = loop_square_sum(f, m, TG.scales, TG.weight)
     family = ScaleFamily.of_kernel(kernel, TG.scales, TG.weight)
     assert rel(family.square_sum([f])[0], want) <= 1e-12
-    grids = GEOMS[2].frequency_grids()
+    grids = centred_grids(GEOMS[2])
     assert rel(family.symbol(*grids), loop_symbol(m, TG.scales, TG.weight, *grids)) <= 1e-12
     # flagged radial, it would be evaluated on the first axis alone
     assert rel(dataclasses.replace(family, radial=True).square_sum([f])[0], want) > 1e-2
@@ -507,7 +507,7 @@ def test_odd_path_matches_full_grid_path():
         assert np.array_equal(layers, full.layers(fields[1])), name
         assert np.array_equal(half.synthesis(layers, geom).values, full.synthesis(layers, geom).values), name
         # the symbol adds its scales one at a time, whatever points it sees
-        for xi in (_fft_grids(geom)[0], geom.frequency_axis()):
+        for xi in (geom.fft_grids()[0], geom.frequency_axis()):
             assert np.array_equal(half.symbol(xi), full.symbol(xi)), name
 
 
@@ -522,7 +522,7 @@ def test_symbol_row_is_the_axis_evaluation(n):
         kernel = kernel_from_id(kid)
         for sym in (continuous_symbol(kernel, default_time_grid(geom)),
                     dyadic_symbol(kernel, default_dyadic_range(geom))):
-            row = sym.sample(geom)[:, n // 2]
+            row = np.fft.fftshift(sym.sample(geom)[:, 0])  # xi_2 = 0 comes first in FFT order
             with np.errstate(divide="ignore", invalid="ignore"):
                 axis = sym.evaluate(xi, np.zeros_like(xi))
             assert np.array_equal(row[off_dc], axis[off_dc]), (kid, sym.name)
@@ -611,7 +611,7 @@ def test_power_sums_match_the_full_spectrum(geom, rng):
     # even symbols on the full grid, S(-k) = S(k), given to the sums on the half grid
     negated = np.ix_(*((-np.arange(n)) % n for n in geom.shape))  # the index of -k
     noise = rng.uniform(0.5, 2.0, geom.shape)
-    symbols = [noise + noise[negated], np.exp(-sum(x**2 for x in _fft_grids(geom))), None]
+    symbols = [noise + noise[negated], np.exp(-sum(x**2 for x in geom.fft_grids())), None]
     half = geom.n_samples // 2 + 1
     sums = _power_sums(geom, [None if s is None else np.broadcast_to(s, geom.shape)[..., :half] for s in symbols])
     f = random_band_field(geom, 3, band=(0.0, 8.0))  # complex, with a mean
@@ -625,7 +625,7 @@ def test_p2_ratios_match_the_full_spectrum_oracle(dim):
     # the half spectrum of the 15 real members against complex FFTs of the full grid
     geom = GEOMS[dim]
     members = default_test_family(geom, seed=9).members
-    grids = _fft_grids(geom)
+    grids = geom.fft_grids()
     profile = ball_average_profile(dim)
     sigma = _smoothing_family(0.5, profile, dim, KR).symbol(*grids)
     b2 = bessel_symbol(0.5).evaluate(*grids) ** 2
@@ -717,7 +717,7 @@ def test_real_duality_residual_matches_complex_oracle(geom, kid):
 def test_real_multipliers_see_the_half_grid_alone(dim):
     # untagged radial, so that the multiplier sees the grid and not its shells
     geom, fields = GEOMS[dim], energy_fields(dim)
-    half = _fft_grids(geom, half=True)
+    half = geom.fft_grids(half=True)
     shape = np.broadcast_shapes(*(np.shape(x) for x in half))
     for name, family in real_families(dim).items():
         seen = []
@@ -791,5 +791,5 @@ def test_real_tag_is_hermitian_on_the_grid(dim):
     families["potential"] = ScaleFamily(TG.scales, 1.0, lambda t, *xi: smoothing(t, *xi) * riesz_multiplier(0.5, *xi))
     for name, family in families.items():
         t = family.scales.reshape((-1,) + (1,) * dim)
-        m = np.broadcast_to(family.multiplier(t, *_fft_grids(geom)), family.scales.shape + geom.shape)
+        m = np.broadcast_to(family.multiplier(t, *geom.fft_grids()), family.scales.shape + geom.shape)
         assert np.array_equal(m[mirror], np.conj(m)), name

@@ -26,7 +26,7 @@ from scalesq import (
     random_band_field,
 )
 from scalesq.squarefn import ScaleFamily, _second_difference_family, _sided_average_family, _window_run
-from oracles import fiber_norm, sided_average_physical
+from oracles import fiber_norm, forward_transform, sided_average_physical
 
 HAAR_SYMBOL = 4.0 * math.log(2.0)
 
@@ -99,16 +99,16 @@ def test_dyadic_g_is_fiber_norm(geom_small):
 def test_g_function_parseval_identity(geom_small):
     # ||g(f)||_2^2 equals the frequency sum of m(xi)|fhat|^2 with m the
     # squared-modulus symbol over the same nodes
-    from scalesq import continuous_symbol, forward_transform
+    from scalesq import continuous_symbol
 
     k = haar_kernel()
     tg = LogTimeGrid(0.1, 10.0, nodes_per_octave=8)
     f = band_field(geom_small, seed=3)
     g = g_function(f, k, tg)
     sym = continuous_symbol(k, tg)
-    F = forward_transform(f)
-    freq_side = geom_small.frequency_cell * np.sum(
-        np.real(sym.sample(geom_small)) * np.abs(F.coefficients) ** 2
+    F = forward_transform(f)  # centred, as fftshift puts the FFT-order sample
+    freq_side = (2.0 * geom_small.half_length) ** -1 * np.sum(
+        np.real(np.fft.fftshift(sym.sample(geom_small))) * np.abs(F) ** 2
     )
     assert math.isclose(l2_norm(g) ** 2, freq_side, rel_tol=1e-10)
 
