@@ -30,11 +30,24 @@ Nyquist term that the half spectrum would drop.
 
 A radial family, one whose multipliers depend on |xi| alone, or a 1-D odd
 family, m_t(-xi) = -m_t(xi), is evaluated once per |xi| shell: each call
-finds the distinct |xi|^2 of its input, evaluates a (scales, shells) table,
-as many whole chunks of layers at a time as fit in `grid._CHUNK_BYTES` on the
-shells, and gathers it onto the grid one chunk at a time, an odd family
-with the sign of xi; the symbol is summed over scales on the shells and
-gathered once.  Nothing is cached between calls.  The p = 2
+keys the grid's points by their integer |k|^2 (`_shells`), evaluates a
+(scales, shells) table, as many whole chunks of layers at a time as fit in
+`grid._CHUNK_BYTES` on the shells, and gathers each chunk onto the grid in
+blocks as it multiplies the spectra (`_times`), an odd family with the sign
+of xi; the symbol, which takes any frequencies, is summed over scales on
+the distinct |xi|^2 of its input and gathered once.  Nothing is cached
+between calls.
+
+The square sum of a family tagged real and evaluated on shells may take
+fewer layers than it has scales (`ScaleFamily._principal`; the basis
+filters of Perona, "Deformable kernels for early vision", IEEE TPAMI 17(5),
+1995): the sum is invariant under any real orthogonal mixing of the
+weighted multipliers sqrt(w_t) m_t, so a block of scales can be rotated
+onto the eigenvectors of its Gram on the shells and its negligible rows
+dropped.  The default 1-D poisson-q family (112 scales at 4096 points)
+takes 26 rows, the 512^2 poisson-q:2 family 19 of 64; riesz-diff and the
+ball and smoothing families keep their scales.  Layers, syntheses and
+symbols always take the scales.  The p = 2
 constant-weight ratios in `sobolev` take their norms by the discrete
 Parseval identity from even symbols on the half grid and one `rfftn` per
 real plane of a field (`_power_sums`), and form no layer.
@@ -61,6 +74,7 @@ physical space.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -84,6 +98,12 @@ from .kernels import Kernel, _jacobi_unit_rule
 # layers or weighted norms: the 20 test fields of a 1-D grid of 4096 points
 # (1.3 MB) stay one batch, a 2-D field of 512^2 points (4 MiB) goes alone
 _BATCH_BYTES = 2 * 1024 * 1024
+# a block of scales drops the eigenvalues of its Gram that sum to at most this
+# share of its trace (`ScaleFamily._principal_rows`): binary64's machine epsilon
+_PRINCIPAL_EPS = 2.0**-52
+# and is kept only while the rows it drops take at most this share of each
+# plane's energy in its square sum, so that no plane's sum moves by more
+_PRINCIPAL_SHARE = 2.0**-46
 
 
 # ---------------------------------------------------------------------------
@@ -138,6 +158,38 @@ def _inverse_into(spec: np.ndarray, out: np.ndarray, dim: int) -> np.ndarray:
     return np.fft.irfftn(spec, s=out.shape[-1:], axes=ax[-1:], out=out)
 
 
+def _times(m: np.ndarray, grid, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M x, M the multipliers m of a chunk of scales on the points of
+    grid (what `ScaleFamily._points` gave) put on its grid, x and out on
+    (plane, scale, *grid); out may be x.
+
+    Multipliers on shells are gathered onto the grid by its index, with its
+    sign, in blocks of the grid's first axis: a block's gathered multipliers
+    and the block of the index that `np.take` casts to intp take at most
+    `grid._CHUNK_BYTES` together, so neither is ever formed whole.
+    """
+    _, index, sign = grid
+    if index is None:
+        return np.multiply(m, x, out=out)
+    dim = index.ndim
+    rows = _fit_chunk((m.itemsize * len(m) + 8) * math.prod(index.shape[1:]))
+    for r in range(0, len(index), rows):
+        block = (Ellipsis, slice(r, r + rows)) + (slice(None),) * (dim - 1)
+        mb = np.take(m, index[r:r + rows], axis=1)
+        if sign is not None:
+            mb *= sign[r:r + rows]
+        np.multiply(mb, x[block], out=out[block])
+    return out
+
+
+def _half_counts(columns: int) -> np.ndarray:
+    """How often each column of the last axis of a half spectrum occurs in
+    the full one: twice, but for the first and the last (-N/2)."""
+    twice = np.full(columns, 2.0)
+    twice[[0, -1]] = 1.0
+    return twice
+
+
 def _power_sums(geom: Geometry, symbols):
     """f -> [sum_k S(k) |FFT(f)_k|^2 for S in symbols] over the DFT grid of
     geom, one `rfftn` per real plane of f (`_planes`) and no layer; each S
@@ -149,8 +201,7 @@ def _power_sums(geom: Geometry, symbols):
     planes of f = re + i im cancels, so f's sum is the sum of its planes'.
     |FFT(f)|^2 does not see the centring shift.
     """
-    twice = np.full(geom.n_samples // 2 + 1, 2.0)
-    twice[[0, -1]] = 1.0
+    twice = _half_counts(geom.n_samples // 2 + 1)
     weighted = [twice if s is None else twice * s for s in symbols]
 
     def sums(f: SampledField) -> np.ndarray:
@@ -162,6 +213,47 @@ def _power_sums(geom: Geometry, symbols):
         return out
 
     return sums
+
+
+def _shells(geom: Geometry, half: bool):
+    """(|xi| of each shell, the index of each point's shell) on the grid
+    `geom.fft_grids(half)`.
+
+    The shells are the distinct K = sum_i k_i^2 of the integer wave numbers
+    k_i = 2L xi_i, in increasing order, found by `np.bincount`; the index is
+    each point's rank among them, in the narrowest dtype that holds it, and
+    a shell's |xi| is sqrt(K) / (2L).  In 1-D every |k| <= N/2 is a shell,
+    its own rank.  That is sqrt(fl(sum_i xi_i^2)) bit for bit in 1-D, and in
+    2-D when 2L is a power of two; elsewhere the two differ by round-off.
+    """
+    n, scale = geom.n_samples, 2.0 * geom.half_length
+    k = np.minimum(np.arange(n), n - np.arange(n))  # |k| in FFT order
+    last = k[: n // 2 + 1] if half else k
+    if geom.dim == 1:
+        return np.arange(n // 2 + 1) / scale, last.astype(np.min_scalar_type(n // 2 + 1))
+    key = k[:, None] ** 2 + last[None, :] ** 2
+    present = np.bincount(key.ravel()) > 0
+    shells = np.flatnonzero(present)
+    rank = np.cumsum(present, dtype=np.min_scalar_type(shells.size))
+    rank -= 1  # K = 0 is a shell, so no rank is below it
+    return np.sqrt(shells) / scale, rank[key]
+
+
+def _shell_powers(spec: np.ndarray, index: np.ndarray, shells: int) -> np.ndarray:
+    """(plane, shell) energies of the half spectra of `_spectra` spec: each
+    plane's |FFT|^2 summed over the points of each shell of index, every
+    column of the last axis but the first and the last (-N/2) counted twice,
+    as the full spectrum holds it."""
+    twice = _half_counts(spec.shape[-1])
+    flat = index.ravel()
+    return np.array([np.bincount(flat, ((row.real**2 + row.imag**2) * twice).ravel(), shells) for row in spec[:, 0]])
+
+
+def _row_family(rows: np.ndarray) -> "ScaleFamily":
+    """The rows of a table on a family's shells as a family of unit weights,
+    row i its multiplier at "scale" i: valid on those shells alone, which the
+    engine is handed with it (`ScaleFamily._add_squares`)."""
+    return ScaleFamily(np.arange(len(rows)), 1.0, lambda i, *_: rows[i.ravel().astype(np.intp)], radial=True, real=True)
 
 
 def _require_mean_zero(f: SampledField, what: str) -> None:
@@ -199,6 +291,10 @@ class ScaleFamily:
     one complex plane.  A real odd family must not carry the tag, since its
     multiplier is imaginary at -N/2 and the half spectrum would drop that
     term of its layers.
+
+    The square sum of a family tagged real and radial takes one layer per
+    principal row of its blocks of scales, where those are few and lose
+    nothing a plane can see (`_principal`), instead of one per scale.
     """
 
     scales: NDArray[np.float64]
@@ -230,27 +326,24 @@ class ScaleFamily:
         profile is one of them)."""
         return self.radial or self.odd or self.real
 
-    def _points(self, xi):
-        """(where to evaluate the multipliers, the index gathering them onto xi,
-        the sign applied after the gather).
+    def _points(self, geom: Geometry):
+        """(where to evaluate the multipliers, the index gathering them onto the
+        grid, the sign applied after the gather) for the grid the family's
+        spectra live on, `geom.fft_grids(half=self.real)`.
 
         A radial family, or an odd family on 1-D input, is evaluated on its
-        shells, the distinct values of |xi|^2, at (|xi|, 0, ..., 0); the index
-        maps each point of xi to its shell, and an odd family takes sign -1
-        where xi < 0 (xi = 0 keeps its value).  sqrt(fl(x^2)) == |x| in
-        binary64, so a 1-D shell is |xi| itself.  Any other family is
-        evaluated at xi itself, index and sign None.
+        shells (`_shells`) at (|xi|, 0, ..., 0); the index maps each point of
+        the grid to its shell, and an odd family takes sign -1 where xi < 0
+        (xi = 0 keeps its value).  Any other family is evaluated on the grid
+        itself, index and sign None.
         """
-        odd = self.odd and len(xi) == 1
+        xi = geom.fft_grids(half=self.real)
+        odd = self.odd and geom.dim == 1
         if not (self.radial or odd):
             return xi, None, None
-        key = sum(np.asarray(x, dtype=float) ** 2 for x in xi)
-        shells, index = np.unique(key, return_inverse=True)
-        rho = np.sqrt(shells)
-        points = (rho,) + (np.zeros_like(rho),) * (len(xi) - 1)
-        sign = np.where(np.asarray(xi[0]) < 0, -1.0, 1.0) if odd else None
-        # the index lives through every chunk: the narrowest dtype keeps it small
-        index = index.reshape(np.shape(key)).astype(np.min_scalar_type(shells.size))
+        rho, index = _shells(geom, self.real)
+        points = (rho,) + (np.zeros_like(rho),) * (geom.dim - 1)
+        sign = np.where(xi[0] < 0, -1.0, 1.0) if odd else None
         return points, index, sign
 
     def _tables(self, points, layers: int):
@@ -260,28 +353,21 @@ class ScaleFamily:
             chunk = slice(lo, lo + layers)
             yield chunk, self.multiplier(self.scales[chunk].reshape((-1,) + trailing), *points)
 
-    def _chunks(self, xi, layers: int):
-        """(slice of scales, their multipliers on xi) for chunks of `layers` scales.
+    def _chunks(self, grid, layers: int):
+        """(slice of scales, their multipliers on the points of grid) for
+        chunks of `layers` scales, grid being what `_points` gave; `_times`
+        puts them on the grid.
 
-        The multipliers are evaluated on the points of `_points` in tables of
-        as many whole chunks as fit in `grid._CHUNK_BYTES` there (at least one), and
-        gathered onto xi one chunk at a time, into one buffer that every
-        chunk reuses: a radial table on few shells covers many chunks of a
-        large batch.
+        The multipliers are evaluated in tables of as many whole chunks as fit
+        in `grid._CHUNK_BYTES` on the points (at least one): a radial table on
+        few shells covers many chunks of a large batch.
         """
-        points, index, sign = self._points(xi)
+        points = grid[0]
         size = math.prod(np.broadcast_shapes(*(np.shape(x) for x in points)))
         per_table = max(1, _chunk_layers(size) // layers) * layers
-        gathered = None
         for table, tm in self._tables(points, per_table):
             for lo in range(0, self.scales[table].size, layers):
-                m = tm[lo:lo + layers]
-                if index is not None:
-                    out, gathered = _buffer(gathered, m.shape[:1] + index.shape, m.dtype)
-                    m = np.take(m, index, axis=1, out=out, mode="clip")  # "raise" would buffer out
-                if sign is not None:
-                    m *= sign
-                yield slice(table.start + lo, table.start + lo + layers), m
+                yield slice(table.start + lo, table.start + lo + layers), tm[lo:lo + layers]
 
     def _per_chunk(self, geom: Geometry, other: int) -> int:
         """How many layers of `other` planes each, or planes of `other` layers
@@ -303,9 +389,10 @@ class ScaleFamily:
             forward(np.fft.ifftshift(plane), out=row[0])
         return first, spec
 
-    def _layer_chunks(self, spec: np.ndarray, geom: Geometry):
+    def _layer_chunks(self, spec: np.ndarray, geom: Geometry, grid=None):
         """(slice of scales, slice of the planes of `_spectra`, their layers in
-        FFT order on (plane, scale, *grid)), chunk by chunk.
+        FFT order on (plane, scale, *grid)), chunk by chunk; grid is what
+        `_points(geom)` gives, found here when None.
 
         A chunk holds `_per_chunk` scales of every plane, at most
         `grid._CHUNK_BYTES` of layers (at least one scale), and its multipliers
@@ -316,33 +403,119 @@ class ScaleFamily:
         are formed in two buffers that every chunk reuses, so a consumer must
         be done with a chunk's layers before it asks for the next."""
         prod_buf = out_buf = None
-        for chunk, m in self._chunks(geom.fft_grids(half=self.real), self._per_chunk(geom, len(spec))):
+        grid = self._points(geom) if grid is None else grid
+        for chunk, m in self._chunks(grid, self._per_chunk(geom, len(spec))):
             step = max(1 + self.real, self._per_chunk(geom, len(m)))
             for lo in range(0, len(spec), step):
                 part = spec[lo:lo + step]
-                prod, prod_buf = _buffer(prod_buf, (len(part),) + m.shape, np.complex128)
-                np.multiply(m, part, out=prod)
+                prod, prod_buf = _buffer(prod_buf, part.shape[:1] + m.shape[:1] + part.shape[2:], np.complex128)
+                _times(m, grid, part, prod)
                 out, out_buf = _buffer(out_buf, prod.shape[:2] + geom.shape, float if self.real else complex)
                 yield chunk, slice(lo, lo + len(prod)), _inverse_into(prod, out, geom.dim)
 
     def square_sum(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
         """sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch, stacked on
-        axis 0; for real planes, the sum over the planes of f = re + i im."""
+        axis 0; for real planes, the sum over the planes of f = re + i im.
+        The layers are those of the family's principal rows (`_principal`)
+        where it has them."""
         first, spec = self._spectra(fields)
         geom = fields[0].geometry
+        grid = self._points(geom)
         acc = np.zeros((len(spec),) + geom.shape)
+        for family in self._principal(grid, spec):
+            family._add_squares(spec, geom, grid, acc)
+        if len(spec) > len(fields):
+            acc = np.add.reduceat(acc, first, axis=0)
+        return np.fft.fftshift(acc, axes=_spatial_axes(geom))
+
+    def _add_squares(self, spec: np.ndarray, geom: Geometry, grid, acc: np.ndarray) -> None:
+        """acc += sum_t w_t |layer_t|^2 for the planes of `_spectra`, grid
+        being what `_points(geom)` gave."""
         power_buf = sum_buf = None
-        for chunk, part, out in self._layer_chunks(spec, geom):
+        for chunk, part, out in self._layer_chunks(spec, geom, grid):
             if self.real:  # the chunk's real layers are squared where they lie
                 power = np.multiply(out, out, out=out)
             else:
                 power, power_buf = _buffer(power_buf, out.shape, float)
                 np.square(np.abs(out, out=power), out=power)
-            summed, sum_buf = _buffer(sum_buf, out.shape[:1] + geom.shape, float)
-            acc[part] += np.einsum("j,bj...->b...", self.weights[chunk], power, out=summed)
-        if len(spec) > len(fields):
-            acc = np.add.reduceat(acc, first, axis=0)
-        return np.fft.fftshift(acc, axes=_spatial_axes(geom))
+            weights = self.weights[chunk]
+            if len(weights) == 1:  # weighted where it lies, the bits of the einsum
+                summed = np.multiply(power[:, 0], weights[0], out=power[:, 0])
+            else:
+                summed, sum_buf = _buffer(sum_buf, out.shape[:1] + geom.shape, float)
+                np.einsum("j,bj...->b...", weights, power, out=summed)
+            acc[part] += summed
+
+    def _principal(self, grid, spec: np.ndarray) -> list["ScaleFamily"]:
+        """Families whose square sums add up to this family's on grid (what
+        `_points` gave) for the planes of `_spectra` spec.
+
+        A family tagged real, evaluated on shells and of nonnegative weights
+        goes by blocks of at most isqrt(`grid._CHUNK_BYTES` / 8) = 181 scales,
+        so that a block's Gram fits the budget.  A block gives the family of
+        its principal rows (`_principal_rows`, `_row_family`) where it has
+        them; the scales of the other blocks stay one family.  Any other
+        family is its own one part.
+        """
+        points, index, _ = grid
+        if not (self.real and index is not None and (self.weights >= 0).all()):
+            return [self]
+        power = _shell_powers(spec, index, points[0].size)
+        step, keep, parts = math.isqrt(_fit_chunk(8)), np.zeros(self.scales.size, bool), []
+        for lo in range(0, self.scales.size, step):
+            rows = self._principal_rows(slice(lo, lo + step), points, power)
+            if rows is None:
+                keep[lo:lo + step] = True
+            elif len(rows):
+                parts.append(_row_family(rows))
+        if keep.any():
+            parts.insert(0, dataclasses.replace(self, scales=self.scales[keep], weights=self.weights[keep]))
+        return parts
+
+    def _principal_rows(self, block: slice, points, power: np.ndarray) -> np.ndarray | None:
+        """The rows U_r^T A of the block's scales on the 1-D arrays `points`,
+        or None when r is more than half the block's scales or the dropped
+        rows take more than `_PRINCIPAL_SHARE` of a plane's energy, power
+        being the planes' energies on the points (`_shell_powers`).
+
+        A = sqrt(w_j) m_j on the points, G = Re(A A^H), (lambda, U) = eigh(G),
+        and U_r drops the eigenvectors whose eigenvalues sum to at most
+        `_PRINCIPAL_EPS` trace(G).  U is real and orthogonal, so
+        sum_j w_j |L_j|^2 = sum_i |sum_j U_ji sqrt(w_j) L_j|^2 for the layers
+        L_j of a real plane, and each row stays Hermitian.  The dropped rows
+        would add power . (sigma - kappa) to the plane's sum_x of its square
+        sum, power . sigma, where sigma and kappa sum |A|^2 and the kept
+        rows' |U_r^T A|^2 over the scales.  A is evaluated in blocks of
+        points within `grid._CHUNK_BYTES`, twice, and never held whole.
+        """
+        t = self.scales[block].reshape(-1, 1)
+        root_w = np.sqrt(self.weights[block])[:, None]
+        size, step = points[0].size, _fit_chunk(16 * t.size)
+
+        def blocks():
+            for lo in range(0, size, step):
+                a = root_w * self.multiplier(t, *(x[lo:lo + step] for x in points))
+                yield slice(lo, lo + a.shape[1]), a
+
+        gram, sigma, kappa = np.zeros((t.size, t.size)), np.empty(size), np.empty(size)
+        for part, a in blocks():
+            gram += (a @ a.conj().T).real
+            sigma[part] = np.sum(np.abs(a) ** 2, axis=0)
+        lam, u = np.linalg.eigh(gram)
+        drop = np.count_nonzero(np.cumsum(lam) <= _PRINCIPAL_EPS * np.trace(gram))
+        if 2 * (t.size - drop) > t.size:
+            return None
+        u_r = u[:, drop:].T
+        rows = None
+        for part, a in blocks():
+            b = u_r @ a
+            if rows is None:
+                rows = np.empty((len(u_r), size), b.dtype)
+            rows[:, part] = b
+            kappa[part] = np.sum(np.abs(b) ** 2, axis=0)
+        if np.any(power @ (sigma - kappa) > _PRINCIPAL_SHARE * (power @ sigma)):
+            return None
+        return rows
 
     def square_function(self, fields: Sequence[SampledField]) -> list[SampledField]:
         """The square root of `square_sum`, one real nonnegative field per input."""
@@ -372,16 +545,16 @@ class ScaleFamily:
         chunks of `_per_chunk` scales.  Each plane is synthesized on
         its own and the result joined, re + i im."""
         ax = _spatial_axes(geom)
-        grids = geom.fft_grids(half=self.real)
         acc = np.zeros((planes,) + geom.spectrum_shape(self.real), dtype=np.complex128)
-        ours = self._chunks(grids, self._per_chunk(geom, planes))
+        grid = self._points(geom)
+        ours = self._chunks(grid, self._per_chunk(geom, planes))
         forward = np.fft.rfftn if self.real else np.fft.fftn
         spec_buf = None
         for (chunk, m), (given, h) in zip(ours, chunks, strict=True):
             assert given == chunk, f"layers for scales {given} arrived where {chunk} was due"
             spec, spec_buf = _buffer(spec_buf, h.shape[:-geom.dim] + acc.shape[1:], np.complex128)
             forward(h, axes=ax, out=spec)
-            np.multiply(m, spec, out=spec)
+            _times(m, grid, spec, spec)
             for j, w in enumerate(self.weights[chunk]):  # weighted in place, scale by scale
                 term = spec[:, j]
                 term *= w
@@ -393,9 +566,18 @@ class ScaleFamily:
         """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi.
 
         The terms are added one scale at a time in scale order, so the value
-        at a frequency does not depend on the other points of the call.
+        at a frequency does not depend on the other points of the call.  A
+        radial family, or an odd one on 1-D input (|m|^2 is even), is
+        evaluated once per distinct value of |xi|^2, at (|xi|, 0, ..., 0):
+        sqrt(fl(x^2)) == |x| in binary64, so a 1-D shell is |xi| itself.
         """
-        points, index, _ = self._points([np.asarray(x, dtype=float) for x in xi])  # |m|^2 is even
+        points = [np.asarray(x, dtype=float) for x in xi]
+        index = None
+        if self.radial or (self.odd and len(xi) == 1):
+            key = sum(x**2 for x in points)
+            shells, index = np.unique(key, return_inverse=True)
+            points = [np.sqrt(shells)] + [np.zeros_like(shells)] * (len(xi) - 1)
+            index = index.reshape(key.shape)
         acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in points)))
         for chunk, m in self._tables(points, _chunk_layers(acc.size)):
             for w, mj in zip(self.weights[chunk], m):

@@ -37,13 +37,15 @@ from scalesq import (
     weight_from_id,
     weighted_norm,
 )
-from scalesq import sobolev
+from scalesq import grid, sobolev
 from scalesq.sobolev import _smoothing_family
 from scalesq.multiplier import bessel_symbol
 from scalesq.squarefn import (
+    _PRINCIPAL_EPS,
     _chunk_layers,
     _power_sums,
     _second_difference_family,
+    _shells,
     _sided_average_family,
     _window_run,
 )
@@ -196,12 +198,22 @@ def test_radial_batch_table_spans_many_layer_chunks():
     calls = []
 
     def counted(t, *xi):
-        calls.append(t.size)
+        calls.append((np.ravel(t).copy(), np.ravel(xi[0]).copy()))
         return family.multiplier(t, *xi)
 
-    got = dataclasses.replace(family, multiplier=counted).square_sum(members)
     assert tg.node_count == 112 and _chunk_layers(geom.n_samples // 2 + 1) == 7
-    assert calls == [7] * 16  # one scale per call if sized for the layers
+    # off the principal route (untagged), one scale per call if sized for the layers
+    dataclasses.replace(family, real=False, multiplier=counted).square_sum(members)
+    assert [t.size for t, _ in calls] == [7] * 16
+    # the principal route evaluates the one block of 112 scales in blocks of
+    # shells within the budget, once for the Gram and once for the rows
+    # U_r^T A, whose blocks of r <= 112 rows are on the same shells
+    calls.clear()
+    got = dataclasses.replace(family, multiplier=counted).square_sum(members)
+    assert all(t.size == 112 and 16 * t.size * x.size <= grid._CHUNK_BYTES for t, x in calls)
+    assert all(np.array_equal(t, tg.scales) for t, _ in calls)
+    shells = np.concatenate([x for _, x in calls])
+    assert np.array_equal(np.sort(shells), np.repeat(np.arange(2049) / 64.0, 2))  # each point twice
     want = loop_square_sum(members[3], kernel_multiplier(kernel_from_id("poisson-q")), tg.scales, tg.weight)
     assert rel(got[3], want) <= 1e-12
 
@@ -749,12 +761,143 @@ def test_real_fields_take_the_half_spectrum(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted)
     family = ScaleFamily.of_kernel(kernel_from_id("poisson-q"), TG.scales, TG.weight)
     family.square_sum(members)
-    # every field as real planes: the 15 real members one each, the 5 complex two
+    # every field as real planes: the 15 real members one each, the 5 complex
+    # two, one inverse per layer.  The member on the Nyquist frequency keeps
+    # the batch on its scales: principal rows would drop 6e-10 of its energy
+    assert principal_rows(family, members) == 0
     assert seen == {"irfftn": (15 + 2 * 5) * TG.node_count, "ifftn": 0}
     # a family without the tag takes every field through the full spectrum
     seen.update(irfftn=0, ifftn=0)
     ScaleFamily.of_kernel(kernel_from_id("haar"), TG.scales, TG.weight).square_sum(members)
     assert seen == {"irfftn": 0, "ifftn": 20 * TG.node_count}
+
+
+def principal_rows(family, fields) -> int:
+    """How many principal rows the family's square sums of fields take: the
+    parts of `_principal` that do not evaluate the family's own multiplier."""
+    parts = family._principal(family._points(fields[0].geometry), family._spectra(fields)[1])
+    return sum(part.scales.size for part in parts if part.multiplier is not family.multiplier)
+
+
+def recorded_eighs(monkeypatch) -> list:
+    """(Gram, eigenvalues) of every `np.linalg.eigh` call from now on."""
+    seen, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        lam, u = eigh(a, *args, **kwargs)
+        seen.append((np.array(a), lam))
+        return lam, u
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return seen
+
+
+PRINCIPAL_CASES = [(Geometry(1, 4096, 32.0), "poisson-q"), (Geometry(2, 128, 16.0), "poisson-q:2")]
+
+
+def band_fields(geom):
+    """A real, a complex and a white-noise field, all mean-zero, with no
+    energy near the grid's Nyquist frequencies beyond white noise's."""
+    return [energy_fields(geom.dim, geom)[0], mean_subtract(random_band_field(geom, seed=9)), white_noise(geom, 11)]
+
+
+@pytest.mark.parametrize("geom,kid", PRINCIPAL_CASES, ids=lambda c: getattr(c, "dim", c))
+def test_principal_route_matches_the_scale_loop(geom, kid, monkeypatch):
+    # the default log grid, 112 scales at 4096 points and 32 at 128^2, one block each
+    kernel, tg = kernel_from_id(kid), default_time_grid(geom)
+    family = ScaleFamily.of_kernel(kernel, tg.scales, tg.weight)
+    eighs = recorded_eighs(monkeypatch)
+    fields = band_fields(geom)
+    sums = family.square_sum(fields)
+    rows = principal_rows(family, fields)
+    assert len(eighs) == 2 and tg.node_count == (112 if geom.dim == 1 else 32)
+    assert 0 < 2 * rows <= tg.node_count
+    for f, got in zip(fields, sums):
+        assert rel(got, loop_square_sum(f, kernel_multiplier(kernel), tg.scales, tg.weight)) <= 1e-12
+    # the dropped eigenvalues sum to at most eps trace(G), the next one would not
+    gram, lam = eighs[0]
+    drop = tg.node_count - rows
+    assert np.sum(lam[:drop]) <= _PRINCIPAL_EPS * np.trace(gram) < np.sum(lam[:drop + 1])
+    if geom.dim == 1:
+        assert rows <= 32  # 26 of 112: a quarter of the inverse FFTs
+
+
+def test_principal_rows_set_the_inverse_count(monkeypatch):
+    # the test family at 4096 points takes one inverse FFT per principal row
+    # and real plane: 15 real members, 5 complex ones of two planes
+    geom = Geometry(1, 4096, 32.0)
+    members, tg = default_test_family(geom, seed=4).members, default_time_grid(geom)
+    family = ScaleFamily.of_kernel(kernel_from_id("poisson-q"), tg.scales, tg.weight)
+    rows = principal_rows(family, members)
+    assert 0 < 4 * rows <= tg.node_count
+    seen, irfftn = [], np.fft.irfftn
+
+    def counted(a, *args, **kwargs):
+        seen.append(a.shape[0] * a.shape[1])  # planes x rows
+        return irfftn(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfftn", counted)
+    family.square_sum(members)
+    assert sum(seen) == (15 + 2 * 5) * rows
+
+
+def test_fields_the_family_barely_sees_keep_the_scales():
+    # a modulated Gaussian at |xi| = 2.5 on a 128^2 grid, Nyquist frequency 2
+    # per axis: its energy sits where the multipliers are 1e-7 of their peak,
+    # and the rows dropped by the trace rule would take 4.7e-13 of its square
+    # sum, above _PRINCIPAL_SHARE; the batch keeps the scales
+    geom = Geometry(2, 128, 16.0)
+    kernel, tg = kernel_from_id("poisson-q:2"), default_time_grid(geom)
+    family = ScaleFamily.of_kernel(kernel, tg.scales, tg.weight)
+    aliased = energy_fields(2, geom)[1]
+    assert principal_rows(family, band_fields(geom)) > 0
+    assert principal_rows(family, [aliased]) == principal_rows(family, band_fields(geom) + [aliased]) == 0
+    want = loop_square_sum(aliased, kernel_multiplier(kernel), tg.scales, tg.weight)
+    assert rel(family.square_sum([aliased])[0], want) <= 1e-12
+
+
+def test_high_rank_family_keeps_the_scale_route():
+    # riesz-diff's blocks keep more than half their scales: the family is its own one part
+    geom = Geometry(1, 4096, 32.0)
+    kr = default_dyadic_range(geom)
+    family = ScaleFamily.of_kernel(kernel_from_id("riesz-diff:0.5:ball"), kr.scales)
+    [part] = family._principal(family._points(geom), family._spectra(energy_fields(1, geom))[1])
+    assert np.array_equal(part.scales, family.scales) and np.array_equal(part.weights, family.weights)
+    assert part.multiplier is family.multiplier
+
+
+def test_fine_scale_sets_take_blocks_of_bounded_gram(monkeypatch):
+    # 1000 nodes per octave over three octaves: 3001 scales in blocks of 181,
+    # so eigh never sees the 3001^2 Gram
+    geom = Geometry(1, 64, 4.0)
+    tg = LogTimeGrid(0.25, 2.0, 1000)
+    kernel = kernel_from_id("poisson-q")
+    family = ScaleFamily.of_kernel(kernel, tg.scales, tg.weight)
+    eighs = recorded_eighs(monkeypatch)
+    f = energy_fields(1, geom)[0]
+    got = family.square_sum([f])[0]
+    assert math.isqrt(grid._CHUNK_BYTES // 8) == 181
+    assert len(eighs) == math.ceil(tg.node_count / 181) and max(g.shape[0] for g, _ in eighs) == 181
+    assert rel(got, loop_square_sum(f, kernel_multiplier(kernel), tg.scales, tg.weight)) <= 1e-12
+
+
+@pytest.mark.parametrize("geom", [Geometry(1, 512, 3.0), Geometry(1, 64, 16.0), Geometry(2, 64, 16.0),
+                                  Geometry(2, 512, 16.0), Geometry(2, 64, 3.0), Geometry(2, 32, 0.7)],
+                         ids=lambda g: f"{g.dim}d-{g.n_samples}-{g.half_length:g}")
+@pytest.mark.parametrize("half", [True, False])
+def test_integer_shells_are_the_float_shells(geom, half):
+    # sqrt(K) / (2L) from the integer K = sum k_i^2, against the float route:
+    # bit for bit in 1-D and where 2L is a power of two, within round-off elsewhere
+    xi = geom.fft_grids(half)
+    rho, index = _shells(geom, half)
+    want = np.sqrt(sum(x**2 for x in xi))
+    assert index.shape == want.shape and index.dtype == np.min_scalar_type(rho.size)
+    assert np.all(np.diff(rho) > 0) and rho[0] == 0.0
+    if geom.dim == 1 or math.log2(2.0 * geom.half_length).is_integer():
+        assert np.array_equal(rho[index], want)
+        assert np.array_equal(rho, np.unique(want))
+    else:
+        assert np.max(np.abs(rho[index] - want) / np.maximum(want, 1e-300)) <= 1e-15
 
 
 def test_wrong_real_tag_drops_the_nyquist_term():
