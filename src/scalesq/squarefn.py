@@ -43,11 +43,15 @@ fewer layers than it has scales (`ScaleFamily._principal`; the basis
 filters of Perona, "Deformable kernels for early vision", IEEE TPAMI 17(5),
 1995): the sum is invariant under any real orthogonal mixing of the
 weighted multipliers sqrt(w_t) m_t, so a block of scales can be rotated
-onto the eigenvectors of its Gram on the shells and its negligible rows
-dropped.  The default 1-D poisson-q family (112 scales at 4096 points)
-takes 26 rows, the 512^2 poisson-q:2 family 19 of 64; riesz-diff and the
-ball and smoothing families keep their scales.  Layers, syntheses and
-symbols always take the scales.  The p = 2
+onto the eigenvectors of its Gram on the shells and the rows whose
+eigenvalues sum to at most 2^-52 of its trace dropped.  A probe, the same
+rule on a Gram of about two shells per scale, first sends a block that
+would keep more than half its scales back to them, at the cost of that
+small table; a plane whose energy the dropped rows would not all see takes
+the block's scales too.  The default 1-D poisson-q family (112 scales at
+4096 points) takes 26 rows, the 512^2 poisson-q:2 family 19 of 64;
+riesz-diff and the ball and smoothing families, 88% of whose scales stay,
+keep them.  Layers, syntheses and symbols always take the scales.  The p = 2
 constant-weight ratios in `sobolev` take their norms by the discrete
 Parseval identity from even symbols on the half grid and one `rfftn` per
 real plane of a field (`_power_sums`), and form no layer.
@@ -99,10 +103,10 @@ from .kernels import Kernel, _jacobi_unit_rule
 # (1.3 MB) stay one batch, a 2-D field of 512^2 points (4 MiB) goes alone
 _BATCH_BYTES = 2 * 1024 * 1024
 # a block of scales drops the eigenvalues of its Gram that sum to at most this
-# share of its trace (`ScaleFamily._principal_rows`): binary64's machine epsilon
+# share of its trace (`ScaleFamily._principal_axes`): binary64's machine epsilon
 _PRINCIPAL_EPS = 2.0**-52
-# and is kept only while the rows it drops take at most this share of each
-# plane's energy in its square sum, so that no plane's sum moves by more
+# and a plane takes the kept rows only while the dropped ones take at most this
+# share of its energy in its square sum, so that its sum moves by no more
 _PRINCIPAL_SHARE = 2.0**-46
 
 
@@ -249,6 +253,18 @@ def _shell_powers(spec: np.ndarray, index: np.ndarray, shells: int) -> np.ndarra
     return np.array([np.bincount(flat, ((row.real**2 + row.imag**2) * twice).ravel(), shells) for row in spec[:, 0]])
 
 
+def _gram(weighted) -> np.ndarray:
+    """Re(A A^H) summed over the (slice, block of A) pairs of
+    `ScaleFamily._weighted`."""
+    return sum((a @ a.conj().T).real for _, a in weighted)
+
+
+def _kept(gram: np.ndarray, lam: np.ndarray) -> int:
+    """How many of gram's eigenvalues lam (ascending) stay when the smallest
+    ones that sum to at most `_PRINCIPAL_EPS` trace(gram) are dropped."""
+    return lam.size - np.count_nonzero(np.cumsum(lam) <= _PRINCIPAL_EPS * np.trace(gram))
+
+
 def _row_family(rows: np.ndarray) -> "ScaleFamily":
     """The rows of a table on a family's shells as a family of unit weights,
     row i its multiplier at "scale" i: valid on those shells alone, which the
@@ -293,8 +309,10 @@ class ScaleFamily:
     term of its layers.
 
     The square sum of a family tagged real and radial takes one layer per
-    principal row of its blocks of scales, where those are few and lose
-    nothing a plane can see (`_principal`), instead of one per scale.
+    principal row of its blocks of scales (`_principal`), where a probe
+    finds that at most half the scales would stay, instead of one per
+    scale; a plane to which the dropped rows would lose more than 2^-46 of
+    its energy takes the scales.
     """
 
     scales: NDArray[np.float64]
@@ -422,8 +440,13 @@ class ScaleFamily:
         geom = fields[0].geometry
         grid = self._points(geom)
         acc = np.zeros((len(spec),) + geom.shape)
-        for family in self._principal(grid, spec):
-            family._add_squares(spec, geom, grid, acc)
+        for family, planes in self._principal(grid, spec):
+            if planes is None:
+                family._add_squares(spec, geom, grid, acc)
+            else:
+                part = np.zeros((planes.size,) + geom.shape)
+                family._add_squares(spec[planes], geom, grid, part)
+                acc[planes] += part
         if len(spec) > len(fields):
             acc = np.add.reduceat(acc, first, axis=0)
         return np.fft.fftshift(acc, axes=_spatial_axes(geom))
@@ -446,76 +469,101 @@ class ScaleFamily:
                 np.einsum("j,bj...->b...", weights, power, out=summed)
             acc[part] += summed
 
-    def _principal(self, grid, spec: np.ndarray) -> list["ScaleFamily"]:
-        """Families whose square sums add up to this family's on grid (what
-        `_points` gave) for the planes of `_spectra` spec.
+    def _principal(self, grid, spec: np.ndarray):
+        """(family, planes) pairs whose square sums, each over its planes of
+        `_spectra` spec (None: all of them), add up to this family's on grid
+        (what `_points` gave).
 
         A family tagged real, evaluated on shells and of nonnegative weights
         goes by blocks of at most isqrt(`grid._CHUNK_BYTES` / 8) = 181 scales,
-        so that a block's Gram fits the budget.  A block gives the family of
-        its principal rows (`_principal_rows`, `_row_family`) where it has
-        them; the scales of the other blocks stay one family.  Any other
-        family is its own one part.
+        so that a block's Gram fits the budget.  A block with principal axes
+        (`_principal_axes`) gives the family of its rows (`_row_family`) for
+        the planes that lose nothing to them (`_principal_rows`), and its own
+        scales for the others; the scales of the blocks without stay one
+        family, for every plane.  Any other family is its own one part.  The
+        pairs are made as they are asked for, so that the rows of all the
+        blocks are never held at once, and the planes' shell energies are
+        found for a block with axes alone.
         """
         points, index, _ = grid
         if not (self.real and index is not None and (self.weights >= 0).all()):
-            return [self]
-        power = _shell_powers(spec, index, points[0].size)
-        step, keep, parts = math.isqrt(_fit_chunk(8)), np.zeros(self.scales.size, bool), []
+            yield self, None
+            return
+        step, keep = math.isqrt(_fit_chunk(8)), np.zeros(self.scales.size, bool)
         for lo in range(0, self.scales.size, step):
-            rows = self._principal_rows(slice(lo, lo + step), points, power)
-            if rows is None:
-                keep[lo:lo + step] = True
-            elif len(rows):
-                parts.append(_row_family(rows))
+            block = slice(lo, lo + step)
+            axes = self._principal_axes(block, points)
+            if axes is None:
+                keep[block] = True
+                continue
+            rows, lost = self._principal_rows(block, points, axes, _shell_powers(spec, index, points[0].size))
+            if len(rows) and not lost.all():
+                yield _row_family(rows), (np.flatnonzero(~lost) if lost.any() else None)
+            if lost.any():
+                scales = dataclasses.replace(self, scales=self.scales[block], weights=self.weights[block])
+                yield scales, (None if lost.all() else np.flatnonzero(lost))
         if keep.any():
-            parts.insert(0, dataclasses.replace(self, scales=self.scales[keep], weights=self.weights[keep]))
-        return parts
+            yield dataclasses.replace(self, scales=self.scales[keep], weights=self.weights[keep]), None
 
-    def _principal_rows(self, block: slice, points, power: np.ndarray) -> np.ndarray | None:
-        """The rows U_r^T A of the block's scales on the 1-D arrays `points`,
-        or None when r is more than half the block's scales or the dropped
-        rows take more than `_PRINCIPAL_SHARE` of a plane's energy, power
-        being the planes' energies on the points (`_shell_powers`).
+    def _weighted(self, block: slice, points):
+        """(slice of points, sqrt(w_j) m_j for the block's scales there) over
+        the 1-D arrays `points`, in blocks of points within `grid._CHUNK_BYTES`."""
+        t = self.scales[block].reshape(-1, 1)
+        root_w = np.sqrt(self.weights[block])[:, None]
+        step = _fit_chunk(16 * t.size)
+        for lo in range(0, points[0].size, step):
+            a = root_w * self.multiplier(t, *(x[lo:lo + step] for x in points))
+            yield slice(lo, lo + a.shape[1]), a
+
+    def _principal_axes(self, block: slice, points) -> np.ndarray | None:
+        """U_r^T for the block's S scales on the P points `points`, or None
+        when a probe finds that more than half of them would stay.
 
         A = sqrt(w_j) m_j on the points, G = Re(A A^H), (lambda, U) = eigh(G),
         and U_r drops the eigenvectors whose eigenvalues sum to at most
-        `_PRINCIPAL_EPS` trace(G).  U is real and orthogonal, so
-        sum_j w_j |L_j|^2 = sum_i |sum_j U_ji sqrt(w_j) L_j|^2 for the layers
-        L_j of a real plane, and each row stays Hermitian.  The dropped rows
-        would add power . (sigma - kappa) to the plane's sum_x of its square
-        sum, power . sigma, where sigma and kappa sum |A|^2 and the kept
-        rows' |U_r^T A|^2 over the scales.  A is evaluated in blocks of
-        points within `grid._CHUNK_BYTES`, twice, and never held whole.
+        `_PRINCIPAL_EPS` trace(G) (`_kept`).  The probe applies that rule to
+        the Gram on every k-th point, k = P // (2 S), about two points per
+        scale, before G is formed: a block that keeps most of its scales
+        costs a table on 2 S points, not a second table on all P.  On fewer
+        than 4 S points the probe is G.  A sampled Gram keeps no more rows
+        than G.  On 1-D grids of 256 to 65536 points and 2-D grids of 64^2 to
+        512^2 with their default log grids, the probe keeps 13-50% of the
+        scales for poisson-q and 69-88% for riesz-diff and the ball smoothing
+        families (G: 20-56% and 69-91%).  Past one half, rows measured no
+        faster than the scales in one process for those (`BENCH_25.json`).
         """
-        t = self.scales[block].reshape(-1, 1)
-        root_w = np.sqrt(self.weights[block])[:, None]
-        size, step = points[0].size, _fit_chunk(16 * t.size)
-
-        def blocks():
-            for lo in range(0, size, step):
-                a = root_w * self.multiplier(t, *(x[lo:lo + step] for x in points))
-                yield slice(lo, lo + a.shape[1]), a
-
-        gram, sigma, kappa = np.zeros((t.size, t.size)), np.empty(size), np.empty(size)
-        for part, a in blocks():
-            gram += (a @ a.conj().T).real
-            sigma[part] = np.sum(np.abs(a) ** 2, axis=0)
+        size = self.scales[block].size
+        stride = max(1, points[0].size // (2 * size))
+        probe = _gram(self._weighted(block, tuple(x[::stride] for x in points)))
+        if 2 * _kept(probe, np.linalg.eigvalsh(probe)) > size:
+            return None
+        gram = probe if stride == 1 else _gram(self._weighted(block, points))
         lam, u = np.linalg.eigh(gram)
-        drop = np.count_nonzero(np.cumsum(lam) <= _PRINCIPAL_EPS * np.trace(gram))
-        if 2 * (t.size - drop) > t.size:
-            return None
-        u_r = u[:, drop:].T
-        rows = None
-        for part, a in blocks():
-            b = u_r @ a
+        return u[:, size - _kept(gram, lam):].T
+
+    def _principal_rows(self, block: slice, points, axes: np.ndarray, power: np.ndarray):
+        """(the rows B = U_r^T A on the points, whether each plane would lose
+        more than `_PRINCIPAL_SHARE` of its energy in its square sum to the
+        dropped rows), axes being U_r^T (`_principal_axes`) and power the
+        planes' energies on the points (`_shell_powers`).
+
+        U is real and orthogonal, so sum_j w_j |L_j|^2 =
+        sum_i |sum_j U_ji sqrt(w_j) L_j|^2 for the layers L_j of a real
+        plane, and each row stays Hermitian.  The dropped rows would add
+        power . (sigma - kappa) to the plane's sum over x of its square sum,
+        power . sigma, where sigma and kappa sum |A|^2 and |B|^2 over their
+        rows.  A is evaluated in blocks of points (`_weighted`), never whole.
+        """
+        size = points[0].size
+        rows, sigma, kappa = None, np.empty(size), np.empty(size)
+        for part, a in self._weighted(block, points):
+            b = axes @ a
             if rows is None:
-                rows = np.empty((len(u_r), size), b.dtype)
+                rows = np.empty((len(axes), size), b.dtype)
             rows[:, part] = b
+            sigma[part] = np.sum(np.abs(a) ** 2, axis=0)
             kappa[part] = np.sum(np.abs(b) ** 2, axis=0)
-        if np.any(power @ (sigma - kappa) > _PRINCIPAL_SHARE * (power @ sigma)):
-            return None
-        return rows
+        return rows, power @ (sigma - kappa) > _PRINCIPAL_SHARE * (power @ sigma)
 
     def square_function(self, fields: Sequence[SampledField]) -> list[SampledField]:
         """The square root of `square_sum`, one real nonnegative field per input."""

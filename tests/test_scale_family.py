@@ -206,14 +206,16 @@ def test_radial_batch_table_spans_many_layer_chunks():
     dataclasses.replace(family, real=False, multiplier=counted).square_sum(members)
     assert [t.size for t, _ in calls] == [7] * 16
     # the principal route evaluates the one block of 112 scales in blocks of
-    # shells within the budget, once for the Gram and once for the rows
-    # U_r^T A, whose blocks of r <= 112 rows are on the same shells
+    # shells within the budget: on every 2049 // 224 = 9th shell for the
+    # probe, then on each shell twice, for the Gram and for the rows U_r^T A,
+    # whose blocks of r <= 112 rows are on the same shells
     calls.clear()
     got = dataclasses.replace(family, multiplier=counted).square_sum(members)
     assert all(t.size == 112 and 16 * t.size * x.size <= grid._CHUNK_BYTES for t, x in calls)
     assert all(np.array_equal(t, tg.scales) for t, _ in calls)
     shells = np.concatenate([x for _, x in calls])
-    assert np.array_equal(np.sort(shells), np.repeat(np.arange(2049) / 64.0, 2))  # each point twice
+    twice = np.repeat(np.arange(2049), 2)
+    assert np.array_equal(np.sort(shells), np.sort(np.concatenate([twice, np.arange(0, 2049, 9)])) / 64.0)
     want = loop_square_sum(members[3], kernel_multiplier(kernel_from_id("poisson-q")), tg.scales, tg.weight)
     assert rel(got[3], want) <= 1e-12
 
@@ -747,7 +749,8 @@ def test_real_multipliers_see_the_half_grid_alone(dim):
 
 def test_real_fields_take_the_half_spectrum(monkeypatch):
     geom = Geometry(1, 512, 16.0)
-    members = default_test_family(geom, seed=4).members
+    test_family = default_test_family(geom, seed=4)
+    members = test_family.members
     real = [not f.values.imag.any() for f in members]
     assert sum(real) == 15
     seen = {"irfftn": 0, "ifftn": 0}
@@ -762,33 +765,57 @@ def test_real_fields_take_the_half_spectrum(monkeypatch):
     family = ScaleFamily.of_kernel(kernel_from_id("poisson-q"), TG.scales, TG.weight)
     family.square_sum(members)
     # every field as real planes: the 15 real members one each, the 5 complex
-    # two, one inverse per layer.  The member on the Nyquist frequency keeps
-    # the batch on its scales: principal rows would drop 6e-10 of its energy
-    assert principal_rows(family, members) == 0
-    assert seen == {"irfftn": (15 + 2 * 5) * TG.node_count, "ifftn": 0}
+    # two, one inverse per layer: r principal rows for each plane but three,
+    # both planes of the Gaussian modulated at 4 and the real plane of the
+    # one at 8, the Nyquist frequency, whose energy the rows would not all
+    # see; those take the scales
+    assert test_family.labels[13:15] == ("modgauss:f4", "modgauss:f8")
+    rows, layers = principal_rows(family, members), plane_layers(family, members)
+    assert len(layers) == 15 + 2 * 5 and 0 < 2 * rows < TG.node_count
+    assert list(layers[16:19]) == [TG.node_count] * 3 and sorted(layers) == [rows] * 22 + [TG.node_count] * 3
+    assert seen == {"irfftn": 22 * rows + 3 * TG.node_count, "ifftn": 0}
     # a family without the tag takes every field through the full spectrum
     seen.update(irfftn=0, ifftn=0)
     ScaleFamily.of_kernel(kernel_from_id("haar"), TG.scales, TG.weight).square_sum(members)
     assert seen == {"irfftn": 0, "ifftn": 20 * TG.node_count}
 
 
+def principal_parts(family, fields) -> list:
+    """The (family, planes) parts of the family's square sums of fields."""
+    return list(family._principal(family._points(fields[0].geometry), family._spectra(fields)[1]))
+
+
 def principal_rows(family, fields) -> int:
     """How many principal rows the family's square sums of fields take: the
     parts of `_principal` that do not evaluate the family's own multiplier."""
-    parts = family._principal(family._points(fields[0].geometry), family._spectra(fields)[1])
-    return sum(part.scales.size for part in parts if part.multiplier is not family.multiplier)
+    return sum(part.scales.size for part, _ in principal_parts(family, fields) if part.multiplier is not family.multiplier)
 
 
-def recorded_eighs(monkeypatch) -> list:
-    """(Gram, eigenvalues) of every `np.linalg.eigh` call from now on."""
-    seen, eigh = [], np.linalg.eigh
+def plane_layers(family, fields) -> np.ndarray:
+    """How many layers, rows or scales, each plane of the fields takes."""
+    layers = np.zeros(len(family._spectra(fields)[1]), int)
+    for part, planes in principal_parts(family, fields):
+        layers[slice(None) if planes is None else planes] += part.scales.size
+    return layers
+
+
+def recorded_eighs(monkeypatch, probes=None) -> list:
+    """(Gram, eigenvalues) of every `np.linalg.eigh` call from now on, and
+    into the list probes, when given, the Gram of every `eigvalsh` call."""
+    seen, eigh, eigvalsh = [], np.linalg.eigh, np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
         lam, u = eigh(a, *args, **kwargs)
         seen.append((np.array(a), lam))
         return lam, u
 
+    def probing(a, *args, **kwargs):
+        probes.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", recording)
+    if probes is not None:
+        monkeypatch.setattr(np.linalg, "eigvalsh", probing)
     return seen
 
 
@@ -845,25 +872,34 @@ def test_fields_the_family_barely_sees_keep_the_scales():
     # a modulated Gaussian at |xi| = 2.5 on a 128^2 grid, Nyquist frequency 2
     # per axis: its energy sits where the multipliers are 1e-7 of their peak,
     # and the rows dropped by the trace rule would take 4.7e-13 of its square
-    # sum, above _PRINCIPAL_SHARE; the batch keeps the scales
+    # sum, above _PRINCIPAL_SHARE.  Its two planes keep the scales; the other
+    # fields of its batch (four planes) take the rows all the same
     geom = Geometry(2, 128, 16.0)
     kernel, tg = kernel_from_id("poisson-q:2"), default_time_grid(geom)
     family = ScaleFamily.of_kernel(kernel, tg.scales, tg.weight)
     aliased = energy_fields(2, geom)[1]
-    assert principal_rows(family, band_fields(geom)) > 0
-    assert principal_rows(family, [aliased]) == principal_rows(family, band_fields(geom) + [aliased]) == 0
-    want = loop_square_sum(aliased, kernel_multiplier(kernel), tg.scales, tg.weight)
-    assert rel(family.square_sum([aliased])[0], want) <= 1e-12
+    batch = band_fields(geom) + [aliased]
+    rows = principal_rows(family, batch)
+    assert principal_rows(family, [aliased]) == 0 and 0 < 2 * rows < tg.node_count
+    assert list(plane_layers(family, batch)) == [rows] * 4 + [tg.node_count] * 2
+    for f, got in zip(batch, family.square_sum(batch)):
+        assert rel(got, loop_square_sum(f, kernel_multiplier(kernel), tg.scales, tg.weight)) <= 1e-12
 
 
-def test_high_rank_family_keeps_the_scale_route():
-    # riesz-diff's blocks keep more than half their scales: the family is its own one part
+@pytest.mark.parametrize("tg", [default_time_grid(Geometry(1, 4096, 32.0)), default_dyadic_range(Geometry(1, 4096, 32.0))],
+                         ids=["log", "dyadic"])
+def test_high_rank_family_keeps_the_scale_route(tg, monkeypatch):
+    # riesz-diff's probe keeps more than half the scales (95 of 112 on the
+    # log grid): the family is its own one part, for every plane, and no
+    # Gram on all 2049 shells is formed
     geom = Geometry(1, 4096, 32.0)
-    kr = default_dyadic_range(geom)
-    family = ScaleFamily.of_kernel(kernel_from_id("riesz-diff:0.5:ball"), kr.scales)
-    [part] = family._principal(family._points(geom), family._spectra(energy_fields(1, geom))[1])
+    family = ScaleFamily.of_kernel(kernel_from_id("riesz-diff:0.5:ball"), tg.scales, tg.weight)
+    probes = []
+    eighs = recorded_eighs(monkeypatch, probes)
+    [(part, planes)] = principal_parts(family, energy_fields(1, geom))
     assert np.array_equal(part.scales, family.scales) and np.array_equal(part.weights, family.weights)
-    assert part.multiplier is family.multiplier
+    assert part.multiplier is family.multiplier and planes is None
+    assert eighs == [] and [g.shape[0] for g in probes] == [tg.scales.size]
 
 
 def test_fine_scale_sets_take_blocks_of_bounded_gram(monkeypatch):
@@ -873,11 +909,13 @@ def test_fine_scale_sets_take_blocks_of_bounded_gram(monkeypatch):
     tg = LogTimeGrid(0.25, 2.0, 1000)
     kernel = kernel_from_id("poisson-q")
     family = ScaleFamily.of_kernel(kernel, tg.scales, tg.weight)
-    eighs = recorded_eighs(monkeypatch)
+    probes = []
+    eighs = recorded_eighs(monkeypatch, probes)
     f = energy_fields(1, geom)[0]
     got = family.square_sum([f])[0]
     assert math.isqrt(grid._CHUNK_BYTES // 8) == 181
-    assert len(eighs) == math.ceil(tg.node_count / 181) and max(g.shape[0] for g, _ in eighs) == 181
+    assert len(eighs) == len(probes) == math.ceil(tg.node_count / 181)
+    assert max(g.shape[0] for g, _ in eighs) == max(g.shape[0] for g in probes) == 181
     assert rel(got, loop_square_sum(f, kernel_multiplier(kernel), tg.scales, tg.weight)) <= 1e-12
 
 
