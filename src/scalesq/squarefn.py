@@ -51,7 +51,11 @@ small table; a plane whose energy the dropped rows would not all see takes
 the block's scales too.  The default 1-D poisson-q family (112 scales at
 4096 points) takes 26 rows, the 512^2 poisson-q:2 family 19 of 64;
 riesz-diff and the ball and smoothing families, 88% of whose scales stay,
-keep them.  Layers, syntheses and symbols always take the scales.  The p = 2
+keep them.  The embedded side of `duality_residual` takes the same rows for
+analysis and synthesis alike (`_duality_rows`) when the kernel is real and
+radial and its reflected conjugate has its table bit for bit; a layer
+stack, a synthesis of one, a symbol and every other duality residual take
+the scales.  The p = 2
 constant-weight ratios in `sobolev` take their norms by the discrete
 Parseval identity from even symbols on the half grid and one `rfftn` per
 real plane of a field (`_power_sums`), and form no layer.
@@ -68,7 +72,8 @@ feeding it the analysis layers of f with the reflected conjugate kernel
 reproduces the truncated multiplier acting on f, which `duality_residual`
 checks.  There the layers are
 streamed: the synthesis consumes each chunk of analysis layers as it is
-made, and the stack of all layers is never stored.
+made, its spectra taking the buffer of the chunk's spent products, and the
+stack of all layers is never stored.
 
 The direct Marcinkiewicz route never touches |psihat|^2: it evaluates the
 sided averages by Gauss-Jacobi quadrature in the offset variable, summing
@@ -265,6 +270,22 @@ def _kept(gram: np.ndarray, lam: np.ndarray) -> int:
     return lam.size - np.count_nonzero(np.cumsum(lam) <= _PRINCIPAL_EPS * np.trace(gram))
 
 
+def _energy_lost(power: np.ndarray, sigma: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Whether each plane, of energies power on the shells (`_shell_powers`),
+    would lose more than `_PRINCIPAL_SHARE` of its square sum's energy,
+    power . sigma, to the dropped principal rows: power . (sigma - kappa),
+    sigma and kappa as in `ScaleFamily._principal_rows`."""
+    return power @ (sigma - kappa) > _PRINCIPAL_SHARE * (power @ sigma)
+
+
+def _spectrum_moved(power: np.ndarray, sigma: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Whether the dropped principal rows would move each plane's synthesis
+    of its own layers, of spectrum sigma fhat, by more than
+    `_PRINCIPAL_SHARE` of its L2 norm: the rows make kappa fhat, so the
+    change is |sigma - kappa| fhat, power holding |fhat|^2 on the shells."""
+    return power @ (sigma - kappa) ** 2 > _PRINCIPAL_SHARE**2 * (power @ sigma**2)
+
+
 def _row_family(rows: np.ndarray) -> "ScaleFamily":
     """The rows of a table on a family's shells as a family of unit weights,
     row i its multiplier at "scale" i: valid on those shells alone, which the
@@ -407,10 +428,10 @@ class ScaleFamily:
             forward(np.fft.ifftshift(plane), out=row[0])
         return first, spec
 
-    def _layer_chunks(self, spec: np.ndarray, geom: Geometry, grid=None):
+    def _layer_chunks(self, spec: np.ndarray, geom: Geometry, grid):
         """(slice of scales, slice of the planes of `_spectra`, their layers in
-        FFT order on (plane, scale, *grid)), chunk by chunk; grid is what
-        `_points(geom)` gives, found here when None.
+        FFT order on (plane, scale, *grid), the spent buffer of their products),
+        chunk by chunk; grid is what `_points(geom)` gave.
 
         A chunk holds `_per_chunk` scales of every plane, at most
         `grid._CHUNK_BYTES` of layers (at least one scale), and its multipliers
@@ -419,9 +440,11 @@ class ScaleFamily:
         scales, at least two for a family tagged real, so that the planes of
         a batch of one field come in one piece.  The products and the layers
         are formed in two buffers that every chunk reuses, so a consumer must
-        be done with a chunk's layers before it asks for the next."""
+        be done with a chunk's layers before it asks for the next.  The
+        products, complex values of the layers' spectra, are spent once the
+        layers are made: a consumer may overwrite their buffer (a flat array
+        for `_buffer`) with the spectra of the layers it was handed."""
         prod_buf = out_buf = None
-        grid = self._points(geom) if grid is None else grid
         for chunk, m in self._chunks(grid, self._per_chunk(geom, len(spec))):
             step = max(1 + self.real, self._per_chunk(geom, len(m)))
             for lo in range(0, len(spec), step):
@@ -429,7 +452,7 @@ class ScaleFamily:
                 prod, prod_buf = _buffer(prod_buf, part.shape[:1] + m.shape[:1] + part.shape[2:], np.complex128)
                 _times(m, grid, part, prod)
                 out, out_buf = _buffer(out_buf, prod.shape[:2] + geom.shape, float if self.real else complex)
-                yield chunk, slice(lo, lo + len(prod)), _inverse_into(prod, out, geom.dim)
+                yield chunk, slice(lo, lo + len(prod)), _inverse_into(prod, out, geom.dim), prod_buf
 
     def square_sum(self, fields: Sequence[SampledField]) -> NDArray[np.float64]:
         """sum_t w_t |IFFT(m_t fhat)|^2 for each field of a batch, stacked on
@@ -455,7 +478,7 @@ class ScaleFamily:
         """acc += sum_t w_t |layer_t|^2 for the planes of `_spectra`, grid
         being what `_points(geom)` gave."""
         power_buf = sum_buf = None
-        for chunk, part, out in self._layer_chunks(spec, geom, grid):
+        for chunk, part, out, _ in self._layer_chunks(spec, geom, grid):
             if self.real:  # the chunk's real layers are squared where they lie
                 power = np.multiply(out, out, out=out)
             else:
@@ -469,34 +492,58 @@ class ScaleFamily:
                 np.einsum("j,bj...->b...", weights, power, out=summed)
             acc[part] += summed
 
+    def _rotatable(self, grid) -> bool:
+        """Whether the family's blocks of scales may be rotated onto principal
+        rows on grid (what `_points` gave): it is tagged real, evaluated on
+        shells, and of nonnegative weights."""
+        return self.real and grid[1] is not None and bool((self.weights >= 0).all())
+
+    def _blocks(self, grid, spec: np.ndarray, lost, twin: "ScaleFamily | None" = None):
+        """(slice of scales, their principal rows or None, which planes of
+        `_spectra` spec the rows fail) for each block of at most
+        isqrt(`grid._CHUNK_BYTES` / 8) = 181 scales of a `_rotatable` family
+        on grid (what `_points` gave), so that a block's Gram fits the budget.
+
+        A block has rows where its probe finds axes (`_principal_axes`) and,
+        when the family twin is given, twin's table is its own bit for bit
+        (`_principal_rows`).  lost(power, sigma, kappa) then says which
+        planes, of energies power on the shells (`_shell_powers`), the rows
+        fail.  The blocks are made as they are asked for, so that the rows of
+        all of them are never held at once, and the planes' shell energies
+        are found for a block with rows alone.
+        """
+        points, index, _ = grid
+        step = math.isqrt(_fit_chunk(8))
+        for lo in range(0, self.scales.size, step):
+            block = slice(lo, lo + step)
+            axes = self._principal_axes(block, points)
+            made = None if axes is None else self._principal_rows(block, points, axes, twin)
+            if made is None:
+                yield block, None, None
+                continue
+            rows, sigma, kappa = made
+            yield block, rows, lost(_shell_powers(spec, index, points[0].size), sigma, kappa)
+
     def _principal(self, grid, spec: np.ndarray):
         """(family, planes) pairs whose square sums, each over its planes of
         `_spectra` spec (None: all of them), add up to this family's on grid
         (what `_points` gave).
 
-        A family tagged real, evaluated on shells and of nonnegative weights
-        goes by blocks of at most isqrt(`grid._CHUNK_BYTES` / 8) = 181 scales,
-        so that a block's Gram fits the budget.  A block with principal axes
-        (`_principal_axes`) gives the family of its rows (`_row_family`) for
-        the planes that lose nothing to them (`_principal_rows`), and its own
-        scales for the others; the scales of the blocks without stay one
-        family, for every plane.  Any other family is its own one part.  The
-        pairs are made as they are asked for, so that the rows of all the
-        blocks are never held at once, and the planes' shell energies are
-        found for a block with axes alone.
+        A `_rotatable` family goes by `_blocks`.  A block with rows gives the
+        family of its rows (`_row_family`) for the planes that lose at most
+        `_PRINCIPAL_SHARE` of their energy to the dropped rows (`_energy_lost`),
+        and its own scales for the others; the scales of the blocks without
+        stay one family, for every plane.  Any other family is its own one
+        part.  The pairs are made as they are asked for.
         """
-        points, index, _ = grid
-        if not (self.real and index is not None and (self.weights >= 0).all()):
+        if not self._rotatable(grid):
             yield self, None
             return
-        step, keep = math.isqrt(_fit_chunk(8)), np.zeros(self.scales.size, bool)
-        for lo in range(0, self.scales.size, step):
-            block = slice(lo, lo + step)
-            axes = self._principal_axes(block, points)
-            if axes is None:
+        keep = np.zeros(self.scales.size, bool)
+        for block, rows, lost in self._blocks(grid, spec, _energy_lost):
+            if rows is None:
                 keep[block] = True
                 continue
-            rows, lost = self._principal_rows(block, points, axes, _shell_powers(spec, index, points[0].size))
             if len(rows) and not lost.all():
                 yield _row_family(rows), (np.flatnonzero(~lost) if lost.any() else None)
             if lost.any():
@@ -541,29 +588,32 @@ class ScaleFamily:
         lam, u = np.linalg.eigh(gram)
         return u[:, size - _kept(gram, lam):].T
 
-    def _principal_rows(self, block: slice, points, axes: np.ndarray, power: np.ndarray):
-        """(the rows B = U_r^T A on the points, whether each plane would lose
-        more than `_PRINCIPAL_SHARE` of its energy in its square sum to the
-        dropped rows), axes being U_r^T (`_principal_axes`) and power the
-        planes' energies on the points (`_shell_powers`).
+    def _principal_rows(self, block: slice, points, axes: np.ndarray, twin: "ScaleFamily | None" = None):
+        """(the rows B = U_r^T A on the points, sigma, kappa), axes being U_r^T
+        (`_principal_axes`) and sigma and kappa the sums of |A|^2 and |B|^2
+        over their rows at each point; None when the family twin, given, has
+        a table on the block's scales and the points that differs from A by a
+        bit.  A (and twin's table with it) is evaluated in blocks of points
+        (`_weighted`), never whole.
 
         U is real and orthogonal, so sum_j w_j |L_j|^2 =
         sum_i |sum_j U_ji sqrt(w_j) L_j|^2 for the layers L_j of a real
-        plane, and each row stays Hermitian.  The dropped rows would add
-        power . (sigma - kappa) to the plane's sum over x of its square sum,
-        power . sigma, where sigma and kappa sum |A|^2 and |B|^2 over their
-        rows.  A is evaluated in blocks of points (`_weighted`), never whole.
+        plane, and each row stays Hermitian.  On a shell, the dropped rows
+        would add sigma - kappa to the square sum of a unit spectrum.
         """
         size = points[0].size
         rows, sigma, kappa = None, np.empty(size), np.empty(size)
+        theirs = None if twin is None else twin._weighted(block, points)
         for part, a in self._weighted(block, points):
+            if theirs is not None and not np.array_equal(a, next(theirs)[1]):
+                return None
             b = axes @ a
             if rows is None:
                 rows = np.empty((len(axes), size), b.dtype)
             rows[:, part] = b
             sigma[part] = np.sum(np.abs(a) ** 2, axis=0)
             kappa[part] = np.sum(np.abs(b) ** 2, axis=0)
-        return rows, power @ (sigma - kappa) > _PRINCIPAL_SHARE * (power @ sigma)
+        return rows, sigma, kappa
 
     def square_function(self, fields: Sequence[SampledField]) -> list[SampledField]:
         """The square root of `square_sum`, one real nonnegative field per input."""
@@ -574,7 +624,7 @@ class ScaleFamily:
         """The stack IFFT(m_t fhat), one layer per scale, filled chunk by chunk."""
         stack = np.empty((self.scales.size,) + f.geometry.shape, dtype=np.complex128)
         _, spec = self._spectra([f])
-        for chunk, _, out in self._layer_chunks(spec, f.geometry):
+        for chunk, _, out, _ in self._layer_chunks(spec, f.geometry, self._points(f.geometry)):
             stack[chunk] = np.fft.fftshift(_joined(out), axes=_spatial_axes(f.geometry))
         return stack
 
@@ -583,32 +633,39 @@ class ScaleFamily:
         planes = _planes(layers, self.real)
         ax, step = _spatial_axes(geom), self._per_chunk(geom, len(planes))
         chunks = (slice(lo, lo + step) for lo in range(0, self.scales.size, step))
-        stacked = ((c, np.fft.ifftshift(np.stack([p[c] for p in planes]), axes=ax)) for c in chunks)
-        return self._synthesize(stacked, geom, len(planes))
+        stacked = ((c, np.fft.ifftshift(np.stack([p[c] for p in planes]), axes=ax), None) for c in chunks)
+        return self._synthesize(stacked, geom, self._points(geom), len(planes))
 
-    def _synthesize(self, chunks, geom: Geometry, planes: int) -> SampledField:
+    def _synthesize(self, chunks, geom: Geometry, grid, planes: int) -> SampledField:
         """sum_t w_t IFFT(m_t FFT(h_t)) over (slice of scales, the `planes`
-        planes of their layers h_t in FFT order, on (plane, scale, *grid))
-        pairs, consumed as they come; the slices must be the family's own
-        chunks of `_per_chunk` scales.  Each plane is synthesized on
-        its own and the result joined, re + i im."""
+        planes of their layers h_t in FFT order, on (plane, scale, *grid), a
+        flat complex buffer to take their spectra or None) triples, consumed
+        as they come; the slices must be the family's own chunks of
+        `_per_chunk` scales, and grid is what `_points(geom)` gave.  Without
+        a buffer the spectra go to one that every chunk reuses.  Each plane
+        is synthesized on its own and the result joined, re + i im.  The
+        chunks' buffers are let go before the sum's inverse transform."""
+        spectrum = self._synthesis_spectrum(chunks, geom, grid, planes)
+        out = _inverse_into(spectrum, np.empty((planes,) + geom.shape, float if self.real else complex), geom.dim)
+        return SampledField(geom, np.fft.fftshift(_joined(out)))
+
+    def _synthesis_spectrum(self, chunks, geom: Geometry, grid, planes: int) -> np.ndarray:
+        """The spectra of `_synthesize`'s sum, (plane, *spectrum) in FFT order."""
         ax = _spatial_axes(geom)
         acc = np.zeros((planes,) + geom.spectrum_shape(self.real), dtype=np.complex128)
-        grid = self._points(geom)
         ours = self._chunks(grid, self._per_chunk(geom, planes))
         forward = np.fft.rfftn if self.real else np.fft.fftn
         spec_buf = None
-        for (chunk, m), (given, h) in zip(ours, chunks, strict=True):
+        for (chunk, m), (given, h, spare) in zip(ours, chunks, strict=True):
             assert given == chunk, f"layers for scales {given} arrived where {chunk} was due"
-            spec, spec_buf = _buffer(spec_buf, h.shape[:-geom.dim] + acc.shape[1:], np.complex128)
+            spec, spec_buf = _buffer(spare if spare is not None else spec_buf, h.shape[:-geom.dim] + acc.shape[1:], complex)
             forward(h, axes=ax, out=spec)
             _times(m, grid, spec, spec)
             for j, w in enumerate(self.weights[chunk]):  # weighted in place, scale by scale
                 term = spec[:, j]
                 term *= w
                 acc += term
-        out = _inverse_into(acc, np.empty((planes,) + geom.shape, float if self.real else complex), geom.dim)
-        return SampledField(geom, np.fft.fftshift(_joined(out)))
+        return acc
 
     def symbol(self, *xi) -> NDArray[np.float64]:
         """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi.
@@ -709,6 +766,31 @@ def marcinkiewicz_antiderivative(f: SampledField, tg: LogTimeGrid) -> SampledFie
 # ---------------------------------------------------------------------------
 # the duality identity
 
+def _duality_rows(analysis: ScaleFamily, synthesis: ScaleFamily, spec: np.ndarray, grid) -> ScaleFamily | None:
+    """The family of the principal rows of synthesis (`_row_family`) whose
+    layers of the `_spectra` spec, synthesized by itself, give the embedded
+    side of `duality_residual` with its spectrum moved by at most
+    `_PRINCIPAL_SHARE` in L2; None where that side takes the scales.
+
+    For real radial families, sum_j w_j m~_j m_j = sum_i b_i b_i when the
+    reflected conjugate multipliers m~_j are the m_j, b_i the principal
+    rows of the weighted family sqrt(w_j) m_j, up to the dropped rows.  So the rows are taken when
+    both families are tagged real and radial, every block of synthesis has
+    rows (`ScaleFamily._blocks`), its weighted table on the shells is the
+    analysis table under the same weights bit for bit, checked as the rows
+    are made, and no plane fails the guard (`_spectrum_moved`).
+    """
+    if not (analysis.real and analysis.radial and synthesis.radial and synthesis._rotatable(grid)):
+        return None
+    twin = dataclasses.replace(analysis, weights=synthesis.weights)
+    rows = []
+    for _, block_rows, moved in synthesis._blocks(grid, spec, _spectrum_moved, twin):
+        if block_rows is None or moved.any():
+            return None
+        rows.append(block_rows)
+    return _row_family(rows[0] if len(rows) == 1 else np.concatenate(rows))
+
+
 def duality_residual(
     f: SampledField, kernel: Kernel, eps: float, nodes_per_octave: int = NODES_PER_OCTAVE
 ) -> float:
@@ -720,20 +802,40 @@ def duality_residual(
     truncated symbol acting on f; both sides share one discretization, so
     the residual is pure floating-point noise unless something is wired
     wrong.  The layers are streamed: each chunk of them is synthesized as
-    soon as it is made, so the stack of all layers is never formed.
+    soon as it is made, into the buffer of the chunk's spent products, so
+    the stack of all layers is never formed.  A real radial kernel whose
+    reflected conjugate has its multipliers bit for bit takes the principal
+    rows of the weighted family on both sides instead of the scales
+    (`_duality_rows`), moving the embedded spectrum by at most 2^-46 of its
+    L2 norm; the truncated side always takes the symbol, summed scale by
+    scale.  The grid's shells are found once, for both families.
+
+    Raises ValueError for eps outside (0, 1), and for a field that is zero
+    or of no finite L2 norm, against which no gap is relative.
     """
     from .multiplier import apply_multiplier, continuous_symbol
 
     if not (0 < eps < 1):
         raise ValueError(f"need 0 < eps < 1, got {eps}")
+    norm = l2_norm(f)
+    if not math.isfinite(norm):
+        raise ValueError(f"the duality residual needs a field of finite L2 norm, got {norm} (NaN or infinite values)")
+    if norm == 0.0:
+        raise ValueError("the duality residual is relative to the L2 norm of the field, which is zero")
+    geom = f.geometry
     window = (eps, 1.0 / eps)
     tg = LogTimeGrid(eps, 1.0 / eps, nodes_per_octave)
     t = tg.scales[_window_run(tg.scales, window)]
     analysis = ScaleFamily.of_kernel(kernel, t)
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), t, tg.weight)
     _, spec = analysis._spectra([f])
-    layers = ((chunk, out) for chunk, _, out in analysis._layer_chunks(spec, f.geometry))
-    embedded = synthesis._synthesize(layers, f.geometry, len(spec))
+    grid = analysis._points(geom)  # the reflected conjugate keeps the tags, and so the points
+    rows = _duality_rows(analysis, synthesis, spec, grid)
+    if rows is not None:
+        analysis = synthesis = rows
+    layers = ((chunk, out, spent) for chunk, _, out, spent in analysis._layer_chunks(spec, geom, grid))
+    embedded = synthesis._synthesize(layers, geom, grid, len(spec))
+    del analysis, synthesis, rows, spec  # the row table and the spectra go before the truncated side
     truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
-    gap = l2_norm(SampledField(f.geometry, embedded.values - truncated.values))
-    return gap / l2_norm(f)
+    gap = l2_norm(SampledField(geom, embedded.values - truncated.values))
+    return gap / norm

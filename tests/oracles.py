@@ -603,21 +603,66 @@ def second_difference_loop(f: SampledField, t: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # composed routes
 
-def duality_residual_stacked(f: SampledField, kernel, eps: float) -> float:
-    """The duality residual through a stored layer stack: every analysis
-    layer on the log-time grid, then the windowed synthesis of that stack
-    with the reflected conjugate kernel, against the truncated multiplier."""
-    from scalesq import LogTimeGrid, ScaleFamily, apply_multiplier, continuous_symbol, l2_norm
+def _duality_scales(eps: float):
+    """(the log-time grid of the duality residual, the run of its scales in the window)."""
+    from scalesq import LogTimeGrid
     from scalesq.squarefn import _window_run
 
-    window = (eps, 1.0 / eps)
     tg = LogTimeGrid(eps, 1.0 / eps)
+    return tg, _window_run(tg.scales, (eps, 1.0 / eps))
+
+
+def _duality_gap(f: SampledField, kernel, eps: float, embedded: np.ndarray) -> float:
+    """||embedded - the truncated multiplier acting on f|| / ||f||."""
+    from scalesq import apply_multiplier, continuous_symbol, l2_norm
+
+    tg, _ = _duality_scales(eps)
+    truncated = apply_multiplier(continuous_symbol(kernel, tg, (eps, 1.0 / eps)), f)
+    return l2_norm(SampledField(f.geometry, embedded - truncated.values)) / l2_norm(f)
+
+
+def stacked_embedding(f: SampledField, kernel, eps: float) -> np.ndarray:
+    """The embedded side of the duality residual through a stored layer
+    stack: every analysis layer on the log-time grid, then the windowed
+    synthesis of that stack with the reflected conjugate kernel."""
+    from scalesq import ScaleFamily
+
+    tg, run = _duality_scales(eps)
     layers = ScaleFamily.of_kernel(kernel, tg.scales).layers(f)
-    run = _window_run(tg.scales, window)
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), tg.scales[run], tg.weight)
-    embedded = synthesis.synthesis(layers[run], f.geometry)
-    truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
-    return l2_norm(SampledField(f.geometry, embedded.values - truncated.values)) / l2_norm(f)
+    return synthesis.synthesis(layers[run], f.geometry).values
+
+
+def duality_row_family(f: SampledField, kernel, eps: float):
+    """The family of principal rows that the streamed duality residual of f
+    takes on both sides, or None where it takes the scales."""
+    from scalesq import ScaleFamily
+    from scalesq.squarefn import _duality_rows
+
+    tg, run = _duality_scales(eps)
+    analysis = ScaleFamily.of_kernel(kernel, tg.scales[run])
+    synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), tg.scales[run], tg.weight)
+    return _duality_rows(analysis, synthesis, analysis._spectra([f])[1], analysis._points(f.geometry))
+
+
+def row_embedding(f: SampledField, kernel, eps: float) -> np.ndarray:
+    """The embedded side of the duality residual through the stored layer
+    stack of its principal rows: the row family's layers of f, then its
+    synthesis of them (the rows are their own reflected conjugates)."""
+    rows = duality_row_family(f, kernel, eps)
+    return rows.synthesis(rows.layers(f), f.geometry).values
+
+
+def duality_residual_stacked(f: SampledField, kernel, eps: float) -> float:
+    """The duality residual through a stored layer stack of the scales, against
+    the truncated multiplier."""
+    return _duality_gap(f, kernel, eps, stacked_embedding(f, kernel, eps))
+
+
+def duality_residual_rows_stacked(f: SampledField, kernel, eps: float) -> float:
+    """The duality residual through a stored layer stack of its principal
+    rows (`row_embedding`), against the truncated multiplier."""
+    return _duality_gap(f, kernel, eps, row_embedding(f, kernel, eps))
 
 
 # ---------------------------------------------------------------------------

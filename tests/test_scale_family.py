@@ -10,6 +10,7 @@ import pytest
 from scalesq import (
     DyadicRange,
     Geometry,
+    Kernel,
     LogTimeGrid,
     SampledField,
     ScaleFamily,
@@ -42,6 +43,7 @@ from scalesq.sobolev import _smoothing_family
 from scalesq.multiplier import bessel_symbol
 from scalesq.squarefn import (
     _PRINCIPAL_EPS,
+    _PRINCIPAL_SHARE,
     _chunk_layers,
     _power_sums,
     _second_difference_family,
@@ -56,7 +58,9 @@ from oracles import (
     complex_square_sums,
     complex_synthesis,
     difference_multiplier,
+    duality_residual_rows_stacked,
     duality_residual_stacked,
+    duality_row_family,
     full_power_sum,
     kernel_multiplier,
     loop_layers,
@@ -64,8 +68,10 @@ from oracles import (
     loop_symbol,
     loop_synthesis,
     riesz_multiplier,
+    row_embedding,
     second_difference_loop,
     sided_average_loop,
+    stacked_embedding,
 )
 from test_conditions import _tilted_gaussian_kernel
 
@@ -221,6 +227,22 @@ def test_radial_batch_table_spans_many_layer_chunks():
 
 
 DUALITY_CASES = [(1, n, kid) for n in (4096, 512) for kid in KERNELS[1]] + [(2, 128, kid) for kid in KERNELS[2]]
+# the kernels whose duality residuals take the principal rows on the grids of
+# these tests (`squarefn._duality_rows`); the others keep their scales
+ROW_DUALITY_KERNELS = {"poisson-q", "poisson-q:2", "riesz-diff:0.5:ball:2"}
+
+
+def assert_rows_are_the_stacked_route(f, kernel, eps) -> float:
+    """The streamed residual of a case that takes the principal rows is the
+    stacked route of those rows bit for bit, its embedded field is the
+    stacked route of the scales' within the guard, and it is the scales'
+    residual within 1e-15; the residual is returned."""
+    res = duality_residual(f, kernel, eps)
+    assert duality_row_family(f, kernel, eps) is not None
+    assert res == duality_residual_rows_stacked(f, kernel, eps)
+    assert rel(row_embedding(f, kernel, eps), stacked_embedding(f, kernel, eps)) <= _PRINCIPAL_SHARE
+    assert abs(res - duality_residual_stacked(f, kernel, eps)) <= 1e-15
+    return res
 
 
 @pytest.mark.parametrize("dim,n,kid", DUALITY_CASES)
@@ -229,7 +251,44 @@ def test_duality_residual_is_the_stacked_route(dim, n, kid):
     for seed in (0, 1):
         f = mean_subtract(random_band_field(geom, seed=seed))
         for eps in (0.125, 0.25):
-            assert duality_residual(f, kernel, eps) == duality_residual_stacked(f, kernel, eps), (seed, eps)
+            if kid in ROW_DUALITY_KERNELS:
+                assert_rows_are_the_stacked_route(f, kernel, eps)
+            else:  # haar, gm and sgn-diff are not tagged real; riesz-diff's probe keeps its scales
+                assert duality_row_family(f, kernel, eps) is None
+                assert duality_residual(f, kernel, eps) == duality_residual_stacked(f, kernel, eps), (seed, eps)
+
+
+def test_duality_takes_17_rows_for_64_scales():
+    # 17 principal rows for the 64 scales of eps 0.25 at 4096 points
+    geom, kernel = Geometry(1, 4096, 32.0), kernel_from_id("poisson-q")
+    tg = LogTimeGrid(0.25, 4.0)
+    assert np.count_nonzero((tg.scales > 0.25) & (tg.scales < 4.0)) == 64
+    assert duality_row_family(mean_subtract(random_band_field(geom, seed=3)), kernel, 0.25).scales.size == 17
+
+
+@dataclasses.dataclass(frozen=True)
+class _SkewedReflection(Kernel):
+    """A kernel whose reflected conjugate's transform is 1 + 1e-9 times its own."""
+
+    def reflect_conjugate(self) -> Kernel:
+        hat = Kernel.reflect_conjugate(self).fourier
+        return dataclasses.replace(self, name=self.name + "~", fourier=lambda *xi: hat(*xi) * (1.0 + 1e-9))
+
+
+def test_duality_of_a_differing_reflection_keeps_the_scales():
+    # a real radial kernel whose reflected conjugate is off by 1e-9: its table
+    # on the shells is not the analysis table, so the rows are not taken, and
+    # the residual sees the fault on a field where the truncated symbol is
+    # about 0.2 (|xi| in (0.05, 0.3))
+    geom = Geometry(1, 4096, 32.0)
+    poisson = kernel_from_id("poisson-q")
+    kernel = _SkewedReflection(**{field.name: getattr(poisson, field.name) for field in dataclasses.fields(poisson)})
+    assert kernel.real and kernel.radial
+    f = mean_subtract(random_band_field(geom, seed=6, band=(0.05, 0.3)))
+    assert duality_row_family(f, poisson, 0.125) is not None and duality_row_family(f, kernel, 0.125) is None
+    assert duality_residual(f, poisson, 0.125) < 1e-15
+    res = duality_residual(f, kernel, 0.125)
+    assert res == duality_residual_stacked(f, kernel, 0.125) and res > 1e-10
 
 
 def duality_peak(f) -> tuple[float, int]:
@@ -721,8 +780,11 @@ REAL_DUALITY_CASES = [(g, kid) for g in REAL_GEOMS for kid in REAL_KERNELS[g.dim
 def test_real_duality_residual_matches_complex_oracle(geom, kid):
     kernel, f = kernel_from_id(kid), white_noise(geom, 24)
     for eps in (0.125, 0.25):
-        res = duality_residual(f, kernel, eps)
-        assert res == duality_residual_stacked(f, kernel, eps), eps
+        if kid in ROW_DUALITY_KERNELS:
+            res = assert_rows_are_the_stacked_route(f, kernel, eps)
+        else:
+            res = duality_residual(f, kernel, eps)
+            assert res == duality_residual_stacked(f, kernel, eps), eps
         assert abs(res - complex_duality_residual(f, kernel, eps)) <= 1e-12, eps
         assert res < 1e-10, eps
 

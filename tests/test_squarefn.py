@@ -223,6 +223,21 @@ def test_duality_residual_eps_validation(geom_small):
         duality_residual(f, haar_kernel(), eps=2.0)
 
 
+def test_duality_residual_of_a_zero_field_is_refused(geom_small):
+    # the residual is relative to ||f||: a zero field has none to be relative to
+    f = SampledField(geom_small, np.zeros(geom_small.shape))
+    with pytest.raises(ValueError, match="zero"):
+        duality_residual(f, kernel_from_id("poisson-q"), eps=0.25)
+
+
+def test_duality_residual_of_a_non_finite_field_is_refused(geom_small):
+    values = band_field(geom_small).values.copy()
+    for bad in (np.nan, np.inf):
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            duality_residual(SampledField(geom_small, values), kernel_from_id("poisson-q"), eps=0.25)
+
+
 @given(seed=st.integers(0, 100))
 @settings(max_examples=10)
 def test_g_function_scales_linearly(seed):
