@@ -341,13 +341,28 @@ def field_from_function(geom: Geometry, fn: Callable) -> SampledField:
     return SampledField(geom, vals)
 
 
+def _require_positive(name: str, value: float) -> float:
+    """value as a float, or a ValueError naming the parameter unless it is
+    positive and finite with a nonzero finite square, which the shapes
+    divide by."""
+    value = float(value)
+    if not (value > 0 and 0 < value * value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def _require_finite(name: str, value: float) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _center_tuple(geom: Geometry, center) -> tuple[float, ...]:
-    if np.isscalar(center):
-        return (float(center),) * geom.dim
-    c = tuple(float(v) for v in center)
+    c = (center,) * geom.dim if np.isscalar(center) else tuple(center)
     if len(c) != geom.dim:
         raise ValueError(f"center has {len(c)} components, expected {geom.dim}")
-    return c
+    return tuple(_require_finite("center", v) for v in c)
 
 
 def _squared_distance(coords, c) -> np.ndarray:
@@ -356,59 +371,64 @@ def _squared_distance(coords, c) -> np.ndarray:
 
 
 def _gaussian_of(q: np.ndarray, width: float) -> np.ndarray:
-    """exp(-pi q / width^2), formed in q itself: a shape takes one grid-sized
-    array, not one per operation."""
+    """exp(-pi q / width^2), formed in q itself."""
     q *= -np.pi
     q /= width**2
     return np.exp(q, out=q)
 
 
+def _gaussian_factors(geom: Geometry, width: float, center) -> tuple[list, tuple[float, ...]]:
+    """([exp(-pi (x_i - c_i)^2 / width^2) on each axis of the grid, shaped for
+    mutual broadcasting], the center c), behind the gates on width and center.
+    The Gaussian is the product of the factors, so no grid-sized `exp` is taken."""
+    width = _require_positive("width", width)
+    c = _center_tuple(geom, center)
+    return [_gaussian_of((x - ci) ** 2, width) for x, ci in zip(geom.spatial_grids(), c)], c
+
+
+def _product_field(geom: Geometry, factors: list) -> SampledField:
+    """The field of the broadcast product of per-axis factors, formed in one
+    new array of the grid's shape; in 1-D the one factor itself."""
+    values = factors[0]
+    for factor in factors[1:]:
+        values = values * factor
+    return SampledField(geom, values)
+
+
 def gaussian_field(geom: Geometry, width: float = 1.0, center=0.0) -> SampledField:
     """exp(-pi |x - c|^2 / width^2); self-dual at width 1, center 0."""
-    c = _center_tuple(geom, center)
-
-    def fn(*coords):
-        return _gaussian_of(_squared_distance(coords, c), width)
-
-    return field_from_function(geom, fn)
+    return _product_field(geom, _gaussian_factors(geom, width, center)[0])
 
 
 def gaussian_derivative_field(geom: Geometry, width: float = 1.0, center=0.0) -> SampledField:
     """First derivative of the Gaussian along the first axis; mean zero."""
-    c = _center_tuple(geom, center)
-
-    def fn(*coords):
-        return (-2.0 * np.pi * (coords[0] - c[0]) / width**2) * _gaussian_of(_squared_distance(coords, c), width)
-
-    return field_from_function(geom, fn)
+    factors, c = _gaussian_factors(geom, width, center)
+    factors[0] *= -2.0 * np.pi * (geom.spatial_grids()[0] - c[0]) / width**2
+    return _product_field(geom, factors)
 
 
 def modulated_gaussian_field(
     geom: Geometry, freq: float, width: float = 1.0, center=0.0
 ) -> SampledField:
-    """Gaussian envelope times exp(2 pi i freq x_1)."""
-    c = _center_tuple(geom, center)
-
-    def fn(*coords):
-        return _gaussian_of(_squared_distance(coords, c), width) * np.exp(2j * np.pi * freq * coords[0])
-
-    return field_from_function(geom, fn)
+    """Gaussian envelope times exp(2 pi i freq x_1), the modulation on the
+    first axis's factor."""
+    freq = _require_finite("freq", freq)
+    factors, _ = _gaussian_factors(geom, width, center)
+    factors[0] = factors[0] * np.exp(2j * np.pi * freq * geom.spatial_grids()[0])
+    return _product_field(geom, factors)
 
 
 def bump_field(geom: Geometry, radius: float = 1.0, center=0.0) -> SampledField:
-    """Smooth compactly supported bump exp(-1/(1 - |x-c|^2/r^2)) inside |x-c| < r."""
-    c = _center_tuple(geom, center)
-
-    def fn(*coords):
-        q = _squared_distance(coords, c) / radius**2
-        vals = np.maximum(1.0 - q, 1e-300)
-        with np.errstate(divide="ignore", over="ignore"):
-            np.divide(-1.0, vals, out=vals)
-            np.exp(vals, out=vals)
-        vals[q >= 1.0] = 0.0
-        return vals
-
-    return field_from_function(geom, fn)
+    """Smooth compactly supported bump exp(-1/(1 - |x-c|^2/r^2)) inside |x-c| < r,
+    formed in the array of |x-c|^2/r^2 and exponentiated inside alone."""
+    radius = _require_positive("radius", radius)
+    q = _squared_distance(geom.spatial_grids(), _center_tuple(geom, center))
+    q /= radius**2
+    inside = q < 1.0
+    vals = np.exp(-1.0 / (1.0 - q[inside]))
+    q.fill(0.0)
+    q[inside] = vals
+    return SampledField(geom, q)
 
 
 def random_band_field(geom: Geometry, seed: int, band: tuple[float, float] = (0.25, 4.0)) -> SampledField:
@@ -497,9 +517,10 @@ def load_field_binary(path: str) -> SampledField:
 def save_field_csv(f: SampledField, path: str) -> None:
     """Rows of (flat index, re, im) with a header comment recording dim, N, L.
 
-    The floats are written as their repr, block by block; a block whose
-    imaginary parts are all +0.0 (sign bit clear) writes the constant "0.0"
-    for them without formatting each one.
+    The floats are written as their repr, block by block, each block by one
+    %-format of its rows; a block whose imaginary parts are all +0.0 (sign
+    bit clear) writes the constant "0.0" for them without formatting each
+    one.
     """
     g = f.geometry
     flat = f.values.ravel()
@@ -508,14 +529,15 @@ def save_field_csv(f: SampledField, path: str) -> None:
         fh.write("index,re,im\n")
         for lo in range(0, flat.size, _CSV_BLOCK_ROWS):
             block = flat[lo:lo + _CSV_BLOCK_ROWS]
+            columns = [range(lo, lo + block.size), block.real.tolist()]
             imag = block.imag
             if imag.any() or np.signbit(imag).any():
-                im = map(repr, imag.tolist())
-            else:
-                im = ["0.0"] * block.size
-            rows = zip(map(str, range(lo, lo + block.size)), map(repr, block.real.tolist()), im)
-            fh.write("\n".join(map(",".join, rows)))
-            fh.write("\n")
+                columns.append(imag.tolist())
+            row = "%d,%r,%r\n" if len(columns) == 3 else "%d,%r,0.0\n"
+            values = [None] * (len(columns) * block.size)
+            for i, column in enumerate(columns):
+                values[i::len(columns)] = column
+            fh.write(row * block.size % tuple(values))
 
 
 def load_field_csv(path: str) -> SampledField:

@@ -188,7 +188,8 @@ def default_test_family(geom: Geometry, seed: int = 0) -> TestFamily:
     distinct seeds give distinct but statistically matched families; all
     shapes stay well inside the box to keep wraparound negligible.  Every
     jitter and amplitude is drawn here, a member's jitter then its
-    amplitude; the members themselves are built when they are read.
+    amplitude; the members themselves are built when they are read, the
+    Gaussians as products of per-axis factors (`grid.gaussian_field`).
     """
     rng = np.random.default_rng(seed)
     L = geom.half_length
@@ -334,10 +335,10 @@ def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Callable):
 
     At p = 2 under a weight with one value c on the grid the numerator is
     sqrt(c * h^d sum_x of the square sum), which Parseval gives from the
-    family's symbol on the half grid and one `rfftn` per real plane of the
-    field, one field at a time (`_parseval`); every other p or weight, or a
-    family without an even symbol, squares the layers in physical space, in
-    batches of `_batch_size`.
+    family's symbol on the half grid (`ScaleFamily.on_half_grid`) and one
+    `rfftn` per real plane of the field, one field at a time (`_parseval`);
+    every other p or weight, or a family without an even symbol, squares the
+    layers in physical space, in batches of `_batch_size`.
     """
     family = ScaleFamily.of_kernel(kernel, scales.scales, scales.weight)
 
@@ -345,7 +346,7 @@ def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Callable):
         c = constant_on_grid(weight, geom) if _parseval(family, p) else None
         if c is None:
             return _batch_size(geom), lambda fs: _norm_ratios(fs, _square_norms(family, fs, p, weight), p, weight)
-        sums = _power_sums(geom, [family.symbol(*geom.fft_grids(half=True))])
+        sums = _power_sums(geom, family.on_half_grid(geom))
         volume = (geom.spacing / geom.n_samples) ** geom.dim
         return 1, lambda fs: _norm_ratios(fs, [math.sqrt(c * (volume * sums(fs[0])[0]))], p, weight)
 
@@ -363,9 +364,10 @@ def sobolev_equivalence_ratio(
     plane of the member, one member at a time (`_parseval`): ||g|| from
     sum P, the smoothed norm from sum b^2 P with b the Bessel symbol, the
     smoothing-difference norm from sum sigma b^2 P with sigma the family's
-    symbol, each symbol on the half grid.  Every other p or weight, or a
-    profile without an even symbol, smooths g in physical space, in batches
-    of `_batch_size`.
+    symbol, each symbol on the half grid, evaluated with sigma on the
+    family's shells where it has them (`ScaleFamily.on_half_grid`).  Every
+    other p or weight, or a profile without an even symbol, smooths g in
+    physical space, in batches of `_batch_size`.
     """
     def prepare(geom: Geometry):
         family = _smoothing_family(order, profile, geom.dim, scales)
@@ -378,11 +380,14 @@ def sobolev_equivalence_ratio(
                 return _norm_ratios(gs, norms, p, weight)
 
             return _batch_size(geom), batch_ratios
-        grids = geom.fft_grids(half=True)
-        sigma_b2 = family.symbol(*grids)  # first: finding its shells takes the most memory
-        b2 = bessel_symbol(order).evaluate(*grids) ** 2
-        sigma_b2 *= b2
-        sums = _power_sums(geom, [sigma_b2, b2, None])
+        bessel = bessel_symbol(order)
+
+        def symbols(sigma, *xi):
+            b2 = bessel.evaluate(*xi) ** 2
+            sigma *= b2
+            return [sigma, b2]
+
+        sums = _power_sums(geom, family.on_half_grid(geom, symbols) + [None])
         volume = c * (geom.spacing / geom.n_samples) ** geom.dim
 
         def member_ratio(gs):

@@ -57,8 +57,9 @@ radial and its reflected conjugate has its table bit for bit; a layer
 stack, a synthesis of one, a symbol and every other duality residual take
 the scales.  The p = 2
 constant-weight ratios in `sobolev` take their norms by the discrete
-Parseval identity from even symbols on the half grid and one `rfftn` per
-real plane of a field (`_power_sums`), and form no layer.
+Parseval identity from even symbols on the half grid, evaluated once per
+shell and gathered (`ScaleFamily.on_half_grid`), and one `rfftn` per real
+plane of a field into buffers made once (`_power_sums`), and form no layer.
 
 Every kernel operator takes a scale set (`grid.ScaleSet`): its scales t_j
 and the weight w each carries.  Continuous scale: a log-time grid, weighted
@@ -208,17 +209,22 @@ def _power_sums(geom: Geometry, symbols):
     the half spectrum, every column of the last axis but the first and the
     last (-N/2) counted twice.  Against an even S the cross term of the two
     planes of f = re + i im cancels, so f's sum is the sum of its planes'.
-    |FFT(f)|^2 does not see the centring shift.
+    |FFT(f)|^2 does not see the centring shift.  Each plane's spectrum, its
+    power and the weighted products are written into three half-grid
+    buffers made here, once, and the sums taken by `np.sum`.
     """
     twice = _half_counts(geom.n_samples // 2 + 1)
     weighted = [twice if s is None else twice * s for s in symbols]
+    shape = geom.spectrum_shape(half=True)
+    spec, power, product = np.empty(shape, complex), np.empty(shape), np.empty(shape)
 
     def sums(f: SampledField) -> np.ndarray:
         out = np.zeros(len(weighted))
         for plane in _planes(f.values):
-            spec = np.fft.rfftn(plane)
-            power = spec.real**2 + spec.imag**2
-            out += [np.sum(s * power) for s in weighted]
+            np.fft.rfftn(plane, out=spec)
+            np.multiply(spec.real, spec.real, out=power)
+            np.add(power, np.multiply(spec.imag, spec.imag, out=product), out=power)
+            out += [np.sum(np.multiply(s, power, out=product)) for s in weighted]
         return out
 
     return sums
@@ -688,6 +694,26 @@ class ScaleFamily:
             for w, mj in zip(self.weights[chunk], m):
                 acc += w * np.abs(mj) ** 2
         return acc if index is None else np.take(acc, index)
+
+    def on_half_grid(self, geom: Geometry, evaluate: Callable = lambda sigma, *xi: [sigma]) -> list:
+        """The arrays evaluate(sigma, *xi) returns, sigma the symbol at the
+        frequency arrays xi, on the half grid `geom.fft_grids(half=True)`.
+
+        A radial family, or an odd one in 1-D, evaluates them once per shell
+        of `_shells`, at (|xi|, 0, ..., 0), and gathers them onto the grid by
+        the shells' index, so evaluate must see |xi| alone there; it may
+        write into sigma.  Any other family evaluates them on the grid.  The
+        symbol's `np.unique` then sorts the shells alone, which it keeps as
+        they are (sqrt(fl(x^2)) == |x|): sigma has the bits of the symbol on
+        the half grid where 2L is a power of two, and differs from it by
+        round-off elsewhere (`_shells`).
+        """
+        xi, index = geom.fft_grids(half=True), None
+        if self.radial or (self.odd and geom.dim == 1):
+            rho, index = _shells(geom, half=True)
+            xi = (rho,) + (np.zeros_like(rho),) * (geom.dim - 1)
+        values = evaluate(self.symbol(*xi), *xi)
+        return values if index is None else [np.take(v, index) for v in values]
 
 
 def _window_run(scales: np.ndarray, window: tuple[float, float] | None) -> slice:

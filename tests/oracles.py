@@ -710,16 +710,55 @@ def full_grid_multiplier(sym, f: SampledField) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the test members on the full grid
+#
+# Each shape formed on the grid from |x - c|^2 with one grid-sized `exp`, the
+# route every member took before the Gaussians became products of per-axis
+# factors and the bump's `exp` was taken inside its support alone.
+
+def _grid_squared_distance(geom, center) -> np.ndarray:
+    c = (center,) * geom.dim if np.isscalar(center) else tuple(center)
+    return sum((x - ci) ** 2 for x, ci in zip(geom.spatial_grids(), c))
+
+
+def grid_gaussian_field(geom, width, center=0.0) -> SampledField:
+    return SampledField(geom, np.exp(-np.pi * _grid_squared_distance(geom, center) / width**2))
+
+
+def grid_gaussian_derivative_field(geom, width, center=0.0) -> SampledField:
+    c = (center,) * geom.dim if np.isscalar(center) else tuple(center)
+    coefficient = -2.0 * np.pi * (geom.spatial_grids()[0] - c[0]) / width**2
+    return SampledField(geom, coefficient * grid_gaussian_field(geom, width, center).values)
+
+
+def grid_modulated_gaussian_field(geom, freq, width, center=0.0) -> SampledField:
+    modulation = np.exp(2j * np.pi * freq * geom.spatial_grids()[0])
+    return SampledField(geom, grid_gaussian_field(geom, width, center).values * modulation)
+
+
+def grid_bump_field(geom, radius, center=0.0) -> SampledField:
+    q = _grid_squared_distance(geom, center) / radius**2
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = np.exp(-1.0 / np.maximum(1.0 - q, 1e-300))
+    vals[q >= 1.0] = 0.0
+    return SampledField(geom, vals)
+
+
+# ---------------------------------------------------------------------------
 # the eager test family and the full-spectrum power sums
 #
 # The test family as it was built before members were built on demand: all
 # twenty fields at once, each jitter and amplitude drawn just before its
-# member is made.  And sum_k S(k) |FFT(f)_k|^2 through a complex FFT of the
-# full grid, the route every field took before real fields took `rfftn`.
+# member is made, by the package's constructors or, with `on_grid`, by the
+# full-grid ones above.  And sum_k S(k) |FFT(f)_k|^2 through a complex FFT of
+# the full grid, the route every field took before real fields took `rfftn`.
 
-def eager_test_family(geom, seed: int) -> tuple[tuple[SampledField, ...], tuple[str, ...]]:
+def eager_test_family(geom, seed: int, on_grid: bool = False) -> tuple[tuple[SampledField, ...], tuple[str, ...]]:
     from scalesq import bump_field, gaussian_field, mean_subtract, modulated_gaussian_field
 
+    if on_grid:
+        gaussian_field, modulated_gaussian_field, bump_field = (
+            grid_gaussian_field, grid_modulated_gaussian_field, grid_bump_field)
     rng = np.random.default_rng(seed)
     L = geom.half_length
     unit = L / 32.0

@@ -29,7 +29,17 @@ from scalesq import (
     save_field_csv,
 )
 from scalesq.grid import MAX_FIELD_BYTES, scale_set
-from oracles import centred_grids, forward_transform, inverse_transform, save_field_csv_rows, slow_transform
+from scalesq.sobolev import default_test_family
+from oracles import (
+    centred_grids,
+    eager_test_family,
+    forward_transform,
+    grid_gaussian_derivative_field,
+    grid_gaussian_field,
+    inverse_transform,
+    save_field_csv_rows,
+    slow_transform,
+)
 
 
 def test_geometry_validation():
@@ -280,6 +290,92 @@ def test_modulated_gaussian_center_frequency(geom_small):
 def test_center_tuple_validation(geom_2d_small):
     with pytest.raises(ValueError):
         gaussian_field(geom_2d_small, 1.0, center=(1.0,))
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, 1e-200])
+def test_shapes_refuse_a_bad_width(geom_2d_small, value):
+    # 1e-200 is positive but its square is zero, which the Gaussian divides by
+    for shape in (gaussian_field, gaussian_derivative_field):
+        with pytest.raises(ValueError, match="width"):
+            shape(geom_2d_small, value)
+    with pytest.raises(ValueError, match="width"):
+        modulated_gaussian_field(geom_2d_small, 1.0, value)
+
+
+@pytest.mark.parametrize("value", [0.0, -2.0, np.nan, np.inf])
+def test_bump_refuses_a_bad_radius(geom_2d_small, value):
+    with pytest.raises(ValueError, match="radius"):
+        bump_field(geom_2d_small, value)
+
+
+@pytest.mark.parametrize("center", [np.nan, (0.0, np.inf), (np.nan, 1.0)])
+def test_shapes_refuse_a_center_that_is_not_finite(geom_2d_small, center):
+    for shape in (gaussian_field, gaussian_derivative_field, bump_field):
+        with pytest.raises(ValueError, match="center"):
+            shape(geom_2d_small, 1.0, center)
+    with pytest.raises(ValueError, match="center"):
+        modulated_gaussian_field(geom_2d_small, 1.0, 1.0, center)
+
+
+@pytest.mark.parametrize("freq", [np.nan, np.inf, -np.inf])
+def test_modulated_gaussian_refuses_a_frequency_that_is_not_finite(geom_2d_small, freq):
+    with pytest.raises(ValueError, match="freq"):
+        modulated_gaussian_field(geom_2d_small, freq)
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_members_from_factors_match_the_full_grid_build(n):
+    # the 2-D Gaussians are products of per-axis factors, within 16 ulp of each
+    # member's largest value (9 seen, at 64^2), the full-grid route's own
+    # error being larger (below); the bumps are still formed on the grid, bit
+    # for bit
+    geom = Geometry(2, n, 16.0)
+    for seed in range(4):
+        want, labels = eager_test_family(geom, seed, on_grid=True)
+        for got, ref, label in zip(default_test_family(geom, seed).members, want, labels, strict=True):
+            assert got.values.dtype == ref.values.dtype, label
+            if label.startswith("bump"):
+                assert got.values.tobytes() == ref.values.tobytes(), label
+            else:
+                top = np.max(np.abs(ref.values))
+                assert np.max(np.abs(got.values - ref.values)) <= 16 * np.spacing(top), (seed, label)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 2.0**-60, reason="needs an extended long double")
+def test_gaussian_factors_are_within_round_off_of_the_exact_gaussian():
+    # against exp(-pi |x - c|^2 / w^2) in extended precision: the product of
+    # the factors within 6 ulp of its largest value (4.9 seen), the full-grid
+    # build of one grid-sized exp within 24 (18.8 seen)
+    geom = Geometry(2, 64, 16.0)
+    x = geom.spatial_axis().astype(np.longdouble)
+    rng = np.random.default_rng(0)
+    worst = {"factors": 0.0, "grid": 0.0}
+    for _ in range(100):
+        w, c = rng.uniform(0.1, 1.5), tuple(rng.uniform(-2.0, 2.0, 2))
+        exact = np.exp(-np.pi * ((x[:, None] - c[0]) ** 2 + (x[None, :] - c[1]) ** 2) / np.longdouble(w) ** 2)
+        top = np.spacing(float(np.max(exact)))
+        for name, build in (("factors", gaussian_field), ("grid", grid_gaussian_field)):
+            err = float(np.max(np.abs(build(geom, w, c).values - exact))) / top
+            worst[name] = max(worst[name], err)
+    assert worst["factors"] <= 6 and worst["grid"] <= 24, worst
+
+
+@pytest.mark.parametrize("n,half_length", [(256, 16.0), (4096, 32.0), (512, 10.0)])
+def test_one_dimensional_members_keep_the_full_grid_bits(n, half_length):
+    geom = Geometry(1, n, half_length)
+    want, labels = eager_test_family(geom, 5, on_grid=True)
+    for got, ref, label in zip(default_test_family(geom, 5).members, want, labels, strict=True):
+        assert got.values.tobytes() == ref.values.tobytes(), label
+
+
+def test_gaussian_derivative_from_factors():
+    for geom in (Geometry(1, 256, 8.0), Geometry(2, 64, 8.0)):
+        got = gaussian_derivative_field(geom, 1.3, 0.7).values
+        want = grid_gaussian_derivative_field(geom, 1.3, 0.7).values
+        if geom.dim == 1:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.max(np.abs(got - want)) <= 4 * np.spacing(np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------

@@ -450,6 +450,10 @@ def test_untagged_family_at_p2_takes_the_physical_route(monkeypatch):
 def test_parseval_symbols_see_the_half_grid_alone(monkeypatch, dim):
     geom = GEOMS[dim]
     half = np.broadcast_shapes(*(np.shape(x) for x in geom.fft_grids(half=True)))
+    # every family here is radial or 1-D odd, so its symbol is summed on the
+    # shells of the half grid: all of its points in 1-D, 457 of 64 x 33 in 2-D
+    shells = _shells(geom, half=True)[0].shape
+    assert shells == half if dim == 1 else math.prod(shells) < math.prod(half)
     shapes = []
     power_sums, symbol = sobolev._power_sums, ScaleFamily.symbol
 
@@ -474,9 +478,37 @@ def test_parseval_symbols_see_the_half_grid_alone(monkeypatch, dim):
         sobolev_equivalence_ratio(0.5, ball_average_profile(dim), KR, 2.0, constant_weight(3.7)),
     ):
         assert None not in ratio_fn(members)
-    # two symbols per square-function ratio (the family's, as evaluated and as
-    # summed), three for the Sobolev ratio (the family's, sigma b^2 and b^2)
-    assert shapes == [half] * 7
+    # two symbols per square-function ratio (the family's, as evaluated on the
+    # shells and as summed on the half grid), three for the Sobolev ratio (the
+    # family's on the shells, sigma b^2 and b^2)
+    assert shapes == [shells, half, shells, half, shells, half, half]
+
+
+@pytest.mark.parametrize("half_length,exact", [(16.0, True), (10.0, False)])
+def test_shell_symbols_match_the_grid_symbol(half_length, exact):
+    # on shells, without np.unique on the grid: the grid route's bits where
+    # 2L is a power of two, round-off of its largest value elsewhere; b^2 at
+    # (|xi|, 0) moves by round-off on either grid
+    geom = Geometry(2, 64, half_length)
+    grids = geom.fft_grids(half=True)
+    b = bessel_symbol(0.5)
+    families = [ScaleFamily.of_kernel(kernel_from_id(k), TG.scales, TG.weight) for k in KERNELS[2]]
+    families.append(_smoothing_family(0.5, ball_average_profile(2), 2, KR))
+    for family in families:
+        want = family.symbol(*grids)
+        got, b2, sigma_b2 = family.on_half_grid(
+            geom, lambda sigma, *xi: [sigma, b.evaluate(*xi) ** 2, sigma * b.evaluate(*xi) ** 2])
+        assert got.shape == want.shape
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(want)
+        b2_grid = b.evaluate(*grids) ** 2
+        assert np.allclose(b2, b2_grid, rtol=1e-15, atol=0.0)
+        assert np.max(np.abs(sigma_b2 - want * b2_grid)) <= 1e-15 * np.max(want * b2_grid)
+    # a family without shells evaluates the grid as it is
+    grid_family = dataclasses.replace(families[0], radial=False)
+    assert np.array_equal(grid_family.on_half_grid(geom)[0], grid_family.symbol(*grids))
 
 
 @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])

@@ -295,3 +295,13 @@ def test_weighted_ratio_runs(geom_small):
                                   LogTimeGrid(1e-2, 1e2, nodes_per_octave=8), 1.5, w)
     rep = equivalence_experiment(fam, ratio, "gfun", 1.5, "pow:0.3")
     assert all(math.isfinite(r) and r > 0 for r in rep.ratios)
+
+
+@pytest.mark.parametrize("geom", [Geometry(2, 128, 16.0), Geometry(2, 64, 10.0)])
+def test_two_dimensional_sobolev_ratios_match_the_full_grid_family(geom):
+    # the members from per-axis factors and the symbols on shells move the
+    # p = 2 ratios by round-off alone
+    ratio = sobolev_equivalence_ratio(0.5, ball_average_profile(2), DyadicRange(-4, 2), 2.0, constant_weight())
+    got = ratio(default_test_family(geom, seed=3).members)
+    want = ratio(eager_test_family(geom, 3, on_grid=True)[0])
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
