@@ -26,6 +26,8 @@ from .grid import (
     NODES_PER_OCTAVE,
     Geometry,
     ScaleSet,
+    _repr_cells,
+    _write_csv_rows,
     default_geometry,
     l2_norm,
     load_field_binary,
@@ -136,10 +138,15 @@ def _build_symbol(kernel: Kernel, geom: Geometry, args):
 
 def _save_symbol_csv(path: str, header: str, xi: np.ndarray, values: np.ndarray) -> None:
     """The header line, column names, then one (xi, re, im) row per frequency
-    with the floats' repr, joined and written at once."""
-    rows = zip(xi.tolist(), values.real.tolist(), values.imag.tolist())
-    with open(path, "w") as fh:
-        fh.write(header + "xi,re,im\n" + "".join(f"{x!r},{re!r},{im!r}\n" for x, re, im in rows))
+    with the floats' repr, as the field CSV writes them (`grid._repr_cells`)."""
+
+    def columns(lo: int, hi: int) -> list:
+        cells = [_repr_cells(v[lo:hi]) for v in (xi, values.real, values.imag)]
+        return [cells[0], b",", cells[1], b",", cells[2], b"\n"]
+
+    with open(path, "wb") as fh:
+        fh.write((header + "xi,re,im\n").encode())
+        _write_csv_rows(fh, xi.size, columns)
 
 
 def _cmd_symbol(args) -> int:

@@ -14,12 +14,13 @@ Riemann-sum factor h^d of the forward transform cancels against the inverse.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,8 +28,9 @@ from numpy.typing import NDArray
 _BINARY_MAGIC = b"SFLD"
 # log-time nodes per octave of a continuous-scale grid unless one is given
 NODES_PER_OCTAVE = 16
-# CSV rows formatted per block: Python floats take four times a sample's bytes
-_CSV_BLOCK_ROWS = 16384
+# CSV rows formatted per block: a row takes about 240 bytes of temporaries
+# while its text is worked out, so a 512^2 field's write peaks near 2 MiB
+_CSV_BLOCK_ROWS = 8192
 # bytes of one complex field at most, so the largest grids accepted are
 # 2048^2 in 2-D and 2^22 points in 1-D; a real field takes half of it.  The
 # 2-D commands hold 6 to 16 real fields' bytes beside their input at their
@@ -448,6 +450,275 @@ def mean_subtract(f: SampledField) -> SampledField:
 
 
 # ---------------------------------------------------------------------------
+# the text of doubles for the CSV writers: repr's bytes, a whole array at once
+#
+# Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020) finds
+# the shortest decimal in a double's rounding interval, the nearest to it
+# when there are two, with fixed-width integer arithmetic; here each step is
+# one numpy operation over uint64 arrays.  CPython's repr (David Gay's dtoa)
+# picks the same digits and lays them out as below.
+
+# bytes of one formatted value: sign, 22 of digits and point, exponent word
+_REPR_CELL = 32
+# decimal exponents k of the powers 10^-k that Schubfach scales by
+_G_K_MIN, _G_K_MAX = -324, 292
+_M32 = np.uint64(0xFFFFFFFF)
+_M63 = np.uint64(2**63 - 1)
+
+
+class _ReprTables(NamedTuple):
+    """Lookup tables of `_repr_cells`; see `_repr_tables`."""
+
+    g1: np.ndarray  # g_k >> 63, by k - _G_K_MIN
+    g0: np.ndarray  # g_k mod 2^63
+    k: np.ndarray  # by exponent code: the decimal exponent of the scaled interval
+    h: np.ndarray  # by exponent code: the shift of 4c that lines it up with g_k
+    g_parts: tuple  # by exponent code: g1, then g1 >> 32, g1 & M, g0 >> 32, g0 & M (M = 2^32 - 1)
+    quads: np.ndarray  # four ASCII digits of 0..9999 as one little-endian uint32
+    unpadded: np.ndarray  # the same with NULs for leading zeros, all four for 0
+    tz4: np.ndarray  # trailing zero digits of the four of 0..9999
+    pow10: np.ndarray  # 10^0 .. 10^17
+    exps: np.ndarray  # "e-05", "e+300", ...: by decimal point position + 324, 0 none
+    left: np.ndarray  # by layout: 0xFF where the cell holds a digit before the point
+    right: np.ndarray  # 0xFF where it holds a digit after the point
+    point: np.ndarray  # "." where it holds the point
+
+
+def _g(k: int) -> int:
+    """g_k = floor(10^-k 2^(125 - floor(log2 10^-k))) + 1, in [2^125, 2^126)."""
+    if k <= 0:
+        p = 10**-k
+        e = p.bit_length() - 1
+        return (p << (125 - e) if e <= 125 else p >> (e - 125)) + 1
+    d = 10**k  # floor(log2 10^-k) = -d.bit_length(), since d is no power of two
+    return (1 << (125 + d.bit_length())) // d + 1
+
+
+@functools.cache
+def _repr_tables() -> _ReprTables:
+    """The tables, built from exact integers on the first CSV write (a few
+    milliseconds), so that importing the package pays nothing for them.
+
+    A finite double is c 2^q with c < 2^53; its exponent code is its biased
+    exponent field (0 for subnormals, which have q = -1074 like field 1),
+    plus 2048 when c = 2^52 above the subnormals.  The interval of such a
+    double is uneven, a quarter ulp below and a half above, and it takes
+    k = floor(log10(3/4 2^q)) in place of floor(log10 2^q)."""
+    gs = [_g(k) for k in range(_G_K_MIN, _G_K_MAX + 1)]
+    g1 = np.array([g >> 63 for g in gs], dtype=np.uint64)
+    g0 = np.array([g & (2**63 - 1) for g in gs], dtype=np.uint64)
+    q = np.tile(np.maximum(np.arange(2048), 1) - 1075, 2)
+    uneven = np.arange(4096) >= 2048
+    # Giulietti's integer forms of floor(log10 2^q), floor(log10(3/4 2^q))
+    # and floor(log2 10^-k), exact far beyond these exponents
+    k = np.where(uneven, q * 661_971_961_083 - 274_743_187_321, q * 661_971_961_083) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).astype(np.uint64)
+    gk1, gk0 = g1[k - _G_K_MIN], g0[k - _G_K_MIN]
+    g_parts = (gk1, gk1 >> np.uint64(32), gk1 & _M32, gk0 >> np.uint64(32), gk0 & _M32)
+
+    i = np.arange(10000)
+    digits = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + ord("0")
+    digits = digits.astype(np.uint8)
+    quads = digits.view("<u4").ravel().copy()
+    digits[np.cumsum(digits != ord("0"), axis=1) == 0] = 0
+    unpadded = digits.view("<u4").ravel()
+    tz4 = np.select([i % 10 != 0, i % 100 != 0, i % 1000 != 0, i != 0], [0, 1, 2, 3], 4).astype(np.uint8)
+    pow10 = np.array([10**j for j in range(18)], dtype=np.uint64)
+    # exponent e = decimal point position - 1 at e + 325, none at 0
+    exps = b"".join(f"e{e:+03d}".encode().ljust(8, b"\0") for e in range(-324, 309))
+    exps = np.frombuffer(bytes(8) + exps, dtype="<u8")
+
+    # layouts by P * 23 + end: with Z = "0000" and the 17 digits, the digits
+    # and point sit at cell columns 1.. as Z[a:P] + "." + Z[P:end], where
+    # a = min(P - 1, 4) keeps one zero before the point; no point when P = end
+    P = np.arange(23)[:, None, None]
+    end = np.arange(23)[None, :, None]
+    m = np.arange(_REPR_CELL) - 1
+    shape = (23 * 23, _REPR_CELL)
+
+    def layout(mask, byte):
+        return np.broadcast_to(mask * np.uint8(byte), (23, 23, _REPR_CELL)).reshape(shape).copy()
+
+    return _ReprTables(
+        g1, g0, k, h, g_parts, quads, unpadded, tz4, pow10, exps,
+        left=layout((m >= np.minimum(P - 1, 4)) & (m < P), 0xFF),
+        right=layout((m > P) & (m <= end), 0xFF),
+        point=layout((m == P) & (P < end), ord(".")),
+    )
+
+
+def _mulhi(a_hi, a_lo, b_hi, b_lo):
+    """The high 64 bits of the 128-bit product of a_hi 2^32 + a_lo and
+    b_hi 2^32 + b_lo, from products of their 32-bit halves."""
+    lh, hl = a_lo * b_hi, a_hi * b_lo
+    carry = a_lo * b_lo
+    carry >>= np.uint64(32)
+    carry += lh & _M32
+    carry += hl & _M32
+    carry >>= np.uint64(32)
+    carry += a_hi * b_hi
+    lh >>= np.uint64(32)
+    hl >>= np.uint64(32)
+    carry += lh
+    carry += hl
+    return carry
+
+
+def _rop(g, cp):
+    """Giulietti's rop of g = g1 2^63 + g0 and cp: about g cp / 2^127, its
+    lowest bit set when the dropped bits of z are not all zero (round to
+    odd); g holds g1 and the 32-bit halves of g1 and g0."""
+    c_hi, c_lo = cp >> np.uint64(32), cp & _M32
+    z = g[0] * cp  # the low 64 bits of g1 cp, wrapped
+    z >>= np.uint64(1)
+    z += _mulhi(g[3], g[4], c_hi, c_lo)
+    vb = _mulhi(g[1], g[2], c_hi, c_lo)
+    vb += z >> np.uint64(63)
+    vb |= (z & _M63) != 0
+    return vb
+
+
+def _scaled_interval(bits: np.ndarray, t: _ReprTables):
+    """(vbl, vb, vbr, k) for each double v = c 2^q of bits: vb is about
+    4 v 10^-k, rounded to odd, and [vbl, vbr] the interval of decimals that
+    read back as v on the same scale.  Its ends belong to it when c is even,
+    as round-half-even reads them back, so they move in by one when c is odd."""
+    field = (bits >> np.uint64(52)) & np.uint64(0x7FF)
+    frac = bits & np.uint64(2**52 - 1)
+    uneven = (frac == 0) & (field > 1)
+    code = field.astype(np.intp) + 2048 * uneven
+    c = frac | (np.minimum(field, 1) << np.uint64(52))
+    del field, frac
+    h = np.take(t.h, code)
+    g = [np.take(part, code) for part in t.g_parts]
+    cb = c << np.uint64(2)
+    odd = c & np.uint64(1)
+    vbl = _rop(g, (cb - np.uint64(2) + uneven) << h) + odd
+    vb = _rop(g, cb << h)
+    vbr = _rop(g, (cb + np.uint64(2)) << h) - odd
+    return vbl, vb, vbr, np.take(t.k, code)
+
+
+def _shortest_digits(bits: np.ndarray, t: _ReprTables) -> tuple[np.ndarray, np.ndarray]:
+    """(d, k) with d 10^k the shortest decimal that reads back as each double
+    of bits, the nearest when two are as short, the even one on a tie.  Any
+    d for zeros, infinities and NaNs."""
+    vbl, vb, vbr, k = _scaled_interval(bits, t)
+    s = vb >> np.uint64(2)
+    # one digit fewer when exactly one multiple of ten is in the interval
+    # (Java's s >= 100 guard asks two digits of its output, repr does not)
+    sp10 = s // np.uint64(10) * np.uint64(10)
+    tp10 = sp10 + np.uint64(10)
+    upin = vbl <= sp10 << np.uint64(2)
+    wpin = tp10 << np.uint64(2) <= vbr
+    # else s or s + 1, whichever is in, or nearer v, or even
+    s1 = s + np.uint64(1)
+    uin = vbl <= s << np.uint64(2)
+    win = s1 << np.uint64(2) <= vbr
+    mid = (s << np.uint64(2)) + np.uint64(2)
+    lower = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & ((s & np.uint64(1)) == 0)))
+    d = np.where(upin != wpin, np.where(upin, sp10, tp10), np.where(lower, s, s1))
+    return d, k
+
+
+def _repr_cells(x: np.ndarray) -> np.ndarray:
+    """The bytes of repr(float(v)) for each v of the float64 array x, one
+    (x.size, _REPR_CELL) uint8 row each, with NUL bytes between and around
+    the characters: drop every NUL to read the text.
+
+    As repr: the fewest significant digits that read back to the same
+    double; fixed notation when the decimal point position p (v = 0.d 10^p)
+    has -4 < p <= 16, with at least one digit either side of the point,
+    else d.ddd, or d alone, then "e", the sign and two or three digits of
+    p - 1; "0.0" and "-0.0" for zeros; "inf", "-inf" and "nan".
+    """
+    t = _repr_tables()
+    x = np.ascontiguousarray(x, dtype=np.float64).ravel()
+    n = x.size
+    d, k = _shortest_digits(x.view(np.uint64), t)
+    nonzero = x != 0
+    d[~nonzero] = 0
+    nd = np.searchsorted(t.pow10, d, side="right")  # digits of d, 0 for zero
+    point = np.where(nonzero, nd + k, 1)
+    # d padded with zeros to 17 digits, as one digit and four groups of four
+    d = d * np.take(t.pow10, 17 - nd)
+    lead = d // np.uint64(10**16)
+    rest = d - lead * np.uint64(10**16)
+    hi8 = rest // np.uint64(10**8)
+    lo8 = (rest - hi8 * np.uint64(10**8)).astype(np.uint32)
+    hi8 = hi8.astype(np.uint32)
+    hi4, lo4 = hi8 // np.uint32(10000), lo8 // np.uint32(10000)
+    groups = [hi4, hi8 - hi4 * np.uint32(10000), lo4, lo8 - lo4 * np.uint32(10000)]
+    z = np.zeros((n, _REPR_CELL), dtype=np.uint8)  # Z = "0000" and the digits at columns 3..23
+    words = z.view("<u4")
+    words[:, 0] = ord("0") << 24
+    for j, q in enumerate([lead] + groups, 1):
+        words[:, j] = np.take(t.quads, q)
+    tz = np.take(t.tz4, groups[0])  # trailing zeros of the last sixteen digits
+    for q in groups[1:]:
+        tz = np.where(q == 0, tz + np.uint8(4), np.take(t.tz4, q))
+    significant = 17 - tz.astype(np.intp)
+    sci = (point <= -4) | (point > 16)
+    P = np.where(sci, 5, 4 + point)  # where the point goes in Z
+    end = np.where(sci, 4 + significant, np.maximum(4 + significant, P + 1))
+    layout = P * 23 + end
+    # cell column 1 + m holds Z[m] before the point, Z[m - 1] after it: Z
+    # shifted left by two or by one byte, the whole block as one flat array
+    cells = np.empty_like(z)
+    cf, zf = cells.ravel(), z.ravel()
+    np.bitwise_and(zf[2:], np.take(t.left, layout, axis=0).ravel()[:-2], out=cf[:-2])
+    cf[-2:] = 0
+    cf[:-1] |= zf[1:] & np.take(t.right, layout, axis=0).ravel()[:-1]
+    cells |= np.take(t.point, layout, axis=0)
+    cells[:, 0] = np.signbit(x) * np.uint8(ord("-"))
+    cells.view("<u8")[:, 3] = np.take(t.exps, np.where(sci, point + 324, 0))
+    for i in np.flatnonzero(~np.isfinite(x)):
+        text = repr(float(x[i])).encode()
+        cells[i] = 0
+        cells[i, :len(text)] = list(text)
+    return cells
+
+
+def _index_cells(lo: int, hi: int) -> np.ndarray:
+    """The decimal digits of lo, ..., hi - 1 (below 10^8), one NUL-padded
+    (hi - lo, 8) uint8 row each."""
+    t = _repr_tables()
+    i = np.arange(lo, hi, dtype=np.uint32)
+    upper = i // np.uint32(10000)
+    lower = i - upper * np.uint32(10000)
+    cells = np.empty((i.size, 8), dtype=np.uint8)
+    words = cells.view("<u4")
+    words[:, 0] = np.take(t.unpadded, upper)
+    words[:, 1] = np.where(upper == 0, np.take(t.unpadded, lower), np.take(t.quads, lower))
+    if lo == 0:
+        cells[0, 7] = ord("0")
+    return cells
+
+
+def _joined_rows(parts: list) -> np.ndarray:
+    """The text of a block of CSV rows: the parts side by side, cells (one
+    uint8 row per CSV row) and constant byte strings between them, laid
+    out in one array and read without its NULs."""
+    n = next(p.shape[0] for p in parts if isinstance(p, np.ndarray))
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    rows = np.empty((n, sum(widths)), dtype=np.uint8)
+    at = 0
+    for part, w in zip(parts, widths):
+        rows[:, at:at + w] = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+        at += w
+    return rows[rows != 0]
+
+
+def _write_csv_rows(fh, n: int, columns: Callable[[int, int], list]) -> None:
+    """Write rows 0 .. n - 1 to the binary file fh in blocks of
+    `_CSV_BLOCK_ROWS`: rows lo .. hi - 1 from the parts columns(lo, hi)
+    gives, joined by `_joined_rows`, whose arrays are freed before the next
+    block's are made."""
+    for lo in range(0, n, _CSV_BLOCK_ROWS):
+        fh.write(_joined_rows(columns(lo, min(n, lo + _CSV_BLOCK_ROWS))))
+
+
+# ---------------------------------------------------------------------------
 # serialization: flat binary and CSV, both carrying (dim, N, L) headers
 
 def save_field_binary(f: SampledField, path: str) -> None:
@@ -517,27 +788,26 @@ def load_field_binary(path: str) -> SampledField:
 def save_field_csv(f: SampledField, path: str) -> None:
     """Rows of (flat index, re, im) with a header comment recording dim, N, L.
 
-    The floats are written as their repr, block by block, each block by one
-    %-format of its rows; a block whose imaginary parts are all +0.0 (sign
-    bit clear) writes the constant "0.0" for them without formatting each
-    one.
+    Every float is written as the bytes of its `repr`, the shortest decimal
+    that reads back to the same double (`_repr_cells`), and the file is
+    byte for byte the one a loop writing f"{i},{re!r},{im!r}\\n" would give.
+    A block of rows whose imaginary parts are all +0.0 (sign bit clear)
+    writes the constant "0.0" for them without formatting each one.
     """
     g = f.geometry
     flat = f.values.ravel()
-    with open(path, "w") as fh:
-        fh.write(f"# dim={g.dim} n={g.n_samples} half_length={g.half_length!r}\n")
-        fh.write("index,re,im\n")
-        for lo in range(0, flat.size, _CSV_BLOCK_ROWS):
-            block = flat[lo:lo + _CSV_BLOCK_ROWS]
-            columns = [range(lo, lo + block.size), block.real.tolist()]
-            imag = block.imag
-            if imag.any() or np.signbit(imag).any():
-                columns.append(imag.tolist())
-            row = "%d,%r,%r\n" if len(columns) == 3 else "%d,%r,0.0\n"
-            values = [None] * (len(columns) * block.size)
-            for i, column in enumerate(columns):
-                values[i::len(columns)] = column
-            fh.write(row * block.size % tuple(values))
+
+    def columns(lo: int, hi: int) -> list:
+        block = flat[lo:hi]
+        imag = block.imag
+        if imag.any() or np.signbit(imag).any():
+            return [_index_cells(lo, hi), b",", _repr_cells(block.real), b",", _repr_cells(imag), b"\n"]
+        return [_index_cells(lo, hi), b",", _repr_cells(block.real), b",0.0\n"]
+
+    with open(path, "wb") as fh:
+        fh.write(f"# dim={g.dim} n={g.n_samples} half_length={g.half_length!r}\n".encode())
+        fh.write(b"index,re,im\n")
+        _write_csv_rows(fh, flat.size, columns)
 
 
 def load_field_csv(path: str) -> SampledField:

@@ -15,7 +15,10 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+try:
+    from scipy import integrate
+except ModuleNotFoundError:  # the CSV row loops below need numpy alone
+    integrate = None
 
 from scalesq import SampledField
 

@@ -1,11 +1,18 @@
+import io
 import math
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalesq
 from scalesq import (
     DyadicRange,
     Geometry,
@@ -28,7 +35,7 @@ from scalesq import (
     save_field_binary,
     save_field_csv,
 )
-from scalesq.grid import MAX_FIELD_BYTES, scale_set
+from scalesq.grid import MAX_FIELD_BYTES, _repr_cells, _repr_tables, _write_csv_rows, scale_set
 from scalesq.sobolev import default_test_family
 from oracles import (
     centred_grids,
@@ -505,6 +512,106 @@ def test_csv_writer_real_blocks_match_row_loop(tmp_path, monkeypatch, imag):
     save_field_csv(f, str(fast))
     save_field_csv_rows(f, str(rows))
     assert fast.read_bytes() == rows.read_bytes()
+
+
+def formatted(values) -> list[str]:
+    """The text `_repr_cells` gives each value, one line each."""
+    x = np.asarray(values, dtype=np.float64)
+    out = io.BytesIO()
+    _write_csv_rows(out, x.size, lambda lo, hi: [_repr_cells(x[lo:hi]), b"\n"])
+    return out.getvalue().decode().splitlines()
+
+
+def test_repr_cells_match_repr_on_random_bits():
+    # a million doubles of uniform bits: every exponent, subnormals, NaNs, infinities
+    x = np.random.default_rng(29).integers(0, 2**64, size=2**20, dtype=np.uint64).view(np.float64)
+    want = [repr(v) for v in x.tolist()]
+    got = formatted(x)
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_repr_cells_match_repr_on_decimals():
+    # doubles read from short decimals, where the shortest digits are few
+    rng = np.random.default_rng(30)
+    digits = rng.integers(1, 18, 100_000)
+    mantissa = rng.integers(1, 10**17, 100_000) % 10**digits
+    x = [float(f"{m}e{e}") for m, e in zip(mantissa.tolist(), rng.integers(-345, 310, 100_000).tolist())]
+    assert formatted(x) == [repr(v) for v in x]
+
+
+def test_repr_cells_edge_table():
+    edges = [0.0, 1e-4, 1e-5, 9.999999999999999e15, 1e16, 0.1, 1.0 / 3.0, 123456789.125,
+             sys.float_info.max, sys.float_info.min, math.inf, math.nan]
+    edges += [math.ldexp(c, -1074) for c in range(1, 10_000)]  # subnormals with c < 10^4
+    for e in range(-1074, 1024):  # every power of two and both its neighbours
+        v = math.ldexp(1.0, e)
+        edges += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    for k in range(-323, 309):  # the doubles nearest 10^k and both their neighbours
+        v = float(f"1e{k}")
+        edges += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    edges += [-v for v in edges]  # -0.0, -inf, and a NaN with its sign bit set
+    assert formatted(edges) == [repr(v) for v in edges]
+    assert formatted([0.0, -0.0, 5e-324, math.inf, -math.inf, -math.nan]) == \
+        ["0.0", "-0.0", "5e-324", "inf", "-inf", "nan"]
+
+
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+@settings(max_examples=200)
+def test_repr_cells_match_repr(values):
+    assert formatted(values) == [repr(v) for v in values]
+
+
+def test_repr_tables_are_exact():
+    t = _repr_tables()
+    for i, k in enumerate(range(-324, 293)):
+        p = Fraction(10) ** -k
+        e = p.numerator.bit_length() - p.denominator.bit_length()  # floor(log2 p) is e or e - 1
+        e -= Fraction(2) ** e > p
+        g = math.floor(p * Fraction(2) ** (125 - e)) + 1
+        assert (int(t.g1[i]) << 63) + int(t.g0[i]) == g, k
+    # each exponent code's k = floor(log10) of 2^q, or of 3/4 2^q for the
+    # uneven intervals, and the shift h = q + floor(log2 10^-k) + 2
+    for code in range(4096):
+        q = max(code % 2048, 1) - 1075
+        v = Fraction(2) ** q * (Fraction(3, 4) if code >= 2048 else 1)
+        k = int(t.k[code])
+        assert Fraction(10) ** k <= v < Fraction(10) ** (k + 1), code
+        p = Fraction(10) ** -k
+        assert Fraction(2) ** (int(t.h[code]) - q - 2) <= p < Fraction(2) ** (int(t.h[code]) - q - 1), code
+
+
+def test_import_builds_no_repr_table(tmp_path):
+    probe = (
+        "import scalesq, scalesq.cli, scalesq.grid as grid\n"
+        "built = [grid._repr_tables.cache_info().currsize]\n"
+        "f = scalesq.random_band_field(scalesq.Geometry(1, 64, 4.0), seed=1)\n"
+        "scalesq.save_field_csv(f, 'f.csv')\n"
+        "built.append(grid._repr_tables.cache_info().currsize)\n"
+        "print(built)\n"
+    )
+    src = os.path.dirname(os.path.dirname(scalesq.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[0, 1]"
+
+
+def test_csv_writer_of_a_real_512_field_peaks_below_3_mib(tmp_path):
+    # the rows are formatted a block at a time: the writer holds one block's
+    # temporaries (2.0 MiB with the tables built, 2.4 when it builds them),
+    # not the file's 8 MB of text
+    geom = Geometry(2, 512, 16.0)
+    f = mean_subtract(SampledField(geom, random_band_field(geom, seed=7).values.real))
+    tracemalloc.start()
+    try:
+        save_field_csv(f, str(tmp_path / "f.csv"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert load_field_csv(str(tmp_path / "f.csv")).values.tobytes() == f.values.tobytes()
 
 
 def test_geometry_memory_budget():
