@@ -10,7 +10,6 @@ from .grid import (
     default_dyadic_range,
     default_geometry,
     default_time_grid,
-    field_from_function,
     gaussian_derivative_field,
     gaussian_field,
     l2_norm,

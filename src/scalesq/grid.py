@@ -333,16 +333,6 @@ def scale_set(
 # ---------------------------------------------------------------------------
 # field constructors
 
-def field_from_function(geom: Geometry, fn: Callable) -> SampledField:
-    """Sample fn(*coords) on the spatial grid; real values make a real field.
-    A result of the grid's shape is kept as it is, any other broadcast and
-    copied."""
-    vals = np.asarray(fn(*geom.spatial_grids()))
-    if vals.shape != geom.shape:
-        vals = np.broadcast_to(vals, geom.shape).copy()
-    return SampledField(geom, vals)
-
-
 def _require_positive(name: str, value: float) -> float:
     """value as a float, or a ValueError naming the parameter unless it is
     positive and finite with a nonzero finite square, which the shapes

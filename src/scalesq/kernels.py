@@ -50,97 +50,6 @@ class MomentClassError(ValueError):
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-def _eval_jacobi(orders, a, b, x: np.ndarray) -> np.ndarray:
-    """Rows P_n^(a_r, b_r)(x), n = orders[r], by scipy's integer-order eval_jacobi.
-
-    The recurrence runs in its d/p form and operation order, so a row is
-    scipy's value up to the factor binom(n + a, n), which comes from
-    log-gammas.  The per-k coefficients are arrays, and every row goes
-    through one pass that reads each row's value off at its own order.
-    """
-    a = np.asarray(a, dtype=float)[:, None]
-    b = np.asarray(b, dtype=float)[:, None]
-    out = np.empty((len(orders), x.size))
-    xm1 = x - 1.0
-    d = (a + b + 2) * xm1 / (2 * (a + 1))
-    p = d + 1
-    k = np.arange(1.0, max(orders))
-    t = 2 * k + a + b
-    # per step: d = (c1 (x-1) p + c2 d) / den, then p = d + p
-    c1 = (t * (t + 1) * (t + 2)).T[:, :, None]
-    c2 = (2 * k * (k + b) * (t + 2)).T[:, :, None]
-    den = (2 * (k + a + 1) * (k + a + b + 1) * t).T[:, :, None]
-    tmp = np.empty_like(p)
-    for i in range(k.size):
-        np.multiply(xm1, c1[i], out=tmp)
-        tmp *= p
-        d *= c2[i]
-        d += tmp
-        d /= den[i]
-        p += d
-        for r, n in enumerate(orders):
-            if n == i + 2:
-                ar = a[r, 0]
-                out[r] = math.exp(math.lgamma(n + ar + 1) - math.lgamma(ar + 1) - math.lgamma(n + 1)) * p[r]
-    for r, n in enumerate(orders):
-        if n == 0:
-            out[r] = 1.0
-        elif n == 1:
-            ar, br = a[r, 0], b[r, 0]
-            out[r] = 0.5 * (2 * (ar + 1) + (ar + br + 2) * xm1)
-    return out
-
-
-def _legendre_near_zero(n: int, x: np.ndarray) -> np.ndarray:
-    """P_n(x) for |x| < 1e-5 by scipy's power series about 0, n >= 2.
-
-    Its leading term is P_n(0) for even n and P_n'(0) x for odd n, taken
-    exactly from the central binomial coefficient (scipy uses a beta
-    function), then the terms run up in x^2.
-    """
-    h = n // 2
-    lead = math.comb(2 * h, h) * (2 * h + 1 if n % 2 else 1) / 4**h
-    d = (-1.0) ** h * lead * (x if n % 2 else np.ones_like(x))
-    p = np.zeros_like(x)
-    for kk in range(h + 1):
-        p += d
-        d *= -2 * x**2 * (h - kk) * (2 * n + 1 - 2 * h + 2 * kk) / (
-            (n + 1 - 2 * h + 2 * kk) * (n + 2 - 2 * h + 2 * kk))
-    return p
-
-
-def _eval_legendre(orders, x: np.ndarray) -> np.ndarray:
-    """Rows P_n(x), n = orders[r], by scipy's integer-order eval_legendre.
-
-    Its recurrence in d/p form and operation order, one pass for every
-    order, and its power series where |x| < 1e-5 (`_legendre_near_zero`).
-    """
-    out = np.empty((len(orders), x.size))
-    xm1 = x - 1.0
-    d, p = xm1.copy(), x.copy()
-    k = np.arange(1.0, max(orders))
-    u, v = (2 * k + 1) / (k + 1), k / (k + 1)
-    tmp = np.empty_like(p)
-    for i in range(k.size):
-        np.multiply(xm1, u[i], out=tmp)
-        tmp *= p
-        d *= v[i]
-        d += tmp
-        p += d
-        for r, n in enumerate(orders):
-            if n == i + 2:
-                out[r] = p
-    near = np.abs(x) < 1e-5
-    for r, n in enumerate(orders):
-        if n == 0:
-            out[r] = 1.0
-        elif n == 1:
-            out[r] = x
-        elif near.any():
-            out[r, near] = _legendre_near_zero(n, x[near])
-    return out
-
-
 def _stirling_tail(x: float) -> float:
     """ln Gamma(x) - [(x - 1/2) ln x - x + ln(2 pi)/2], to 1e-22 for x >= 500 (DLMF 5.11.1)."""
     return 1.0 / (12.0 * x) - 1.0 / (360.0 * x**3) + 1.0 / (1260.0 * x**5)
@@ -167,20 +76,12 @@ def _jacobi_mass(a: float, b: float) -> float:
 def roots_jacobi(n: int, a: float, b: float):
     """Nodes and weights of the n-point Gauss-Jacobi rule for (1-x)^a (1+x)^b on [-1, 1].
 
-    Golub-Welsch (Math. Comp. 23, 1969) step for step as scipy.special.roots_jacobi
-    takes it: the eigenvalues of the tridiagonal Jacobi matrix, one Newton
-    step, then Christoffel weights log-normalised against overflow and scaled
-    to the weight's mass mu0.  The eigenvalues come from numpy's eigvalsh of
-    the dense matrix, which LAPACK keeps tridiagonal as it is and hands to
-    the same dsterf as scipy's banded route.  The polynomials are scipy's
-    recurrences in numpy (`_eval_jacobi`, `_eval_legendre`), each rule taking
-    one pass for f(n, x) and df(n, x) and one for f(n-1, x).  So for n >= 2
-    and a != b or a = b = 0 the nodes are scipy's bits.  a = b = 0 is
-    Gauss-Legendre, symmetrised as scipy does, with scipy's weights for even
-    n; elsewhere the binomial factors and mu0 come from log-gammas
-    (`_jacobi_mass`), and the weights are within a few ulp of scipy's.  Any
-    other a = b takes the general recurrence (scipy's Gegenbauer route
-    differs in bits).
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the weight's orthonormal
+    polynomials, and each weight is the weight's mass mu0 (`_jacobi_mass`)
+    times the squared first component of the node's unit eigenvector; one
+    `np.linalg.eigh` gives both.  a = b = 0 is Gauss-Legendre.  For a = b the
+    rule is symmetrised, so its nodes are odd and its weights even to the bit.
     """
     try:
         m = int(n)
@@ -191,41 +92,20 @@ def roots_jacobi(n: int, a: float, b: float):
     for name, e in (("a", a), ("b", b)):
         if not (math.isfinite(e) and e > -1.0):
             raise ValueError(f"Gauss-Jacobi exponent {name} must be finite and > -1, got {e!r}")
+    mu0 = _jacobi_mass(a, b)
     j = np.arange(1.0, m)  # the off-diagonal's recurrence indices k = 1 ... n-1
-    diagonal = np.zeros(m)
-    legendre = a == 0.0 and b == 0.0
-    if legendre:
-        mu0 = 2.0
-        off = j * np.sqrt(1.0 / (4 * j * j - 1))
-    else:
-        mu0 = _jacobi_mass(a, b)
-        diagonal[0] = (b - a) / (2 + a + b)
-        if a + b != 0.0:
-            diagonal[1:] = (b * b - a * a) / ((2.0 * j + a + b) * (2.0 * j + a + b + 2))
-        # the k = 1 factor is 1; for a + b = -1 its general form would be 0/0
-        ratio = np.ones(m - 1)
-        ratio[1:] = np.sqrt(j[1:] * (j[1:] + a + b) / (2.0 * j[1:] + a + b - 1))
-        off = 2.0 / (2.0 * j + a + b) * np.sqrt((j + a) * (j + b) / (2 * j + a + b + 1)) * ratio
-
-    x = np.linalg.eigvalsh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    # f(m, x) and its derivative df(m, x) from one pass
-    if legendre:
-        below, y = _eval_legendre((m - 1, m), x)
-        dy = (-m * x * y + m * below) / (1 - x**2)
-    else:
-        y, below = _eval_jacobi((m, m - 1), (a, a + 1.0), (b, b + 1.0), x)
-        dy = 0.5 * (m + a + b + 1) * below
-    x -= y / dy  # one Newton step
-    fm = _eval_legendre((m - 1,), x)[0] if legendre else _eval_jacobi((m - 1,), (a,), (b,), x)[0]
-    # fm and dy may hold very large or small values: log-normalise before the product
-    log_fm, log_dy = np.log(np.abs(fm)), np.log(np.abs(dy))
-    fm /= np.exp((log_fm.max() + log_fm.min()) / 2.0)
-    dy /= np.exp((log_dy.max() + log_dy.min()) / 2.0)
-    w = 1.0 / (fm * dy)
-    if legendre:
-        w = (w + w[::-1]) / 2
+    diagonal = np.empty(m)
+    diagonal[0] = (b - a) / (2 + a + b)  # the k = 0 term cancelled: its general form is 0/0 at a + b = 0
+    diagonal[1:] = (b * b - a * a) / ((2.0 * j + a + b) * (2.0 * j + a + b + 2))
+    # the k = 1 factor is 1; for a + b = -1 its general form would be 0/0
+    ratio = np.ones(m - 1)
+    ratio[1:] = np.sqrt(j[1:] * (j[1:] + a + b) / (2.0 * j[1:] + a + b - 1))
+    off = 2.0 / (2.0 * j + a + b) * np.sqrt((j + a) * (j + b) / (2 * j + a + b + 1)) * ratio
+    x, v = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    w = mu0 * v[0] ** 2
+    if a == b:
         x = (x - x[::-1]) / 2
-    w *= mu0 / w.sum()
+        w = (w + w[::-1]) / 2
     return x, w
 
 
@@ -305,7 +185,9 @@ def _graded_table(alpha: float) -> _GradedTable:
     interpolant of the rule on its 13 first-kind nodes.  The rule's
     a-derivatives are bounded by its weights' sum, 1, so the interpolant is
     within ~1e-16 of it on a panel of width 1.25 whatever the order; round-off
-    keeps the two within 2e-15.
+    keeps the two within 1e-14 (9e-15 seen, at order 2^-10).  The rule itself
+    is within 6e-15 of the largest exact value of the hat at orders up to
+    1.25, and 1e-13 at 1024 (mpmath).
     """
     top = 30.0 + 2.0 * alpha
     panels = math.ceil((top - 1.0) / _GM_PANEL)
@@ -557,8 +439,10 @@ def marcinkiewicz_kernel(alpha: float) -> Kernel:
     Gauss-Jacobi rule, and read from Chebyshev panels built once per order
     from the rule (`_graded_table`).  Their count grows with the order, so
     the order is capped at 1024, where the table holds 1662 panels.  The
-    rule's weights sum to 1 within 8e-16 at orders down to 2^-10 but lose
-    digits below about 1e-5 (NaN at 1e-15), so the order starts at 2^-10.
+    rule's weights sum to 1 within 8e-16 at orders down to 2^-10.  Below it
+    they sum to the mass (`_jacobi_mass`) of the rounded exponent alpha - 1,
+    alpha / (1 + fl(alpha - 1)), which has lost alpha's low digits: 1 + 4.6e-12
+    at 1e-5 and 1 + 8e-4 at 1e-15.  So the order starts at 2^-10.
     """
     if not _GM_MIN_ORDER <= alpha <= _GM_MAX_ORDER:
         raise ValueError(f"gm order must lie in [2^-10, {_GM_MAX_ORDER:g}], got {alpha}")

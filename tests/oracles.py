@@ -5,7 +5,9 @@ or closed forms worked out by hand, never through the package's spectral
 helpers; the exceptions, the composed routes, the one-call-per-point
 scans, the complex route and the full-grid multiplier, chain public
 operators that a streamed, layered, batched or half-spectrum route must
-reproduce.
+reproduce, and the two rule oracles (`gm_hat_rule`, `riesz_radial_rule`)
+sum the package's own Gauss-Jacobi rule densely, which
+`test_roots_jacobi_vs_mpmath` pins against mpmath.
 Slow is fine; these run on small grids.
 """
 
@@ -172,13 +174,12 @@ def gm_hat_rule(alpha: float, xi) -> np.ndarray:
     """hat of the graded kernel by the 48-node Gauss-Jacobi rule that defines
     it on the mid band 1 <= 2 pi |xi| < 30 + 2 alpha:
     -2i sgn(xi) sum_i W_i sin(2 pi |xi| s_i), s_i, W_i the rule for
-    integral_0^1 alpha (1-s)^(alpha-1) g(s) ds from scipy's roots_jacobi.
-    The weights are scaled to their exact sum, 1: scipy's mass of the rule is
-    1e-12 off at orders near 1024, where it takes log-gammas near 6000."""
-    from scipy.special import roots_jacobi
+    integral_0^1 alpha (1-s)^(alpha-1) g(s) ds from the package's roots_jacobi,
+    summed densely: this checks how the hat interpolates and sums the rule."""
+    from scalesq.kernels import roots_jacobi
 
     x, w = roots_jacobi(48, alpha - 1.0, 0.0)
-    s, weights = (x + 1.0) / 2.0, w / w.sum()
+    s, weights = (x + 1.0) / 2.0, alpha * 2.0**-alpha * w
     xi = np.asarray(xi, dtype=float)
     a = 2.0 * np.pi * np.abs(xi)
     return -2j * np.sign(xi) * (weights @ np.sin(np.outer(s, a)))
@@ -222,8 +223,8 @@ def sgn_ball_average_quad(x: float) -> float:
 
 def riesz_radial_rule(alpha: float, reach: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes rho_i and weights W_i of the 160-node rule for
-    integral_0^reach rho^(alpha-1) g(rho) d rho, from scipy's roots_jacobi."""
-    from scipy.special import roots_jacobi
+    integral_0^reach rho^(alpha-1) g(rho) d rho, from the package's roots_jacobi."""
+    from scalesq.kernels import roots_jacobi
 
     x, w = roots_jacobi(160, 0.0, alpha - 1.0)
     return reach * ((x + 1.0) / 2.0), reach**alpha * 2.0**-alpha * w
