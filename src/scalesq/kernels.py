@@ -21,7 +21,9 @@ The zoo:
   form; hat is -i (1 - profilehat)/(pi xi).
 
 Both difference kernels take 1 - profilehat from the profile's `deficit`,
-which keeps full relative precision near xi = 0.
+which keeps full relative precision near xi = 0.  A radial kernel or profile
+states its transform and deficit once, as functions of r = |xi| >= 0; their
+coordinate forms are derived from those by `_on_radius`.
 """
 
 from __future__ import annotations
@@ -250,6 +252,12 @@ def _graded_hat(alpha: float, xi) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # kernel and profile containers
 
+def _on_radius(hat: Callable) -> Callable:
+    """The coordinate form xi -> hat(|xi|) of a radial transform hat(r), r >= 0.
+    sqrt(fl(x^2)) == |x| in binary64, so (r, 0, ..., 0) gets the bits of hat(r)."""
+    return lambda *coords: hat(np.asarray(np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in coords))))
+
+
 @dataclass(frozen=True)
 class Kernel:
     """A convolution kernel with spatial and Fourier evaluators.
@@ -275,7 +283,9 @@ class Kernel:
       support, e < 0 meaning an integrable blow-up.
 
     Symmetry tags, which the scale-layer engine and the condition checkers
-    trust: `radial` promises that psi and psihat depend on |x| and |xi| alone;
+    trust: `radial` promises that psi and psihat depend on |x| and |xi| alone,
+    and a radial kernel states `radial_fourier`, psihat as a function of
+    r = |xi| >= 0, from which `fourier` is derived (`_on_radius`);
     `odd` promises psi(-x) == -psi(x) and psihat(-xi) == -psihat(xi), both
     bit for bit; `real` promises psihat(-xi) == conj psihat(xi) at every
     frequency of every sampling grid, the self-conjugate ones included, so
@@ -299,23 +309,25 @@ class Kernel:
     radial: bool = False
     odd: bool = False
     real: bool = False
+    radial_fourier: Callable | None = None
 
     def fourier_at_scale(self, t: float, *coords):
         """Fourier transform of the L1-normalized dilate, psihat(t xi)."""
         return self.fourier(*(t * np.asarray(c, dtype=float) for c in coords))
 
     def reflect_conjugate(self) -> "Kernel":
-        """Kernel x -> conj(psi(-x)); its hat is conj(psihat)."""
+        """Kernel x -> conj(psi(-x)); its hat is conj(psihat), in both forms."""
         spatial = None
         if self.spatial is not None:
             base = self.spatial
             spatial = lambda *cs: np.conj(base(*(-np.asarray(c, dtype=float) for c in cs)))
-        base_hat = self.fourier
+        base_hat, radial_hat = self.fourier, self.radial_fourier
         return replace(
             self,
             name=self.name + "~",
             spatial=spatial,
             fourier=lambda *cs: np.conj(base_hat(*cs)),
+            radial_fourier=None if radial_hat is None else lambda r: np.conj(radial_hat(r)),
         )
 
 
@@ -325,7 +337,8 @@ class AveragingProfile:
 
     The profile's values are `kernel.spatial`.  `deficit` is the real
     1 - profilehat, to full relative precision near the origin where the
-    subtraction cancels.  `moment` returns the exact mixed moment for a
+    subtraction cancels; a radial profile states it once as a function of
+    r = |xi| >= 0, `radial_deficit`, and derives `deficit` from it.  `moment` returns the exact mixed moment for a
     degree tuple.  `cdf`, for 1-D profiles, is the closed-form integral of
     the profile up to x.
     """
@@ -334,6 +347,7 @@ class AveragingProfile:
     deficit: Callable
     moment: Callable
     cdf: Callable | None = None
+    radial_deficit: Callable | None = None
 
     @property
     def dim(self) -> int:
@@ -487,15 +501,12 @@ def poisson_derivative_kernel(dim: int = 1) -> Kernel:
         r2 = sum(np.asarray(x, dtype=float) ** 2 for x in coords)
         return c * (r2 - dim) / (r2 + 1.0) ** ((dim + 3) / 2.0)
 
-    def fourier(*coords):
-        rho = np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in coords))
-        return -2.0 * np.pi * rho * np.exp(-2.0 * np.pi * rho)
-
+    radial_fourier = lambda rho: -2.0 * np.pi * rho * np.exp(-2.0 * np.pi * rho)
     return Kernel(
         dim=dim,
         name="poisson-q" if dim == 1 else f"poisson-q:{dim}",
         spatial=spatial,
-        fourier=fourier,
+        fourier=_on_radius(radial_fourier),
         support_radius=math.inf,
         cancellation_order=1,
         spatial_tail_exponent=float(dim + 1),
@@ -503,6 +514,7 @@ def poisson_derivative_kernel(dim: int = 1) -> Kernel:
         fourier_origin_exponent=1.0,
         radial=True,
         real=True,
+        radial_fourier=radial_fourier,
     )
 
 
@@ -614,16 +626,13 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
 
-        def fourier(xi):
-            return np.sinc(2.0 * np.asarray(xi, dtype=float))
+        radial_fourier = lambda r: np.sinc(2.0 * r)
 
-        def deficit(xi):
-            xi = np.asarray(xi, dtype=float)
-            out = np.asarray(1.0 - np.sinc(2.0 * xi))
-            a = np.abs(xi)
-            small = (a < _DEFICIT_SERIES) & (a > 0.0)  # 1 - sinc(0) is 0 exactly
+        def radial_deficit(r):
+            out = np.asarray(1.0 - np.sinc(2.0 * r))
+            small = (r < _DEFICIT_SERIES) & (r > 0.0)  # 1 - sinc(0) is 0 exactly
             if small.any():  # skip the fixed cost of the series when no point needs it
-                out[small] = _series_deficit((2.0 * np.pi * xi[small]) ** 2, _SINC_DEFICIT)
+                out[small] = _series_deficit((2.0 * np.pi * r[small]) ** 2, _SINC_DEFICIT)
             return out
 
         def cdf(x):
@@ -637,18 +646,13 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
             r2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2
             return np.where(r2 <= 1.0, 1.0 / math.pi, 0.0)
 
-        def modulus(x, y):
-            return np.sqrt(np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2)
-
-        def fourier(x, y):
-            rho = modulus(x, y)
+        def radial_fourier(rho):
             out = np.ones(rho.shape)
             nz = rho > 1e-12
             out[nz] = _bessel_j1(2.0 * np.pi * rho[nz]) / (np.pi * rho[nz])
             return out
 
-        def deficit(x, y):
-            rho = modulus(x, y)
+        def radial_deficit(rho):
             small = rho < _DEFICIT_SERIES
             out = np.empty(rho.shape)
             big = rho[~small]
@@ -662,19 +666,15 @@ def ball_average_profile(dim: int = 1) -> AveragingProfile:
         dim=dim,
         name="ball" if dim == 1 else f"ball:{dim}",
         spatial=density,
-        fourier=fourier,
+        fourier=_on_radius(radial_fourier),
         support_radius=1.0,
         cancellation_order=-1,
         fourier_tail_exponent=(dim + 1.0) / 2.0,
         radial=True,
         real=True,
+        radial_fourier=radial_fourier,
     )
-    return AveragingProfile(
-        kernel=kern,
-        deficit=deficit,
-        moment=moment,
-        cdf=cdf,
-    )
+    return AveragingProfile(kern, _on_radius(radial_deficit), moment, cdf, radial_deficit)
 
 
 def riesz_constant(alpha: float, dim: int) -> float:
@@ -762,8 +762,8 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
 
     hat(xi) = (2 pi |xi|)^(-alpha) (1 - profilehat(xi)), which vanishes at
     the origin like |xi|^(floor(alpha)+1-alpha) and decays like |xi|^-alpha.
-    Requires 0 < alpha < dim and profile in the order-alpha moment class,
-    in 1-D the ball (`_smoothed_riesz_core`).  The spatial evaluator is a
+    Requires 0 < alpha < dim and a radial profile (`radial_deficit`) in the
+    order-alpha moment class, in 1-D the ball (`_smoothed_riesz_core`).  The spatial evaluator is a
     quadrature diagnostic; the Fourier side is authoritative.
     """
     dim = profile.dim
@@ -776,11 +776,10 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
         )
     _require_moment_class(profile, alpha, "riesz_difference_kernel")
     tau = riesz_constant(alpha, dim)
-    deficit = profile.deficit
+    deficit = profile.radial_deficit
 
-    def fourier(*coords):
-        rho = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        gap = deficit(*coords)
+    def radial_fourier(rho):
+        gap = deficit(rho)
         out = np.zeros(rho.shape)
         nz = rho > 1e-300
         out[nz] = (2.0 * np.pi * rho[nz]) ** (-alpha) * gap[nz]
@@ -802,7 +801,7 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
         dim=dim,
         name=f"riesz-diff:{alpha:g}:{profile.name}",
         spatial=spatial,
-        fourier=fourier,
+        fourier=_on_radius(radial_fourier),
         support_radius=math.inf,
         cancellation_order=0,
         spatial_tail_exponent=dim + math.floor(alpha) + 1.0 - alpha,
@@ -811,6 +810,7 @@ def riesz_difference_kernel(alpha: float, profile: AveragingProfile) -> Kernel:
         origin_singularity=dim - alpha,
         radial=True,
         real=True,
+        radial_fourier=radial_fourier,
     )
 
 

@@ -11,14 +11,16 @@ of the Fourier coefficients; the value at the zero frequency is pinned by
 `dc_value` since the defining formulas degenerate there.
 
 A symbol is sampled in FFT order (`Symbol.sample`, `grid.Geometry.fft_grids`)
-and acts on a field plane by plane (`apply_multiplier`).  A symbol declared
-even, real with m(-xi) = m(xi), acts on the half spectrum: each real plane
-of a field goes through `rfftn`, is multiplied in place by the symbol
-sampled on the half grid alone, and comes back through `irfftn`, so a real
-field stays real and no full complex grid is formed.  The kernel-induced
-symbols are even when their family's symbol is
-(`squarefn.ScaleFamily.even_symbol`, the rule the p = 2 Parseval ratios
-use), and the potential-type symbols, functions of |xi| alone, always are.
+and acts on a field plane by plane (`apply_multiplier`).  A symbol of |xi|
+alone, kernel-induced of a radial family or potential-type, is sampled once
+per |xi| shell of the grid and gathered (`squarefn._shells`).  A symbol
+declared even, real with m(-xi) = m(xi), acts on the half spectrum: each
+real plane of a field goes through `rfftn`, is multiplied in place by the
+symbol sampled on the half grid alone, and comes back through `irfftn`, so
+a real field stays real and no full complex grid is formed.  The kernel
+symbols are even when their family's symbol is (`squarefn.ScaleFamily.even_symbol`,
+the rule the p = 2 Parseval ratios use), and the potential-type symbols,
+functions of |xi| alone, always are.
 Every other symbol, such as a one-scale odd multiplier, takes a field as
 one complex plane through `fftn` and `ifftn`.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from .grid import DyadicRange, Geometry, LogTimeGrid, SampledField
 from .kernels import Kernel
-from .squarefn import ScaleFamily, _inverse_into, _joined, _planes, _window_run
+from .squarefn import ScaleFamily, _inverse_into, _joined, _planes, _shells, _window_run
 
 
 class DegenerateSymbolError(ValueError):
@@ -47,7 +49,9 @@ class Symbol:
     m(s xi) = s^D m(xi), "dyadic" for m(2 xi) = m(xi), "none" otherwise.
     meta carries informational notes such as truncation-tail estimates.
     `even` declares m real and even, m(-xi) = m(xi), with a real dc_value;
-    `apply_multiplier` then takes the half spectrum.
+    `apply_multiplier` then takes the half spectrum.  `sampler`, when given,
+    is (geom, half) -> the values of evaluate on `geom.fft_grids(half)`, which
+    `sample` takes instead of evaluating the grid point by point.
     """
 
     name: str
@@ -56,14 +60,17 @@ class Symbol:
     homogeneity: str = "none"
     meta: dict = field(default_factory=dict)
     even: bool = False
+    sampler: Callable | None = None
 
     def sample(self, geom: Geometry, half: bool = False) -> np.ndarray:
         """Symbol values on the grid of `geom.fft_grids(half)`, in FFT order,
         the zero frequency, their first entry, pinned: complex values on the
         full grid; with `half`, real parts on the half grid of `rfftn`, the
-        values of an even symbol."""
+        values of an even symbol.  A symbol of |xi| alone is evaluated once
+        per shell of the grid (its `sampler`): the bits of the grid's own
+        values in 1-D and where 2L is a power of two, round-off elsewhere."""
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = self.evaluate(*geom.fft_grids(half))
+            vals = self.evaluate(*geom.fft_grids(half)) if self.sampler is None else self.sampler(geom, half)
         vals = np.array(np.broadcast_to(np.real(vals) if half else vals, geom.spectrum_shape(half)),
                         dtype=float if half else complex)
         vals[(0,) * geom.dim] = np.real(self.dc_value) if half else self.dc_value
@@ -81,18 +88,13 @@ def _tail_meta(kernel: Kernel) -> dict:
     if delta is None and eps is None:
         return {}
     out: dict = {}
+    mags = lambda probes: np.abs(kernel.fourier(probes, *(np.zeros_like(probes),) * (kernel.dim - 1)))
     if delta is not None:
         probes = np.geomspace(1.0, 64.0, 49)
-        rest = (np.zeros_like(probes),) * (kernel.dim - 1)
-        mags = np.abs(kernel.fourier(probes, *rest))
-        out["delta"] = delta
-        out["c_inf"] = float(np.max(mags * probes**delta))
+        out |= {"delta": delta, "c_inf": float(np.max(mags(probes) * probes**delta))}
     if eps is not None:
         probes = np.geomspace(1e-3, 1.0, 25)
-        rest = (np.zeros_like(probes),) * (kernel.dim - 1)
-        mags = np.abs(kernel.fourier(probes, *rest))
-        out["eps"] = eps
-        out["c_zero"] = float(np.max(mags / probes**eps))
+        out |= {"eps": eps, "c_zero": float(np.max(mags(probes) / probes**eps))}
     return {"tail": out}
 
 
@@ -110,7 +112,8 @@ def continuous_symbol(
     nodes = scales[_window_run(scales, window)]
     meta = {"t_lo": float(nodes[0]), "t_hi": float(nodes[-1]), "node_count": int(nodes.size)}
     family = ScaleFamily.of_kernel(kernel, nodes, tg.weight)
-    return Symbol(f"m[{kernel.name}]", family.symbol, 0.0, "homogeneous:0", meta | _tail_meta(kernel), family.even_symbol)
+    return Symbol(f"m[{kernel.name}]", family.symbol, 0.0, "homogeneous:0", meta | _tail_meta(kernel),
+                  family.even_symbol, lambda geom, half: family.on_grid(geom, half=half)[0])
 
 
 def continuous_tail_estimate(sym: Symbol, xi_mag: float) -> float | None:
@@ -135,7 +138,8 @@ def dyadic_symbol(kernel: Kernel, kr: DyadicRange) -> Symbol:
     """m(xi) = sum over k of |psihat(2^k xi)|^2, dc pinned to 0."""
     meta = {"k_min": kr.k_min, "k_max": kr.k_max} | _tail_meta(kernel)
     family = ScaleFamily.of_kernel(kernel, kr.scales)
-    return Symbol(f"md[{kernel.name}]", family.symbol, 0.0, "dyadic", meta, family.even_symbol)
+    return Symbol(f"md[{kernel.name}]", family.symbol, 0.0, "dyadic", meta, family.even_symbol,
+                  lambda geom, half: family.on_grid(geom, half=half)[0])
 
 
 def dyadic_defect_bound(kernel: Kernel, kr: DyadicRange, *coords) -> np.ndarray:
@@ -193,26 +197,27 @@ def invert_multiplier(sym: Symbol, floor: float, geom: Geometry) -> Symbol:
             f"symbol '{sym.name}' has modulus {mag[argmin]:.3e} < floor {floor:.3e} "
             f"at frequency xi = {freq}"
         )
-    base = sym.evaluate
-
-    def evaluate(*coords):
-        return 1.0 / np.asarray(base(*coords), dtype=complex)
-
-    return Symbol(
-        name=f"inv[{sym.name}]",
-        evaluate=evaluate,
-        dc_value=0.0,
-        homogeneity=sym.homogeneity,
-        meta={"floor": floor},
-        even=sym.even,
-    )
+    base, sampler = sym.evaluate, sym.sampler
+    if sampler is not None:
+        sampler = lambda geom, half, _base=sampler: 1.0 / np.asarray(_base(geom, half), dtype=complex)
+    evaluate = lambda *coords: 1.0 / np.asarray(base(*coords), dtype=complex)
+    return Symbol(f"inv[{sym.name}]", evaluate, 0.0, sym.homogeneity, {"floor": floor}, sym.even, sampler)
 
 
 # ---------------------------------------------------------------------------
 # potential-type symbols
 
-def _radius(coords) -> np.ndarray:
-    return np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
+def _radial_symbol(name: str, of_square: Callable, dc_value: float, homogeneity: str = "none") -> Symbol:
+    """The even symbol of_square(|xi|^2), sampled once per shell of a grid
+    (`squarefn._shells`), where |xi|^2 has the bits of fl(sum xi_i^2) in 1-D
+    and where 2L is a power of two."""
+
+    def sampler(geom: Geometry, half: bool) -> np.ndarray:
+        s, index = _shells(geom, half, squares=True)
+        return np.take(of_square(s), index)
+
+    evaluate = lambda *coords: of_square(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
+    return Symbol(name, evaluate, dc_value, homogeneity, even=True, sampler=sampler)
 
 
 def riesz_symbol(alpha: float) -> Symbol:
@@ -224,30 +229,19 @@ def riesz_symbol(alpha: float) -> Symbol:
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
 
-    def evaluate(*coords):
-        rho = _radius(coords)
+    def of_square(s):
+        rho = np.sqrt(s)
         out = np.zeros(rho.shape)
         nz = rho > 0
         out[nz] = (2.0 * np.pi * rho[nz]) ** (-alpha)
         return out
 
-    return Symbol(
-        name=f"riesz:{alpha:g}",
-        evaluate=evaluate,
-        dc_value=0.0,
-        homogeneity=f"homogeneous:{-alpha:g}",
-        even=True,
-    )
+    return _radial_symbol(f"riesz:{alpha:g}", of_square, 0.0, f"homogeneous:{-alpha:g}")
 
 
 def bessel_symbol(beta: float) -> Symbol:
     """(1 + 4 pi^2 |xi|^2)^(-beta/2), defined for every real beta; dc = 1."""
-
-    def evaluate(*coords):
-        rho2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-        return (1.0 + 4.0 * np.pi**2 * rho2) ** (-beta / 2.0)
-
-    return Symbol(name=f"bessel:{beta:g}", evaluate=evaluate, dc_value=1.0, even=True)
+    return _radial_symbol(f"bessel:{beta:g}", lambda s: (1.0 + 4.0 * np.pi**2 * s) ** (-beta / 2.0), 1.0)
 
 
 def riesz_bessel_ratio_symbol(alpha: float) -> Symbol:
@@ -259,13 +253,11 @@ def riesz_bessel_ratio_symbol(alpha: float) -> Symbol:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
 
-    def evaluate(*coords):
-        rho2 = 4.0 * np.pi**2 * sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+    def of_square(s):
+        rho2 = 4.0 * np.pi**2 * s
         return (rho2 / (1.0 + rho2)) ** (alpha / 2.0)
 
-    return Symbol(
-        name=f"riesz-bessel-ratio:{alpha:g}", evaluate=evaluate, dc_value=0.0, even=True
-    )
+    return _radial_symbol(f"riesz-bessel-ratio:{alpha:g}", of_square, 0.0)
 
 
 def bessel_split_symbol(alpha: float) -> Symbol:
@@ -277,11 +269,11 @@ def bessel_split_symbol(alpha: float) -> Symbol:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
 
-    def evaluate(*coords):
-        rho = 2.0 * np.pi * _radius(coords)
+    def of_square(s):
+        rho = 2.0 * np.pi * np.sqrt(s)
         return (1.0 + rho**2) ** (alpha / 2.0) / (1.0 + rho**alpha)
 
-    return Symbol(name=f"bessel-split:{alpha:g}", evaluate=evaluate, dc_value=1.0, even=True)
+    return _radial_symbol(f"bessel-split:{alpha:g}", of_square, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +297,7 @@ def sampled_min_modulus(
     mag = np.abs(vals)
     mag[(0,) * geom.dim] = np.inf
     if annulus is not None:
-        rho = _radius(geom.fft_grids())
+        rho = np.sqrt(sum(x**2 for x in geom.fft_grids()))
         lo, hi = annulus
         mask = (rho >= lo) & (rho <= hi)
         if not np.any(mask):

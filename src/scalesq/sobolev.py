@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .squarefn import (
     _require_mean_zero,
     g_function,
 )
-from .weights import constant_on_grid, weighted_norm
+from .weights import _grid_values, _sampled_norm, constant_on_grid
 
 
 def riesz_potential(f: SampledField, order: float) -> SampledField:
@@ -73,22 +73,23 @@ def _smoothing_family(
 ) -> ScaleFamily:
     """Multipliers 1 - Phihat(t xi), the layers f - Phi_t * f, with scale
     weights w t^(-2 order), behind the order, dimension and moment-class
-    gates and the gate that every weight is finite.  The multiplier is the
-    profile's `deficit`, which keeps full relative precision at small t xi."""
+    gates and the gate that every weight is finite.  They are the dilates of
+    the kernel delta - Phi, whose hat is the profile's `deficit` (for a
+    radial profile `radial_deficit`), which keeps full relative precision
+    at small t xi."""
     if order <= 0:
         raise ValueError(f"order must be positive, got {order}")
     if profile.dim != dim:
         raise ValueError(f"profile '{profile.name}' has dim {profile.dim}, field has dim {dim}")
     _require_moment_class(profile, order, "smoothing differences")
-    deficit = profile.deficit
-    multiplier = lambda t, *xi: deficit(*(t * x for x in xi))
     with np.errstate(over="ignore", divide="ignore"):
         weights = scales.weight * scales.scales ** (-2.0 * order)
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         t = float(scales.scales[bad[0]])
         raise ValueError(f"order {order:g}: the scale weight w t^(-2 order) is not finite at t = {t!r}")
-    return ScaleFamily(scales.scales, weights, multiplier, profile.kernel.radial, real=profile.kernel.real)
+    difference = replace(profile.kernel, spatial=None, fourier=profile.deficit, radial_fourier=profile.radial_deficit)
+    return ScaleFamily.of_kernel(difference, scales.scales, weights)
 
 
 def smoothing_difference_function(
@@ -313,14 +314,14 @@ def _ratios(numerators, denominators) -> list:
     return [None if d == 0 else num / d for num, d in zip(numerators, denominators)]
 
 
-def _norm_ratios(fields, numerators, p: float, weight: Callable) -> list:
-    """numerators[i] / ||fields[i]||, None for a zero denominator."""
-    return _ratios(numerators, [weighted_norm(f, p, weight) for f in fields])
+def _norm_ratios(fields, numerators, p: float, wv: np.ndarray) -> list:
+    """numerators[i] / ||fields[i]|| under the weight's samples wv, None for a zero denominator."""
+    return _ratios(numerators, [_sampled_norm(f, p, wv) for f in fields])
 
 
-def _square_norms(family: ScaleFamily, fields, p: float, weight: Callable) -> list[float]:
+def _square_norms(family: ScaleFamily, fields, p: float, wv: np.ndarray) -> list[float]:
     """Weighted L^p norms of the family's square functions of a batch."""
-    return [weighted_norm(g, p, weight) for g in family.square_function(fields)]
+    return [_sampled_norm(g, p, wv) for g in family.square_function(fields)]
 
 
 def _parseval(family: ScaleFamily, p: float) -> bool:
@@ -335,7 +336,7 @@ def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Callable):
 
     At p = 2 under a weight with one value c on the grid the numerator is
     sqrt(c * h^d sum_x of the square sum), which Parseval gives from the
-    family's symbol on the half grid (`ScaleFamily.on_half_grid`) and one
+    family's symbol on the half grid (`ScaleFamily.on_grid`) and one
     `rfftn` per real plane of the field, one field at a time (`_parseval`);
     every other p or weight, or a family without an even symbol, squares the
     layers in physical space, in batches of `_batch_size`.
@@ -343,12 +344,13 @@ def square_function_ratio(kernel, scales: ScaleSet, p: float, weight: Callable):
     family = ScaleFamily.of_kernel(kernel, scales.scales, scales.weight)
 
     def prepare(geom: Geometry):
-        c = constant_on_grid(weight, geom) if _parseval(family, p) else None
+        wv = _grid_values(weight, geom)
+        c = constant_on_grid(wv) if _parseval(family, p) else None
         if c is None:
-            return _batch_size(geom), lambda fs: _norm_ratios(fs, _square_norms(family, fs, p, weight), p, weight)
-        sums = _power_sums(geom, family.on_half_grid(geom))
+            return _batch_size(geom), lambda fs: _norm_ratios(fs, _square_norms(family, fs, p, wv), p, wv)
+        sums = _power_sums(geom, family.on_grid(geom))
         volume = (geom.spacing / geom.n_samples) ** geom.dim
-        return 1, lambda fs: _norm_ratios(fs, [math.sqrt(c * (volume * sums(fs[0])[0]))], p, weight)
+        return 1, lambda fs: _norm_ratios(fs, [math.sqrt(c * (volume * sums(fs[0])[0]))], p, wv)
 
     return lambda fields: _streamed(fields, prepare)
 
@@ -365,19 +367,20 @@ def sobolev_equivalence_ratio(
     sum P, the smoothed norm from sum b^2 P with b the Bessel symbol, the
     smoothing-difference norm from sum sigma b^2 P with sigma the family's
     symbol, each symbol on the half grid, evaluated with sigma on the
-    family's shells where it has them (`ScaleFamily.on_half_grid`).  Every
+    family's shells where it has them (`ScaleFamily.on_grid`).  Every
     other p or weight, or a profile without an even symbol, smooths g in
     physical space, in batches of `_batch_size`.
     """
     def prepare(geom: Geometry):
         family = _smoothing_family(order, profile, geom.dim, scales)
-        c = constant_on_grid(weight, geom) if _parseval(family, p) else None
+        wv = _grid_values(weight, geom)
+        c = constant_on_grid(wv) if _parseval(family, p) else None
         if c is None:
             def batch_ratios(gs):
                 smoothed = [bessel_potential(g, order) for g in gs]
-                diffs = _square_norms(family, smoothed, p, weight)
-                norms = [d + weighted_norm(s, p, weight) for d, s in zip(diffs, smoothed)]
-                return _norm_ratios(gs, norms, p, weight)
+                diffs = _square_norms(family, smoothed, p, wv)
+                norms = [d + _sampled_norm(s, p, wv) for d, s in zip(diffs, smoothed)]
+                return _norm_ratios(gs, norms, p, wv)
 
             return _batch_size(geom), batch_ratios
         bessel = bessel_symbol(order)
@@ -387,7 +390,7 @@ def sobolev_equivalence_ratio(
             sigma *= b2
             return [sigma, b2]
 
-        sums = _power_sums(geom, family.on_half_grid(geom, symbols) + [None])
+        sums = _power_sums(geom, family.on_grid(geom, symbols) + [None])
         volume = c * (geom.spacing / geom.n_samples) ** geom.dim
 
         def member_ratio(gs):

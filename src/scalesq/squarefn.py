@@ -31,12 +31,13 @@ Nyquist term that the half spectrum would drop.
 A radial family, one whose multipliers depend on |xi| alone, or a 1-D odd
 family, m_t(-xi) = -m_t(xi), is evaluated once per |xi| shell: each call
 keys the grid's points by their integer |k|^2 (`_shells`), evaluates a
-(scales, shells) table, as many whole chunks of layers at a time as fit in
-`grid._CHUNK_BYTES` on the shells, and gathers each chunk onto the grid in
-blocks as it multiplies the spectra (`_times`), an odd family with the sign
-of xi; the symbol, which takes any frequencies, is summed over scales on
-the distinct |xi|^2 of its input and gathered once.  Nothing is cached
-between calls.
+(scales, shells) table on the shells' radii alone, as many whole chunks of
+layers at a time as fit in `grid._CHUNK_BYTES`, and gathers each chunk onto
+the grid in blocks as it multiplies the spectra (`_times`), an odd family
+with the sign of xi; the symbol on a grid is summed over scales on its
+shells and gathered once (`ScaleFamily.on_grid`), and the symbol at any
+other frequencies on their distinct |xi|^2.  Nothing is cached between
+calls.
 
 The square sum of a family tagged real and evaluated on shells may take
 fewer layers than it has scales (`ScaleFamily._principal`; the basis
@@ -58,7 +59,7 @@ stack, a synthesis of one, a symbol and every other duality residual take
 the scales.  The p = 2
 constant-weight ratios in `sobolev` take their norms by the discrete
 Parseval identity from even symbols on the half grid, evaluated once per
-shell and gathered (`ScaleFamily.on_half_grid`), and one `rfftn` per real
+shell and gathered (`ScaleFamily.on_grid`), and one `rfftn` per real
 plane of a field into buffers made once (`_power_sums`), and form no layer.
 
 Every kernel operator takes a scale set (`grid.ScaleSet`): its scales t_j
@@ -230,28 +231,30 @@ def _power_sums(geom: Geometry, symbols):
     return sums
 
 
-def _shells(geom: Geometry, half: bool):
-    """(|xi| of each shell, the index of each point's shell) on the grid
-    `geom.fft_grids(half)`.
+def _shells(geom: Geometry, half: bool, squares: bool = False):
+    """(|xi| of each shell, or |xi|^2 with `squares`, the index of each
+    point's shell) on the grid `geom.fft_grids(half)`.
 
     The shells are the distinct K = sum_i k_i^2 of the integer wave numbers
     k_i = 2L xi_i, in increasing order, found by `np.bincount`; the index is
     each point's rank among them, in the narrowest dtype that holds it, and
-    a shell's |xi| is sqrt(K) / (2L).  In 1-D every |k| <= N/2 is a shell,
-    its own rank.  That is sqrt(fl(sum_i xi_i^2)) bit for bit in 1-D, and in
-    2-D when 2L is a power of two; elsewhere the two differ by round-off.
+    a shell's |xi| is sqrt(K) / (2L), its |xi|^2 K / (2L)^2.  In 1-D every
+    |k| <= N/2 is a shell, its own rank, and its |xi|^2 is fl(|xi|^2).  They
+    are sqrt(fl(sum_i xi_i^2)) and fl(sum_i xi_i^2) bit for bit in 1-D, and
+    in 2-D when 2L is a power of two; elsewhere they differ by round-off.
     """
     n, scale = geom.n_samples, 2.0 * geom.half_length
     k = np.minimum(np.arange(n), n - np.arange(n))  # |k| in FFT order
     last = k[: n // 2 + 1] if half else k
     if geom.dim == 1:
-        return np.arange(n // 2 + 1) / scale, last.astype(np.min_scalar_type(n // 2 + 1))
+        rho = np.arange(n // 2 + 1) / scale
+        return rho**2 if squares else rho, last.astype(np.min_scalar_type(n // 2 + 1))
     key = k[:, None] ** 2 + last[None, :] ** 2
     present = np.bincount(key.ravel()) > 0
     shells = np.flatnonzero(present)
     rank = np.cumsum(present, dtype=np.min_scalar_type(shells.size))
     rank -= 1  # K = 0 is a shell, so no rank is below it
-    return np.sqrt(shells) / scale, rank[key]
+    return shells / scale**2 if squares else np.sqrt(shells) / scale, rank[key]
 
 
 def _shell_powers(spec: np.ndarray, index: np.ndarray, shells: int) -> np.ndarray:
@@ -296,7 +299,7 @@ def _row_family(rows: np.ndarray) -> "ScaleFamily":
     """The rows of a table on a family's shells as a family of unit weights,
     row i its multiplier at "scale" i: valid on those shells alone, which the
     engine is handed with it (`ScaleFamily._add_squares`)."""
-    return ScaleFamily(np.arange(len(rows)), 1.0, lambda i, *_: rows[i.ravel().astype(np.intp)], radial=True, real=True)
+    return ScaleFamily(np.arange(len(rows)), 1.0, lambda i, _: rows[i.ravel().astype(np.intp)], radial=True, real=True)
 
 
 def _require_mean_zero(f: SampledField, what: str) -> None:
@@ -317,11 +320,13 @@ class ScaleFamily:
     `multiplier(t, *xi)` evaluates a chunk of scales at once: t has shape
     (c, 1, ..., 1), one trailing axis per axis of the broadcast frequency
     arrays xi, and the result broadcasts to (c,) + that shape.  `radial`
-    declares that m_t(xi) depends on |xi| alone; such a family is evaluated
-    once per distinct |xi|^2 of its input, at (|xi|, 0, ..., 0).  `odd`
+    declares that m_t(xi) depends on |xi| alone; such a family's multiplier
+    is a function of the radius, `multiplier(t, r)` with r = |xi| >= 0 one
+    array, and it is evaluated once per distinct |xi|^2 of its input.  `odd`
     declares m_t(-xi) == -m_t(xi) bit for bit; on 1-D input such a family
     is evaluated once per distinct xi^2, at |xi|, and the values at xi < 0
-    negated.
+    negated.  `dim`, when given, is the dimension of the frequencies the
+    multipliers take; input of another dimension raises ValueError.
 
     `real` declares m_t(-xi) == conj m_t(xi) at every frequency of the DFT
     grid, the self-conjugate ones included: m_t is real at xi = 0 and on the
@@ -348,6 +353,7 @@ class ScaleFamily:
     radial: bool = False
     odd: bool = False
     real: bool = False
+    dim: int | None = None
 
     def __post_init__(self):
         scales = np.atleast_1d(np.asarray(self.scales, dtype=float))
@@ -356,13 +362,11 @@ class ScaleFamily:
 
     @classmethod
     def of_kernel(cls, kernel: Kernel, scales, weights=1.0) -> "ScaleFamily":
-        """m_t(xi) = psihat(t xi): the layers f * psi_t of the L1-normalized dilates."""
-        def multiplier(t, *xi):
-            if len(xi) != kernel.dim:
-                raise ValueError(f"kernel '{kernel.name}' has dim {kernel.dim}, field has dim {len(xi)}")
-            return kernel.fourier(*(t * x for x in xi))
-
-        return cls(scales, weights, multiplier, kernel.radial, kernel.odd, kernel.real)
+        """m_t(xi) = psihat(t xi): the layers f * psi_t of the L1-normalized
+        dilates; psihat(t r), `kernel.radial_fourier`, for a radial kernel."""
+        hat = kernel.radial_fourier if kernel.radial else None
+        multiplier = (lambda t, *xi: kernel.fourier(*(t * x for x in xi))) if hat is None else (lambda t, r: hat(t * r))
+        return cls(scales, weights, multiplier, hat is not None, kernel.odd, kernel.real, kernel.dim)
 
     @property
     def even_symbol(self) -> bool:
@@ -371,25 +375,30 @@ class ScaleFamily:
         profile is one of them)."""
         return self.radial or self.odd or self.real
 
-    def _points(self, geom: Geometry):
-        """(where to evaluate the multipliers, the index gathering them onto the
-        grid, the sign applied after the gather) for the grid the family's
-        spectra live on, `geom.fft_grids(half=self.real)`.
+    def _on_shells(self, dim: int) -> bool:
+        """Whether the family is evaluated once per |xi| shell on input of
+        `dim` axes, radial or odd in 1-D; ValueError for another dim than its."""
+        if self.dim not in (None, dim):
+            raise ValueError(f"the multipliers have dim {self.dim}, field has dim {dim}")
+        return self.radial or (self.odd and dim == 1)
 
-        A radial family, or an odd family on 1-D input, is evaluated on its
-        shells (`_shells`) at (|xi|, 0, ..., 0); the index maps each point of
-        the grid to its shell, and an odd family takes sign -1 where xi < 0
-        (xi = 0 keeps its value).  Any other family is evaluated on the grid
-        itself, index and sign None.
+    def _points(self, geom: Geometry, half: bool | None = None):
+        """(where to evaluate the multipliers, the index gathering them onto the
+        grid, the sign applied after the gather) for the grid
+        `geom.fft_grids(half)`, by default the one the family's spectra live
+        on, half = `real`.
+
+        A family `_on_shells` is evaluated on the radii of its shells
+        (`_shells`) alone; the index maps each point of the grid to its shell,
+        and an odd family takes sign -1 where xi < 0 (xi = 0 keeps its value).
+        Any other family is evaluated on the grid itself, index and sign None.
         """
-        xi = geom.fft_grids(half=self.real)
-        odd = self.odd and geom.dim == 1
-        if not (self.radial or odd):
+        half = self.real if half is None else half
+        xi = geom.fft_grids(half)
+        if not self._on_shells(geom.dim):
             return xi, None, None
-        rho, index = _shells(geom, self.real)
-        points = (rho,) + (np.zeros_like(rho),) * (geom.dim - 1)
-        sign = np.where(xi[0] < 0, -1.0, 1.0) if odd else None
-        return points, index, sign
+        rho, index = _shells(geom, half)
+        return (rho,), index, (np.where(xi[0] < 0, -1.0, 1.0) if self.odd and geom.dim == 1 else None)
 
     def _tables(self, points, layers: int):
         """(slice of scales, their multipliers at points) for chunks of `layers` scales."""
@@ -491,8 +500,8 @@ class ScaleFamily:
                 power, power_buf = _buffer(power_buf, out.shape, float)
                 np.square(np.abs(out, out=power), out=power)
             weights = self.weights[chunk]
-            if len(weights) == 1:  # weighted where it lies, the bits of the einsum
-                summed = np.multiply(power[:, 0], weights[0], out=power[:, 0])
+            if len(weights) == 1:  # weighted where it lies, the bits of the einsum; w = 1 leaves them
+                summed = power[:, 0] if weights[0] == 1.0 else np.multiply(power[:, 0], weights[0], out=power[:, 0])
             else:
                 summed, sum_buf = _buffer(sum_buf, out.shape[:1] + geom.shape, float)
                 np.einsum("j,bj...->b...", weights, power, out=summed)
@@ -668,9 +677,7 @@ class ScaleFamily:
             forward(h, axes=ax, out=spec)
             _times(m, grid, spec, spec)
             for j, w in enumerate(self.weights[chunk]):  # weighted in place, scale by scale
-                term = spec[:, j]
-                term *= w
-                acc += term
+                acc += spec[:, j] if w == 1.0 else np.multiply(spec[:, j], w, out=spec[:, j])
         return acc
 
     def symbol(self, *xi) -> NDArray[np.float64]:
@@ -678,41 +685,37 @@ class ScaleFamily:
 
         The terms are added one scale at a time in scale order, so the value
         at a frequency does not depend on the other points of the call.  A
-        radial family, or an odd one on 1-D input (|m|^2 is even), is
-        evaluated once per distinct value of |xi|^2, at (|xi|, 0, ..., 0):
-        sqrt(fl(x^2)) == |x| in binary64, so a 1-D shell is |xi| itself.
+        family `_on_shells` is evaluated at the square root of each distinct
+        |xi|^2 (`np.unique`); sqrt(fl(x^2)) == |x|, so in 1-D that is |xi|.
         """
-        points = [np.asarray(x, dtype=float) for x in xi]
-        index = None
-        if self.radial or (self.odd and len(xi) == 1):
-            key = sum(x**2 for x in points)
-            shells, index = np.unique(key, return_inverse=True)
-            points = [np.sqrt(shells)] + [np.zeros_like(shells)] * (len(xi) - 1)
-            index = index.reshape(key.shape)
+        xi = [np.asarray(x, dtype=float) for x in xi]
+        if not self._on_shells(len(xi)):
+            return self._summed(xi)
+        key = sum(x**2 for x in xi)
+        shells, index = np.unique(key, return_inverse=True)
+        return np.take(self._summed((np.sqrt(shells),)), index.reshape(key.shape))
+
+    def _summed(self, points) -> NDArray[np.float64]:
+        """sum_t w_t |m_t|^2 with the multipliers evaluated at points, scale by scale."""
         acc = np.zeros(np.broadcast_shapes(*(np.shape(x) for x in points)))
         for chunk, m in self._tables(points, _chunk_layers(acc.size)):
             for w, mj in zip(self.weights[chunk], m):
                 acc += w * np.abs(mj) ** 2
-        return acc if index is None else np.take(acc, index)
+        return acc
 
-    def on_half_grid(self, geom: Geometry, evaluate: Callable = lambda sigma, *xi: [sigma]) -> list:
+    def on_grid(self, geom: Geometry, evaluate: Callable = lambda sigma, *xi: [sigma], half: bool = True) -> list:
         """The arrays evaluate(sigma, *xi) returns, sigma the symbol at the
-        frequency arrays xi, on the half grid `geom.fft_grids(half=True)`.
+        frequency arrays xi, on the grid `geom.fft_grids(half)`.
 
-        A radial family, or an odd one in 1-D, evaluates them once per shell
-        of `_shells`, at (|xi|, 0, ..., 0), and gathers them onto the grid by
-        the shells' index, so evaluate must see |xi| alone there; it may
-        write into sigma.  Any other family evaluates them on the grid.  The
-        symbol's `np.unique` then sorts the shells alone, which it keeps as
-        they are (sqrt(fl(x^2)) == |x|): sigma has the bits of the symbol on
-        the half grid where 2L is a power of two, and differs from it by
-        round-off elsewhere (`_shells`).
+        A family `_on_shells` evaluates them once per shell (`_points`), xi
+        the shells' radii alone, and gathers them onto the grid by the
+        shells' index, so evaluate must take |xi| alone there; it may write
+        into sigma.  Any other family evaluates them on the grid.  sigma has
+        the bits of `symbol` on the grid in 1-D and where 2L is a power of
+        two, and differs from it by round-off elsewhere (`_shells`).
         """
-        xi, index = geom.fft_grids(half=True), None
-        if self.radial or (self.odd and geom.dim == 1):
-            rho, index = _shells(geom, half=True)
-            xi = (rho,) + (np.zeros_like(rho),) * (geom.dim - 1)
-        values = evaluate(self.symbol(*xi), *xi)
+        xi, index, _ = self._points(geom, half)
+        values = evaluate(self._summed(xi), *xi)
         return values if index is None else [np.take(v, index) for v in values]
 
 

@@ -85,24 +85,26 @@ def _grid_values(w: Callable, geom: Geometry) -> np.ndarray:
     return wv
 
 
-def constant_on_grid(w: Callable, geom: Geometry) -> float | None:
-    """The weight's value if it takes one value at every grid point, else None;
-    decided from the evaluated values, not from how the weight was made."""
-    wv = _grid_values(w, geom)
+def constant_on_grid(wv: np.ndarray) -> float | None:
+    """The weight's value if its samples wv on the grid (`_grid_values`) take
+    one value, else None: decided from the values, not how the weight was made."""
     c = wv.flat[0]
     return float(c) if np.all(wv == c) else None
 
 
 def weighted_norm(f: SampledField, p: float, w: Callable) -> float:
-    """(h^d sum |f|^p w)^(1/p) over the grid, computed as M (h^d sum (|f|/M)^p w)^(1/p)
-    with M = max |f| so that no power overflows."""
+    """(h^d sum |f|^p w)^(1/p) over the grid: `_sampled_norm` under w's samples."""
+    return _sampled_norm(f, p, _grid_values(w, f.geometry))
+
+
+def _sampled_norm(f: SampledField, p: float, wv: np.ndarray) -> float:
+    """(h^d sum |f|^p wv)^(1/p), wv the weight's samples on the grid, computed
+    as M (h^d sum (|f|/M)^p wv)^(1/p) with M = max |f| so that no power overflows."""
     if not (p >= 1):
         raise ValueError(f"need p >= 1, got {p}")
-    g = f.geometry
-    wv = _grid_values(w, g)
     mag = np.abs(f.values)
     top = float(mag.max())
     if top == 0.0:
         return 0.0
-    total = g.cell_volume * np.sum((mag / top) ** p * wv)
+    total = f.geometry.cell_volume * np.sum((mag / top) ** p * wv)
     return top * float(total ** (1.0 / p))

@@ -13,6 +13,7 @@ Slow is fine; these run on small grids.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -677,16 +678,29 @@ def duality_residual_rows_stacked(f: SampledField, kernel, eps: float) -> float:
 # took before families tagged real sent real fields through the half
 # spectrum.  Only the family's multiplier, scales and weights are used.
 
+def grid_multiplier(family):
+    """The family's multiplier at frequency coordinates: a radial family's,
+    a function of the radius, at |xi|."""
+    if not family.radial:
+        return family.multiplier
+    return lambda t, *xi: family.multiplier(t, np.sqrt(sum(np.asarray(x, dtype=float) ** 2 for x in xi)))
+
+
+def on_the_grid(family):
+    """The family untagged radial, its multiplier evaluated on the grid as it is."""
+    return dataclasses.replace(family, radial=False, multiplier=grid_multiplier(family))
+
+
 def complex_layers(family, f: SampledField) -> np.ndarray:
-    return loop_layers(f, family.multiplier, family.scales)
+    return loop_layers(f, grid_multiplier(family), family.scales)
 
 
 def complex_square_sums(family, fields) -> np.ndarray:
-    return np.array([loop_square_sum(f, family.multiplier, family.scales, family.weights) for f in fields])
+    return np.array([loop_square_sum(f, grid_multiplier(family), family.scales, family.weights) for f in fields])
 
 
 def complex_synthesis(family, layers: np.ndarray, geom) -> np.ndarray:
-    return loop_synthesis(layers, geom, family.multiplier, family.scales, family.weights)
+    return loop_synthesis(layers, geom, grid_multiplier(family), family.scales, family.weights)
 
 
 def complex_duality_residual(f: SampledField, kernel, eps: float) -> float:

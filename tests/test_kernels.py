@@ -748,3 +748,53 @@ def test_odd_kernels_are_odd_bit_for_bit(kid):
     kernel, x = kernel_from_id(kid), odd_points()
     assert np.array_equal(kernel.spatial(-x), -kernel.spatial(x))
     assert np.array_equal(kernel.fourier(-x), -kernel.fourier(x))
+
+
+# ---------------------------------------------------------------------------
+# radial kernels and profiles: one transform of the radius, its coordinate form derived
+
+RADIAL_IDS = ["poisson-q", "poisson-q:2", "riesz-diff:0.5:ball", "riesz-diff:0.5:ball:2", "riesz-diff:1.5:ball:2"]
+
+
+def coordinate_points(r: np.ndarray, dim: int):
+    """Points of radius r on the axes: +-r in 1-D, (r, 0), (0, r) and (-r, 0) in 2-D."""
+    zero = np.zeros_like(r)
+    return [(r,), (-r,)] if dim == 1 else [(r, zero), (zero, r), (-r, zero)]
+
+
+def radial_forms() -> dict:
+    """name -> (dim, radial form, coordinate form) of every radial transform and deficit."""
+    forms = {}
+    for kid in RADIAL_IDS:
+        k = kernel_from_id(kid)
+        assert k.radial, kid
+        forms[kid] = (k.dim, k.radial_fourier, k.fourier)
+        r = k.reflect_conjugate()
+        forms[kid + "~"] = (k.dim, r.radial_fourier, r.fourier)
+    for dim in (1, 2):
+        p = ball_average_profile(dim)
+        forms[f"{p.name}:fourier"] = (dim, p.kernel.radial_fourier, p.fourier)
+        forms[f"{p.name}:deficit"] = (dim, p.radial_deficit, p.deficit)
+    return forms
+
+
+def test_other_kernels_carry_no_radial_form():
+    for kid in ("haar", "gm:0.75", "sgn-diff:ball", "band:1:2"):
+        k = kernel_from_id(kid)
+        assert not k.radial and k.radial_fourier is None, kid
+
+
+@pytest.mark.parametrize("name", list(radial_forms()))
+def test_radial_form_is_the_coordinate_form_bit_for_bit(name):
+    # on the shells of the default grid (4096 points in 1-D, 512^2 in 2-D),
+    # at three scales: sqrt(fl(x^2)) == |x|, so every point of radius r on an
+    # axis has the bits of the radial form at r
+    from scalesq.squarefn import _shells
+
+    dim, radial, coordinate = radial_forms()[name]
+    rho, _ = _shells(grid.default_geometry(dim), half=True)
+    for t in (0.25, 1.0, 6.0):
+        r = t * rho
+        want = radial(r)
+        for coords in coordinate_points(r, dim):
+            assert np.array_equal(coordinate(*coords), want), t

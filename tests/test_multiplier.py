@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -340,3 +341,67 @@ def test_fft_order_checks_equal_the_centred_index_arithmetic(dim):
         for annulus in (None, (1.0, 2.0)):
             got = sampled_min_modulus(vals, geom, annulus)
             assert got == centred_min_modulus(centred, geom, annulus), (sym.name, annulus)
+
+
+# ---------------------------------------------------------------------------
+# symbols of |xi| alone, sampled once per shell of the grid
+
+def shell_symbols(dim: int) -> dict:
+    """Every kind of symbol that `sample` takes on the shells, by name."""
+    tg, kr = LogTimeGrid(0.25, 8.0, nodes_per_octave=8), DyadicRange(-4, 4)
+    kids = ["poisson-q", "riesz-diff:0.5:ball", "gm:0.75", "haar"] if dim == 1 else ["poisson-q:2", "riesz-diff:0.5:ball:2"]
+    syms = {}
+    for kid in kids:
+        syms[f"m[{kid}]"] = continuous_symbol(kernel_from_id(kid), tg)
+        syms[f"md[{kid}]"] = dyadic_symbol(kernel_from_id(kid), kr)
+    for sym in (riesz_symbol(0.5), riesz_symbol(-1.25), bessel_symbol(0.7), bessel_symbol(-1.3),
+                riesz_bessel_ratio_symbol(0.5), bessel_split_symbol(1.5)):
+        syms[sym.name] = sym
+    assert all(sym.sampler is not None for sym in syms.values())
+    return syms
+
+
+def evaluated_on_the_grid(sym: Symbol) -> Symbol:
+    """The symbol evaluated point by point on the grid, without its sampler."""
+    return replace(sym, sampler=None)
+
+
+@pytest.mark.parametrize("geom", [Geometry(1, 256, 16.0), Geometry(1, 256, 10.0), Geometry(2, 64, 8.0)],
+                         ids=lambda g: f"{g.dim}d-L{g.half_length:g}")
+def test_shell_samples_are_the_grid_samples_bit_for_bit(geom):
+    # the shells' |xi| and |xi|^2 are the grid's bits in 1-D at any L, and in
+    # 2-D where 2L is a power of two
+    for name, sym in shell_symbols(geom.dim).items():
+        for half in (False, True):
+            assert np.array_equal(sym.sample(geom, half), evaluated_on_the_grid(sym).sample(geom, half)), (name, half)
+
+
+def test_shell_samples_off_a_power_of_two_move_by_round_off():
+    # with 2L = 20 the shells' |xi| and |xi|^2 differ from the grid's by
+    # round-off: the potential-type symbols move by at most 4 ulp, and the
+    # kernel symbols by 4 ulp of their largest value, since where they fall
+    # off steeply (the continuous poisson-q:2 symbol at the corner, 11 ulp of
+    # its value there) a moved radius moves them by more ulp of their own
+    geom = Geometry(2, 64, 10.0)
+    eps = np.finfo(float).eps
+    for name, sym in shell_symbols(2).items():
+        for half in (False, True):
+            got, want = sym.sample(geom, half), evaluated_on_the_grid(sym).sample(geom, half)
+            scale = np.max(np.abs(want)) if name.startswith(("m[", "md[")) else np.abs(want)
+            assert np.all(np.abs(got - want) <= 4 * eps * scale), (name, half)
+            assert not np.array_equal(got, want), (name, half)  # some radius did move
+
+
+@pytest.mark.parametrize("geom", [Geometry(2, 64, 8.0), Geometry(2, 64, 10.0)], ids=["L8", "L10"])
+def test_inverted_shell_symbol_names_the_grid_argmin(geom):
+    for name, sym in shell_symbols(2).items():
+        top = float(np.max(np.abs(sym.sample(geom))))
+        with pytest.raises(DegenerateSymbolError) as got:
+            invert_multiplier(sym, 2.0 * top, geom)
+        with pytest.raises(DegenerateSymbolError) as want:
+            invert_multiplier(evaluated_on_the_grid(sym), 2.0 * top, geom)
+        # the same frequency, with a modulus that may differ by round-off off a power of two
+        assert str(got.value).split(" at ")[1] == str(want.value).split(" at ")[1], name
+        if geom.half_length == 8.0:
+            inv = invert_multiplier(sym, 1e-300, geom).sample(geom)
+            assert np.array_equal(inv, evaluated_on_the_grid(invert_multiplier(evaluated_on_the_grid(sym), 1e-300, geom)).sample(geom)), name

@@ -62,11 +62,13 @@ from oracles import (
     duality_residual_stacked,
     duality_row_family,
     full_power_sum,
+    grid_multiplier,
     kernel_multiplier,
     loop_layers,
     loop_square_sum,
     loop_symbol,
     loop_synthesis,
+    on_the_grid,
     riesz_multiplier,
     row_embedding,
     second_difference_loop,
@@ -268,11 +270,14 @@ def test_duality_takes_17_rows_for_64_scales():
 
 @dataclasses.dataclass(frozen=True)
 class _SkewedReflection(Kernel):
-    """A kernel whose reflected conjugate's transform is 1 + 1e-9 times its own."""
+    """A kernel whose reflected conjugate's transform is 1 + 1e-9 times its own,
+    in both its coordinate and its radial form."""
 
     def reflect_conjugate(self) -> Kernel:
-        hat = Kernel.reflect_conjugate(self).fourier
-        return dataclasses.replace(self, name=self.name + "~", fourier=lambda *xi: hat(*xi) * (1.0 + 1e-9))
+        reflected = Kernel.reflect_conjugate(self)
+        hat, radial_hat = reflected.fourier, reflected.radial_fourier
+        return dataclasses.replace(self, name=self.name + "~", fourier=lambda *xi: hat(*xi) * (1.0 + 1e-9),
+                                   radial_fourier=lambda r: radial_hat(r) * (1.0 + 1e-9))
 
 
 def test_duality_of_a_differing_reflection_keeps_the_scales():
@@ -455,21 +460,21 @@ def test_parseval_symbols_see_the_half_grid_alone(monkeypatch, dim):
     shells = _shells(geom, half=True)[0].shape
     assert shells == half if dim == 1 else math.prod(shells) < math.prod(half)
     shapes = []
-    power_sums, symbol = sobolev._power_sums, ScaleFamily.symbol
+    power_sums, summed = sobolev._power_sums, ScaleFamily._summed
 
     def watched_sums(g, symbols):
         shapes.extend(np.shape(s) for s in symbols if s is not None)
         return power_sums(g, symbols)
 
-    def watched_symbol(family, *xi):
+    def watched_summed(family, xi):
         shapes.append(np.broadcast_shapes(*(np.shape(x) for x in xi)))
-        return symbol(family, *xi)
+        return summed(family, xi)
 
     def no_full_spectrum(*args, **kwargs):
         raise AssertionError("a full-spectrum FFT ran")
 
     monkeypatch.setattr(sobolev, "_power_sums", watched_sums)
-    monkeypatch.setattr(ScaleFamily, "symbol", watched_symbol)
+    monkeypatch.setattr(ScaleFamily, "_summed", watched_summed)
     monkeypatch.setattr(np.fft, "fftn", no_full_spectrum)
     members = default_test_family(geom, seed=6).members
     for ratio_fn in (
@@ -496,7 +501,7 @@ def test_shell_symbols_match_the_grid_symbol(half_length, exact):
     families.append(_smoothing_family(0.5, ball_average_profile(2), 2, KR))
     for family in families:
         want = family.symbol(*grids)
-        got, b2, sigma_b2 = family.on_half_grid(
+        got, b2, sigma_b2 = family.on_grid(
             geom, lambda sigma, *xi: [sigma, b.evaluate(*xi) ** 2, sigma * b.evaluate(*xi) ** 2])
         assert got.shape == want.shape
         if exact:
@@ -507,8 +512,8 @@ def test_shell_symbols_match_the_grid_symbol(half_length, exact):
         assert np.allclose(b2, b2_grid, rtol=1e-15, atol=0.0)
         assert np.max(np.abs(sigma_b2 - want * b2_grid)) <= 1e-15 * np.max(want * b2_grid)
     # a family without shells evaluates the grid as it is
-    grid_family = dataclasses.replace(families[0], radial=False)
-    assert np.array_equal(grid_family.on_half_grid(geom)[0], grid_family.symbol(*grids))
+    grid_family = on_the_grid(families[0])
+    assert np.array_equal(grid_family.on_grid(geom)[0], grid_family.symbol(*grids))
 
 
 @pytest.mark.parametrize("value", [-1.0, np.inf, np.nan])
@@ -535,7 +540,7 @@ def radial_families(dim: int):
         "smoothing": smoothing,
         "potential-layered": ScaleFamily(
             TG.scales, smoothing.weights,
-            lambda t, *xi: smoothing.multiplier(t, *xi) * riesz(*xi), profile.kernel.radial),
+            lambda t, r: smoothing.multiplier(t, r) * riesz(r), profile.kernel.radial),
     }
     for kid in KERNELS[dim]:
         kernel = kernel_from_id(kid)
@@ -558,7 +563,7 @@ def test_shell_path_matches_full_grid_path(dim):
     assert len(families) == 6  # two kernels of KERNELS[dim] are radial
     for name, shells in families.items():
         assert shells.radial, name
-        full = dataclasses.replace(shells, radial=False)
+        full = on_the_grid(shells)
         assert rel(shells.square_sum(fields), full.square_sum(fields)) <= 1e-12, name
         layers = shells.layers(fields[1])
         assert rel(layers, full.layers(fields[1])) <= 1e-12, name
@@ -578,8 +583,10 @@ def test_non_radial_kernel_keeps_the_full_grid():
     assert rel(family.square_sum([f])[0], want) <= 1e-12
     grids = centred_grids(GEOMS[2])
     assert rel(family.symbol(*grids), loop_symbol(m, TG.scales, TG.weight, *grids)) <= 1e-12
-    # flagged radial, it would be evaluated on the first axis alone
-    assert rel(dataclasses.replace(family, radial=True).square_sum([f])[0], want) > 1e-2
+    # flagged radial, its multiplier of the coordinates would be handed the
+    # shells' radii alone, one array where the kernel takes two
+    with pytest.raises(TypeError):
+        dataclasses.replace(family, radial=True).square_sum([f])
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +837,7 @@ def test_real_multipliers_see_the_half_grid_alone(dim):
     for name, family in real_families(dim).items():
         seen = []
 
-        def watched(t, *xi, _multiplier=family.multiplier):
+        def watched(t, *xi, _multiplier=grid_multiplier(family)):
             seen.append(np.broadcast_shapes(*(np.shape(x) for x in xi)))
             assert all(np.array_equal(np.broadcast_to(x, shape), np.broadcast_to(h, shape)) for x, h in zip(xi, half))
             return _multiplier(t, *xi)
@@ -1062,9 +1069,9 @@ def test_real_tag_is_hermitian_on_the_grid(dim):
     neg = -np.arange(geom.n_samples) % geom.n_samples  # the FFT index of -xi
     mirror = (slice(None), neg) if dim == 1 else (slice(None), neg[:, None], neg[None, :])
     families = real_families(dim)
-    smoothing = families["smoothing"].multiplier
+    smoothing = grid_multiplier(families["smoothing"])
     families["potential"] = ScaleFamily(TG.scales, 1.0, lambda t, *xi: smoothing(t, *xi) * riesz_multiplier(0.5, *xi))
     for name, family in families.items():
         t = family.scales.reshape((-1,) + (1,) * dim)
-        m = np.broadcast_to(family.multiplier(t, *geom.fft_grids()), family.scales.shape + geom.shape)
+        m = np.broadcast_to(grid_multiplier(family)(t, *geom.fft_grids()), family.scales.shape + geom.shape)
         assert np.array_equal(m[mirror], np.conj(m)), name

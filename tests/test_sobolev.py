@@ -42,13 +42,20 @@ def mz_band(geom, seed=0):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("s", [1e-6, 1e-4, 1e-3, 0.06])
 def test_smoothing_multiplier_vs_mpmath(dim, s):
-    # 1 - Phihat(t xi) at |t xi| = s, where forming it by subtraction would cancel
+    # 1 - Phihat(t xi) at |t xi| = s, where forming it by subtraction would
+    # cancel: the family's multiplier of the radius and the profile's deficit
+    # at points of that radius
     import mpmath
 
-    family = _smoothing_family(0.5, ball_average_profile(dim), dim, DyadicRange(0, 0))  # t = 1, w = 1
+    profile = ball_average_profile(dim)
+    family = _smoothing_family(0.5, profile, dim, DyadicRange(0, 0))  # t = 1, w = 1
+    with mpmath.workdps(40):
+        want = ball_deficit_mpmath(mpmath.mpf(s), dim)
+    got = family.multiplier(np.ones((1, 1)), np.array([s]))[0, 0]
+    assert abs(got - want) <= 1e-13 * abs(want)
     points = [(s,), (-s,)] if dim == 1 else [(s, 0.0), (s * math.cos(0.7), s * math.sin(0.7))]
     for xi in points:
-        got = family.multiplier(np.ones((1, 1)), *(np.array([x]) for x in xi))[0, 0]
+        got = profile.deficit(*(np.array([x]) for x in xi))[0]
         with mpmath.workdps(40):
             want = ball_deficit_mpmath(mpmath.sqrt(sum(mpmath.mpf(x) ** 2 for x in xi)), dim)
         assert abs(got - want) <= 1e-13 * abs(want), xi
@@ -209,8 +216,8 @@ def test_experiment_builds_each_member_once_in_batches(monkeypatch, geom, p, bat
     monkeypatch.setattr(sobolev, "_test_member", lambda g, *args: built.append(g) or build(g, *args))
     sizes, ratios = [], sobolev._ratios  # one call per batch
     monkeypatch.setattr(sobolev, "_ratios", lambda nums, dens: sizes.append(len(nums)) or ratios(nums, dens))
-    symbols, symbol = [], ScaleFamily.symbol
-    monkeypatch.setattr(ScaleFamily, "symbol", lambda self, *xi: symbols.append(1) or symbol(self, *xi))
+    symbols, summed = [], ScaleFamily._summed
+    monkeypatch.setattr(ScaleFamily, "_summed", lambda self, xi: symbols.append(1) or summed(self, xi))
     fam = default_test_family(geom, seed=1)
     weight = constant_weight() if p == 2 else weight_from_id("pow:0.3", radius_floor=geom.spacing)
     ratio = sobolev_equivalence_ratio(0.5, ball_average_profile(geom.dim), DyadicRange(-4, 2), p, weight)
@@ -218,6 +225,28 @@ def test_experiment_builds_each_member_once_in_batches(monkeypatch, geom, p, bat
     assert len(rep.ratios) == 20 and built == [geom] * 20
     assert sizes == batches
     assert len(symbols) == (1 if p == 2 else 0)  # the grid's work once per experiment
+
+
+@pytest.mark.parametrize("operator", ["gfun", "sobolev"])
+def test_weight_is_sampled_once_per_experiment(monkeypatch, operator):
+    # 40 weighted norms of a p = 3 experiment under pow:0.3 read one set of
+    # weight samples, and keep the bits of weighted_norm
+    import scalesq.sobolev as sobolev
+
+    geom = Geometry(1, 256, 16.0)
+    weight = weight_from_id("pow:0.3", radius_floor=geom.spacing)
+    sampled, grid_values = [], sobolev._grid_values
+    monkeypatch.setattr(sobolev, "_grid_values", lambda w, g: sampled.append(g) or grid_values(w, g))
+    norms, sampled_norm = [], sobolev._sampled_norm
+    monkeypatch.setattr(sobolev, "_sampled_norm", lambda f, p, wv: norms.append((f, p)) or sampled_norm(f, p, wv))
+    if operator == "gfun":
+        ratio = square_function_ratio(haar_kernel(), LogTimeGrid(0.25, 4.0, 4), 3.0, weight)
+    else:
+        ratio = sobolev_equivalence_ratio(0.5, ball_average_profile(1), DyadicRange(-4, 2), 3.0, weight)
+    rep = equivalence_experiment(default_test_family(geom, seed=2), ratio, operator, 3.0, "pow:0.3")
+    assert len(rep.ratios) == 20 and sampled == [geom] and len(norms) >= 40
+    wv = grid_values(weight, geom)
+    assert all(sampled_norm(f, p, wv) == weighted_norm(f, p, weight) for f, p in norms[:4])
 
 
 def test_p2_sobolev_peak_is_a_fraction_of_the_eager_family():
