@@ -159,17 +159,21 @@ def _cmd_symbol(args) -> int:
     # sliced at xi_2 = 0, the first entry of the second axis in FFT order
     axis_vals = np.fft.fftshift(vals[(slice(None),) + (0,) * (geom.dim - 1)])
 
-    header = f"# symbol={sym.name} mode={args.mode} n={geom.n_samples} half_length={geom.half_length!r}\n"
-    _save_symbol_csv(args.out, header, geom.frequency_axis(), axis_vals)
-
+    try:  # both checks before anything is written
+        annulus_min = sampled_min_modulus(vals, geom, annulus=(1.0, 2.0))
+    except ValueError as exc:
+        raise ValueError(f"{exc}: the grid's |xi_i| run in steps of 1/(2L) = {0.5 / geom.half_length!r} to N/(4L) = "
+                         f"{geom.n_samples / (4.0 * geom.half_length)!r}; choose --grid-n/--grid-l to reach it") from None
     sidecar = {
         "symbol": sym.name,
         "mode": args.mode,
         "meta": sym.meta,
         "homogeneity": sym.homogeneity,
         "homogeneity_defect": sampled_homogeneity_defect(vals, geom),
-        "annulus_min_modulus": sampled_min_modulus(vals, geom, annulus=(1.0, 2.0)),
+        "annulus_min_modulus": annulus_min,
     }
+    header = f"# symbol={sym.name} mode={args.mode} n={geom.n_samples} half_length={geom.half_length!r}\n"
+    _save_symbol_csv(args.out, header, geom.frequency_axis(), axis_vals)
     _emit_json(sidecar, args.out + ".json")
     print(f"wrote {args.out} and {args.out}.json")
     return 0

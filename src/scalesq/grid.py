@@ -10,6 +10,7 @@ is the one of the kernels' hats.  Every spectrum in the package is held in
 FFT order, frequency j at index j mod N (`Geometry.fft_grids`), and its FFTs
 are unscaled: a multiplier m acts on a field as IFFT(m FFT(f)), in which the
 Riemann-sum factor h^d of the forward transform cancels against the inverse.
+Fields are transformed as stored: the operators commute with translations.
 """
 
 from __future__ import annotations

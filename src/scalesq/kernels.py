@@ -390,7 +390,8 @@ def moment_class_check(profile: AveragingProfile, alpha: float) -> MomentClassRe
     """Check membership of the profile in the order-alpha moment class.
 
     Requires unit total mass, and for alpha >= 1 vanishing moments of all
-    degrees 1..floor(alpha).  The values are the profile's exact moments.
+    degrees 1..floor(alpha).  The values are the profile's exact moments, up
+    to the first degree where one does not vanish and the check fails.
     """
     if alpha <= 0:
         raise ValueError(f"order must be positive, got {alpha}")
@@ -398,10 +399,10 @@ def moment_class_check(profile: AveragingProfile, alpha: float) -> MomentClassRe
     zero = (0,) * profile.dim
     mass_err = abs(mom(zero) - 1.0)
     moments: dict[tuple[int, ...], float] = {}
-    if alpha >= 1.0:
-        for degree in range(1, int(math.floor(alpha)) + 1):
-            for gamma in _degree_tuples(profile.dim, degree):
-                moments[gamma] = mom(gamma)
+    degree = 1
+    while degree <= alpha and all(abs(v) < _MOMENT_TOL for v in moments.values()):
+        moments |= {gamma: mom(gamma) for gamma in _degree_tuples(profile.dim, degree)}
+        degree += 1
     ok = mass_err < _MOMENT_TOL and all(abs(v) < _MOMENT_TOL for v in moments.values())
     return MomentClassReport(order=alpha, ok=ok, unit_mass_error=mass_err, moments=moments)
 

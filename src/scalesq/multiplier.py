@@ -11,7 +11,8 @@ of the Fourier coefficients; the value at the zero frequency is pinned by
 `dc_value` since the defining formulas degenerate there.
 
 A symbol is sampled in FFT order (`Symbol.sample`, `grid.Geometry.fft_grids`)
-and acts on a field plane by plane (`apply_multiplier`).  A symbol of |xi|
+and acts on a field's planes through the scale-layer engine's one plane path
+(`apply_multiplier`, `squarefn._spectra`).  A symbol of |xi|
 alone, kernel-induced of a radial family or potential-type, is sampled once
 per |xi| shell of the grid and gathered (`squarefn._shells`).  A symbol
 declared even, real with m(-xi) = m(xi), acts on the half spectrum: each
@@ -34,7 +35,7 @@ import numpy as np
 
 from .grid import DyadicRange, Geometry, LogTimeGrid, SampledField
 from .kernels import Kernel
-from .squarefn import ScaleFamily, _inverse_into, _joined, _planes, _shells, _window_run
+from .squarefn import ScaleFamily, _multiplied, _shells, _spectra, _window_run
 
 
 class DegenerateSymbolError(ValueError):
@@ -158,26 +159,12 @@ def dyadic_defect_bound(kernel: Kernel, kr: DyadicRange, *coords) -> np.ndarray:
 # action on fields
 
 def apply_multiplier(sym: Symbol, f: SampledField) -> SampledField:
-    """IFFT(sym(xi) FFT(f)), plane by plane.
-
-    An even symbol takes the half spectrum: each real plane of f
-    (`squarefn._planes`) through `rfftn`, times the symbol on the half grid
-    in place, and back through `irfftn`, so a real field gives a real
-    field.  Any other symbol takes f as one complex plane through `fftn`
-    and `ifftn`.  A multiplier commutes with translations, so the planes go
-    through in grid order, with no centring shift.
-    """
-    geom, half = f.geometry, sym.even
-    m = sym.sample(geom, half)
-    planes = _planes(f.values, half)
-    out = np.empty((len(planes),) + geom.shape, dtype=float if half else complex)
-    spec = np.empty(m.shape, dtype=np.complex128)
-    forward = np.fft.rfftn if half else np.fft.fftn
-    for plane, o in zip(planes, out):
-        forward(plane, out=spec)
-        spec *= m
-        _inverse_into(spec, o, geom.dim)
-    return SampledField(geom, _joined(out))
+    """IFFT(sym(xi) FFT(f)) by the engine's one plane path (`squarefn._spectra`,
+    `squarefn._multiplied`): an even symbol on the half spectrum of each real
+    plane of f, so a real field gives a real field, any other on f as one
+    complex plane."""
+    half = sym.even
+    return _multiplied(_spectra([f], half)[1], sym.sample(f.geometry, half), f.geometry, half)
 
 
 def invert_multiplier(sym: Symbol, floor: float, geom: Geometry) -> Symbol:

@@ -9,8 +9,9 @@ chunk; and the symbol sigma(xi) = sum_t w_t |m_t(xi)|^2.  Each runs over
 chunks of at most `grid._CHUNK_BYTES` of layers (at least one layer of each
 plane), evaluating a chunk's multipliers once per call for every field of
 the batch, so memory beyond inputs and outputs does not grow with the
-number of scales.  The square sum shifts each input and each output once,
-never a layer: |.|^2 does not see shifts.
+number of scales.  The engine, `multiplier.apply_multiplier` and
+`duality_residual` take a field's planes through one forward transform,
+`_spectra`, and transform fields and layers as stored (no centring shift).
 
 The family's tag decides its spectrum.  A family tagged real promises
 m_t(-xi) = conj m_t(xi) at every frequency of the DFT grid, the
@@ -56,11 +57,11 @@ keep them.  The embedded side of `duality_residual` takes the same rows for
 analysis and synthesis alike (`_duality_rows`) when the kernel is real and
 radial and its reflected conjugate has its table bit for bit; a layer
 stack, a synthesis of one, a symbol and every other duality residual take
-the scales.  The p = 2
-constant-weight ratios in `sobolev` take their norms by the discrete
-Parseval identity from even symbols on the half grid, evaluated once per
-shell and gathered (`ScaleFamily.on_grid`), and one `rfftn` per real
-plane of a field into buffers made once (`_power_sums`), and form no layer.
+the scales.  The p = 2 constant-weight ratios in `sobolev` take their norms
+by the discrete Parseval identity from even symbols on the half grid,
+evaluated once per shell and gathered (`ScaleFamily.on_grid`), and one
+`rfftn` per real plane of a field into buffers made once (`_power_sums`),
+and form no layer.
 
 Every kernel operator takes a scale set (`grid.ScaleSet`): its scales t_j
 and the weight w each carries.  Continuous scale: a log-time grid, weighted
@@ -72,10 +73,9 @@ The adjoint embedding (`ScaleFamily.synthesis`) integrates a stack of
 layers, one per scale, back to a single field, E(h) = sum_j w psi_{t_j} * h_j;
 feeding it the analysis layers of f with the reflected conjugate kernel
 reproduces the truncated multiplier acting on f, which `duality_residual`
-checks.  There the layers are
-streamed: the synthesis consumes each chunk of analysis layers as it is
-made, its spectra taking the buffer of the chunk's spent products, and the
-stack of all layers is never stored.
+checks.  There the layers are streamed: the synthesis consumes each chunk of
+analysis layers as it is made, its spectra taking the buffer of the chunk's
+spent products, and the stack of all layers is never stored.
 
 The direct Marcinkiewicz route never touches |psihat|^2: it evaluates the
 sided averages by Gauss-Jacobi quadrature in the offset variable, summing
@@ -119,10 +119,6 @@ _PRINCIPAL_SHARE = 2.0**-46
 
 # ---------------------------------------------------------------------------
 # the scale-layer engine
-
-def _spatial_axes(geom: Geometry) -> tuple[int, ...]:
-    return tuple(range(-geom.dim, 0))
-
 
 def _chunk_layers(points: int, real: bool = False) -> int:
     """How many layers of `points` values fit in a chunk, complex ones or real
@@ -169,6 +165,31 @@ def _inverse_into(spec: np.ndarray, out: np.ndarray, dim: int) -> np.ndarray:
     return np.fft.irfftn(spec, s=out.shape[-1:], axes=ax[-1:], out=out)
 
 
+def _spectra(fields: Sequence[SampledField], half: bool):
+    """(the index of each field's first plane, the spectra of the batch's
+    planes on (plane, 1, *grid)): the real planes of each field (`_planes`)
+    through `rfftn` with `half`, else each field through `fftn`."""
+    geom = fields[0].geometry
+    if any(f.geometry != geom for f in fields):
+        raise ValueError("the fields of a batch must share one geometry")
+    planes = [_planes(f.values, half) for f in fields]
+    first = np.cumsum([0] + [len(p) for p in planes[:-1]])
+    spec = np.empty((first[-1] + len(planes[-1]), 1) + geom.spectrum_shape(half), dtype=np.complex128)
+    forward = np.fft.rfftn if half else np.fft.fftn
+    for row, plane in zip(spec, (p for ps in planes for p in ps)):
+        forward(plane, out=row[0])
+    return first, spec
+
+
+def _multiplied(spec: np.ndarray, m: np.ndarray, geom: Geometry, half: bool) -> SampledField:
+    """IFFT(m FFT(f)) from the spectra of f's planes (`_spectra`), which it
+    overwrites, m sampled on their grid; the planes joined, re + i im."""
+    spec = spec[:, 0]
+    spec *= m
+    out = _inverse_into(spec, np.empty((len(spec),) + geom.shape, dtype=float if half else complex), geom.dim)
+    return SampledField(geom, _joined(out))
+
+
 def _times(m: np.ndarray, grid, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out = M x, M the multipliers m of a chunk of scales on the points of
     grid (what `ScaleFamily._points` gave) put on its grid, x and out on
@@ -210,9 +231,8 @@ def _power_sums(geom: Geometry, symbols):
     the half spectrum, every column of the last axis but the first and the
     last (-N/2) counted twice.  Against an even S the cross term of the two
     planes of f = re + i im cancels, so f's sum is the sum of its planes'.
-    |FFT(f)|^2 does not see the centring shift.  Each plane's spectrum, its
-    power and the weighted products are written into three half-grid
-    buffers made here, once, and the sums taken by `np.sum`.
+    Each plane's spectrum, its power and the weighted products are written
+    into three half-grid buffers made here, once, and the sums taken by `np.sum`.
     """
     twice = _half_counts(geom.n_samples // 2 + 1)
     weighted = [twice if s is None else twice * s for s in symbols]
@@ -429,20 +449,6 @@ class ScaleFamily:
         planes are; at least one."""
         return _chunk_layers(other * math.prod(geom.shape), self.real)
 
-    def _spectra(self, fields: Sequence[SampledField]):
-        """(the index of each field's first plane, the spectra of the batch's
-        planes in FFT order, on (plane, 1, *grid))."""
-        geom = fields[0].geometry
-        if any(f.geometry != geom for f in fields):
-            raise ValueError("the fields of a batch must share one geometry")
-        planes = [_planes(f.values, self.real) for f in fields]
-        first = np.cumsum([0] + [len(p) for p in planes[:-1]])
-        spec = np.empty((first[-1] + len(planes[-1]), 1) + geom.spectrum_shape(self.real), dtype=np.complex128)
-        forward = np.fft.rfftn if self.real else np.fft.fftn
-        for row, plane in zip(spec, (p for ps in planes for p in ps)):
-            forward(np.fft.ifftshift(plane), out=row[0])
-        return first, spec
-
     def _layer_chunks(self, spec: np.ndarray, geom: Geometry, grid):
         """(slice of scales, slice of the planes of `_spectra`, their layers in
         FFT order on (plane, scale, *grid), the spent buffer of their products),
@@ -474,7 +480,7 @@ class ScaleFamily:
         axis 0; for real planes, the sum over the planes of f = re + i im.
         The layers are those of the family's principal rows (`_principal`)
         where it has them."""
-        first, spec = self._spectra(fields)
+        first, spec = _spectra(fields, self.real)
         geom = fields[0].geometry
         grid = self._points(geom)
         acc = np.zeros((len(spec),) + geom.shape)
@@ -485,9 +491,7 @@ class ScaleFamily:
                 part = np.zeros((planes.size,) + geom.shape)
                 family._add_squares(spec[planes], geom, grid, part)
                 acc[planes] += part
-        if len(spec) > len(fields):
-            acc = np.add.reduceat(acc, first, axis=0)
-        return np.fft.fftshift(acc, axes=_spatial_axes(geom))
+        return np.add.reduceat(acc, first, axis=0) if len(spec) > len(fields) else acc
 
     def _add_squares(self, spec: np.ndarray, geom: Geometry, grid, acc: np.ndarray) -> None:
         """acc += sum_t w_t |layer_t|^2 for the planes of `_spectra`, grid
@@ -638,17 +642,17 @@ class ScaleFamily:
     def layers(self, f: SampledField) -> NDArray[np.complex128]:
         """The stack IFFT(m_t fhat), one layer per scale, filled chunk by chunk."""
         stack = np.empty((self.scales.size,) + f.geometry.shape, dtype=np.complex128)
-        _, spec = self._spectra([f])
+        _, spec = _spectra([f], self.real)
         for chunk, _, out, _ in self._layer_chunks(spec, f.geometry, self._points(f.geometry)):
-            stack[chunk] = np.fft.fftshift(_joined(out), axes=_spatial_axes(f.geometry))
+            stack[chunk] = _joined(out)
         return stack
 
     def synthesis(self, layers: np.ndarray, geom: Geometry) -> SampledField:
         """sum_t w_t IFFT(m_t FFT(h_t)) of a stack h with one layer per scale."""
         planes = _planes(layers, self.real)
-        ax, step = _spatial_axes(geom), self._per_chunk(geom, len(planes))
+        step = self._per_chunk(geom, len(planes))
         chunks = (slice(lo, lo + step) for lo in range(0, self.scales.size, step))
-        stacked = ((c, np.fft.ifftshift(np.stack([p[c] for p in planes]), axes=ax), None) for c in chunks)
+        stacked = ((c, np.stack([p[c] for p in planes]), None) for c in chunks)
         return self._synthesize(stacked, geom, self._points(geom), len(planes))
 
     def _synthesize(self, chunks, geom: Geometry, grid, planes: int) -> SampledField:
@@ -660,25 +664,20 @@ class ScaleFamily:
         a buffer the spectra go to one that every chunk reuses.  Each plane
         is synthesized on its own and the result joined, re + i im.  The
         chunks' buffers are let go before the sum's inverse transform."""
-        spectrum = self._synthesis_spectrum(chunks, geom, grid, planes)
-        out = _inverse_into(spectrum, np.empty((planes,) + geom.shape, float if self.real else complex), geom.dim)
-        return SampledField(geom, np.fft.fftshift(_joined(out)))
-
-    def _synthesis_spectrum(self, chunks, geom: Geometry, grid, planes: int) -> np.ndarray:
-        """The spectra of `_synthesize`'s sum, (plane, *spectrum) in FFT order."""
-        ax = _spatial_axes(geom)
+        ax = tuple(range(-geom.dim, 0))
         acc = np.zeros((planes,) + geom.spectrum_shape(self.real), dtype=np.complex128)
-        ours = self._chunks(grid, self._per_chunk(geom, planes))
         forward = np.fft.rfftn if self.real else np.fft.fftn
-        spec_buf = None
-        for (chunk, m), (given, h, spare) in zip(ours, chunks, strict=True):
+        m = h = spare = spec = spec_buf = None
+        for (chunk, m), (given, h, spare) in zip(self._chunks(grid, self._per_chunk(geom, planes)), chunks, strict=True):
             assert given == chunk, f"layers for scales {given} arrived where {chunk} was due"
             spec, spec_buf = _buffer(spare if spare is not None else spec_buf, h.shape[:-geom.dim] + acc.shape[1:], complex)
             forward(h, axes=ax, out=spec)
             _times(m, grid, spec, spec)
             for j, w in enumerate(self.weights[chunk]):  # weighted in place, scale by scale
                 acc += spec[:, j] if w == 1.0 else np.multiply(spec[:, j], w, out=spec[:, j])
-        return acc
+        del m, h, spare, spec, spec_buf
+        out = _inverse_into(acc, np.empty((planes,) + geom.shape, float if self.real else complex), geom.dim)
+        return SampledField(geom, _joined(out))
 
     def symbol(self, *xi) -> NDArray[np.float64]:
         """sum_t w_t |m_t(xi)|^2 at the broadcast frequency arrays xi.
@@ -811,9 +810,8 @@ def _duality_rows(analysis: ScaleFamily, synthesis: ScaleFamily, spec: np.ndarra
     """
     if not (analysis.real and analysis.radial and synthesis.radial and synthesis._rotatable(grid)):
         return None
-    twin = dataclasses.replace(analysis, weights=synthesis.weights)
     rows = []
-    for _, block_rows, moved in synthesis._blocks(grid, spec, _spectrum_moved, twin):
+    for _, block_rows, moved in synthesis._blocks(grid, spec, _spectrum_moved, analysis):
         if block_rows is None or moved.any():
             return None
         rows.append(block_rows)
@@ -837,13 +835,13 @@ def duality_residual(
     rows of the weighted family on both sides instead of the scales
     (`_duality_rows`), moving the embedded spectrum by at most 2^-46 of its
     L2 norm; the truncated side always takes the symbol, summed scale by
-    scale.  The grid's shells are found once, for both families.
+    scale, times f's spectra from the embedded side where the symbol's half
+    is the family's, as for every real registry kernel.  The grid's shells
+    are found once, for both families.
 
     Raises ValueError for eps outside (0, 1), and for a field that is zero
     or of no finite L2 norm, against which no gap is relative.
     """
-    from .multiplier import apply_multiplier, continuous_symbol
-
     if not (0 < eps < 1):
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     norm = l2_norm(f)
@@ -852,19 +850,20 @@ def duality_residual(
     if norm == 0.0:
         raise ValueError("the duality residual is relative to the L2 norm of the field, which is zero")
     geom = f.geometry
-    window = (eps, 1.0 / eps)
     tg = LogTimeGrid(eps, 1.0 / eps, nodes_per_octave)
-    t = tg.scales[_window_run(tg.scales, window)]
-    analysis = ScaleFamily.of_kernel(kernel, t)
+    t = tg.scales[_window_run(tg.scales, (eps, 1.0 / eps))]
+    family = ScaleFamily.of_kernel(kernel, t, tg.weight)  # its layers do not read the weights, its symbol does
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), t, tg.weight)
-    _, spec = analysis._spectra([f])
-    grid = analysis._points(geom)  # the reflected conjugate keeps the tags, and so the points
-    rows = _duality_rows(analysis, synthesis, spec, grid)
-    if rows is not None:
-        analysis = synthesis = rows
+    _, spec = _spectra([f], family.real)
+    grid = family._points(geom)  # the reflected conjugate keeps the tags, and so the points
+    rows = _duality_rows(family, synthesis, spec, grid)
+    analysis, synthesis = (family, synthesis) if rows is None else (rows, rows)
     layers = ((chunk, out, spent) for chunk, _, out, spent in analysis._layer_chunks(spec, geom, grid))
     embedded = synthesis._synthesize(layers, geom, grid, len(spec))
-    del analysis, synthesis, rows, spec  # the row table and the spectra go before the truncated side
-    truncated = apply_multiplier(continuous_symbol(kernel, tg, window), f)
-    gap = l2_norm(SampledField(geom, embedded.values - truncated.values))
-    return gap / norm
+    del analysis, synthesis, rows  # the row table goes before the truncated side
+    even = family.even_symbol
+    sigma = family.on_grid(geom, half=even)[0]
+    sigma[(0,) * geom.dim] = 0.0  # the pinned zero frequency of `multiplier.continuous_symbol`
+    truncated = _multiplied(spec if even == family.real else _spectra([f], even)[1], sigma, geom, even)
+    gap = np.subtract(embedded.values, truncated.values, out=embedded.values)  # in place: no grid-sized temporary
+    return l2_norm(SampledField(geom, gap)) / norm

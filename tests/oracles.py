@@ -57,6 +57,17 @@ def inverse_transform(geom, spectral: np.ndarray) -> np.ndarray:
     )
 
 
+def centred_route(op, values: np.ndarray, dim: int) -> np.ndarray:
+    """op of values in centred order, its result back in stored order: values
+    (a field, or a stack of layers on its last `dim` axes) shifted by
+    `np.fft.ifftshift` so that the origin comes first, as `forward_transform`
+    shifts, and op's result by `np.fft.fftshift`, as `inverse_transform`
+    does; the route the scale-layer engine took before it transformed
+    fields as stored."""
+    ax = tuple(range(-dim, 0))
+    return np.fft.fftshift(op(np.fft.ifftshift(values, axes=ax)), axes=ax)
+
+
 def slow_transform(f: SampledField) -> np.ndarray:
     """The centred coefficients by the O(N^2) DFT matrix, axis by axis."""
     g = f.geometry
@@ -642,12 +653,12 @@ def duality_row_family(f: SampledField, kernel, eps: float):
     """The family of principal rows that the streamed duality residual of f
     takes on both sides, or None where it takes the scales."""
     from scalesq import ScaleFamily
-    from scalesq.squarefn import _duality_rows
+    from scalesq.squarefn import _duality_rows, _spectra
 
     tg, run = _duality_scales(eps)
-    analysis = ScaleFamily.of_kernel(kernel, tg.scales[run])
+    analysis = ScaleFamily.of_kernel(kernel, tg.scales[run], tg.weight)
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), tg.scales[run], tg.weight)
-    return _duality_rows(analysis, synthesis, analysis._spectra([f])[1], analysis._points(f.geometry))
+    return _duality_rows(analysis, synthesis, _spectra([f], analysis.real)[1], analysis._points(f.geometry))
 
 
 def row_embedding(f: SampledField, kernel, eps: float) -> np.ndarray:

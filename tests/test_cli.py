@@ -570,6 +570,38 @@ def test_overflowing_scales_and_tiny_gm_orders_exit_2(tmp_path, capsys, argv, co
     assert_usage_error(argv, capsys, named)
 
 
+@pytest.mark.parametrize("config", [
+    pytest.param({"operator": "sobolev", "order": 1e300}, id="order-1e300"),
+    pytest.param({"order": 400, "grid": {"dim": 2, "n_samples": 64}}, id="order-400-2d"),
+])
+def test_sobolev_order_past_the_profile_exits_2(tmp_path, capsys, monkeypatch, config):
+    # the moment check stops at the ball's second moments; the counter on the
+    # degrees it takes stands in for the memory a loop to floor(order) would take
+    from scalesq import kernels
+
+    degree_tuples, calls = kernels._degree_tuples, []
+
+    def counted(dim, degree):
+        calls.append(degree)
+        if len(calls) > 100:
+            raise RuntimeError(f"moments of degree {degree} asked for")
+        return degree_tuples(dim, degree)
+
+    monkeypatch.setattr(kernels, "_degree_tuples", counted)
+    out = str(tmp_path / "rep.json")
+    assert_usage_error(["sobolev", "--config", write_config(tmp_path, **config), "--out", out], capsys,
+                       "moment conditions")
+    assert not os.path.exists(out)
+
+
+def test_symbol_on_a_grid_short_of_the_annulus_writes_nothing(tmp_path, capsys):
+    # the 64-point 1-D grid at L = 32 reaches |xi| = N/(4L) = 0.5 alone, so
+    # the sidecar has no annulus 1 <= |xi| <= 2 to read: refused before the CSV
+    out = tmp_path / "sym.csv"
+    assert_usage_error(["symbol", "--kernel", "haar", "--grid-n", "64", "--out", str(out)], capsys, "--grid-n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kernel", ["haar", "poisson-q", "poisson-q:2"])
 def test_largest_scales_allowed_run_clean(capsys, kernel):
     # the bound is tight: at the largest k_max it allows, the transforms stay

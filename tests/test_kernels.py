@@ -273,6 +273,28 @@ def test_disk_profile_moments():
     assert math.isclose(p.moment((2, 0)), 0.25)
 
 
+@pytest.mark.parametrize("dim,order", [(1, 1e300), (2, 1e300), (2, 400.0)])
+def test_moment_check_stops_at_the_first_moment_that_does_not_vanish(dim, order):
+    # the ball's second moments do not vanish, so the check fails at degree
+    # 2 whatever the order; a moment counter that raises after 100 calls
+    # stands in for the memory an unbounded loop over floor(order) degrees
+    # would take (and, in 2-D, for the OverflowError of the disk's moments
+    # past degree 340)
+    profile = ball_average_profile(dim)
+    calls = []
+
+    def counted(gamma):
+        calls.append(gamma)
+        if len(calls) > 100:
+            raise RuntimeError(f"moment of degree {sum(gamma)} asked for")
+        return profile.moment(gamma)
+
+    rep = moment_class_check(replace(profile, moment=counted), order)
+    assert not rep.ok and max(sum(g) for g in rep.moments) == 2
+    assert len(calls) == 1 + (2 if dim == 1 else 5)  # the mass, then degrees 1 and 2
+    assert rep.failures() and all("does not vanish" in f for f in rep.failures())
+
+
 def test_riesz_constant_value():
     # alpha = 1, dim = 2: gamma(1/2) / (pi * 2 * gamma(1/2)) = 1 / (2 pi)
     assert math.isclose(riesz_constant(1.0, 2), 1.0 / (2.0 * math.pi))

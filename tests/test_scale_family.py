@@ -14,6 +14,7 @@ from scalesq import (
     LogTimeGrid,
     SampledField,
     ScaleFamily,
+    apply_multiplier,
     ball_average_profile,
     bessel_potential,
     constant_weight,
@@ -49,10 +50,12 @@ from scalesq.squarefn import (
     _second_difference_family,
     _shells,
     _sided_average_family,
+    _spectra,
     _window_run,
 )
 from oracles import (
     centred_grids,
+    centred_route,
     complex_duality_residual,
     complex_layers,
     complex_square_sums,
@@ -328,6 +331,71 @@ def test_duality_of_a_real_field_stays_real():
     res, peak = duality_peak(f)
     assert res < 1e-10
     assert peak < 10 * (8 * 256 * 256), f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_duality_transforms_the_field_once(monkeypatch):
+    # the truncated side multiplies the spectra the embedded side took; the
+    # synthesis' forward transforms take stacks of layers, not the field
+    geom = Geometry(2, 64, 16.0)
+    f = mean_subtract(SampledField(geom, random_band_field(geom, seed=3).values.real))
+    calls = []
+
+    def counted(name):
+        forward = getattr(np.fft, name)
+
+        def transform(a, *args, **kwargs):
+            if np.ndim(a) == geom.dim:
+                calls.append(name)
+            return forward(a, *args, **kwargs)
+
+        return transform
+
+    for name in ("fftn", "rfftn"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    assert duality_residual(f, kernel_from_id("poisson-q:2"), 0.25) < 1e-10
+    assert calls == ["rfftn"]
+
+
+# ---------------------------------------------------------------------------
+# stored order: a shift by N/2 moves no bit of an FFT on the power-of-two
+# grids that `Geometry` admits, so the engine, which transforms fields as
+# they are stored, gives the bits of the centred route; on 8-point axes but
+# for the sign of an exact zero (the imaginary parts of a real field's layers
+# through the full spectrum)
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray, n: int) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if n == 8:  # x + 0.0 is +0.0 for either zero and x for any other x
+        a, b = a + 0.0, b + 0.0
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("geom", [Geometry(1, 2**k, 16.0) for k in range(3, 13)]
+                         + [Geometry(2, 2**k, 16.0) for k in range(3, 10)],
+                         ids=lambda g: f"{g.dim}d-{g.n_samples}")
+def test_stored_order_keeps_the_bits(geom):
+    n = geom.n_samples
+    rng = np.random.default_rng(n + geom.dim)
+    real = rng.standard_normal(geom.shape)
+    kernel = kernel_from_id("poisson-q" if geom.dim == 1 else "poisson-q:2")
+    tagged = ScaleFamily.of_kernel(kernel, [0.5, 2.0], 0.3)
+    symbol = continuous_symbol(kernel, LogTimeGrid(0.5, 2.0, 1))
+
+    def at(values):
+        return SampledField(geom, values)
+
+    for values in (real, real + 1j * rng.standard_normal(geom.shape)):
+        # the half spectrum (tagged real, an even symbol) and the full one
+        for family in (tagged, dataclasses.replace(tagged, real=False)):
+            assert_same_bits(family.square_sum([at(values)]),
+                             centred_route(lambda v: family.square_sum([at(v)]), values, geom.dim), n)
+            layers = family.layers(at(values))
+            assert_same_bits(layers, centred_route(lambda v: family.layers(at(v)), values, geom.dim), n)
+            assert_same_bits(family.synthesis(layers, geom).values,
+                             centred_route(lambda h: family.synthesis(h, geom).values, layers, geom.dim), n)
+        for sym in (symbol, dataclasses.replace(symbol, even=False)):
+            assert_same_bits(apply_multiplier(sym, at(values)).values,
+                             centred_route(lambda v: apply_multiplier(sym, at(v)).values, values, geom.dim), n)
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +951,7 @@ def test_real_fields_take_the_half_spectrum(monkeypatch):
 
 def principal_parts(family, fields) -> list:
     """The (family, planes) parts of the family's square sums of fields."""
-    return list(family._principal(family._points(fields[0].geometry), family._spectra(fields)[1]))
+    return list(family._principal(family._points(fields[0].geometry), _spectra(fields, family.real)[1]))
 
 
 def principal_rows(family, fields) -> int:
@@ -894,7 +962,7 @@ def principal_rows(family, fields) -> int:
 
 def plane_layers(family, fields) -> np.ndarray:
     """How many layers, rows or scales, each plane of the fields takes."""
-    layers = np.zeros(len(family._spectra(fields)[1]), int)
+    layers = np.zeros(len(_spectra(fields, family.real)[1]), int)
     for part, planes in principal_parts(family, fields):
         layers[slice(None) if planes is None else planes] += part.scales.size
     return layers
