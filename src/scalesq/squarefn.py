@@ -40,22 +40,27 @@ shells and gathered once (`ScaleFamily.on_grid`), and the symbol at any
 other frequencies on their distinct |xi|^2.  Nothing is cached between
 calls.
 
-The square sum of a family tagged real and evaluated on shells may take
-fewer layers than it has scales (`ScaleFamily._principal`; the basis
-filters of Perona, "Deformable kernels for early vision", IEEE TPAMI 17(5),
-1995): the sum is invariant under any real orthogonal mixing of the
-weighted multipliers sqrt(w_t) m_t, so a block of scales can be rotated
-onto the eigenvectors of its Gram on the shells and the rows whose
-eigenvalues sum to at most 2^-52 of its trace dropped.  A probe, the same
-rule on a Gram of about two shells per scale, first sends a block that
-would keep more than half its scales back to them, at the cost of that
-small table; a plane whose energy the dropped rows would not all see takes
-the block's scales too.  The default 1-D poisson-q family (112 scales at
-4096 points) takes 26 rows, the 512^2 poisson-q:2 family 19 of 64;
-riesz-diff and the ball and smoothing families, 88% of whose scales stay,
-keep them.  The embedded side of `duality_residual` takes the same rows for
-analysis and synthesis alike (`_duality_rows`) when the kernel is real and
-radial and its reflected conjugate has its table bit for bit; a layer
+The square sum of a family tagged real and radial may take fewer layers
+than it has scales (`ScaleFamily._principal`; the basis filters of Perona,
+"Deformable kernels for early vision", IEEE TPAMI 17(5), 1995): the sum is
+invariant under any real orthogonal mixing of the weighted multipliers
+sqrt(w_t) m_t, so a block of scales can be rotated onto the eigenvectors of
+its Gram on the shells and the rows whose eigenvalues sum to at most 2^-52
+of its trace dropped.  The Gram takes the entries of the table below
+2^-511 as zero (`_gram`), so that none of its products is subnormal, which
+the CPU computes on a slow path (the 1-D poisson-q table underflows at
+large t|xi|); that moves it by far less than the rank rule sees, and the
+rows are made from the table as it is.  A probe, the same rule on a Gram of
+about two shells per scale, first sends a block that would keep more than
+half its scales back to them, at the cost of that small table; a plane
+whose energy the dropped rows would not all see takes the block's scales
+too.  The default 1-D poisson-q family (112 scales at 4096 points) takes
+26 rows, the 512^2 poisson-q:2 family 19 of 64; riesz-diff and the ball and
+smoothing families, 88% of whose scales stay, keep them.  The embedded side
+of `duality_residual` takes the same rows for analysis and synthesis alike
+(`_duality_rows`) when the kernel is real and radial and its reflected
+conjugate has its table bit for bit, and its truncated side then sums the
+symbol from the analysis table of that check, three tables in all; a layer
 stack, a synthesis of one, a symbol and every other duality residual take
 the scales.  The p = 2 constant-weight ratios in `sobolev` take their norms
 by the discrete Parseval identity from even symbols on the half grid,
@@ -115,6 +120,11 @@ _PRINCIPAL_EPS = 2.0**-52
 # and a plane takes the kept rows only while the dropped ones take at most this
 # share of its energy in its square sum, so that its sum moves by no more
 _PRINCIPAL_SHARE = 2.0**-46
+# the entries of a block below this magnitude are taken as zero in its Gram
+# (`_gram`): the product of two that are not is 0 or at least 2^-1022, a normal
+# number, so that no multiply-add of the product takes the CPU's slow path for
+# subnormal operands or results
+_GRAM_FLOOR = 2.0**-511
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +298,52 @@ def _shell_powers(spec: np.ndarray, index: np.ndarray, shells: int) -> np.ndarra
 
 
 def _gram(weighted) -> np.ndarray:
-    """Re(A A^H) summed over the (slice, block of A) pairs of
-    `ScaleFamily._weighted`."""
-    return sum((a @ a.conj().T).real for _, a in weighted)
+    """A A^T summed over the (slice, block of A) pairs of
+    `ScaleFamily._weighted`, A real (the table of a `_rotatable` family), each
+    entry below `_GRAM_FLOOR` in magnitude set to zero first, in place.
+
+    That keeps every product of the sum normal, and it moves an entry of the
+    Gram by at most P 2^-511 max|a| over P points: for the default 1-D
+    poisson-q family (112 scales on 2049 shells, 0.5% of whose entries are
+    subnormal) about 2^-490 of the trace, far below the 2^-52 of the trace
+    that decides the rank (`_kept`), and on every family the tests and the
+    benchmark build the Gram keeps its bits.  Without the floor that Gram
+    took 6.1 ms, with it 1.0-1.4 ms (one thread of a 2-core Xeon).  The
+    blocks' magnitudes go to one buffer that every block reuses, and only a
+    block whose least magnitude is below the floor is written: one with a
+    zero entry, as at xi = 0 for a kernel of mean zero, or whose table
+    underflows, as the 1-D poisson-q one does where t|xi| > 110.
+    """
+    gram, buf = 0, None
+    for _, a in weighted:
+        mag, buf = _buffer(buf, a.shape, float)
+        if np.abs(a, out=mag).min() < _GRAM_FLOOR:
+            np.copyto(a, 0.0, where=mag < _GRAM_FLOOR)
+        gram = gram + a @ a.T
+    return gram
+
+
+def _add_in_order(q: np.ndarray, acc: np.ndarray) -> None:
+    """acc += q[0] + q[1] + ..., the rows of the C-contiguous q (which it
+    overwrites) added to acc one after another, as a loop over them adds
+    them.  `np.sum` over the first axis adds the rows in order while they hold
+    two or more values each, but sums a lone column pairwise;
+    `np.add.accumulate` adds in order by definition."""
+    q[0] += acc
+    if q.shape[1] > 1:
+        np.sum(q, axis=0, out=acc)
+    else:
+        acc[...] = np.add.accumulate(q, axis=0)[-1]
+
+
+def _column_squares(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = sum_i a_ij^2 over the rows of the real, C-contiguous a, with the
+    bits of `np.sum(np.abs(a) ** 2, axis=0)`: `np.einsum` adds the rows in
+    order in one pass, as that sum does, while they hold two or more values
+    each; a lone column, which np.sum adds pairwise, is left to np.sum."""
+    if a.shape[1] > 1:
+        return np.einsum("ij,ij->j", a, a, out=out)
+    return np.sum(a * a, axis=0, out=out)
 
 
 def _kept(gram: np.ndarray, lam: np.ndarray) -> int:
@@ -511,13 +564,14 @@ class ScaleFamily:
                 np.einsum("j,bj...->b...", weights, power, out=summed)
             acc[part] += summed
 
-    def _rotatable(self, grid) -> bool:
+    def _rotatable(self) -> bool:
         """Whether the family's blocks of scales may be rotated onto principal
-        rows on grid (what `_points` gave): it is tagged real, evaluated on
-        shells, and of nonnegative weights."""
-        return self.real and grid[1] is not None and bool((self.weights >= 0).all())
+        rows: it is tagged real and radial, so that it is evaluated on shells
+        and its multipliers there are float64 (the `Kernel` contract of a real
+        even kernel), and of nonnegative weights."""
+        return self.real and self.radial and bool((self.weights >= 0).all())
 
-    def _blocks(self, grid, spec: np.ndarray, lost, twin: "ScaleFamily | None" = None):
+    def _blocks(self, grid, spec: np.ndarray, lost, twin: "ScaleFamily | None" = None, symbol=None):
         """(slice of scales, their principal rows or None, which planes of
         `_spectra` spec the rows fail) for each block of at most
         isqrt(`grid._CHUNK_BYTES` / 8) = 181 scales of a `_rotatable` family
@@ -525,7 +579,8 @@ class ScaleFamily:
 
         A block has rows where its probe finds axes (`_principal_axes`) and,
         when the family twin is given, twin's table is its own bit for bit
-        (`_principal_rows`).  lost(power, sigma, kappa) then says which
+        (`_principal_rows`, which adds twin's symbol over the block's scales
+        to symbol on the shells).  lost(power, sigma, kappa) then says which
         planes, of energies power on the shells (`_shell_powers`), the rows
         fail.  The blocks are made as they are asked for, so that the rows of
         all of them are never held at once, and the planes' shell energies
@@ -536,7 +591,7 @@ class ScaleFamily:
         for lo in range(0, self.scales.size, step):
             block = slice(lo, lo + step)
             axes = self._principal_axes(block, points)
-            made = None if axes is None else self._principal_rows(block, points, axes, twin)
+            made = None if axes is None else self._principal_rows(block, points, axes, twin, symbol)
             if made is None:
                 yield block, None, None
                 continue
@@ -555,7 +610,7 @@ class ScaleFamily:
         stay one family, for every plane.  Any other family is its own one
         part.  The pairs are made as they are asked for.
         """
-        if not self._rotatable(grid):
+        if not self._rotatable():
             yield self, None
             return
         keep = np.zeros(self.scales.size, bool)
@@ -571,22 +626,29 @@ class ScaleFamily:
         if keep.any():
             yield dataclasses.replace(self, scales=self.scales[keep], weights=self.weights[keep]), None
 
-    def _weighted(self, block: slice, points):
-        """(slice of points, sqrt(w_j) m_j for the block's scales there) over
-        the 1-D arrays `points`, in blocks of points within `grid._CHUNK_BYTES`."""
+    def _table(self, block: slice, points):
+        """(slice of points, m_j for the block's scales there) over the 1-D
+        arrays `points`, in blocks of points within `grid._CHUNK_BYTES`."""
         t = self.scales[block].reshape(-1, 1)
-        root_w = np.sqrt(self.weights[block])[:, None]
         step = _fit_chunk(16 * t.size)
         for lo in range(0, points[0].size, step):
-            a = root_w * self.multiplier(t, *(x[lo:lo + step] for x in points))
-            yield slice(lo, lo + a.shape[1]), a
+            m = self.multiplier(t, *(x[lo:lo + step] for x in points))
+            yield slice(lo, lo + m.shape[1]), m
+
+    def _weighted(self, block: slice, points):
+        """(slice of points, sqrt(w_j) m_j for the block's scales there), the
+        blocks of points of `_table`; each block a new array."""
+        root_w = np.sqrt(self.weights[block])[:, None]
+        for part, m in self._table(block, points):
+            yield part, root_w * m
 
     def _principal_axes(self, block: slice, points) -> np.ndarray | None:
         """U_r^T for the block's S scales on the P points `points`, or None
         when a probe finds that more than half of them would stay.
 
-        A = sqrt(w_j) m_j on the points, G = Re(A A^H), (lambda, U) = eigh(G),
-        and U_r drops the eigenvectors whose eigenvalues sum to at most
+        A = sqrt(w_j) m_j on the points, real, G = A A^T with the entries of A
+        below 2^-511 taken as zero (`_gram`), (lambda, U) = eigh(G), and U_r
+        drops the eigenvectors whose eigenvalues sum to at most
         `_PRINCIPAL_EPS` trace(G) (`_kept`).  The probe applies that rule to
         the Gram on every k-th point, k = P // (2 S), about two points per
         scale, before G is formed: a block that keeps most of its scales
@@ -607,13 +669,20 @@ class ScaleFamily:
         lam, u = np.linalg.eigh(gram)
         return u[:, size - _kept(gram, lam):].T
 
-    def _principal_rows(self, block: slice, points, axes: np.ndarray, twin: "ScaleFamily | None" = None):
+    def _principal_rows(self, block: slice, points, axes: np.ndarray, twin: "ScaleFamily | None" = None, symbol=None):
         """(the rows B = U_r^T A on the points, sigma, kappa), axes being U_r^T
-        (`_principal_axes`) and sigma and kappa the sums of |A|^2 and |B|^2
-        over their rows at each point; None when the family twin, given, has
-        a table on the block's scales and the points that differs from A by a
-        bit.  A (and twin's table with it) is evaluated in blocks of points
-        (`_weighted`), never whole.
+        (`_principal_axes`) and sigma and kappa the sums of A^2 and B^2 over
+        their rows at each point, A real; None when the family twin, given,
+        has a weighted table on the block's scales and the points that differs
+        from A by a bit.  A (and twin's table with it) is evaluated in blocks
+        of points (`_weighted`), never whole, and A is not floored as the
+        Gram's is, so that the rows keep their bits.
+
+        Given twin, the sums sum_j w_j m_j^2 of its table over the block's
+        scales are added to symbol on the points, scale by scale in scale
+        order (`_add_in_order`): the arithmetic of `_summed`, so that, summed
+        over the blocks, symbol has the bits of twin's `on_grid` on the shells
+        and the duality residual need not evaluate that table a fourth time.
 
         U is real and orthogonal, so sum_j w_j |L_j|^2 =
         sum_i |sum_j U_ji sqrt(w_j) L_j|^2 for the layers L_j of a real
@@ -621,17 +690,20 @@ class ScaleFamily:
         would add sigma - kappa to the square sum of a unit spectrum.
         """
         size = points[0].size
-        rows, sigma, kappa = None, np.empty(size), np.empty(size)
-        theirs = None if twin is None else twin._weighted(block, points)
+        rows, sigma, kappa = np.empty((len(axes), size)), np.empty(size), np.empty(size)
+        theirs = None
+        if twin is not None:
+            theirs, w = twin._table(block, points), twin.weights[block][:, None]
+            root_w = np.sqrt(w)
         for part, a in self._weighted(block, points):
-            if theirs is not None and not np.array_equal(a, next(theirs)[1]):
-                return None
-            b = axes @ a
-            if rows is None:
-                rows = np.empty((len(axes), size), b.dtype)
-            rows[:, part] = b
-            sigma[part] = np.sum(np.abs(a) ** 2, axis=0)
-            kappa[part] = np.sum(np.abs(b) ** 2, axis=0)
+            if theirs is not None:
+                m = next(theirs)[1]
+                if not np.array_equal(a, root_w * m):
+                    return None
+                _add_in_order(w * np.square(m), symbol[part])
+            rows[:, part] = b = axes @ a
+            _column_squares(a, sigma[part])
+            _column_squares(b, kappa[part])
         return rows, sigma, kappa
 
     def square_function(self, fields: Sequence[SampledField]) -> list[SampledField]:
@@ -794,11 +866,13 @@ def marcinkiewicz_antiderivative(f: SampledField, tg: LogTimeGrid) -> SampledFie
 # ---------------------------------------------------------------------------
 # the duality identity
 
-def _duality_rows(analysis: ScaleFamily, synthesis: ScaleFamily, spec: np.ndarray, grid) -> ScaleFamily | None:
-    """The family of the principal rows of synthesis (`_row_family`) whose
+def _duality_rows(analysis: ScaleFamily, synthesis: ScaleFamily, spec: np.ndarray, grid):
+    """(the family of the principal rows of synthesis (`_row_family`) whose
     layers of the `_spectra` spec, synthesized by itself, give the embedded
     side of `duality_residual` with its spectrum moved by at most
-    `_PRINCIPAL_SHARE` in L2; None where that side takes the scales.
+    `_PRINCIPAL_SHARE` in L2, the symbol of analysis on the shells of grid
+    with the bits of `ScaleFamily.on_grid`, summed from the table the check
+    below evaluates); None where that side takes the scales.
 
     For real radial families, sum_j w_j m~_j m_j = sum_i b_i b_i when the
     reflected conjugate multipliers m~_j are the m_j, b_i the principal
@@ -808,14 +882,14 @@ def _duality_rows(analysis: ScaleFamily, synthesis: ScaleFamily, spec: np.ndarra
     analysis table under the same weights bit for bit, checked as the rows
     are made, and no plane fails the guard (`_spectrum_moved`).
     """
-    if not (analysis.real and analysis.radial and synthesis.radial and synthesis._rotatable(grid)):
+    if not (analysis.real and analysis.radial and synthesis._rotatable()):
         return None
-    rows = []
-    for _, block_rows, moved in synthesis._blocks(grid, spec, _spectrum_moved, analysis):
+    rows, symbol = [], np.zeros(grid[0][0].size)
+    for _, block_rows, moved in synthesis._blocks(grid, spec, _spectrum_moved, analysis, symbol):
         if block_rows is None or moved.any():
             return None
         rows.append(block_rows)
-    return _row_family(rows[0] if len(rows) == 1 else np.concatenate(rows))
+    return _row_family(rows[0] if len(rows) == 1 else np.concatenate(rows)), symbol
 
 
 def duality_residual(
@@ -837,7 +911,10 @@ def duality_residual(
     L2 norm; the truncated side always takes the symbol, summed scale by
     scale, times f's spectra from the embedded side where the symbol's half
     is the family's, as for every real registry kernel.  The grid's shells
-    are found once, for both families.
+    are found once, for both families.  With the rows, the symbol is summed
+    on the shells from the analysis table that the rows are checked against,
+    so that three tables of the scales on the shells are evaluated, not
+    four: the synthesis Gram's, the synthesis rows' and that one.
 
     Raises ValueError for eps outside (0, 1), and for a field that is zero
     or of no finite L2 norm, against which no gap is relative.
@@ -856,13 +933,14 @@ def duality_residual(
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), t, tg.weight)
     _, spec = _spectra([f], family.real)
     grid = family._points(geom)  # the reflected conjugate keeps the tags, and so the points
-    rows = _duality_rows(family, synthesis, spec, grid)
+    rows, symbol = _duality_rows(family, synthesis, spec, grid) or (None, None)
     analysis, synthesis = (family, synthesis) if rows is None else (rows, rows)
     layers = ((chunk, out, spent) for chunk, _, out, spent in analysis._layer_chunks(spec, geom, grid))
     embedded = synthesis._synthesize(layers, geom, grid, len(spec))
     del analysis, synthesis, rows  # the row table goes before the truncated side
     even = family.even_symbol
-    sigma = family.on_grid(geom, half=even)[0]
+    # with the rows, the symbol was summed on the shells of the half grid, the spectra's, as they were made
+    sigma = family.on_grid(geom, half=even)[0] if symbol is None else np.take(symbol, grid[1])
     sigma[(0,) * geom.dim] = 0.0  # the pinned zero frequency of `multiplier.continuous_symbol`
     truncated = _multiplied(spec if even == family.real else _spectra([f], even)[1], sigma, geom, even)
     gap = np.subtract(embedded.values, truncated.values, out=embedded.values)  # in place: no grid-sized temporary

@@ -658,7 +658,8 @@ def duality_row_family(f: SampledField, kernel, eps: float):
     tg, run = _duality_scales(eps)
     analysis = ScaleFamily.of_kernel(kernel, tg.scales[run], tg.weight)
     synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), tg.scales[run], tg.weight)
-    return _duality_rows(analysis, synthesis, _spectra([f], analysis.real)[1], analysis._points(f.geometry))
+    made = _duality_rows(analysis, synthesis, _spectra([f], analysis.real)[1], analysis._points(f.geometry))
+    return None if made is None else made[0]
 
 
 def row_embedding(f: SampledField, kernel, eps: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -478,6 +479,36 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["gfun", "--kernel", "haar", "--mode", "sideways"])
     assert exc.value.code == 2
+
+
+COMMANDS = ("kernel-info", "symbol", "gfun", "equivalence", "sobolev", "mar-scan", "conditions")
+
+
+def subparser(parser, command: str):
+    """The parser of one subcommand within a `cli.build_parser` parser."""
+    [sub] = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subcommand_parser_says_what_the_full_parser_says(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, alone = cli.build_parser(), cli.build_parser(command)
+    assert full.format_usage() == alone.format_usage()
+    assert subparser(full, command).format_usage() == subparser(alone, command).format_usage()
+    assert subparser(full, command).format_help() == subparser(alone, command).format_help()
+    assert list(subparser(alone, command)._defaults.items()) == list(subparser(full, command)._defaults.items())
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--help-me"]])
+def test_a_missing_or_unknown_command_lists_them_all(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert all(command in err for command in COMMANDS), err
+    if argv == ["bogus"]:
+        assert "invalid choice: 'bogus'" in err
 
 
 @pytest.mark.parametrize("command", ["gfun", "equivalence", "sobolev"])

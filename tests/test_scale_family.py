@@ -43,9 +43,15 @@ from scalesq import grid, sobolev
 from scalesq.sobolev import _smoothing_family
 from scalesq.multiplier import bessel_symbol
 from scalesq.squarefn import (
+    _GRAM_FLOOR,
     _PRINCIPAL_EPS,
     _PRINCIPAL_SHARE,
+    _add_in_order,
     _chunk_layers,
+    _column_squares,
+    _duality_rows,
+    _gram,
+    _kept,
     _power_sums,
     _second_difference_family,
     _shells,
@@ -1053,6 +1059,122 @@ def test_fields_the_family_barely_sees_keep_the_scales():
     assert list(plane_layers(family, batch)) == [rows] * 4 + [tg.node_count] * 2
     for f, got in zip(batch, family.square_sum(batch)):
         assert rel(got, loop_square_sum(f, kernel_multiplier(kernel), tg.scales, tg.weight)) <= 1e-12
+
+
+def rotatable_families():
+    """{name: (family, geometry)} for every `_rotatable` family the tests and
+    the benchmark build: poisson-q and poisson-q:2 on their default log grids
+    at every grid size they take, riesz-diff and the ball smoothing family
+    of order 0.5 in 1-D and 2-D."""
+    cases = {}
+    for dim, sizes, kid in ((1, (256, 512, 1024, 2048, 4096), "poisson-q"), (2, (64, 128, 256, 512), "poisson-q:2")):
+        for n in sizes:
+            geom = Geometry(dim, n, 32.0 if dim == 1 else 16.0)
+            tg = default_time_grid(geom)
+            cases[f"{kid}-{n}"] = ScaleFamily.of_kernel(kernel_from_id(kid), tg.scales, tg.weight), geom
+    for dim, n, kid in ((1, 4096, "riesz-diff:0.5:ball"), (2, 128, "riesz-diff:0.5:ball:2")):
+        geom = Geometry(dim, n, 32.0 if dim == 1 else 16.0)
+        for scales in (default_time_grid(geom), default_dyadic_range(geom)):
+            cases[f"{kid}-{n}-{type(scales).__name__}"] = (
+                ScaleFamily.of_kernel(kernel_from_id(kid), scales.scales, scales.weight), geom)
+        cases[f"ball-{dim}d"] = _smoothing_family(0.5, ball_average_profile(dim), dim, default_time_grid(geom)), geom
+    return cases
+
+
+ROTATABLE = rotatable_families()
+
+
+@pytest.mark.parametrize("name", ROTATABLE)
+def test_gram_floor_and_single_pass_sums_keep_the_bits(name):
+    # the Gram of a block with its entries below 2^-511 zeroed is Re(A A^H)
+    # of the table as evaluated, bit for bit, and no operand of its product
+    # is a nonzero below the floor; sigma and kappa taken in one pass are
+    # the sums of |A|^2 and |B|^2 that the rows were guarded by before
+    family, geom = ROTATABLE[name]
+    assert family._rotatable()
+    points = family._points(geom)[0]
+    step = math.isqrt(grid._CHUNK_BYTES // 8)
+    for lo in range(0, family.scales.size, step):
+        block = slice(lo, lo + step)
+        table = list(family._weighted(block, points))
+        unfloored = [a.copy() for _, a in table]
+        gram = _gram(iter(table))
+        assert gram.tobytes() == sum((a @ a.conj().T).real for a in unfloored).tobytes()
+        for (_, a), u in zip(table, unfloored):
+            assert a.dtype == np.float64
+            assert not np.any((a != 0) & (np.abs(a) < _GRAM_FLOOR))
+            assert np.array_equal(a, np.where(np.abs(u) < _GRAM_FLOOR, 0.0, u))
+        lam, vectors = np.linalg.eigh(gram)
+        axes = vectors[:, lam.size - _kept(gram, lam):].T
+        rows, sigma, kappa = family._principal_rows(block, points, axes)
+        parts = [part for part, _ in table]
+        assert rows.tobytes() == np.concatenate([axes @ u for u in unfloored], axis=1).tobytes()
+        assert sigma.tobytes() == np.concatenate([np.sum(np.abs(u) ** 2, axis=0) for u in unfloored]).tobytes()
+        assert kappa.tobytes() == np.concatenate([np.sum(np.abs(rows[:, p]) ** 2, axis=0) for p in parts]).tobytes()
+
+
+@pytest.mark.parametrize("points", [1, 2, 5, 146])
+def test_single_pass_row_sums_keep_the_bits_of_their_loops(points):
+    # on a lone column np.sum and einsum add out of order; the helpers do not
+    rng = np.random.default_rng(points)
+    q = rng.standard_normal((112, points)) ** 2 * np.exp(rng.uniform(-30, 30, (112, points)))
+    acc = rng.uniform(0.0, 1.0, points)
+    want = acc.copy()
+    for row in q:
+        want += row
+    _add_in_order(q.copy(), acc)
+    assert acc.tobytes() == want.tobytes()
+    a = rng.standard_normal((112, points)) * np.exp(rng.uniform(-30, 30, (112, points)))
+    assert _column_squares(a, np.empty(points)).tobytes() == np.sum(np.abs(a) ** 2, axis=0).tobytes()
+
+
+def test_the_default_poisson_table_underflows():
+    # the floor is not vacuous: the default 1-D poisson-q table, -2 pi t rho
+    # e^(-2 pi t rho) weighted, is subnormal where t rho > ~110
+    family, geom = ROTATABLE["poisson-q-4096"]
+    a = np.concatenate([a for _, a in family._weighted(slice(None), family._points(geom)[0])], axis=1)
+    assert a.shape == (112, 2049)
+    assert 0.004 < np.count_nonzero((a != 0) & (np.abs(a) < 2.0**-1022)) / a.size < 0.006
+    assert np.count_nonzero((a != 0) & (np.abs(a) < _GRAM_FLOOR)) > np.count_nonzero((a != 0) & (np.abs(a) < 2.0**-1022))
+
+
+def test_duality_residual_evaluates_three_tables():
+    # the synthesis Gram's table, the synthesis rows' and the analysis table
+    # that they are checked against, from which the truncated side's symbol
+    # is summed as well: three tables of the 64 scales on the shells, and
+    # the probe's
+    geom = Geometry(2, 128, 16.0)
+    kernel = kernel_from_id("poisson-q:2")
+    f = mean_subtract(random_band_field(geom, seed=3))
+    points = []
+
+    def counted(r, hat=kernel.radial_fourier):
+        points.append(np.size(r))
+        return hat(r)
+
+    res = duality_residual(f, dataclasses.replace(kernel, radial_fourier=counted), 0.25)
+    assert res == duality_residual_rows_stacked(f, kernel, 0.25) and res < 1e-15
+    shells = _shells(geom, True)[0].size
+    probe = len(range(0, shells, shells // (2 * 64)))
+    assert sum(points) == 3 * 64 * shells + 64 * probe
+
+
+@pytest.mark.parametrize("geom,nodes", [(Geometry(1, 4096, 32.0), 16), (Geometry(1, 4096, 32.0), 64), (Geometry(2, 128, 16.0), 16)],
+                         ids=["1d", "1d-two-blocks", "2d"])
+def test_duality_rows_sum_the_symbol_of_on_grid(geom, nodes):
+    # the symbol summed from the analysis table as the rows are checked has
+    # the bits of the analysis family's own sum on the shells, across the
+    # blocks of 181 scales too (256 scales at 64 nodes per octave)
+    kernel, tg = kernel_from_id("poisson-q" if geom.dim == 1 else "poisson-q:2"), LogTimeGrid(0.25, 4.0, nodes)
+    t = tg.scales[_window_run(tg.scales, (0.25, 4.0))]
+    analysis = ScaleFamily.of_kernel(kernel, t, tg.weight)
+    synthesis = ScaleFamily.of_kernel(kernel.reflect_conjugate(), t, tg.weight)
+    f = mean_subtract(random_band_field(geom, seed=3))
+    grid_points = analysis._points(geom)
+    rows, symbol = _duality_rows(analysis, synthesis, _spectra([f], True)[1], grid_points)
+    assert 0 < rows.scales.size < t.size and t.size == 4 * nodes
+    assert symbol.tobytes() == analysis._summed(grid_points[0]).tobytes()
+    assert np.take(symbol, grid_points[1]).tobytes() == analysis.on_grid(geom)[0].tobytes()
 
 
 @pytest.mark.parametrize("tg", [default_time_grid(Geometry(1, 4096, 32.0)), default_dyadic_range(Geometry(1, 4096, 32.0))],
